@@ -39,6 +39,9 @@ class CampaignSummary:
     #: Distinct recovered-outcome digests summed over workloads — the
     #: WITCHER output-equivalence pruning headroom denominator.
     unique_outcomes: int = 0
+    #: Recovered-outcome cache traffic (``checker.outcome_cache.*``).
+    outcome_hits: int = 0
+    outcome_misses: int = 0
     #: Mechanism-aware crash planning (``mech.*``): epochs per recognized
     #: kind, targeted states emitted, and subset-fallback epochs.
     crash_plans: str = "?"
@@ -71,6 +74,8 @@ class CampaignSummary:
                 self.memo_miss_reasons.get(reason, 0) + n
             )
         self.unique_outcomes += getattr(result, "n_unique_outcomes", 0)
+        self.outcome_hits += getattr(result, "outcome_hits", 0)
+        self.outcome_misses += getattr(result, "outcome_misses", 0)
         mode = getattr(result, "crash_plans", "subset")
         self.crash_plans = mode if self.crash_plans in ("?", mode) else "mixed"
         for kind, n in getattr(result, "mech_recognized", {}).items():
@@ -152,6 +157,14 @@ def _telemetry_section(summary: CampaignSummary) -> List[str]:
             f"- **recovered outcomes:** {summary.unique_outcomes} distinct of "
             f"{summary.unique_states} checked "
             f"({headroom * 100:.1f}% output-equivalence pruning headroom)"
+        )
+    keyed = summary.outcome_hits + summary.outcome_misses
+    if keyed:
+        lines.append(
+            f"- **outcome cache:** {summary.outcome_hits} hit(s), "
+            f"{summary.outcome_misses} miss(es) — walk + usability skipped "
+            f"on {summary.outcome_hits / keyed * 100:.1f}% of mounted states "
+            f"(`checker.outcome_cache.*`)"
         )
     if summary.mech_recognized:
         parts = ", ".join(

@@ -111,7 +111,7 @@ class Snapshot:
             "crash_states": 0, "checked": 0, "memo_hits": 0,
             "memo_misses": 0, "memo_shared_hits": 0, "memo_shared_errors": 0,
             "reports": 0, "mech_plans": 0,
-            "mech_fallbacks": 0,
+            "mech_fallbacks": 0, "outcome_hits": 0, "outcome_misses": 0,
         }
         profile_bytes: Dict[str, int] = {}
         for results in self.state.results.values():
@@ -127,6 +127,10 @@ class Snapshot:
                     fields.get("memo_shared_errors", 0)
                 )
                 totals["reports"] += len(list(fields.get("reports", [])))
+                totals["outcome_hits"] += int(fields.get("outcome_hits", 0))
+                totals["outcome_misses"] += int(
+                    fields.get("outcome_misses", 0)
+                )
                 totals["mech_plans"] += int(
                     fields.get("mech_plans_emitted", 0)
                 )
@@ -241,6 +245,13 @@ class CampaignMonitor:
             lines.append(
                 f"mech plans {totals['mech_plans']}   "
                 f"fallback epochs {totals['mech_fallbacks']}"
+            )
+        keyed = totals["outcome_hits"] + totals["outcome_misses"]
+        if keyed:
+            lines.append(
+                f"outcome cache hits {totals['outcome_hits']}/{keyed} "
+                f"({totals['outcome_hits'] / keyed * 100:.0f}% of mounted "
+                f"states skip walk + usability)"
             )
         profile_bytes = totals["profile_bytes"]
         if any(profile_bytes.values()):

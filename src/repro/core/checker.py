@@ -12,9 +12,17 @@ For every crash state the checker:
 4. runs a usability pass: create a probe file in every directory, then
    delete every regular file.
 
-Each crash state is checked on its own copy of the image, so checker
-mutations never leak between states (the paper rolls back with an undo log;
-copies are the in-process equivalent).
+Crash states of one fence region are mounted on one shared device through
+a copy-on-write view (:meth:`repro.pm.device.PMDevice.cow_view`): the view
+applies the state's overlay, records every checker mutation in an undo log,
+and rolls both back on exit — the paper's own undo-log strategy — so
+mutations never leak between states and nothing is copied per state.  Only
+hand-built flat-``bytes`` states still get a private device copy.
+
+Steps 2 and 4 are skipped for a state whose *post-mount* image is
+byte-identical to one this process already walked and found usable (the
+recovered-outcome cache, :mod:`repro.core.outcome_cache`); step 3 always
+runs, against the state's own oracle context.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from repro.memo.store import BUGGY, CLEAN, DEFAULT_MAX_ENTRIES, MemoTable
 from repro.obs.attribution import MemoAttribution
 from repro.obs.metrics import CacheCounters
 from repro.pm.device import PMDevice, PMDeviceError
-from repro.pm.image import CrashImage, FenceBase
+from repro.pm.image import CrashImage, FenceBase, patched_digest
 from repro.vfs.errors import FsError
 from repro.vfs.interface import FileSystem, MountError
 from repro.vfs.types import FileType
@@ -64,6 +72,7 @@ class ConsistencyChecker:
         config: Optional[CheckerConfig] = None,
         telemetry=None,
         provenance=None,
+        outcome_cache=None,
     ) -> None:
         self.fs_class = fs_class
         self.oracle = oracle
@@ -91,6 +100,22 @@ class ConsistencyChecker:
         # Oracle-context digests cached per (syscall, mid, after) — the
         # per-workload half of the shared memo key (see context_digest).
         self._ctx_digests: Dict[Tuple, bytes] = {}
+        #: Optional :class:`~repro.core.outcome_cache.OutcomeCache` shared
+        #: by every checker of one campaign process; None (forensics
+        #: re-replay, hand-built checkers) walks and probes every state.
+        self.outcome_cache = outcome_cache
+        if outcome_cache is not None:
+            outcome_cache.bind((
+                fs_class,
+                bugs.enabled if bugs is not None else None,
+                self.config.usability_check,
+            ))
+        #: This workload's share of the cache traffic: mounted states whose
+        #: walk + usability were reused / ran in full and were eligible /
+        #: could not be keyed (flat image, grown buffer, hand-built base).
+        self.outcome_hits = 0
+        self.outcome_misses = 0
+        self.outcome_bypassed = 0
 
     # ------------------------------------------------------------------
     # Oracle-context digest (shared check-memo key component)
@@ -176,14 +201,16 @@ class ConsistencyChecker:
             # never leak into each other — the paper's own undo-log
             # strategy, instead of a full image copy per state.
             base = image.base
+            keyed: Optional[CrashImage] = image
             restore = getattr(base, "restore_writes", None)
             if restore is not None and not base.adoptable:
                 # A later write grew the live buffer past this base's
                 # historical end; content restores cannot truncate, so the
                 # zero-copy adopt path would mount a longer device.  Take
                 # the snapshotting path below instead (rare: only logs
-                # that write past the device end).
+                # that write past the device end), unkeyed.
                 restore = None
+                keyed = None
             if restore is not None:
                 # Numpy backend: the base shares the replayer's live buffer
                 # — adopt that buffer as the mount device (no copy, ever)
@@ -209,13 +236,24 @@ class ConsistencyChecker:
                     )
                 writes = image.writes
             with self._mount_device.cow_view(writes) as device:
-                return self._check_device(state, device)
+                return self._check_device(state, device, keyed)
         # Legacy eager path for flat images (hand-built states, the
         # delta-vs-eager benchmark baseline): fresh device copy per state.
         device = PMDevice.from_snapshot(image, telemetry=self.telemetry)
         return self._check_device(state, device)
 
-    def _check_device(self, state: CrashState, device: PMDevice) -> List[BugReport]:
+    def _check_device(
+        self,
+        state: CrashState,
+        device: PMDevice,
+        keyed: Optional[CrashImage] = None,
+    ) -> List[BugReport]:
+        """Mount, observe and judge one state on ``device``.
+
+        ``keyed`` is the crash image ``device`` presents through a COW
+        view, for the recovered-outcome cache; ``None`` when the device
+        content cannot be keyed from it (flat image, outgrown base).
+        """
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         try:
@@ -237,6 +275,14 @@ class ConsistencyChecker:
         finally:
             if prof is not None:
                 prof.add("checker.mount", perf_counter() - t0)
+        cache = self.outcome_cache
+        key = None
+        if cache is not None:
+            key = self._outcome_key(device, keyed)
+            outcome = cache.lookup(key) if key is not None else None
+            self._count_outcome_lookup(key, outcome)
+            if outcome is not None:
+                return self._reuse_outcome(state, fs, outcome)
         reports: List[BugReport] = []
         t0 = perf_counter() if prof is not None else 0.0
         try:
@@ -248,17 +294,87 @@ class ConsistencyChecker:
             prof.add("checker.walk", perf_counter() - t0)
         if crash_tree is None:
             self._note_outcome(b"<unreadable>")
-        else:
-            self._note_outcome(self._tree_digest(crash_tree))
+            return reports
+        tree_digest = self._tree_digest(crash_tree)
+        self._note_outcome(tree_digest)
+        t0 = perf_counter() if prof is not None else 0.0
+        reports.extend(self._check_semantics(state, crash_tree))
+        if prof is not None:
+            prof.add("checker.semantics", perf_counter() - t0)
+        unusable: List[BugReport] = []
+        if self.config.usability_check:
             t0 = perf_counter() if prof is not None else 0.0
-            reports.extend(self._check_semantics(state, crash_tree))
+            unusable = self._check_usability(state, fs, crash_tree)
+            reports.extend(unusable)
             if prof is not None:
-                prof.add("checker.semantics", perf_counter() - t0)
-            if self.config.usability_check:
-                t0 = perf_counter() if prof is not None else 0.0
-                reports.extend(self._check_usability(state, fs, crash_tree))
-                if prof is not None:
-                    prof.add("checker.usability", perf_counter() - t0)
+                prof.add("checker.usability", perf_counter() - t0)
+        if key is not None and not unusable:
+            # Only a readable, usable recovery is worth remembering — and
+            # safe to: there is no walk or usability report a later hit
+            # could elide.
+            before = cache.evictions
+            cache.store(key, crash_tree, tree_digest)
+            if self.telemetry is not None and cache.evictions > before:
+                self.telemetry.count(
+                    "checker.outcome_cache.evictions", cache.evictions - before
+                )
+        return reports
+
+    # ------------------------------------------------------------------
+    # Recovered-outcome cache (skip walk + usability on a known image)
+    # ------------------------------------------------------------------
+    def _outcome_key(
+        self, device: PMDevice, image: Optional[CrashImage]
+    ) -> Optional[bytes]:
+        """Content digest of the mounted image as recovery left it.
+
+        Exactly ``ChunkedDigest(device.image).digest()`` — the fence-base
+        digest construction, so equal keys mean byte-identical post-mount
+        images whatever base, workload or backend produced them — but
+        computed from the base's chunk digests by rehashing only the
+        chunks the overlay and recovery's own writes touched.
+        """
+        base_chunks = image.base.chunk_digests if image is not None else None
+        if base_chunks is None:
+            return None
+        prof = _profile.ACTIVE
+        t0 = perf_counter() if prof is not None else 0.0
+        ranges = [(addr, len(data)) for addr, data in image.writes]
+        ranges.extend(device.undo_ranges())
+        key, rehashed = patched_digest(base_chunks, device.image, ranges)
+        if prof is not None:
+            prof.add("checker.outcome_key", perf_counter() - t0, rehashed,
+                     "digest_hashed")
+        return key
+
+    def _count_outcome_lookup(self, key, outcome) -> None:
+        if key is None:
+            self.outcome_bypassed += 1
+            name = "bypassed"
+        elif outcome is not None:
+            self.outcome_hits += 1
+            name = "hits"
+        else:
+            self.outcome_misses += 1
+            name = "misses"
+        if self.telemetry is not None:
+            self.telemetry.count("checker.outcome_cache." + name)
+
+    def _reuse_outcome(self, state: CrashState, fs: FileSystem, outcome) -> List[BugReport]:
+        """Judge ``state`` from a cached recovery of the same image.
+
+        The cached tree is what ``fs.walk()`` would return and the
+        usability pass is known to report nothing, so both are skipped;
+        the oracle comparison still runs for this state's own context.
+        (``fs`` is unused here — the equivalence audit in the tests
+        overrides this hook to re-run both passes on it.)
+        """
+        self._note_outcome(outcome.digest)
+        prof = _profile.ACTIVE
+        t0 = perf_counter() if prof is not None else 0.0
+        reports = self._check_semantics(state, outcome.tree)
+        if prof is not None:
+            prof.add("checker.semantics", perf_counter() - t0)
         return reports
 
     # ------------------------------------------------------------------
@@ -269,13 +385,26 @@ class ConsistencyChecker:
 
     @staticmethod
     def _tree_digest(crash_tree: TreeState) -> bytes:
-        """Stable digest of the recovered observable tree."""
+        """Stable, injective digest of the recovered observable tree.
+
+        Covers everything ``FileObservation.__eq__`` compares — the full
+        file content, not a preview — because the shared memo key and the
+        recovered-outcome cache both treat equal digests as equal trees.
+        """
         h = hashlib.sha1()
         for path in sorted(crash_tree):
+            obs = crash_tree[path]
             h.update(path.encode())
             h.update(b"\x00")
-            h.update(repr(crash_tree[path]).encode())
-            h.update(b"\x01")
+            h.update(repr(
+                (obs.ftype.value, obs.size, obs.nlink, obs.mode, obs.entries)
+            ).encode())
+            content = obs.content
+            if content is None:
+                h.update(b"\x00-")
+            else:
+                h.update(b"\x00+" + struct.pack(">Q", len(content)))
+                h.update(content)
         return b"<tree>" + h.digest()
 
     # ------------------------------------------------------------------

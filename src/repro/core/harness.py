@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Type, Union
 
 from repro.core.checker import CheckerConfig, CheckMemo, ConsistencyChecker
 from repro.core.oracle import run_oracle
+from repro.core.outcome_cache import OutcomeCache
 from repro.core.probes import ProbeSet, probe_targets_of
 from repro.core.replayer import (
     ReplayStats,
@@ -155,6 +156,11 @@ class TestResult:
     #: Distinct recovered observable outcomes among the checked states —
     #: the numerator of the output-equivalence pruning headroom.
     n_unique_outcomes: int = 0
+    #: Recovered-outcome cache traffic (``checker.outcome_cache.*``):
+    #: mounted states whose post-mount image was already walked and found
+    #: usable (walk + usability skipped) / that ran both in full.
+    outcome_hits: int = 0
+    outcome_misses: int = 0
     #: Persistence-function mix: func -> {stores, flushes, fences, bytes}.
     persistence: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Write traffic per layout region: region -> {writes, bytes}.
@@ -237,6 +243,8 @@ class TestResult:
             "memo_shared_errors": self.memo_shared_errors,
             "memo_evictions": self.memo_evictions,
             "n_unique_outcomes": self.n_unique_outcomes,
+            "outcome_hits": self.outcome_hits,
+            "outcome_misses": self.outcome_misses,
             "persistence": {k: dict(v) for k, v in self.persistence.items()},
             "store_regions": {k: dict(v) for k, v in self.store_regions.items()},
             "recovery_overlap": dict(self.recovery_overlap),
@@ -285,6 +293,8 @@ class TestResult:
             memo_shared_errors=int(data.get("memo_shared_errors", 0)),
             memo_evictions=int(data.get("memo_evictions", 0)),
             n_unique_outcomes=int(data.get("n_unique_outcomes", 0)),
+            outcome_hits=int(data.get("outcome_hits", 0)),
+            outcome_misses=int(data.get("outcome_misses", 0)),
             persistence={
                 str(k): {str(kk): int(vv) for kk, vv in dict(v).items()}
                 for k, v in dict(data.get("persistence", {})).items()
@@ -331,6 +341,11 @@ class Chipmunk:
         #: workload's :class:`CheckMemo` consults it for cross-workload
         #: clean-verdict dedup.  None runs local-only.
         self.shared_memo = shared_memo
+        #: Recovered-outcome cache handed to every workload's checker, so
+        #: a post-mount image judged in one workload is not walked and
+        #: probed again in the next.  Always on; ``None`` detaches it (the
+        #: equivalence tests' control side).
+        self.outcome_cache: Optional[OutcomeCache] = OutcomeCache()
 
     # ------------------------------------------------------------------
     def record(self, workload: Workload, setup: Workload = (), coverage=None) -> tuple:
@@ -453,6 +468,7 @@ class Chipmunk:
             config=CheckerConfig(usability_check=self.config.usability_check),
             telemetry=tel,
             provenance=recorder,
+            outcome_cache=self.outcome_cache,
         )
         stats = ReplayStats()
         # The memo is the single entry point for checking: dedup (by delta
@@ -584,6 +600,8 @@ class Chipmunk:
             memo_shared_errors=memo.shared_errors,
             memo_evictions=memo.evictions,
             n_unique_outcomes=len(checker.outcome_digests),
+            outcome_hits=checker.outcome_hits,
+            outcome_misses=checker.outcome_misses,
             persistence=persistence,
             store_regions=store_regions,
             recovery_overlap=recovery_overlap,
@@ -665,6 +683,8 @@ class Chipmunk:
             memo_shared_errors=result.memo_shared_errors,
             memo_evictions=result.memo_evictions,
             n_unique_outcomes=result.n_unique_outcomes,
+            outcome_hits=result.outcome_hits,
+            outcome_misses=result.outcome_misses,
             persistence=result.persistence,
             store_regions=result.store_regions,
             recovery_overlap=result.recovery_overlap,

@@ -171,7 +171,10 @@ class _PersistTracker:
             prof = _profile.ACTIVE
             t0 = perf_counter() if prof is not None else 0.0
             m0 = prof.mark() if prof is not None else 0.0
-            self._base = FenceBase(bytes(self.buf), self._digest.digest())
+            self._base = FenceBase(
+                bytes(self.buf), self._digest.digest(),
+                self._digest.chunk_digests(),
+            )
             if prof is not None:
                 # Exclusive of the chunk rehashes the digest runs inside.
                 prof.add_exclusive("replay.fence_base", perf_counter() - t0,

@@ -315,6 +315,19 @@ class Ext4DaxFS(FileSystem):
                 xattr_blocks=geom.xattr_blocks,
                 origin=origin,
             )
+        # A torn or corrupt superblock can describe any geometry; recovery
+        # indexes the one-block bitmap by block number, so a geometry the
+        # bitmap cannot cover must fail the mount, not the checker.
+        if (
+            geom.block_size <= 0
+            or geom.origin + geom.device_size > device.size
+            or geom.n_blocks > geom.bitmap.size * 8
+        ):
+            raise MountError(
+                f"corrupt superblock geometry: device size "
+                f"{geom.device_size}, block size {geom.block_size} on a "
+                f"{device.size}-byte device"
+            )
         fs = cls(device, cls.ops_class(device), geom, bugs, **kwargs)
         fs._recover()
         return fs

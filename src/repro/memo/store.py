@@ -20,6 +20,11 @@ key, or the shared service's context-folded digest) to a *verdict*:
 Eviction is LRU over the clean entries only, bounded by ``max_entries``
 (0 disables the bound).  The table is thread-safe: the shared memo server
 serves one thread per connection against a single instance.
+
+A clean entry may carry a *payload* (:meth:`MemoTable.publish` /
+:meth:`MemoTable.fetch`): the checker's recovered-outcome cache
+(:mod:`repro.core.outcome_cache`) keeps its post-mount-image → recovered
+tree map in the same bounded LRU instead of growing a second one.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class MemoTable:
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.max_entries = int(max_entries)
-        self._clean: "OrderedDict[object, bool]" = OrderedDict()
+        self._clean: "OrderedDict[object, object]" = OrderedDict()
         self._buggy: set = set()
         self._lock = threading.Lock()
         self.hits = 0
@@ -66,10 +71,24 @@ class MemoTable:
             self.misses += 1
             return None
 
-    def publish(self, key, verdict: str) -> None:
+    def fetch(self, key):
+        """The payload published with a clean key, refreshing LRU recency;
+        None = miss (buggy keys carry no payload)."""
+        with self._lock:
+            payload = self._clean.get(key)
+            if payload is None:
+                self.misses += 1
+                return None
+            self._clean.move_to_end(key)
+            self.hits += 1
+            return payload
+
+    def publish(self, key, verdict: str, payload=True) -> None:
         """Record a verdict; idempotent, so racing workers publishing the
         same key (both missed, both checked byte-identical states under the
-        same oracle context) converge on the same entry."""
+        same oracle context) converge on the same entry.  ``payload`` (any
+        value but ``None``) rides along with a clean entry for
+        :meth:`fetch`."""
         if verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
         with self._lock:
@@ -83,7 +102,7 @@ class MemoTable:
                 return
             if key in self._buggy:
                 return
-            self._clean[key] = True
+            self._clean[key] = payload
             self._clean.move_to_end(key)
             if self.max_entries > 0:
                 while len(self._clean) > self.max_entries:

@@ -92,6 +92,11 @@ class CampaignStats:
     #: Distinct recovered outcomes among checked states (summed per
     #: workload — outcomes are not deduplicated across workloads).
     n_unique_outcomes: int = 0
+    #: Recovered-outcome cache (``checker.outcome_cache.*``): mounted states
+    #: whose walk + usability pass were reused from a byte-identical
+    #: post-mount image / ran in full.
+    n_outcome_hits: int = 0
+    n_outcome_misses: int = 0
     #: Crash-plan mode the campaign ran under ("subset" | "mech"; "?" until
     #: the first result arrives, "mixed" if results disagree).
     crash_plans: str = "?"
@@ -133,6 +138,8 @@ class CampaignStats:
         self.n_memo_shared_errors += getattr(result, "memo_shared_errors", 0)
         self.n_memo_evictions += getattr(result, "memo_evictions", 0)
         self.n_unique_outcomes += getattr(result, "n_unique_outcomes", 0)
+        self.n_outcome_hits += getattr(result, "outcome_hits", 0)
+        self.n_outcome_misses += getattr(result, "outcome_misses", 0)
         for reason, n in getattr(result, "memo_miss_reasons", {}).items():
             self.memo_miss_reasons[reason] = (
                 self.memo_miss_reasons.get(reason, 0) + n
@@ -280,6 +287,8 @@ class CampaignStats:
         self.n_memo_shared_errors += int(fields.get("memo_shared_errors", 0))
         self.n_memo_evictions += int(fields.get("memo_evictions", 0))
         self.n_unique_outcomes += int(fields.get("n_unique_outcomes", 0))
+        self.n_outcome_hits += int(fields.get("outcome_hits", 0))
+        self.n_outcome_misses += int(fields.get("outcome_misses", 0))
         for reason, n in dict(fields.get("memo_miss_reasons", {})).items():
             self.memo_miss_reasons[str(reason)] = (
                 self.memo_miss_reasons.get(str(reason), 0) + int(n)
@@ -337,6 +346,8 @@ class CampaignStats:
             "mech_plans_emitted": self.n_mech_plans_emitted,
             "mech_fallback_epochs": self.n_mech_fallback_epochs,
             "unique_outcomes": self.n_unique_outcomes,
+            "outcome_hits": self.n_outcome_hits,
+            "outcome_misses": self.n_outcome_misses,
             "fences": self.n_fences,
             "reports": self.n_reports,
             "wall_time": self.wall_time,
@@ -411,6 +422,14 @@ class CampaignStats:
                 f"recovered outcomes: {self.n_unique_outcomes} distinct of "
                 f"{self.n_memo_misses} checked (equivalence-pruning headroom "
                 f"{(1 - self.n_unique_outcomes / self.n_memo_misses) * 100:.1f}%)"
+            )
+        if self.n_outcome_hits or self.n_outcome_misses:
+            keyed = self.n_outcome_hits + self.n_outcome_misses
+            lines.append(
+                f"outcome cache (checker.outcome_cache.*): "
+                f"{self.n_outcome_hits} hit(s), {self.n_outcome_misses} "
+                f"miss(es) (walk + usability skipped on "
+                f"{self.n_outcome_hits / keyed * 100:.1f}% of mounted states)"
             )
         if self.mech_recognized:
             ordered = sorted(

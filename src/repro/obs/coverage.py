@@ -132,6 +132,10 @@ class CoverageReport:
     #: content-key hex -> max distinct overlay shapes seen (per workload).
     collisions: Dict[str, int] = field(default_factory=dict)
     unique_outcomes: int = 0
+    #: Recovered-outcome cache: mounted states that reused / ran the walk
+    #: and usability pass (the realised part of :attr:`outcome_headroom`).
+    outcome_hits: int = 0
+    outcome_misses: int = 0
 
     #: Crash-plan mode ("subset" | "mech" | "mixed"; "?" until data arrives).
     crash_plans: str = "?"
@@ -164,6 +168,8 @@ class CoverageReport:
         self.memo_shared_hits += int(fields.get("memo_shared_hits", 0))
         self.memo_evictions += int(fields.get("memo_evictions", 0))
         self.unique_outcomes += int(fields.get("n_unique_outcomes", 0))
+        self.outcome_hits += int(fields.get("outcome_hits", 0))
+        self.outcome_misses += int(fields.get("outcome_misses", 0))
         self.fences_per_workload.append(int(fields.get("n_fences", 0)))
         for reason, n in dict(fields.get("memo_miss_reasons", {})).items():
             self.miss_reasons[str(reason)] = (
@@ -290,6 +296,8 @@ class CoverageReport:
             ),
             "unique_outcomes": self.unique_outcomes,
             "outcome_headroom": self.outcome_headroom,
+            "outcome_hits": self.outcome_hits,
+            "outcome_misses": self.outcome_misses,
             "crash_plans": self.crash_plans,
             "mech_recognized": dict(self.mech_recognized),
             "mech_plans_emitted": self.mech_plans_emitted,
@@ -360,6 +368,13 @@ class CoverageReport:
                 f"{self.unique_outcomes} recovered to distinct observable "
                 f"outcomes — **{self.outcome_headroom * 100:.1f}% headroom** "
                 f"for WITCHER-style output-equivalence pruning."
+                + (
+                    f"  Realised: the recovered-outcome cache skipped walk + "
+                    f"usability on {self.outcome_hits} state(s) "
+                    f"({self.outcome_hits / self.states_checked * 100:.1f}% "
+                    f"of checked; {self.outcome_misses} ran in full)."
+                    if self.outcome_hits or self.outcome_misses else ""
+                )
             )
             lines.append("")
 

@@ -166,6 +166,17 @@ class PMDevice:
     def undo_active(self) -> bool:
         return self._undo is not None
 
+    def undo_ranges(self) -> List[Tuple[int, int]]:
+        """``(addr, length)`` of every write the active undo log recorded.
+
+        Inside a :meth:`cow_view` these are exactly the caller's mutations
+        since the view opened (mount-time recovery writes, first of all) —
+        what a consumer must rehash to digest the image as it stands now.
+        """
+        if self._undo is None:
+            raise PMDeviceError("no undo log active")
+        return [(addr, len(before)) for addr, before in self._undo]
+
     # ------------------------------------------------------------------
     # Copy-on-write mount view
     # ------------------------------------------------------------------

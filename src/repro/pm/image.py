@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import profile as _profile
 
@@ -149,6 +149,37 @@ class ChunkedDigest:
                      "digest_hashed")
         return combined.digest()
 
+    def chunk_digests(self) -> Tuple[bytes, ...]:
+        """The per-chunk sha1s :meth:`digest` just combined (a snapshot)."""
+        return tuple(self._chunks)
+
+
+def patched_digest(
+    chunk_digests: Sequence[bytes], buf, ranges: Iterable[Tuple[int, int]]
+) -> Tuple[Optional[bytes], int]:
+    """``ChunkedDigest(buf).digest()``, computed from a neighbour's chunks.
+
+    ``chunk_digests`` describes a buffer of the same length that differs
+    from ``buf`` at most inside ``ranges`` (``(addr, length)`` pairs); only
+    the chunks those ranges touch are rehashed.  Returns ``(digest, bytes
+    rehashed)``, or ``(None, 0)`` when the chunk table does not fit ``buf``
+    (the buffer grew or shrank since the table was taken).
+    """
+    if ((len(buf) + CHUNK - 1) // CHUNK or 1) != len(chunk_digests):
+        return None, 0
+    dirty = set()
+    for addr, length in ranges:
+        if length > 0:
+            dirty.update(range(addr // CHUNK, (addr + length - 1) // CHUNK + 1))
+    chunks = list(chunk_digests)
+    view = memoryview(buf)
+    rehashed = 0
+    for i in dirty:
+        piece = view[i * CHUNK : (i + 1) * CHUNK]
+        chunks[i] = hashlib.sha1(piece).digest()
+        rehashed += len(piece)
+    return hashlib.sha1(b"".join(chunks)).digest(), rehashed
+
 
 class FenceBase:
     """One fence region's immutable persistent snapshot, content-tagged.
@@ -159,13 +190,20 @@ class FenceBase:
     ``digest`` is a content digest, so two regions whose persistent images
     happen to coincide (e.g. a region whose writes were all idempotent)
     share a content address even though they are distinct objects.
+
+    ``chunk_digests`` is the tracker's per-chunk sha1 tuple behind
+    ``digest`` (``digest == sha1(b"".join(chunk_digests))``), carried so a
+    consumer can digest a *patched* copy of this base by rehashing only the
+    patched chunks (:func:`patched_digest`).  ``None`` on hand-built bases.
     """
 
-    __slots__ = ("data", "digest")
+    __slots__ = ("data", "digest", "chunk_digests")
 
-    def __init__(self, data: bytes, digest: Optional[bytes] = None) -> None:
+    def __init__(self, data: bytes, digest: Optional[bytes] = None,
+                 chunk_digests: Optional[Tuple[bytes, ...]] = None) -> None:
         self.data = data
         self.digest = digest if digest is not None else hashlib.sha1(data).digest()
+        self.chunk_digests = chunk_digests
 
     def __len__(self) -> int:
         return len(self.data)

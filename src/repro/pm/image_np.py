@@ -159,14 +159,16 @@ class LazyFenceBase:
     region ended.
     """
 
-    __slots__ = ("tracker", "_undo_pos", "digest", "_data", "_len",
-                 "__weakref__")
+    __slots__ = ("tracker", "_undo_pos", "digest", "chunk_digests", "_data",
+                 "_len", "__weakref__")
 
     def __init__(self, tracker: "NPPersistTracker", undo_pos: int,
-                 digest: bytes) -> None:
+                 digest: bytes, chunk_digests: Tuple[bytes, ...]) -> None:
         self.tracker = tracker
         self._undo_pos = undo_pos
         self.digest = digest
+        #: Per-chunk sha1s behind ``digest`` (see ``FenceBase.chunk_digests``).
+        self.chunk_digests = chunk_digests
         self._data: Optional[bytes] = None
         # The buffer's length *now* — writes past the device end grow the
         # bytearray (python-backend parity), so this base's historical
@@ -298,7 +300,10 @@ class NPPersistTracker:
             prof = _profile.ACTIVE
             t0 = perf_counter() if prof is not None else 0.0
             m0 = prof.mark() if prof is not None else 0.0
-            base = LazyFenceBase(self, len(self._undo), self._digest.digest())
+            base = LazyFenceBase(
+                self, len(self._undo), self._digest.digest(),
+                self._digest.chunk_digests(),
+            )
             self._base = weakref.ref(base)
             if prof is not None:
                 # Exclusive of the chunk rehashes the digest runs inside.

@@ -68,6 +68,20 @@ class FileSystem(abc.ABC):
         """Mount an existing image, running crash recovery.
 
         Raises :class:`MountError` when the image cannot be recovered.
+
+        **Mount purity (contract).**  When ``mount`` returns, every piece
+        of volatile state the instance holds — free lists, DRAM indices,
+        cached inodes, dirty sets — must be a function of ``(cls, bugs,
+        the device image as recovery left it)`` and nothing else: not of
+        the image as it was *before* recovery, not of process history.
+        Recovery that rebuilds its DRAM structures from the recovered
+        media satisfies this by construction; recovery that remembers
+        something about the pre-recovery image without writing it back
+        does not.  The checker's recovered-outcome cache
+        (:mod:`repro.core.outcome_cache`) relies on it to reuse ``walk()``
+        and usability results across crash states that mount to
+        byte-identical images; ``tests/core/test_outcome_cache.py`` audits
+        it for every registry entry.
         """
 
     @classmethod
@@ -241,7 +255,10 @@ class FileObservation:
     (section 3.3).
     """
 
-    __slots__ = ("ftype", "size", "nlink", "mode", "content", "entries")
+    # Weak-referenceable so the recovered-outcome cache can intern
+    # observations without pinning them.
+    __slots__ = ("ftype", "size", "nlink", "mode", "content", "entries",
+                 "__weakref__")
 
     def __init__(
         self,

@@ -170,3 +170,54 @@ class TestXfsVariant:
         fs.sync()
         mounted = XfsDaxFS.mount(fs.device)
         assert mounted.read_all("/f") == b"xfs data"
+
+
+class TestCorruptGeometry:
+    """A torn superblock can describe any geometry; recovery indexes the
+    one-block bitmap by block number, so one the bitmap cannot cover used to
+    escape as ``IndexError`` (``ZeroDivisionError`` for a zero block size)
+    instead of failing the mount."""
+
+    #: (superblock offset, little-endian replacement)
+    MUTATIONS = {
+        "block-size-64": (16, (64).to_bytes(4, "little")),
+        "block-size-0": (16, (0).to_bytes(4, "little")),
+        "device-size-x64": (8, (64 * 256 * 1024).to_bytes(8, "little")),
+    }
+
+    def _mutated(self, cls, mutation):
+        fs = make_dax(cls)
+        fs.creat("/f")
+        fs.sync()
+        offset, value = self.MUTATIONS[mutation]
+        fs.device.write(offset, value)
+        return fs.device
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("cls", [Ext4DaxFS, XfsDaxFS])
+    def test_mount_fails_inside_the_taxonomy(self, cls, mutation):
+        from repro.vfs.interface import MountError
+
+        with pytest.raises(MountError, match="corrupt superblock geometry"):
+            cls.mount(self._mutated(cls, mutation))
+
+    @pytest.mark.parametrize("cls", [Ext4DaxFS, XfsDaxFS])
+    def test_checker_reports_unmountable_not_an_exception(self, cls):
+        from repro.core.checker import ConsistencyChecker
+        from repro.core.oracle import run_oracle
+        from repro.core.replayer import CrashState
+        from repro.core.report import Consequence
+        from repro.workloads.ops import Op
+
+        workload = [Op("creat", ("/f",)), Op("sync", ())]
+        oracle = run_oracle(cls, workload, 256 * 1024, bugs=BugConfig.fixed())
+        checker = ConsistencyChecker(cls, oracle, "w", bugs=BugConfig.fixed())
+        state = CrashState(
+            image=self._mutated(cls, "block-size-64").snapshot(),
+            fence_index=0, syscall=None, syscall_name=None,
+            mid_syscall=False, after_syscall=1, subset_desc=("<test>",),
+            n_replayed=0,
+        )
+        reports = checker.check(state)
+        assert [r.consequence for r in reports] == [Consequence.UNMOUNTABLE]
+        assert "corrupt superblock geometry" in reports[0].detail

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.harness import Chipmunk
 from repro.core.oracle import run_oracle
-from repro.core.replayer import enumerate_crash_states
+from repro.core.replayer import CrashState, enumerate_crash_states
+from repro.core.report import Consequence
 from repro.fs.bugs import BugConfig
 from repro.memo.store import BUGGY, CLEAN
-from repro.workloads.ops import Op
+from repro.pm.device import PMDevice
+from repro.workloads.ops import Op, run_workload
 
 
 class FakeShared:
@@ -204,6 +206,58 @@ class TestContextSeparation:
         a = self._checker(cm_buggy, [Op("creat", ("/A",))])
         b = self._checker(cm_fixed, [Op("creat", ("/A",))])
         assert a.context_digest(self.S()) != b.context_digest(self.S())
+
+
+class TestDeepContentSeparation:
+    """Regression: ``_tree_digest`` used to hash ``describe()``, which
+    previews only the first 32 content bytes — two oracles differing past
+    byte 32 shared a context digest, hence a shared-memo key."""
+
+    #: Same file, same size, same first 40 bytes; the tails differ.
+    SAME_TAIL = [Op("creat", ("/foo",)), Op("write", ("/foo", 0, 65, 64)),
+                 Op("write", ("/foo", 40, 65, 24))]
+    OTHER_TAIL = SAME_TAIL[:2] + [Op("write", ("/foo", 40, 66, 24))]
+
+    def _checker(self, cm, workload):
+        oracle = run_oracle(
+            cm.fs_class, workload, cm.config.device_size, bugs=cm.bugs
+        )
+        return ConsistencyChecker(cm.fs_class, oracle, "w", bugs=cm.bugs)
+
+    def _final_state_of(self, cm, workload):
+        device = PMDevice(cm.config.device_size)
+        run_workload(cm.fs_class.mkfs(device, bugs=cm.bugs), workload)
+        return CrashState(
+            image=device.snapshot(), fence_index=0, syscall=None,
+            syscall_name=None, mid_syscall=False, after_syscall=2,
+            subset_desc=("<test>",), n_replayed=0,
+        )
+
+    def test_oracles_differing_at_byte_40_have_different_digests(self):
+        cm = Chipmunk("nova", bugs=BugConfig.fixed())
+        a = self._checker(cm, self.SAME_TAIL)
+        b = self._checker(cm, self.OTHER_TAIL)
+        tree_a, tree_b = a.oracle.final_state, b.oracle.final_state
+        assert tree_a["/foo"].content[:40] == tree_b["/foo"].content[:40]
+        assert tree_a != tree_b
+        assert a._tree_digest(tree_a) != b._tree_digest(tree_b)
+        state = self._final_state_of(cm, self.SAME_TAIL)
+        assert a.context_digest(state) != b.context_digest(state)
+
+    def test_clean_entry_of_one_is_not_a_hit_for_the_other(self):
+        """The image holding the first workload's file is clean for that
+        workload and a lost write for the second; the first's CLEAN entry
+        must not mask it."""
+        cm = Chipmunk("nova", bugs=BugConfig.fixed())
+        shared = FakeShared()
+        state = self._final_state_of(cm, self.SAME_TAIL)
+        first = CheckMemo(self._checker(cm, self.SAME_TAIL), shared=shared)
+        assert first.check(state) == []
+        assert list(shared.table.values()) == [CLEAN]
+        second = CheckMemo(self._checker(cm, self.OTHER_TAIL), shared=shared)
+        reports = second.check(state)
+        assert second.shared_hits == 0
+        assert [r.consequence for r in reports] == [Consequence.SYNCHRONY]
 
 
 class TestBoundedLocalTier:

@@ -44,6 +44,30 @@ class TestVerdicts:
         assert len(t) == 1
 
 
+class TestPayloads:
+    def test_fetch_returns_the_payload_and_refreshes_recency(self):
+        t = MemoTable(max_entries=2)
+        t.publish(k(1), CLEAN, "one")
+        t.publish(k(2), CLEAN, "two")
+        assert t.fetch(k(1)) == "one"
+        t.publish(k(3), CLEAN, "three")
+        assert t.fetch(k(2)) is None  # k(1) was fresher
+        assert t.fetch(k(1)) == "one"
+        assert (t.hits, t.misses) == (2, 1)
+
+    def test_lookup_and_fetch_agree_on_plain_entries(self):
+        t = MemoTable()
+        t.publish(k(1), CLEAN)
+        assert t.lookup(k(1)) == CLEAN
+        assert t.fetch(k(1)) is True
+
+    def test_buggy_keys_carry_no_payload(self):
+        t = MemoTable()
+        t.publish(k(1), CLEAN, "payload")
+        t.publish(k(1), BUGGY)
+        assert t.fetch(k(1)) is None
+
+
 class TestEviction:
     def test_lru_evicts_oldest_clean(self):
         t = MemoTable(max_entries=2)

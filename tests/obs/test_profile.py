@@ -54,7 +54,8 @@ BACKENDS = [
 CATEGORY_SITES = {
     "materialized": {"replay.fence_base", "image.materialize"},
     "overlay_applied": {"device.cow_apply"},
-    "digest_hashed": {"image.chunk_rehash", "image.digest"},
+    "digest_hashed": {"image.chunk_rehash", "image.digest",
+                      "checker.outcome_key"},
     "cow_rollback": {"device.cow_rollback"},
 }
 
@@ -102,6 +103,17 @@ class TestAttributionInvariant:
         for cat, sites in CATEGORY_SITES.items():
             produced = sum(per_site.get(site, 0) for site in sites)
             assert counts[cat] == produced, cat
+
+    def test_outcome_key_is_a_check_stage_callsite(self, profiled_result):
+        """The recovered-outcome cache's key cost is attributed (seconds and
+        rehashed bytes), once per state that mounted and could be keyed."""
+        rows = [r for r in profiled_result.profile["sites"]
+                if r[1] == "checker.outcome_key"]
+        assert [r[0] for r in rows] == ["check"]
+        _stage, _site, calls, seconds, nbytes = rows[0]
+        assert calls == (profiled_result.outcome_hits
+                         + profiled_result.outcome_misses)
+        assert seconds > 0 and nbytes > 0
 
     def test_byte_categories_populated(self, profiled_result):
         counts = profiled_result.profile["bytes"]
