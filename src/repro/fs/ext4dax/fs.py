@@ -26,6 +26,7 @@ Chipmunk reports nothing for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.fs.bugs import BugConfig
@@ -94,40 +95,40 @@ class Ext4DaxGeometry:
     xattr_blocks: int = 2
     origin: int = 0
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         """One past the last block of this file system (absolute)."""
         return (self.origin + self.device_size) // self.block_size
 
-    @property
+    @cached_property
     def journal(self) -> Region:
         return Region(self.origin + self.block_size, self.journal_blocks * self.block_size)
 
-    @property
+    @cached_property
     def inode_table(self) -> Region:
         return Region(self.journal.end, self.inode_blocks * self.block_size)
 
-    @property
+    @cached_property
     def n_inodes(self) -> int:
         return self.inode_table.size // INODE_SLOT_SIZE
 
-    @property
+    @cached_property
     def xattr_area(self) -> Region:
         return Region(self.inode_table.end, self.xattr_blocks * self.block_size)
 
-    @property
+    @cached_property
     def bitmap(self) -> Region:
         return Region(self.xattr_area.end, self.block_size)
 
-    @property
+    @cached_property
     def first_data_block(self) -> int:
         return self.bitmap.end // self.block_size
 
-    @property
+    @cached_property
     def n_data_blocks(self) -> int:
         return self.n_blocks - self.first_data_block
 
-    @property
+    @cached_property
     def max_file_size(self) -> int:
         return N_DIRECT * self.block_size
 
@@ -345,10 +346,11 @@ class Ext4DaxFS(FileSystem):
     def _recover(self) -> None:
         self._replay_journal()
         geom = self.geom
-        bitmap = self.ops.read_pm(geom.bitmap.offset, geom.bitmap.size)
-        for block in range(geom.first_data_block, geom.n_blocks):
-            if bitmap[block // 8] & (1 << (block % 8)):
-                self.alloc.mark_used(block)
+        self.alloc = BlockAllocator.from_bitmap(
+            geom.first_data_block,
+            geom.n_data_blocks,
+            self.ops.read_pm(geom.bitmap.offset, geom.bitmap.size),
+        )
         for ino in range(geom.n_inodes):
             buf = self.ops.read_pm(geom.inode_addr(ino), INODE_SLOT_SIZE)
             if buf[0] != 1:
@@ -499,13 +501,7 @@ class Ext4DaxFS(FileSystem):
                 (geom.xattr_area.offset + off, bytes(xattr[off : off + geom.block_size]))
             )
         # Bitmap.
-        bitmap = bytearray(geom.bitmap.size)
-        for block in range(geom.first_data_block):
-            bitmap[block // 8] |= 1 << (block % 8)
-        for block in range(geom.first_data_block, geom.n_blocks):
-            if not self.alloc.is_free(block):
-                bitmap[block // 8] |= 1 << (block % 8)
-        records.append((geom.bitmap.offset, bytes(bitmap)))
+        records.append((geom.bitmap.offset, self.alloc.used_bitmap(geom.bitmap.size)))
         return records
 
     def _writeback_data(self) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from repro.fs.common.layout import (
@@ -97,31 +98,31 @@ class NovaGeometry:
             raise ValueError("device_size must be a multiple of block_size")
 
     # Region map -----------------------------------------------------------
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         return self.device_size // self.block_size
 
-    @property
+    @cached_property
     def superblock(self) -> Region:
         return Region(0, self.block_size)
 
-    @property
+    @cached_property
     def journal(self) -> Region:
         return Region(self.block_size, self.block_size)
 
-    @property
+    @cached_property
     def inode_table(self) -> Region:
         return Region(2 * self.block_size, self.inode_blocks * self.block_size)
 
-    @property
+    @cached_property
     def n_inodes(self) -> int:
         return self.inode_table.size // INODE_SLOT_SIZE
 
-    @property
+    @cached_property
     def first_data_block(self) -> int:
         return 2 + self.inode_blocks
 
-    @property
+    @cached_property
     def n_data_blocks(self) -> int:
         return self.n_blocks - self.first_data_block
 

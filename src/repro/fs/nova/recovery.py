@@ -27,11 +27,10 @@ def rebuild(fs) -> None:
     slot_bufs: Dict[int, bytes] = {}
     for ino in range(fs.geom.n_inodes):
         buf = fs.ops.read_pm(fs.geom.inode_addr(ino), L.INODE_SLOT_SIZE)
-        slot = L.unpack_inode_slot(buf)
-        if not slot.valid:
+        if buf[L.INO_VALID] != 1:
             continue
         fs._verify_slot(ino, buf)
-        parsed[ino] = _walk_log(fs, ino, slot)
+        parsed[ino] = _walk_log(fs, ino, L.unpack_inode_slot(buf))
         slot_bufs[ino] = buf
 
     root = parsed.get(ROOT_INO)

@@ -27,6 +27,7 @@ came from ``mount`` (i.e. post-crash), matching Fortis's recovery-time scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Set
 
 from repro.fs.common.layout import Region, crc32, read_u16, read_u32, read_u64, u16, u32, u64
@@ -55,22 +56,22 @@ class FortisGeometry(L.NovaGeometry):
     """NOVA geometry plus the replica, data-checksum, and pending-truncate
     regions."""
 
-    @property
+    @cached_property
     def replica_table(self) -> Region:
         base = super().inode_table
         return Region(base.end, base.size)
 
-    @property
+    @cached_property
     def csum_table(self) -> Region:
         size = self.n_blocks * CSUM_ENTRY_SIZE
         size = ((size + self.block_size - 1) // self.block_size) * self.block_size
         return Region(self.replica_table.end, size)
 
-    @property
+    @cached_property
     def pending_truncate(self) -> Region:
         return Region(self.csum_table.end, self.block_size)
 
-    @property
+    @cached_property
     def first_data_block(self) -> int:
         return self.pending_truncate.end // self.block_size
 

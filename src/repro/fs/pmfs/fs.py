@@ -133,6 +133,22 @@ class PmfsFS(FileSystem):
                 journal_blocks=geom.journal_blocks,
                 n_cpus=geom.n_cpus,
             )
+        # A torn or corrupt superblock can describe any geometry (a block
+        # size that is not positive or does not divide the device size
+        # already failed above).  Recovery indexes the one-block bitmap by
+        # block number and reads every metadata region, so a geometry the
+        # device or the bitmap cannot hold must fail the mount, not the
+        # checker.
+        if (
+            geom.device_size != device.size
+            or geom.n_blocks > geom.bitmap.size * 8
+            or geom.first_data_block * geom.block_size > device.size
+        ):
+            raise MountError(
+                f"corrupt superblock geometry: device size "
+                f"{geom.device_size}, block size {geom.block_size} on a "
+                f"{device.size}-byte device"
+            )
         fs = cls(device, cls.ops_class(device), geom, bugs, **kwargs)
         fs._recover()
         return fs
@@ -233,14 +249,15 @@ class PmfsFS(FileSystem):
 
     def _rebuild_free_lists(self) -> None:
         geom = self.geom
-        blocks = BlockAllocator(geom.first_data_block, geom.n_data_blocks)
-        bitmap = self.ops.read_pm(geom.bitmap.offset, geom.bitmap.size)
-        for block in range(geom.first_data_block, geom.n_blocks):
-            if bitmap[block // 8] & (1 << (block % 8)):
-                blocks.mark_used(block)
+        blocks = BlockAllocator.from_bitmap(
+            geom.first_data_block,
+            geom.n_data_blocks,
+            self.ops.read_pm(geom.bitmap.offset, geom.bitmap.size),
+        )
         inodes = SlotAllocator(geom.n_inodes, reserved=[ROOT_INO])
         for ino in range(geom.n_inodes):
-            if self._read_slot(ino).valid:
+            slot = self.ops.read_pm(geom.inode_addr(ino), L.INODE_SLOT_SIZE)
+            if slot[L.INO_VALID] == 1:
                 inodes.mark_used(ino)
         self._free_blocks = blocks
         self._free_inodes = inodes

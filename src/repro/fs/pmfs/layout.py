@@ -14,6 +14,7 @@ Device layout (block addresses):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.fs.common.layout import (
     Region,
@@ -76,16 +77,18 @@ class PmfsGeometry:
     n_cpus: int = 1  # WineFS overrides with its per-CPU journal array
 
     def __post_init__(self) -> None:
+        if self.block_size <= 0:
+            raise ValueError(f"block_size must be positive, got {self.block_size}")
         if self.device_size % self.block_size:
             raise ValueError("device_size must be a multiple of block_size")
         if self.n_cpus < 1:
             raise ValueError("need at least one CPU journal area")
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         return self.device_size // self.block_size
 
-    @property
+    @cached_property
     def superblock(self) -> Region:
         return Region(0, self.block_size)
 
@@ -95,41 +98,41 @@ class PmfsGeometry:
         size = self.journal_blocks * self.block_size
         return Region(self.block_size + cpu * size, size)
 
-    @property
+    @cached_property
     def journal_records_per_area(self) -> int:
         area = self.journal_blocks * self.block_size
         return (area - JOURNAL_HEADER) // RECORD_SIZE
 
-    @property
+    @cached_property
     def truncate_list(self) -> Region:
         end = self.journal_area(self.n_cpus - 1).end
         return Region(end, self.block_size)
 
-    @property
+    @cached_property
     def n_truncate_entries(self) -> int:
         return self.truncate_list.size // TL_ENTRY_SIZE
 
-    @property
+    @cached_property
     def inode_table(self) -> Region:
         return Region(self.truncate_list.end, self.inode_blocks * self.block_size)
 
-    @property
+    @cached_property
     def n_inodes(self) -> int:
         return self.inode_table.size // INODE_SLOT_SIZE
 
-    @property
+    @cached_property
     def bitmap(self) -> Region:
         return Region(self.inode_table.end, self.block_size)
 
-    @property
+    @cached_property
     def first_data_block(self) -> int:
         return self.bitmap.end // self.block_size
 
-    @property
+    @cached_property
     def n_data_blocks(self) -> int:
         return self.n_blocks - self.first_data_block
 
-    @property
+    @cached_property
     def max_file_size(self) -> int:
         return N_DIRECT * self.block_size
 

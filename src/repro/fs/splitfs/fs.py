@@ -23,6 +23,7 @@ metadata removes PM-programming errors but not logic bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from repro.fs.bugs import BugConfig
@@ -90,23 +91,23 @@ class SplitfsGeometry:
     oplog_blocks: int = 16
     staging_blocks: int = 64
 
-    @property
+    @cached_property
     def oplog(self) -> Region:
         return Region(self.block_size, self.oplog_blocks * self.block_size)
 
-    @property
+    @cached_property
     def n_entries(self) -> int:
         return self.oplog.size // ENTRY_SIZE
 
-    @property
+    @cached_property
     def staging(self) -> Region:
         return Region(self.oplog.end, self.staging_blocks * self.block_size)
 
-    @property
+    @cached_property
     def kernel_origin(self) -> int:
         return self.staging.end
 
-    @property
+    @cached_property
     def kernel_size(self) -> int:
         return self.device_size - self.kernel_origin
 

@@ -13,6 +13,7 @@ hashable, and deterministic; the bytes are materialized at execution time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.vfs.errors import FsError
@@ -56,12 +57,21 @@ def describe_workload(workload: Workload) -> str:
     return "; ".join(op.describe() for op in workload)
 
 
+@lru_cache(maxsize=32)
 def data_bytes(fill_byte: int, length: int) -> bytes:
     """Deterministic data payload: a fill byte with a rolling tweak so
-    distinct regions remain distinguishable in content comparisons."""
+    distinct regions remain distinguishable in content comparisons.
+
+    Byte ``i`` is ``(fill_byte + i // 64) % 256``, built one 64-byte line
+    at a time.  Workloads reuse a handful of payloads (ACE has four), so
+    a small cache serves nearly every call.
+    """
     if length <= 0:
         return b""
-    return bytes((fill_byte + (i // 64)) % 256 for i in range(length))
+    lines = (length + 63) // 64
+    return b"".join(
+        bytes(((fill_byte + line) % 256,)) * 64 for line in range(lines)
+    )[:length]
 
 
 def execute_op(fs: FileSystem, op: Op) -> Optional[str]:

@@ -102,6 +102,107 @@ class TestBlockAllocator:
         assert alloc.free_count == 20
 
 
+# ---------------------------------------------------------------------------
+# Bulk bitmap <-> free-run conversion, against the per-block loops it replaced
+# ---------------------------------------------------------------------------
+def loop_from_bitmap(first, n, bitmap):
+    """Reference: the per-block mount-time rebuild."""
+    alloc = BlockAllocator(first, n)
+    for block in range(first, first + n):
+        if bitmap[block // 8] & (1 << (block % 8)):
+            alloc.mark_used(block)
+    return alloc
+
+
+def loop_used_bitmap(alloc, size):
+    """Reference: the per-block commit-time serialization."""
+    bitmap = bytearray(size)
+    for block in range(alloc.first_block):
+        bitmap[block // 8] |= 1 << (block % 8)
+    for block in range(alloc.first_block, alloc.first_block + alloc.n_blocks):
+        if not alloc.is_free(block):
+            bitmap[block // 8] |= 1 << (block % 8)
+    return bytes(bitmap)
+
+
+def free_runs(alloc):
+    return list(alloc._free._starts), list(alloc._free._ends), alloc.free_count
+
+
+def splitfs_kernel_range():
+    """(first data block, data blocks) of SplitFS's embedded ext4-DAX."""
+    from repro.fs.ext4dax.fs import Ext4DaxGeometry
+    from repro.fs.splitfs.fs import SplitfsGeometry
+
+    size = 256 * 1024
+    origin = SplitfsGeometry(device_size=size).kernel_origin
+    kernel = Ext4DaxGeometry(device_size=size - origin, origin=origin)
+    return kernel.first_data_block, kernel.n_data_blocks
+
+
+@st.composite
+def bitmap_ranges(draw):
+    """``(first, n, bitmap)``: random, empty and full maps over ranges that
+    start off byte boundaries or at a SplitFS-style kernel origin."""
+    first, n = draw(st.one_of(
+        st.tuples(st.integers(0, 70), st.integers(0, 300)),
+        st.just(splitfs_kernel_range()),
+    ))
+    size = (first + n + 7) // 8 + draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["random", "empty", "full"]))
+    if kind == "empty":
+        bitmap = bytes(size)
+    elif kind == "full":
+        bitmap = b"\xff" * size
+    else:
+        bitmap = draw(st.binary(min_size=size, max_size=size))
+    return first, n, bitmap
+
+
+class TestBitmapConversion:
+    @given(bitmap_ranges())
+    @settings(max_examples=150)
+    def test_from_bitmap_equals_the_per_block_rebuild(self, case):
+        first, n, bitmap = case
+        assert free_runs(BlockAllocator.from_bitmap(first, n, bitmap)) == \
+            free_runs(loop_from_bitmap(first, n, bitmap))
+
+    @given(bitmap_ranges(), st.lists(st.integers(0, 10**6), max_size=30))
+    @settings(max_examples=150)
+    def test_used_bitmap_equals_the_per_block_serialization(self, case, churn):
+        """After a mount-time rebuild and any alloc/free churn."""
+        first, n, bitmap = case
+        alloc = BlockAllocator.from_bitmap(first, n, bitmap)
+        for pick in churn:
+            if pick % 2 and alloc.free_count:
+                alloc.alloc()
+            elif n and not alloc.is_free(first + pick % n):
+                alloc.free(first + pick % n)
+        assert alloc.used_bitmap(len(bitmap)) == loop_used_bitmap(alloc, len(bitmap))
+
+    @given(bitmap_ranges())
+    @settings(max_examples=60)
+    def test_round_trip_keeps_every_in_range_bit(self, case):
+        first, n, bitmap = case
+        out = BlockAllocator.from_bitmap(first, n, bitmap).used_bitmap(len(bitmap))
+        mask = ((1 << (first + n)) - 1) >> first << first
+        assert int.from_bytes(out, "little") & mask == \
+            int.from_bytes(bitmap, "little") & mask
+
+    def test_bitmap_too_short_is_an_allocator_error(self):
+        with pytest.raises(AllocatorError):
+            BlockAllocator.from_bitmap(8, 9, bytes(2))
+        with pytest.raises(AllocatorError):
+            BlockAllocator(8, 9).used_bitmap(2)
+
+    def test_empty_range_below_the_metadata_end(self):
+        """A geometry whose metadata outruns its blocks manages nothing;
+        the bitmap still marks every metadata block in use."""
+        alloc = BlockAllocator.from_bitmap(12, -4, bytes(2))
+        assert alloc.free_count == 0
+        assert alloc.used_bitmap(2) == loop_used_bitmap(alloc, 2) == b"\xff\x0f"
+
+
 class TestSlotAllocator:
     def test_reserved_slots_skipped(self):
         alloc = SlotAllocator(4, reserved=[0])

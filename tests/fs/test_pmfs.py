@@ -5,6 +5,7 @@ import pytest
 from repro.fs.bugs import BugConfig
 from repro.fs.pmfs import layout as L
 from repro.fs.pmfs.fs import ROOT_INO, PmfsFS
+from repro.fs.winefs.fs import WineFS
 from repro.pm.device import PMDevice
 from repro.vfs.interface import MountError
 
@@ -181,3 +182,57 @@ class TestMaxFileSize:
         fs.creat("/f")
         fs.write("/f", 0, b"m" * fs.geom.max_file_size)
         assert fs.stat("/f").size == fs.geom.max_file_size
+
+
+class TestCorruptGeometry:
+    """A torn superblock can describe any geometry; recovery indexes the
+    one-block bitmap by block number, so one the bitmap or the device cannot
+    hold used to escape as ``IndexError`` (``ZeroDivisionError`` for a zero
+    block size, ``ValueError`` from ``block_addr`` for a shrunken device)
+    instead of failing the mount.  WineFS shares the mount path."""
+
+    #: name -> (superblock offset, little-endian replacement, message)
+    MUTATIONS = {
+        "block-size-1": (16, (1).to_bytes(4, "little"), "corrupt superblock geometry"),
+        "block-size-64": (16, (64).to_bytes(4, "little"), "corrupt superblock geometry"),
+        "block-size-0": (16, (0).to_bytes(4, "little"), "block_size must be positive"),
+        "device-size-0": (8, (0).to_bytes(8, "little"), "corrupt superblock geometry"),
+        "device-size-x64": (8, (64 * 256 * 1024).to_bytes(8, "little"),
+                            "corrupt superblock geometry"),
+        "inode-blocks-huge": (20, (1 << 20).to_bytes(4, "little"),
+                              "corrupt superblock geometry"),
+    }
+
+    def _mutated(self, cls, mutation):
+        fs = cls.mkfs(PMDevice(256 * 1024), bugs=BugConfig.fixed())
+        fs.creat("/f")
+        offset, value, _ = self.MUTATIONS[mutation]
+        fs.device.write(offset, value)
+        return fs.device
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("cls", [PmfsFS, WineFS])
+    def test_mount_fails_inside_the_taxonomy(self, cls, mutation):
+        with pytest.raises(MountError, match=self.MUTATIONS[mutation][2]):
+            cls.mount(self._mutated(cls, mutation), bugs=BugConfig.fixed())
+
+    @pytest.mark.parametrize("cls", [PmfsFS, WineFS])
+    def test_checker_reports_unmountable_not_an_exception(self, cls):
+        from repro.core.checker import ConsistencyChecker
+        from repro.core.oracle import run_oracle
+        from repro.core.replayer import CrashState
+        from repro.core.report import Consequence
+        from repro.workloads.ops import Op
+
+        workload = [Op("creat", ("/f",))]
+        oracle = run_oracle(cls, workload, 256 * 1024, bugs=BugConfig.fixed())
+        checker = ConsistencyChecker(cls, oracle, "w", bugs=BugConfig.fixed())
+        state = CrashState(
+            image=self._mutated(cls, "block-size-1").snapshot(),
+            fence_index=0, syscall=None, syscall_name=None,
+            mid_syscall=False, after_syscall=1, subset_desc=("<test>",),
+            n_replayed=0,
+        )
+        reports = checker.check(state)
+        assert [r.consequence for r in reports] == [Consequence.UNMOUNTABLE]
+        assert "corrupt superblock geometry" in reports[0].detail

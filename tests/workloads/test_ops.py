@@ -20,6 +20,14 @@ class TestDataBytes:
     def test_empty(self):
         assert data_bytes(5, 0) == b""
 
+    @pytest.mark.parametrize("fill", [0, 1, 0x41, 200, 255])
+    def test_equals_the_per_byte_definition(self, fill):
+        """Byte ``i`` is ``(fill + i // 64) % 256`` — the per-byte generator
+        line-at-a-time construction replaced — and the fill byte wraps."""
+        for length in [*range(601), 1024, 4095, 5000]:
+            expected = bytes((fill + (i // 64)) % 256 for i in range(length))
+            assert data_bytes(fill, length) == expected, length
+
 
 class TestExecute:
     def test_every_op_kind_dispatches(self):
