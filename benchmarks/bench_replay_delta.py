@@ -11,12 +11,8 @@ device size.
 
 Both paths check the same seq-2 workload across device sizes and must
 produce identical report lists; the acceptance gate is >= 3x states/sec at
-16 MiB.  The delta path is additionally measured on both image backends
-(pure-python reference and the vectorized numpy backend) with a second
-gate: the numpy backend must hit >= 10x the python delta states/sec at
-16 MiB, with a byte-identical report list.  Results land in
-``BENCH_replay.json``; one history record per backend is appended to the
-ledger (``backend`` rides in the config fingerprint).
+16 MiB.  Results land in ``BENCH_replay.json``; one history record is
+appended to the ledger.
 
 Runs two ways::
 
@@ -37,7 +33,6 @@ from repro.core.harness import Chipmunk, ChipmunkConfig
 from repro.core.oracle import run_oracle
 from repro.core.replayer import enumerate_crash_states
 from repro.obs import Telemetry
-from repro.pm.backend import numpy_available
 from repro.workloads import ace
 from repro.workloads.ops import describe_workload
 
@@ -53,10 +48,6 @@ SMOKE_SIZES = (256 * KIB,)
 SEQ2 = ace.workload_at(2, 9)
 
 MIN_SPEEDUP = 3.0
-
-#: Numpy-backend gate: >= 10x the python delta backend's states/sec at the
-#: 16 MiB gate size (the vectorized-replay acceptance criterion).
-MIN_BACKEND_SPEEDUP = 10.0
 
 #: Minimum mid-syscall state reduction for ``--crash-plans mech`` on the
 #: bench workload (fixed-bug config) — the mechanism-plan acceptance gate.
@@ -92,13 +83,12 @@ def run_eager(cm, base, log, checker):
     return n_states, reports
 
 
-def run_delta(cm, base, log, checker, telemetry=None, backend="python"):
+def run_delta(cm, base, log, checker, telemetry=None):
     """Today's pipeline: CrashImage states through the memoized entry point."""
     memo = CheckMemo(checker, telemetry=telemetry, delta=True)
     n_states = 0
     reports = []
-    for state in enumerate_crash_states(base, log, cap=cm.config.cap,
-                                        image_backend=backend):
+    for state in enumerate_crash_states(base, log, cap=cm.config.cap):
         n_states += 1
         found = memo.check(state)
         if found is not None:
@@ -141,25 +131,10 @@ def measure_size(device_size, rounds=5):
         "memo hit-rate telemetry absent from metrics snapshot"
     )
 
-    if numpy_available():
-        # The backends must agree byte-for-byte before being timed.
-        n_np, np_reports, _ = run_delta(cm, base, log, checker,
-                                        backend="numpy")
-        assert n_np == n_delta, (n_np, n_delta)
-        assert np_reports == delta_reports, (
-            "numpy backend changed the bug set"
-        )
-
-    # Time the two delta backends back to back, *before* the eager timing
-    # and tracemalloc passes: those churn dozens of full-device flats
-    # through the allocator, and the resulting page-fault noise would be
-    # charged to whichever backend ran after them rather than measuring
-    # backend cost.
-    np_s = None
-    if numpy_available():
-        np_s = _best_seconds(
-            lambda: run_delta(cm, base, log, checker, backend="numpy"), rounds
-        )
+    # Time the delta path *before* the eager timing and tracemalloc
+    # passes: those churn dozens of full-device flats through the
+    # allocator, and the resulting page-fault noise would otherwise be
+    # charged to the delta path.
     delta_s = _best_seconds(lambda: run_delta(cm, base, log, checker), rounds)
     eager_s = _best_seconds(lambda: run_eager(cm, base, log, checker), rounds)
     eager_peak = _peak_alloc(lambda: run_eager(cm, base, log, checker))
@@ -184,16 +159,6 @@ def measure_size(device_size, rounds=5):
         },
         "speedup": eager_s / delta_s,
     }
-    if np_s is not None:
-        np_peak = _peak_alloc(
-            lambda: run_delta(cm, base, log, checker, backend="numpy")
-        )
-        entry["delta_np"] = {
-            "seconds": np_s,
-            "states_per_sec": n_delta / np_s,
-            "peak_alloc_bytes": np_peak,
-        }
-        entry["backend_speedup"] = delta_s / np_s
     return entry
 
 
@@ -254,13 +219,7 @@ def run_bench(sizes, rounds=5):
 
 
 def record_history(doc, ledger, smoke=False):
-    """Append this run's gate-size metrics to the benchmark history ledger.
-
-    One record per backend: ``replay_delta`` is the python reference,
-    ``replay_delta_np`` the vectorized backend (present when numpy is
-    importable, including under ``--smoke``).  The backend rides in the
-    config fingerprint so a ledger line is self-describing.
-    """
+    """Append this run's gate-size metrics to the benchmark history ledger."""
     from repro.obs.history import append_record
 
     gate = doc["results"][-1]
@@ -275,33 +234,20 @@ def record_history(doc, ledger, smoke=False):
         "device_size": gate["device_size"],
         "smoke": smoke,
         "workload": doc["workload"],
-        "backend": "python",
     }
     append_record(ledger, "replay_delta", metrics, config=config)
     print(f"appended replay_delta record to {ledger}")
-    if "delta_np" in gate:
-        np_metrics = {
-            "n_states": gate["n_states"],
-            "delta": gate["delta_np"],
-            "backend_speedup": gate["backend_speedup"],
-        }
-        append_record(ledger, "replay_delta_np", np_metrics,
-                      config=dict(config, backend="numpy"))
-        print(f"appended replay_delta_np record to {ledger}")
 
 
 def render(doc):
     rows = []
     for r in doc["results"]:
-        np_stats = r.get("delta_np")
         rows.append((
             f"{r['device_size'] // KIB} KiB",
             r["n_states"],
             f"{r['eager']['states_per_sec']:.0f}",
             f"{r['delta']['states_per_sec']:.0f}",
-            f"{np_stats['states_per_sec']:.0f}" if np_stats else "-",
             f"{r['speedup']:.1f}x",
-            f"{r['backend_speedup']:.1f}x" if np_stats else "-",
             f"{r['delta']['memo_hit_rate'] * 100:.0f}%",
             f"{r['eager']['peak_alloc_bytes'] // KIB} KiB",
             f"{r['delta']['peak_alloc_bytes'] // KIB} KiB",
@@ -313,8 +259,8 @@ def render(doc):
         from conftest import print_table
     print_table(
         f"Delta crash states vs eager baseline ({doc['workload']})",
-        ("device", "states", "eager st/s", "delta st/s", "numpy st/s",
-         "speedup", "np speedup", "memo hits", "eager peak", "delta peak"),
+        ("device", "states", "eager st/s", "delta st/s", "speedup",
+         "memo hits", "eager peak", "delta peak"),
         rows,
     )
     mech = doc.get("mech")
@@ -359,11 +305,6 @@ def test_bench_replay_delta(benchmark):
         f"(need >= {MIN_SPEEDUP}x)"
     )
     assert gate["delta"]["memo_hit_rate"] > 0
-    if "backend_speedup" in gate:
-        assert gate["backend_speedup"] >= MIN_BACKEND_SPEEDUP, (
-            f"numpy backend only {gate['backend_speedup']:.1f}x over the "
-            f"python delta path at 16 MiB (need >= {MIN_BACKEND_SPEEDUP}x)"
-        )
     mech_gate = doc["mech"]["fixed"]["mid_states_ratio"]
     assert mech_gate >= MECH_MIN_REDUCTION, (
         f"mech plans only cut mid-syscall states {mech_gate:.1f}x "
@@ -400,12 +341,6 @@ def main(argv=None):
         gate = doc["results"][-1]
         if gate["speedup"] < MIN_SPEEDUP:
             print(f"FAIL: speedup {gate['speedup']:.1f}x < {MIN_SPEEDUP}x",
-                  file=sys.stderr)
-            return 1
-        if ("backend_speedup" in gate
-                and gate["backend_speedup"] < MIN_BACKEND_SPEEDUP):
-            print(f"FAIL: numpy backend speedup "
-                  f"{gate['backend_speedup']:.1f}x < {MIN_BACKEND_SPEEDUP}x",
                   file=sys.stderr)
             return 1
     return 0

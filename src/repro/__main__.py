@@ -106,7 +106,6 @@ from repro.fs.registry import FS_CLASSES
 from repro.obs import Telemetry
 from repro.obs.campaign import CampaignStats
 from repro.obs.tracing import jsonl_to_chrome
-from repro.pm.backend import BACKEND_CHOICES
 from repro.workloads import ace
 from repro.workloads.fuzzer import WorkloadFuzzer
 from repro.workloads.ops import Op
@@ -203,7 +202,6 @@ def cmd_test(args) -> int:
             cap=args.cap,
             memoize=args.memoize,
             crash_plans=args.crash_plans,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -227,7 +225,6 @@ def cmd_ace(args) -> int:
             cap=args.cap,
             memoize=args.memoize,
             crash_plans=args.crash_plans,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -280,7 +277,6 @@ def cmd_fuzz(args) -> int:
             cap=args.cap,
             memoize=args.memoize,
             crash_plans=args.crash_plans,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -362,7 +358,6 @@ def cmd_campaign(args) -> int:
                 memoize=args.memoize,
                 crash_plans=args.crash_plans,
                 profile=args.profile,
-                image_backend=args.image_backend,
                 shared_memo=args.shared_memo or bool(args.memo_server),
                 memo_address=args.memo_server,
             )
@@ -603,7 +598,6 @@ def cmd_profile(args) -> int:
             memoize=args.memoize,
             crash_plans=args.crash_plans,
             profile=True,
-            image_backend=args.image_backend,
         ),
         telemetry=tel,
     )
@@ -865,14 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="crash-plan selection: capped subset enumeration "
             "(default) or mechanism-targeted plans with subset fallback",
         )
-        p.add_argument(
-            "--image-backend",
-            choices=BACKEND_CHOICES,
-            default="auto",
-            help="crash-image replay backend: auto picks numpy when "
-            "importable, falling back to the pure-python reference "
-            "(same reports either way)",
-        )
 
     p_test = sub.add_parser("test", help="test one workload")
     add_common(p_test)
@@ -965,13 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="subset",
         help="crash-plan selection: capped subset enumeration (default) "
         "or mechanism-targeted plans with subset fallback",
-    )
-    p_camp.add_argument(
-        "--image-backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="crash-image replay backend for every worker: auto picks "
-        "numpy when importable, falling back to the pure-python reference",
     )
     p_camp.add_argument(
         "--shared-memo",

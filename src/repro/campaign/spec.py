@@ -49,10 +49,6 @@ class CampaignSpec:
     #: Hot-path profiler (``ChipmunkConfig.profile``): per-stage/per-site
     #: time and byte attribution recorded into each ``TestResult``.
     profile: bool = False
-    #: Crash-image backend (``ChipmunkConfig.image_backend``): ``"auto"``
-    #: picks numpy when importable; ``"python"``/``"numpy"`` pin one.  In
-    #: the spec so every worker replays states on the same backend.
-    image_backend: str = "auto"
     #: Campaign-wide shared check memo: workers dedup clean verdicts
     #: against one table instead of each rediscovering the same states.
     #: With :attr:`memo_address` unset the engine hosts the service itself
@@ -74,10 +70,6 @@ class CampaignSpec:
             raise ValueError(f"seq must be 1, 2, or 3 (got {self.seq})")
         if self.crash_plans not in ("subset", "mech"):
             raise ValueError(f"unknown crash-plan mode {self.crash_plans!r}")
-        from repro.pm.backend import BACKEND_CHOICES
-
-        if self.image_backend not in BACKEND_CHOICES:
-            raise ValueError(f"unknown image backend {self.image_backend!r}")
         if self.memo_address is not None:
             from repro.memo.client import parse_address
 
@@ -107,7 +99,6 @@ class CampaignSpec:
                 memoize=self.memoize,
                 crash_plans=self.crash_plans,
                 profile=self.profile,
-                image_backend=self.image_backend,
                 memo_entries=self.memo_entries,
             ),
             telemetry=telemetry,

@@ -42,7 +42,7 @@ from repro.memo.store import BUGGY, CLEAN, DEFAULT_MAX_ENTRIES, MemoTable
 from repro.obs.attribution import MemoAttribution
 from repro.obs.metrics import CacheCounters
 from repro.pm.device import PMDevice, PMDeviceError
-from repro.pm.image import CrashImage, FenceBase, patched_digest
+from repro.pm.image import CrashImage, patched_digest
 from repro.vfs.errors import FsError
 from repro.vfs.interface import FileSystem, MountError
 from repro.vfs.types import FileType
@@ -83,11 +83,8 @@ class ConsistencyChecker:
         #: Optional :class:`~repro.forensics.provenance.ProvenanceRecorder`;
         #: when attached, every report carries its crash state's lineage.
         self.provenance = provenance
-        # One shared mount device per fence base (states of one region
-        # arrive consecutively, so a single-entry cache hits every time).
-        # The numpy backend goes further: one adopted device per *tracker*,
-        # wrapping the replayer's live buffer for every region.
-        self._mount_base: Optional[FenceBase] = None
+        # One shared mount device per replay tracker, adopting its live
+        # buffer: every region of a workload mounts on the same bytes.
         self._mount_device: Optional[PMDevice] = None
         self._mount_store = None
         #: Digests of every distinct *recovered observable outcome* seen —
@@ -112,7 +109,7 @@ class ConsistencyChecker:
             ))
         #: This workload's share of the cache traffic: mounted states whose
         #: walk + usability were reused / ran in full and were eligible /
-        #: could not be keyed (flat image, grown buffer, hand-built base).
+        #: could not be keyed (a flat, hand-built image).
         self.outcome_hits = 0
         self.outcome_misses = 0
         self.outcome_bypassed = 0
@@ -200,43 +197,22 @@ class ConsistencyChecker:
             # (mount-time recovery writes, the usability pass), so states
             # never leak into each other — the paper's own undo-log
             # strategy, instead of a full image copy per state.
+            #
+            # The base shares the replayer's live buffer: adopt that buffer
+            # as the mount device (no copy, ever) and prefix the COW view
+            # with the base's restore patch, which rolls the live content
+            # back to this region.  While states stream (region checked as
+            # it is enumerated) the patch is empty; it only grows for stale
+            # bases re-checked after enumeration moved on.
             base = image.base
-            keyed: Optional[CrashImage] = image
-            restore = getattr(base, "restore_writes", None)
-            if restore is not None and not base.adoptable:
-                # A later write grew the live buffer past this base's
-                # historical end; content restores cannot truncate, so the
-                # zero-copy adopt path would mount a longer device.  Take
-                # the snapshotting path below instead (rare: only logs
-                # that write past the device end), unkeyed.
-                restore = None
-                keyed = None
-            if restore is not None:
-                # Numpy backend: the base shares the replayer's live buffer
-                # — adopt that buffer as the mount device (no copy, ever)
-                # and prefix the COW view with the base's restore patch,
-                # which rolls the live content back to this region.  While
-                # states stream (region checked as it is enumerated) the
-                # patch is empty; it only grows for stale bases re-checked
-                # after enumeration moved on.
-                tracker = base.tracker
-                if self._mount_store is not tracker:
-                    self._mount_store = tracker
-                    self._mount_base = None
-                    self._mount_device = PMDevice.adopt(
-                        tracker.buf, telemetry=self.telemetry
-                    )
-                writes = tuple(restore()) + image.writes
-            else:
-                if self._mount_base is not base:
-                    self._mount_base = base
-                    self._mount_store = None
-                    self._mount_device = PMDevice.from_snapshot(
-                        base.data, telemetry=self.telemetry
-                    )
-                writes = image.writes
+            if self._mount_store is not base.tracker:
+                self._mount_store = base.tracker
+                self._mount_device = PMDevice.adopt(
+                    base.tracker.buf, telemetry=self.telemetry
+                )
+            writes = tuple(base.restore_writes()) + image.writes
             with self._mount_device.cow_view(writes) as device:
-                return self._check_device(state, device, keyed)
+                return self._check_device(state, device, image)
         # Legacy eager path for flat images (hand-built states, the
         # delta-vs-eager benchmark baseline): fresh device copy per state.
         device = PMDevice.from_snapshot(image, telemetry=self.telemetry)
@@ -251,8 +227,8 @@ class ConsistencyChecker:
         """Mount, observe and judge one state on ``device``.
 
         ``keyed`` is the crash image ``device`` presents through a COW
-        view, for the recovered-outcome cache; ``None`` when the device
-        content cannot be keyed from it (flat image, outgrown base).
+        view, for the recovered-outcome cache; ``None`` for a flat image,
+        which the cache cannot key.
         """
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
@@ -330,18 +306,19 @@ class ConsistencyChecker:
 
         Exactly ``ChunkedDigest(device.image).digest()`` — the fence-base
         digest construction, so equal keys mean byte-identical post-mount
-        images whatever base, workload or backend produced them — but
-        computed from the base's chunk digests by rehashing only the
-        chunks the overlay and recovery's own writes touched.
+        images whatever base or workload produced them — but computed
+        from the base's chunk digests by rehashing only the chunks the
+        overlay and recovery's own writes touched.
         """
-        base_chunks = image.base.chunk_digests if image is not None else None
-        if base_chunks is None:
+        if image is None:
             return None
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         ranges = [(addr, len(data)) for addr, data in image.writes]
         ranges.extend(device.undo_ranges())
-        key, rehashed = patched_digest(base_chunks, device.image, ranges)
+        key, rehashed = patched_digest(
+            image.base.chunk_digests, device.image, ranges
+        )
         if prof is not None:
             prof.add("checker.outcome_key", perf_counter() - t0, rehashed,
                      "digest_hashed")

@@ -77,13 +77,6 @@ class ChipmunkConfig:
     #: Off by default — the disabled path costs one global read per
     #: instrumented site (the telemetry-overhead bench pins it).
     profile: bool = False
-    #: Crash-image data plane (:mod:`repro.pm.backend`): ``"python"`` (the
-    #: reference implementation), ``"numpy"`` (vectorized, zero-copy fence
-    #: bases), or ``"auto"`` (numpy when importable).  Both backends
-    #: produce byte-identical crash states, digests, and reports; an
-    #: explicit ``"numpy"`` degrades gracefully to ``"python"`` on hosts
-    #: without numpy.
-    image_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.crash_plans not in ("subset", "mech"):
@@ -91,19 +84,17 @@ class ChipmunkConfig:
                 f"unknown crash-plan mode {self.crash_plans!r} "
                 f"(expected 'subset' or 'mech')"
             )
-        from repro.pm.backend import BACKEND_CHOICES
-
-        if self.image_backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown image backend {self.image_backend!r} "
-                f"(expected one of {BACKEND_CHOICES})"
-            )
 
 
 #: Pipeline stage keys of :attr:`TestResult.stage_times`, in execution order.
 #: ``analyze`` is the post-check analytics pass (persistence breakdowns,
 #: recovery-read overlap) feeding ``repro coverage``.
 STAGES = ("record", "oracle", "enumerate", "check", "triage", "analyze")
+
+#: Value of :attr:`TestResult.image_backend`.  There is one crash-image
+#: data plane (:mod:`repro.pm.image`); the field keeps the name older
+#: journals and host fingerprints carry.
+IMAGE_BACKEND = "python"
 
 #: Cache-line granularity of the recovery-read overlap estimate, matching
 #: :func:`repro.core.recovery_reads.recovery_read_set`.
@@ -183,9 +174,10 @@ class TestResult:
     #: per-stage seconds, per-callsite attribution, byte accounting.
     #: Empty unless the workload ran with ``ChipmunkConfig.profile``.
     profile: Dict[str, object] = field(default_factory=dict)
-    #: Crash-image backend the workload actually ran under ("python" |
-    #: "numpy") — the resolved value, not the configured one.
-    image_backend: str = "python"
+    @property
+    def image_backend(self) -> str:
+        """Crash-image data plane the workload ran under (always the one)."""
+        return IMAGE_BACKEND
 
     @property
     def buggy(self) -> bool:
@@ -315,7 +307,6 @@ class TestResult:
             mech_plans_emitted=int(data.get("mech_plans_emitted", 0)),
             mech_fallback_epochs=int(data.get("mech_fallback_epochs", 0)),
             profile=dict(data.get("profile", {})),
-            image_backend=str(data.get("image_backend", "python")),
         )
 
 
@@ -503,9 +494,6 @@ class Chipmunk:
         truncated = False
         enum_time = 0.0
         check_time = 0.0
-        from repro.pm.backend import resolve_backend
-
-        image_backend = resolve_backend(self.config.image_backend)
         states = enumerate_crash_states(
             base,
             log,
@@ -515,7 +503,6 @@ class Chipmunk:
             stats=stats,
             telemetry=tel,
             planner=planner,
-            image_backend=image_backend,
         )
         if profiler is not None:
             profiler.set_stage("enumerate")
@@ -610,7 +597,6 @@ class Chipmunk:
             mech_plans_emitted=planner.plans_emitted if planner else 0,
             mech_fallback_epochs=planner.fallback_epochs if planner else 0,
             profile=prof_dict,
-            image_backend=image_backend,
         )
         if tel.enabled:
             self._emit_result(tel, result)
@@ -693,7 +679,6 @@ class Chipmunk:
             mech_plans_emitted=result.mech_plans_emitted,
             mech_fallback_epochs=result.mech_fallback_epochs,
             profile=result.profile,
-            image_backend=result.image_backend,
             outcomes=outcomes,
             inflight=result.inflight,
         )

@@ -11,7 +11,7 @@ expectations, which is why reports stay byte-equal with the cache detached.
 
 The cache maps ``content digest of the post-mount image`` (the
 :class:`~repro.pm.image.ChunkedDigest` construction, canonical across fence
-bases, workloads and backends) to the recovered tree, and holds **only**
+bases and workloads) to the recovered tree, and holds **only**
 outcomes whose walk succeeded and whose usability pass reported nothing.
 One cache belongs to one :class:`~repro.core.harness.Chipmunk` and spans its
 workloads — ACE seq-2 workloads share prefixes, which is where most hits

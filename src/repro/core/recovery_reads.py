@@ -61,8 +61,8 @@ class OverlayReadTrackingDevice(PMDevice):
     CHUNK = 4096
 
     def __init__(self, base, writes: Iterable[Tuple[int, bytes]] = ()) -> None:
-        # ``base`` is flat bytes or any sliceable fence base (including the
-        # numpy backend's LazyFenceBase) — only accessed chunks are read.
+        # ``base`` is flat bytes or a sliceable fence base — only accessed
+        # chunks are read.
         size = len(base)
         if size <= 0 or size % CACHE_LINE != 0:
             raise PMDeviceError(

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.obs import profile as _profile
 from repro.obs.metrics import INFLIGHT_EDGES
-from repro.pm.backend import resolve_backend
-from repro.pm.image import ChunkedDigest, CrashImage, FenceBase
+from repro.pm.image import CrashImage, PersistTracker
 from repro.pm.log import Fence, Flush, NTStore, PMLog, SyscallBegin, SyscallEnd, WriteEntry
 
 #: NT stores at least this large are treated as file-data writes for
@@ -108,12 +105,6 @@ def coalesce_units(inflight: Sequence[WriteEntry], threshold: int = DATA_WRITE_T
     return units
 
 
-def apply_entries(image: bytearray, entries: Sequence[WriteEntry]) -> None:
-    """Replay write entries onto an image, in program order."""
-    for entry in entries:
-        image[entry.addr : entry.addr + len(entry.data)] = entry.data
-
-
 def unit_positions(units: Sequence[Sequence[WriteEntry]]) -> List[Tuple[int, ...]]:
     """In-flight vector positions covered by each coalesced unit.
 
@@ -128,58 +119,6 @@ def unit_positions(units: Sequence[Sequence[WriteEntry]]) -> List[Tuple[int, ...
         positions.append(tuple(range(cursor, cursor + len(unit))))
         cursor += len(unit)
     return positions
-
-
-class _PersistTracker:
-    """The replayer's mutable persistent image plus its shared fence base.
-
-    Keeps the persistent ``bytearray`` in sync with an incremental content
-    digest (:class:`~repro.pm.image.ChunkedDigest`) and hands out one
-    immutable :class:`~repro.pm.image.FenceBase` per fence region, built
-    lazily at the region's first crash state and shared by every state of
-    the region.  Applying a fence's writes invalidates only the touched
-    digest chunks and drops the cached base, so advancing a region costs
-    O(bytes written), not O(device).
-    """
-
-    __slots__ = ("buf", "_digest", "_base")
-
-    def __init__(self, base_image: bytes) -> None:
-        self.buf = bytearray(base_image)
-        self._digest = ChunkedDigest(self.buf)
-        self._base: Optional[FenceBase] = None
-
-    def apply(self, entries: Sequence[WriteEntry]) -> None:
-        """Persist ``entries`` (a fence retiring the in-flight vector)."""
-        if not entries:
-            return
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
-        buf = self.buf
-        applied = 0
-        for entry in entries:
-            buf[entry.addr : entry.addr + len(entry.data)] = entry.data
-            self._digest.invalidate(entry.addr, len(entry.data))
-            applied += len(entry.data)
-        self._base = None
-        if prof is not None:
-            prof.add("replay.persist_apply", perf_counter() - t0, applied)
-
-    def base(self) -> FenceBase:
-        """The current region's immutable snapshot (cached per region)."""
-        if self._base is None:
-            prof = _profile.ACTIVE
-            t0 = perf_counter() if prof is not None else 0.0
-            m0 = prof.mark() if prof is not None else 0.0
-            self._base = FenceBase(
-                bytes(self.buf), self._digest.digest(),
-                self._digest.chunk_digests(),
-            )
-            if prof is not None:
-                # Exclusive of the chunk rehashes the digest runs inside.
-                prof.add_exclusive("replay.fence_base", perf_counter() - t0,
-                                   m0, len(self.buf), "materialized")
-        return self._base
 
 
 @dataclass
@@ -211,7 +150,6 @@ def enumerate_crash_states(
     unit_ranker=None,
     telemetry=None,
     planner=None,
-    image_backend: str = "python",
 ) -> Iterator[CrashState]:
     """Enumerate crash states for a recorded workload.
 
@@ -247,22 +185,14 @@ def enumerate_crash_states(
     ``unit_ranker`` for planned epochs (plans are already targeted);
     fallback epochs still rank.
 
-    ``image_backend`` selects the crash-image data plane: ``"python"``
-    (the default — immutable per-region ``bytes`` snapshots) or
-    ``"numpy"`` (:class:`repro.pm.image_np.NPPersistTracker` — zero-copy
-    lazy fence bases over the live buffer plus vectorized digesting).
-    Both produce value-identical states; callers resolve ``"auto"`` via
-    :func:`repro.pm.backend.resolve_backend` before passing it here.
+    Every log entry must lie inside ``base_image``; an entry outside
+    ``[0, len(base_image))`` raises ``ValueError`` (real logs cannot hold
+    one: probes log only after the device bounds-checks the access).
     """
     if crash_points not in ("fence", "post", "fsync"):
         raise ValueError(f"unknown crash_points mode {crash_points!r}")
-    backend = resolve_backend(image_backend)
-    if backend == "numpy":
-        from repro.pm.image_np import NPPersistTracker
-
-        persistent = NPPersistTracker(base_image)
-    else:
-        persistent = _PersistTracker(base_image)
+    size = len(base_image)
+    persistent = PersistTracker(base_image)
     inflight: List[WriteEntry] = []
     in_syscall: Optional[int] = None
     in_name: Optional[str] = None
@@ -378,6 +308,12 @@ def enumerate_crash_states(
             if tel is not None:
                 tel.count("replay.fences")
         elif isinstance(entry, (NTStore, Flush)):
+            if entry.addr < 0 or entry.addr + len(entry.data) > size:
+                raise ValueError(
+                    f"log entry {log_pos} writes [{entry.addr}, "
+                    f"{entry.addr + len(entry.data)}) outside the "
+                    f"{size}-byte image"
+                )
             inflight.append(entry)
 
     if crash_points == "fence":

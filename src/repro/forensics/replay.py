@@ -18,14 +18,13 @@ from repro.core.harness import Chipmunk, ChipmunkConfig
 from repro.core.oracle import run_oracle
 from repro.core.replayer import (
     CrashState,
-    apply_entries,
     coalesce_units,
     unit_positions,
 )
 from repro.core.report import BugReport
 from repro.forensics.provenance import CrashProvenance, ops_from_tuples
 from repro.fs.bugs import BugConfig
-from repro.pm.image import CrashImage, FenceBase
+from repro.pm.image import CrashImage, PersistTracker, RegionBase
 from repro.pm.log import Fence, Flush, NTStore, PMLog, WriteEntry
 from repro.workloads.ops import describe_workload
 
@@ -43,7 +42,7 @@ class CrashRegion:
     #: fence base every rematerialized state of this region builds on —
     #: the minimizer re-checks dozens of subsets per region, and each one
     #: costs O(overlay) instead of an image copy.
-    base: FenceBase
+    base: RegionBase
     #: In-flight write entries of the crash region, in program order.
     inflight: List[WriteEntry]
     #: Coalesced replay units; ``units[i]`` covers ``unit_positions[i]``.
@@ -86,17 +85,17 @@ class CrashRegion:
 def crash_region(prov: CrashProvenance, base: bytes, log: PMLog) -> CrashRegion:
     """Walk the rebuilt log up to the crash point and split it into the
     persistent base and the crash region's coalesced in-flight units."""
-    persistent = bytearray(base)
+    persistent = PersistTracker(base)
     inflight: List[WriteEntry] = []
     for entry in log.entries[: prov.log_pos]:
         if isinstance(entry, Fence):
-            apply_entries(persistent, inflight)
+            persistent.apply(inflight)
             inflight.clear()
         elif isinstance(entry, (NTStore, Flush)):
             inflight.append(entry)
     units = coalesce_units(inflight, prov.coalesce_threshold)
     return CrashRegion(
-        base=FenceBase(bytes(persistent)),
+        base=persistent.base(),
         inflight=inflight,
         units=units,
         unit_positions=unit_positions(units),

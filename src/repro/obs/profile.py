@@ -8,7 +8,7 @@ wall time and byte throughput, and four byte-accounting categories that
 mirror the delta-replay data plane:
 
 * ``materialized`` — flat bytes produced (``CrashImage.materialize`` plus
-  per-region ``FenceBase`` snapshots, both O(device) copies);
+  ``RegionBase.data`` snapshots, both O(device) copies, both on demand);
 * ``overlay_applied`` — sparse overlay bytes written into the shared mount
   device by ``PMDevice.cow_view``;
 * ``digest_hashed`` — bytes fed to sha1 by the content-address layer

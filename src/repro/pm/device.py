@@ -197,8 +197,8 @@ class PMDevice:
         work) and the undo log, which only covers the caller's mutations.
 
         Before-images are captured as one slab per *merged span* of the
-        overlay, not one per write: overlapping and adjacent writes (the
-        restore-patch + overlay compositions of the numpy backend) save
+        overlay, not one per write: overlapping and adjacent writes (a stale
+        base's restore patch composed with its overlay) save
         each byte once, and rollback restores a handful of contiguous
         slabs instead of replaying the write list backwards.
         """

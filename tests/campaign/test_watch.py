@@ -103,22 +103,22 @@ class TestSnapshot:
         assert snap.beats == []
 
     def test_mech_and_profile_counters_folded(self, tmp_path):
-        # Pinned to the python backend: the numpy backend's clean pipeline
-        # materializes zero bytes, and this test wants every category fed.
         spec = CampaignSpec(fs="nova", generator="ace", seq=1,
-                            max_workloads=4, crash_plans="mech", profile=True,
-                            image_backend="python")
+                            max_workloads=4, crash_plans="mech", profile=True)
         campaign_dir = str(tmp_path / "mechprof")
         CampaignEngine(spec, campaign_dir,
                        EngineConfig(workers=2, batch_size=2)).run()
         snap = CampaignMonitor(campaign_dir).snapshot()
         totals = snap.fold_counters()
         assert totals["mech_plans"] > 0
-        assert totals["profile_bytes"]["materialized"] > 0
+        # A clean pipeline copies no image: zero categories stay unlisted.
+        assert totals["profile_bytes"]["materialized"] == 0
+        assert totals["profile_bytes"]["digest_hashed"] > 0
         frame = CampaignMonitor(campaign_dir).render(snap)
         assert "mech plans" in frame
         assert "profile bytes:" in frame
-        assert "materialized" in frame
+        assert "digest_hashed" in frame
+        assert "materialized" not in frame
 
     def test_subset_campaign_shows_no_mech_or_profile_lines(self, tmp_path):
         campaign_dir, _ = _run_campaign(tmp_path)

@@ -17,18 +17,14 @@ from hypothesis import strategies as st
 
 from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.harness import Chipmunk, ChipmunkConfig
-from repro.core.replayer import (
-    apply_entries,
-    coalesce_units,
-    enumerate_crash_states,
-)
+from repro.core.replayer import coalesce_units, enumerate_crash_states
 from repro.fs.bugs import BugConfig
 from repro.pm.device import PMDevice
 from repro.pm.image import (
     CHUNK,
     ChunkedDigest,
     CrashImage,
-    FenceBase,
+    fence_base,
     flatten_overlay,
 )
 from repro.pm.log import Fence, Flush, NTStore, PMLog, SyscallBegin, SyscallEnd
@@ -41,6 +37,12 @@ BASE = bytes(1024)
 # Eager reference: the seed's O(device)-per-state enumeration, kept here as
 # the ground truth the delta path is checked against.
 # ---------------------------------------------------------------------------
+def apply_entries(image, entries):
+    """Replay write entries onto a ``bytearray``, in program order."""
+    for entry in entries:
+        image[entry.addr : entry.addr + len(entry.data)] = entry.data
+
+
 def eager_states(base_image, log, cap=2, threshold=256, crash_points="fence",
                  unit_ranker=None):
     """Yield (image_bytes, replayed_entries, kind) exactly as the eager
@@ -104,7 +106,7 @@ def eager_states(base_image, log, cap=2, threshold=256, crash_points="fence",
 # ---------------------------------------------------------------------------
 @st.composite
 def pm_logs(draw):
-    """A random log: syscalls containing stores/flushes and fences."""
+    """A random log: syscalls containing in-bounds stores/flushes and fences."""
     log = PMLog()
     n_syscalls = draw(st.integers(1, 3))
     for index in range(n_syscalls):
@@ -115,8 +117,8 @@ def pm_logs(draw):
             if kind == "fence":
                 log.fence()
             else:
-                addr = draw(st.integers(0, 115)) * 8
                 length = draw(st.sampled_from([8, 16, 256]))
+                addr = draw(st.integers(0, (len(BASE) - length) // 8)) * 8
                 data = bytes([draw(st.integers(1, 255))]) * length
                 if kind == "store":
                     log.nt_store(addr, data, "persist")
@@ -246,7 +248,7 @@ class TestChunkedDigest:
 
 class TestCrashImage:
     def _image(self):
-        base = FenceBase(bytes(range(256)) * 4)
+        base = fence_base(bytes(range(256)) * 4)
         return CrashImage(base, ((8, b"\x00" * 4), (1000, b"\xff\xfe")))
 
     def test_materializes_overlay(self):
@@ -267,18 +269,18 @@ class TestCrashImage:
         assert not (img < flat) and img <= flat and img >= flat
 
     def test_ordering_vs_other_images(self):
-        base = FenceBase(bytes(16))
+        base = fence_base(bytes(16))
         small = CrashImage(base, ((0, b"\x01"),))
         smaller = CrashImage(base, ())
         assert smaller < small and small > smaller
         assert sorted([small, smaller]) == [smaller, small]
 
     def test_empty_overlay_shares_base_bytes(self):
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         assert CrashImage(base).materialize() is base.data
 
     def test_digest_depends_on_overlay_shape(self):
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         a = CrashImage(base, ((0, b"ab"),))
         b = CrashImage(base, ((0, b"a"), (1, b"b")))
         c = CrashImage(base, ((0, b"ab"),))
@@ -287,7 +289,7 @@ class TestCrashImage:
         assert a.digest() != b.digest()  # same bytes, distinct address
 
     def test_replay_order_wins_on_overlap(self):
-        base = FenceBase(bytes(8))
+        base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x01\x01"), (1, b"\x02")))
         assert bytes(img)[:3] == b"\x01\x02\x00"
 
@@ -296,7 +298,7 @@ class TestNoopOverlayWrites:
     """Satellite: base-equal overlay writes are dropped before digesting."""
 
     def test_noop_write_does_not_perturb_digest(self):
-        base = FenceBase(bytes(range(256)))
+        base = fence_base(bytes(range(256)))
         clean = CrashImage(base, ((10, b"XY"),))
         noisy = CrashImage(base, ((10, b"XY"), (50, bytes(range(50, 54)))))
         assert bytes(clean) == bytes(noisy)
@@ -308,7 +310,7 @@ class TestNoopOverlayWrites:
         # Replay order: a base-equal write landing on top of an earlier
         # effective write restores base content there — dropping it would
         # change the materialized image.
-        base = FenceBase(bytes(8))
+        base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x01\x01"), (1, b"\x00")))
         assert img.noop_dropped == 0
         assert bytes(img)[:3] == b"\x01\x00\x00"
@@ -320,7 +322,7 @@ class TestNoopOverlayWrites:
         # visible bytes — its visible suffix is a no-op — must be compared
         # against the overlap-resolved content, not the raw base.  It
         # changes nothing, so it drops, and the digest stays canonical.
-        base = FenceBase(bytes(8))
+        base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x05"), (0, b"\x05\x00")))
         assert bytes(img)[:3] == b"\x05\x00\x00"
         assert img.noop_dropped == 1
@@ -329,7 +331,7 @@ class TestNoopOverlayWrites:
     def test_noop_overlapping_dropped_write_still_drops(self):
         # Two stacked no-ops: the first leaves base content in place, so
         # the second overlapping no-op is also droppable.
-        base = FenceBase(bytes(range(64)))
+        base = fence_base(bytes(range(64)))
         img = CrashImage(
             base, ((0, bytes(range(4))), (2, bytes(range(2, 6))))
         )
@@ -337,7 +339,7 @@ class TestNoopOverlayWrites:
         assert img.digest() == CrashImage(base, ()).digest()
 
     def test_effective_writes_preserve_materialization(self):
-        base = FenceBase(bytes(range(128)))
+        base = fence_base(bytes(range(128)))
         writes = (
             (0, b"\xaa\xbb"),
             (10, bytes(range(10, 14))),  # no-op
@@ -369,7 +371,7 @@ class TestNoopOverlayWrites:
         """Adding base-equal writes anywhere never changes the digest as
         long as they do not overlap an earlier kept write; and
         materialization is always preserved."""
-        base = FenceBase(bytes(range(64)))
+        base = fence_base(bytes(range(64)))
         img = CrashImage(base, tuple(writes))
         replayed = bytearray(base.data)
         for addr, data in writes:
@@ -483,7 +485,7 @@ class TestCheckMemo:
             mid_syscall: bool = True
             after_syscall: int = -1
 
-        base = FenceBase(bytes(range(256)) * 4)
+        base = fence_base(bytes(range(256)) * 4)
         memo = CheckMemo(checker=None)
         one = CrashImage(base, ((0, b"\xff\xfe"),))
         split = CrashImage(base, ((0, b"\xff"), (1, b"\xfe")))

@@ -6,7 +6,7 @@ found usable.  That is sound only if (1) the key really is the digest of the
 post-mount bytes and (2) every file system's mount is *pure* — its volatile
 state a function of the recovered image (the contract in
 ``repro.vfs.interface.FileSystem.mount``).  (1) is a hypothesis property
-over random logs and random recovery writes on both backends; (2) is audited
+over random logs and random recovery writes; (2) is audited
 here for all seven registry entries by a checker that, on every hit, still
 runs the real walk and usability pass and demands the cached answer.
 """
@@ -23,25 +23,13 @@ from repro.core.outcome_cache import OutcomeCache
 from repro.core.replayer import enumerate_crash_states
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import FS_CLASSES
-from repro.pm.backend import numpy_available
-from repro.pm.image import CHUNK, ChunkedDigest, patched_digest
+from repro.pm.image import CHUNK, ChunkedDigest
 from repro.pm.log import PMLog
 from repro.vfs.errors import ENOSPC
 from repro.vfs.interface import FileObservation
 from repro.vfs.types import FileType, Stat
 from repro.workloads import ace
 from repro.workloads.ops import Op
-
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not importable"
-        ),
-    ),
-]
-
 
 # ---------------------------------------------------------------------------
 # (a) Mount-purity audit across the registry
@@ -166,17 +154,16 @@ def scribble_checker(log, recovery_writes, cls=KeyCheckingChecker):
 
 
 class TestKeyIsThePostMountDigest:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=40, deadline=None)
     @given(log=wide_logs(), recovery=writes_anywhere(3),
            streaming=st.booleans())
-    def test_incremental_key_equals_full_digest(self, backend, log, recovery,
+    def test_incremental_key_equals_full_digest(self, log, recovery,
                                                 streaming):
         """``streaming`` checks each state while its region is current;
-        otherwise enumeration finishes first, so every numpy base is stale
-        and mounts through its restore patch (satellite d)."""
+        otherwise enumeration finishes first, so every base but the last
+        is stale and mounts through its restore patch."""
         checker = scribble_checker(log, recovery)
-        states = enumerate_crash_states(BASE, log, image_backend=backend)
+        states = enumerate_crash_states(BASE, log)
         if not streaming:
             states = list(states)
         n = 0
@@ -187,51 +174,35 @@ class TestKeyIsThePostMountDigest:
         assert None not in checker.keys
         assert checker.outcome_hits + checker.outcome_misses == n
 
-    def test_patched_digest_refuses_a_resized_buffer(self):
-        digest = ChunkedDigest(bytearray(BASE))
-        digest.digest()
-        chunks = digest.chunk_digests()
-        assert patched_digest(chunks, bytearray(BASE), [])[0] == digest.digest()
-        grown = bytearray(BASE) + bytes(CHUNK)
-        assert patched_digest(chunks, grown, []) == (None, 0)
-
 
 # ---------------------------------------------------------------------------
-# (d) States that cannot be keyed bypass the cache and check as before
+# (d) Logs outside the device are rejected; flat states bypass the cache
 # ---------------------------------------------------------------------------
-def growth_log():
-    """Syscall 0 stays in bounds; syscall 1 writes one line past the end."""
+def two_write_log(second_addr=128):
+    """Syscall 0 stores at 64; syscall 1 stores one line at ``second_addr``."""
     log = PMLog()
     log.syscall_begin(0, "write")
     log.nt_store(64, b"\x02" * 8, "persist")
     log.fence()
     log.syscall_end()
     log.syscall_begin(1, "write")
-    log.nt_store(SIZE, b"\x03" * 64, "persist")
+    log.nt_store(second_addr, b"\x03" * 64, "persist")
     log.fence()
     log.syscall_end()
     return log
 
 
 class TestBypass:
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-    def test_states_of_an_outgrown_numpy_base_bypass(self):
-        """Once the live buffer grew, an earlier region's base cannot be
-        restored in place (``adoptable`` is false): its states mount on a
-        snapshot and are never keyed."""
-        log = growth_log()
-        checker = scribble_checker(log, [(256, b"\xee" * 8)])
-        states = list(enumerate_crash_states(
-            BASE, log, crash_points="post", image_backend="numpy"))
-        for state in states:
-            assert checker.check(state) == []
-        outgrown = [s for s in states if not s.image.base.adoptable]
-        assert 0 < len(outgrown) < len(states)
-        assert checker.outcome_bypassed == len(outgrown)
-        assert checker.keys.count(None) == len(outgrown)
+    def test_an_out_of_range_log_entry_raises(self):
+        """Real logs stay inside the device (probes log only after the
+        device bounds-checks the access), so a log entry past either end
+        is bad input and is rejected rather than replayed."""
+        for addr in (-64, SIZE - 32, SIZE):
+            with pytest.raises(ValueError, match="outside"):
+                list(enumerate_crash_states(BASE, two_write_log(addr)))
 
     def test_flat_images_bypass(self):
-        log = growth_log()
+        log = two_write_log()
         checker = scribble_checker(log, [])
         state = next(iter(enumerate_crash_states(BASE, log)))
         flat = type(state)(**{**state.__dict__, "image": bytes(state.image)})
@@ -240,7 +211,7 @@ class TestBypass:
         assert checker.outcome_hits + checker.outcome_misses == 0
 
     def test_checker_without_a_cache_counts_nothing(self):
-        log = growth_log()
+        log = two_write_log()
         checker = scribble_checker(log, [])
         checker.outcome_cache = None
         for state in enumerate_crash_states(BASE, log):
@@ -270,7 +241,7 @@ class TestOnlyCleanOutcomesAreCached:
             def creat(self, path, mode=0o644):
                 raise ENOSPC("full")
 
-        log = growth_log()
+        log = two_write_log()
         checker = scribble_checker(log, [])
         checker.fs_class = ReadOnlyFS
         root = ReadOnlyFS().walk()

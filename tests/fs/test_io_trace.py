@@ -123,9 +123,7 @@ def traced_device(io):
 
 def trace_slice(fs, bug_ids):
     """``(io digest, results digest)`` of one file system's slice."""
-    # The python image backend is pinned so the digests do not depend on
-    # whether numpy is importable (``image_backend`` is in every result).
-    spec = CampaignSpec(fs=fs, seq=2, bug_ids=bug_ids, image_backend="python")
+    spec = CampaignSpec(fs=fs, seq=2, bug_ids=bug_ids)
     chipmunk = spec.build_chipmunk()
     # The layout map is memoized per process by a throwaway mkfs; build it
     # outside the trace so the digests do not depend on test order.

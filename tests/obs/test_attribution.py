@@ -12,7 +12,7 @@ from repro.obs.attribution import (
     MISS_REASONS,
     MemoAttribution,
 )
-from repro.pm.image import CrashImage, FenceBase
+from repro.pm.image import CrashImage, fence_base
 from repro.workloads.ops import Op
 
 
@@ -37,14 +37,14 @@ def _classify(attr, image, syscall=None, mid=False, after=False):
 class TestReasonClasses:
     def test_cold_base_on_first_sight_of_an_epoch(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         assert _classify(attr, CrashImage(base, ())) == "cold_base"
-        other = FenceBase(bytes([1]) * 64)
+        other = fence_base(bytes([1]) * 64)
         assert _classify(attr, CrashImage(other, ())) == "cold_base"
 
     def test_overlay_shape_same_bytes_different_ranges(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         _classify(attr, CrashImage(base, ((0, b"ab"),)), syscall=1)
         reason = _classify(
             attr, CrashImage(base, ((0, b"a"), (1, b"b"))), syscall=1
@@ -53,7 +53,7 @@ class TestReasonClasses:
 
     def test_noop_write_perturbation_needs_residual_noop_bytes(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(range(16)) * 4)
+        base = fence_base(bytes(range(16)) * 4)
         _classify(attr, CrashImage(base, ((0, b"\xff\xfe"),)), syscall=1)
         # Same content, but one write carries bytes equal to base *inside*
         # an otherwise-effective write — whole-write dropping cannot remove
@@ -63,14 +63,14 @@ class TestReasonClasses:
 
     def test_syscall_context_same_content_other_context(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         img = CrashImage(base, ((0, b"x"),))
         _classify(attr, img, syscall=1)
         assert _classify(attr, img, syscall=2) == "syscall_context"
 
     def test_new_content_when_bytes_differ(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         _classify(attr, CrashImage(base, ((0, b"a"),)), syscall=1)
         reason = _classify(attr, CrashImage(base, ((0, b"b"),)), syscall=1)
         assert reason == "new_content"
@@ -85,7 +85,7 @@ class TestReasonClasses:
 
     def test_every_label_is_in_the_taxonomy(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         for img in (
             CrashImage(base, ()),
             CrashImage(base, ((0, b"ab"),)),
@@ -129,7 +129,7 @@ class TestSumInvariant:
 
     def test_avoidable_counts_only_canonicalization_headroom(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         _classify(attr, CrashImage(base, ((0, b"ab"),)), syscall=1)
         _classify(attr, CrashImage(base, ((0, b"a"), (1, b"b"))), syscall=1)
         _classify(attr, CrashImage(base, ((9, b"q"),)), syscall=1)
@@ -140,7 +140,7 @@ class TestSumInvariant:
 class TestCollisionTable:
     def test_colliding_content_keys_surface(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         _classify(attr, CrashImage(base, ((0, b"ab"),)), syscall=1)
         _classify(attr, CrashImage(base, ((0, b"a"), (1, b"b"))), syscall=1)
         _classify(attr, CrashImage(base, ((9, b"q"),)), syscall=1)
@@ -152,7 +152,7 @@ class TestCollisionTable:
 
     def test_no_collisions_without_shape_variety(self):
         attr = MemoAttribution()
-        base = FenceBase(bytes(64))
+        base = fence_base(bytes(64))
         _classify(attr, CrashImage(base, ((0, b"a"),)), syscall=1)
         _classify(attr, CrashImage(base, ((0, b"b"),)), syscall=1)
         assert attr.top_collisions() == []

@@ -7,11 +7,9 @@ bucket for setup between spans) must sum to ``TestResult.elapsed`` within
 a small tolerance.  Everything downstream — `repro profile`, the campaign
 ``--profile`` flag, the watch dashboard's byte totals — trusts that sum.
 
-The attribution tests run once per image backend: the numpy backend moves
-bytes between categories (a clean pipeline materializes *nothing*) but
-must keep every accounting invariant — telescoping stages, callsite
-seconds partitioning the stage clock, byte categories summing to their
-callsites.
+A clean pipeline materializes *nothing*: fence bases share the replayer's
+live buffer and the checker mounts that buffer through a COW view, so the
+``materialized`` category stays at zero while every other one is fed.
 """
 
 import json
@@ -27,7 +25,6 @@ from repro.obs.profile import (
     merge_profiles,
     render_profile,
 )
-from repro.pm.backend import numpy_available
 from repro.workloads.ops import Op
 
 WORKLOAD = [
@@ -36,16 +33,6 @@ WORKLOAD = [
     Op("write", ("/d/f", 0, 65, 2048)),
     Op("fsync", ("/d/f",)),
     Op("rename", ("/d/f", "/d/g")),
-]
-
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not importable"
-        ),
-    ),
 ]
 
 #: Which callsites feed each byte-accounting category (the data plane's
@@ -60,12 +47,9 @@ CATEGORY_SITES = {
 }
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
-def profiled_result(request):
-    cm = Chipmunk(
-        "nova",
-        config=ChipmunkConfig(profile=True, image_backend=request.param),
-    )
+@pytest.fixture(scope="module")
+def profiled_result():
+    cm = Chipmunk("nova", config=ChipmunkConfig(profile=True))
     return cm.test_workload(WORKLOAD)
 
 
@@ -120,12 +104,9 @@ class TestAttributionInvariant:
         assert set(counts) == set(BYTE_CATEGORIES)
         for cat in ("overlay_applied", "digest_hashed", "cow_rollback"):
             assert counts[cat] > 0, f"no bytes attributed to {cat}"
-        if profiled_result.image_backend == "numpy":
-            # The zero-copy property: a clean numpy-backend pipeline never
-            # builds a flat image, so nothing is ever materialized.
-            assert counts["materialized"] == 0
-        else:
-            assert counts["materialized"] > 0
+        # The zero-copy property: a clean pipeline never builds a flat
+        # image, so nothing is ever materialized.
+        assert counts["materialized"] == 0
 
 
 class TestNullability:
