@@ -94,19 +94,17 @@ Examples
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from typing import List, Optional
 
-from repro.core import Chipmunk, ChipmunkConfig
-from repro.fs.bugs import BUG_REGISTRY, BugConfig
+from repro.analysis.reporting import CampaignSummary
+from repro.fs.bugs import BUG_REGISTRY
 from repro.fs.registry import FS_CLASSES
+from repro.memo.store import DEFAULT_MAX_ENTRIES
 from repro.obs import Telemetry
-from repro.obs.campaign import CampaignStats
 from repro.obs.tracing import jsonl_to_chrome
-from repro.workloads import ace
 from repro.workloads.fuzzer import WorkloadFuzzer
 from repro.workloads.ops import Op
 
@@ -121,12 +119,30 @@ def _parse_op(text: str) -> Op:
     return Op(name, converted)
 
 
-def _bug_config(fs_name: str, bug_ids: List[int], fixed: bool) -> BugConfig:
-    if fixed:
-        return BugConfig.fixed()
-    if bug_ids:
-        return BugConfig.only(*bug_ids)
-    return BugConfig.buggy(fs_name)
+def _spec(args, **knobs):
+    """The campaign spec behind every testing command's harness.
+
+    Maps the shared harness flags (file system, ``--bugs``, ``--fixed``,
+    ``--cap``, ``--no-memoize``, ``--crash-plans``); ``knobs`` sets the
+    command's own spec fields.  ``spec.build_chipmunk()`` is the one
+    harness constructor, and ``spec.mode`` the one ACE-mode rule.
+    """
+    from repro.campaign.spec import CampaignSpec
+
+    if args.fixed:
+        bug_ids: Optional[List[int]] = []
+    elif args.bugs:
+        bug_ids = list(args.bugs)
+    else:
+        bug_ids = None
+    return CampaignSpec(
+        fs=args.fs,
+        bug_ids=bug_ids,
+        cap=args.cap,
+        memoize=args.memoize,
+        crash_plans=args.crash_plans,
+        **knobs,
+    )
 
 
 def _telemetry_for(args, generator: str) -> Optional[Telemetry]:
@@ -167,18 +183,22 @@ def _finish_telemetry(args, tel: Optional[Telemetry]) -> None:
                 print(f"  {record['name']}: {record['value']}")
 
 
+def _write_file(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure say why on stderr."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _save_reports(path: str, reports) -> None:
     """Write bug reports (with provenance) as a ``{"reports": [...]}`` doc."""
     doc = {"reports": [r.to_dict() for r in reports]}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-    except OSError as exc:
-        print(
-            f"[reports] error: cannot write {path!r}: {exc.strerror or exc}",
-            file=sys.stderr,
-        )
-    else:
+    if _write_file(path, json.dumps(doc, sort_keys=True)):
         print(f"[reports] saved {len(doc['reports'])} report(s) to {path}")
 
 
@@ -195,16 +215,7 @@ def cmd_list_bugs(_args) -> int:
 
 def cmd_test(args) -> int:
     tel = _telemetry_for(args, "test")
-    chipmunk = Chipmunk(
-        args.fs,
-        bugs=_bug_config(args.fs, args.bugs, args.fixed),
-        config=ChipmunkConfig(
-            cap=args.cap,
-            memoize=args.memoize,
-            crash_plans=args.crash_plans,
-        ),
-        telemetry=tel,
-    )
+    chipmunk = _spec(args).build_chipmunk(telemetry=tel)
     result = chipmunk.test_workload(args.op or [Op("creat", ("/probe",))])
     print(result.summary())
     for cluster in result.clusters:
@@ -218,30 +229,17 @@ def cmd_test(args) -> int:
 
 def cmd_ace(args) -> int:
     tel = _telemetry_for(args, "ace")
-    chipmunk = Chipmunk(
-        args.fs,
-        bugs=_bug_config(args.fs, args.bugs, args.fixed),
-        config=ChipmunkConfig(
-            cap=args.cap,
-            memoize=args.memoize,
-            crash_plans=args.crash_plans,
-        ),
-        telemetry=tel,
-    )
-    mode = "pm" if FS_CLASSES()[args.fs].strong_guarantees else "fsync"
-    stats = CampaignStats(fs_name=args.fs, generator="ace", telemetry=tel)
+    spec = _spec(args, seq=args.seq, max_workloads=args.max_workloads)
+    chipmunk = spec.build_chipmunk(telemetry=tel)
+    summary = CampaignSummary(fs_name=args.fs, generator="ace", telemetry=tel)
     saved_reports: List = []
     interrupted = False
     try:
-        for seq in range(1, args.seq + 1):
-            workloads = ace.generate(seq, mode=mode)
-            if args.max_workloads:
-                workloads = itertools.islice(workloads, args.max_workloads)
-            for w in workloads:
-                result = chipmunk.test_workload(w.core, setup=w.setup)
-                stats.add_result(result)
-                if args.save_reports:
-                    saved_reports.extend(result.reports)
+        for w in spec.ace_workloads():
+            result = chipmunk.test_workload(w.core, setup=w.setup)
+            summary.add_result(result)
+            if args.save_reports:
+                saved_reports.extend(result.reports)
     except KeyboardInterrupt:
         # Flush what we have rather than dying with a raw traceback: the
         # partial summary and telemetry of a long campaign are still data.
@@ -249,11 +247,11 @@ def cmd_ace(args) -> int:
         print("\n[interrupted] flushing partial campaign results",
               file=sys.stderr)
     print(
-        f"{stats.n_workloads} workloads, {stats.n_crash_states} crash states, "
-        f"{len(stats.clusters)} clusters, {stats.wall_time:.1f}s"
+        f"{summary.workloads_tested} workloads, {summary.crash_states} crash "
+        f"states, {len(summary.clusters)} clusters, {summary.wall_time:.1f}s"
         + (" [interrupted]" if interrupted else "")
     )
-    for cluster in stats.clusters:
+    for cluster in summary.clusters:
         print()
         print(cluster.describe())
     if args.save_reports:
@@ -261,7 +259,7 @@ def cmd_ace(args) -> int:
     _finish_telemetry(args, tel)
     if interrupted:
         return 130
-    return 1 if stats.clusters else 0
+    return 1 if summary.clusters else 0
 
 
 def cmd_fuzz(args) -> int:
@@ -270,16 +268,7 @@ def cmd_fuzz(args) -> int:
         # The seed lands in the trace header so a campaign is reproducible
         # from its trace file alone.
         tel.meta["seed"] = args.seed
-    chipmunk = Chipmunk(
-        args.fs,
-        bugs=_bug_config(args.fs, args.bugs, args.fixed),
-        config=ChipmunkConfig(
-            cap=args.cap,
-            memoize=args.memoize,
-            crash_plans=args.crash_plans,
-        ),
-        telemetry=tel,
-    )
+    chipmunk = _spec(args).build_chipmunk(telemetry=tel)
     fuzzer = WorkloadFuzzer(chipmunk, seed=args.seed)
     interrupted = False
     try:
@@ -338,25 +327,16 @@ def cmd_campaign(args) -> int:
                   "(positional or --fs), or --resume DIR", file=sys.stderr)
             return 2
         campaign_dir = args.out or f"campaign-{args.fs}-{args.generator}"
-        bug_ids: Optional[List[int]] = None
-        if args.fixed:
-            bug_ids = []
-        elif args.bugs:
-            bug_ids = list(args.bugs)
         try:
-            spec = CampaignSpec(
-                fs=args.fs,
+            spec = _spec(
+                args,
                 generator=args.generator,
-                bug_ids=bug_ids,
-                cap=args.cap,
                 seq=args.seq,
                 max_workloads=args.max_workloads,
                 seed=args.seed,
                 segments=args.segments,
                 executions=args.executions,
                 trace=args.trace,
-                memoize=args.memoize,
-                crash_plans=args.crash_plans,
                 profile=args.profile,
                 shared_memo=args.shared_memo or bool(args.memo_server),
                 memo_address=args.memo_server,
@@ -439,7 +419,7 @@ def cmd_stats(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        stats = CampaignStats.from_traces(traces)
+        summary = CampaignSummary.from_traces(traces)
     except OSError as exc:
         print(f"error: cannot read trace: {exc.strerror or exc}",
               file=sys.stderr)
@@ -448,11 +428,11 @@ def cmd_stats(args) -> int:
         print(f"error: not a JSONL telemetry trace: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(stats.to_json_dict(), sort_keys=True, indent=2))
+        print(json.dumps(summary.to_json_dict(), sort_keys=True, indent=2))
         return 0
     if len(traces) > 1:
         print(f"[stats] merged {len(traces)} trace files")
-    print(stats.render())
+    print(summary.render())
     if args.chrome:
         if len(traces) > 1:
             print("error: --chrome requires a single trace file",
@@ -464,10 +444,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    from repro.obs.coverage import (
-        coverage_from_campaign_dir,
-        coverage_from_traces,
-    )
+    from repro.obs.coverage import CoverageReport, coverage_from_campaign_dir
 
     targets: List[str] = args.target
     try:
@@ -491,7 +468,7 @@ def cmd_coverage(args) -> int:
                         file=sys.stderr,
                     )
                     return 2
-            report = coverage_from_traces(targets)
+            report = CoverageReport.from_traces(targets)
     except OSError as exc:
         print(f"error: cannot read coverage input: {exc.strerror or exc}",
               file=sys.stderr)
@@ -499,7 +476,7 @@ def cmd_coverage(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: not a JSONL telemetry trace: {exc}", file=sys.stderr)
         return 2
-    if not report.workloads:
+    if not report.workloads_tested:
         print("error: no workload results found in the input(s)",
               file=sys.stderr)
         return 2
@@ -508,16 +485,11 @@ def cmd_coverage(args) -> int:
         return 0
     markdown = report.render_markdown()
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(markdown)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
+        if not _write_file(args.out, markdown):
             return 2
         print(f"[coverage] wrote {args.out} "
-              f"({report.workloads} workload(s), "
-              f"{report.states_checked} checked state(s))")
+              f"({report.workloads_tested} workload(s), "
+              f"{report.unique_states} checked state(s))")
     else:
         print(markdown)
     return 0
@@ -557,12 +529,7 @@ def cmd_diff(args) -> int:
         return 2
     text = render_diff(diff, tol=args.tol)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
+        if not _write_file(args.out, text):
             return 2
         print(f"[diff] wrote {args.out}")
     else:
@@ -590,30 +557,17 @@ def cmd_profile(args) -> int:
         # even when --trace/--metrics were not requested.
         tel = Telemetry()
         tel.meta.update(fs=args.fs, generator="profile")
-    chipmunk = Chipmunk(
-        args.fs,
-        bugs=_bug_config(args.fs, args.bugs, args.fixed),
-        config=ChipmunkConfig(
-            cap=args.cap,
-            memoize=args.memoize,
-            crash_plans=args.crash_plans,
-            profile=True,
-        ),
-        telemetry=tel,
-    )
+    spec = _spec(args, profile=True, seq=args.seq,
+                 max_workloads=args.max_workloads)
+    chipmunk = spec.build_chipmunk(telemetry=tel)
     results: List = []
     interrupted = False
     try:
         if args.op:
             results.append(chipmunk.test_workload(args.op))
         else:
-            mode = "pm" if FS_CLASSES()[args.fs].strong_guarantees else "fsync"
-            for seq in range(1, args.seq + 1):
-                workloads = ace.generate(seq, mode=mode)
-                if args.max_workloads:
-                    workloads = itertools.islice(workloads, args.max_workloads)
-                for w in workloads:
-                    results.append(chipmunk.test_workload(w.core, setup=w.setup))
+            for w in spec.ace_workloads():
+                results.append(chipmunk.test_workload(w.core, setup=w.setup))
     except KeyboardInterrupt:
         interrupted = True
         print("\n[interrupted] rendering partial profile", file=sys.stderr)
@@ -641,12 +595,7 @@ def cmd_profile(args) -> int:
     if args.json:
         print(json.dumps(merged, sort_keys=True, indent=2))
     elif args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
+        if not _write_file(args.out, text):
             return 2
         print(f"[profile] wrote {args.out} ({len(results)} workload(s), "
               f"{states} crash state(s))")
@@ -656,12 +605,7 @@ def cmd_profile(args) -> int:
         from repro.obs.tracing import spans_to_chrome
 
         doc = spans_to_chrome(tel.export_records())
-        try:
-            with open(args.chrome, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        except OSError as exc:
-            print(f"error: cannot write {args.chrome!r}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
+        if not _write_file(args.chrome, json.dumps(doc)):
             return 2
         print(f"[profile] wrote {len(doc['traceEvents'])} Chrome trace "
               f"event(s) to {args.chrome}")
@@ -811,28 +755,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-bugs", help="print the Table-1 bug catalogue")
 
-    def add_common(p):
+    def add_harness(p, fs_help="file system (or use --fs)"):
+        """The flags :func:`_spec` maps onto the harness, for every
+        testing command including ``campaign``."""
         p.add_argument(
-            "fs",
-            nargs="?",
-            choices=sorted(FS_CLASSES()),
-            help="file system (or use --fs)",
+            "fs", nargs="?", choices=sorted(FS_CLASSES()), help=fs_help,
         )
         p.add_argument(
             "--fs",
             dest="fs_flag",
             choices=sorted(FS_CLASSES()),
             help="file system (alternative to the positional argument)",
-        )
-        p.add_argument(
-            "--trace",
-            metavar="FILE",
-            help="write a JSONL telemetry trace (see `python -m repro stats`)",
-        )
-        p.add_argument(
-            "--metrics",
-            action="store_true",
-            help="print the telemetry metrics snapshot after the run",
         )
         p.add_argument(
             "--bugs",
@@ -858,6 +791,19 @@ def build_parser() -> argparse.ArgumentParser:
             default="subset",
             help="crash-plan selection: capped subset enumeration "
             "(default) or mechanism-targeted plans with subset fallback",
+        )
+
+    def add_common(p):
+        add_harness(p)
+        p.add_argument(
+            "--trace",
+            metavar="FILE",
+            help="write a JSONL telemetry trace (see `python -m repro stats`)",
+        )
+        p.add_argument(
+            "--metrics",
+            action="store_true",
+            help="print the telemetry metrics snapshot after the run",
         )
 
     p_test = sub.add_parser("test", help="test one workload")
@@ -897,17 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a parallel campaign with checkpoint/resume",
     )
-    p_camp.add_argument(
-        "fs",
-        nargs="?",
-        choices=sorted(FS_CLASSES()),
-        help="file system (or use --fs; not needed with --resume)",
-    )
-    p_camp.add_argument(
-        "--fs",
-        dest="fs_flag",
-        choices=sorted(FS_CLASSES()),
-        help="file system (alternative to the positional argument)",
+    add_harness(
+        p_camp, fs_help="file system (or use --fs; not needed with --resume)"
     )
     p_camp.add_argument(
         "--generator", choices=("ace", "fuzz"), default="ace",
@@ -932,26 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fuzzer seed segments (work items)")
     p_camp.add_argument("--executions", type=int, default=25,
                         help="fuzzer executions per segment")
-    p_camp.add_argument("--bugs", type=int, nargs="*", default=[],
-                        help="enable only these bug ids")
-    p_camp.add_argument("--fixed", action="store_true",
-                        help="run the fully fixed variant")
-    p_camp.add_argument("--cap", type=int, default=2,
-                        help="replay cap (default 2)")
-    p_camp.add_argument(
-        "--no-memoize",
-        dest="memoize",
-        action="store_false",
-        help="disable content-addressed check memoization (eager "
-        "whole-image dedup; same reports, slower)",
-    )
-    p_camp.add_argument(
-        "--crash-plans",
-        choices=("subset", "mech"),
-        default="subset",
-        help="crash-plan selection: capped subset enumeration (default) "
-        "or mechanism-targeted plans with subset fallback",
-    )
     p_camp.add_argument(
         "--shared-memo",
         action="store_true",
@@ -995,9 +912,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 0 = pick an ephemeral port and print it)",
     )
     p_memod.add_argument(
-        "--max-entries", type=int, default=262144,
-        help="LRU cap on clean verdict entries (default 262144; "
-        "0 = unbounded)",
+        "--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
+        help=f"LRU cap on clean verdict entries (default "
+        f"{DEFAULT_MAX_ENTRIES}; 0 = unbounded)",
     )
 
     p_stats = sub.add_parser(

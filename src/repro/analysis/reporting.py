@@ -1,53 +1,54 @@
-"""Campaign reporting: render triaged findings as a markdown document.
+"""Campaign reporting: the campaign aggregate and its renderings.
+
+:class:`CampaignSummary` is the one campaign aggregate: the shared result
+fold (:class:`~repro.obs.campaign.ResultFold`) plus provenance-guided
+triage and the time-to-bug series.  In-process results, checkpoint-journal
+dicts and ``--trace`` files all fold through it, so ``repro ace``,
+``repro campaign``, ``repro stats`` and report.md agree by construction.
 
 The paper's Figure 1 ends in "bug reports with enough detail to reproduce
-the bug"; this module is the last-mile formatting — a campaign summary a
-developer can file upstream, with one section per triaged cluster including
-the workload, the crash point, and the divergence.
+the bug"; :func:`render_markdown` is the last-mile formatting — a campaign
+summary a developer can file upstream, with one section per triaged
+cluster including the workload, the crash point, and the divergence —
+and :meth:`CampaignSummary.render` is the ``repro stats`` text view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.harness import TestResult
+from repro.core.harness import STAGES, TestResult
+from repro.core.report import BugReport
 from repro.core.triage import Cluster, Triage
+from repro.obs.campaign import ResultFold, TimeToBug
+
+
+def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[str]:
+    rows = [[str(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+    lines.append("-" * len(lines[0]))
+    for row in rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return lines
+
+
+def _by_count(counts: Dict[str, int]):
+    """``(name, n)`` pairs, most frequent first, ties by name."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 @dataclass
-class CampaignSummary:
+class CampaignSummary(ResultFold):
     """Aggregated outcome of a testing campaign."""
 
-    fs_name: str
-    generator: str
-    workloads_tested: int = 0
-    crash_states: int = 0
-    unique_states: int = 0
-    wall_time: float = 0.0
-    truncated_workloads: int = 0
-    #: Check-memoization counters (``checker.memo.*``) summed over workloads.
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_noop_dropped: int = 0
-    #: Hits served by the campaign-wide shared memo service (subset of
-    #: :attr:`memo_hits`) and clean-entry LRU evictions from local memos.
-    memo_shared_hits: int = 0
-    memo_evictions: int = 0
-    #: ``checker.memo.miss.{reason}`` attribution, summed over workloads.
-    memo_miss_reasons: Dict[str, int] = field(default_factory=dict)
-    #: Distinct recovered-outcome digests summed over workloads — the
-    #: WITCHER output-equivalence pruning headroom denominator.
-    unique_outcomes: int = 0
-    #: Recovered-outcome cache traffic (``checker.outcome_cache.*``).
-    outcome_hits: int = 0
-    outcome_misses: int = 0
-    #: Mechanism-aware crash planning (``mech.*``): epochs per recognized
-    #: kind, targeted states emitted, and subset-fallback epochs.
-    crash_plans: str = "?"
-    mech_recognized: Dict[str, int] = field(default_factory=dict)
-    mech_plans_emitted: int = 0
-    mech_fallback_epochs: int = 0
+    #: When set, new-cluster discoveries are emitted as ``cluster_found``
+    #: trace events so offline ``stats`` sees the same series.
+    telemetry: Optional[object] = None
     #: Provenance-guided triage by default: reports carrying a culprit site
     #: set cluster by (fs, consequence, sites) — one bug seen through
     #: different syscalls merges — and the rest fall back to the lexical
@@ -56,44 +57,243 @@ class CampaignSummary:
     triage: Triage = field(default_factory=lambda: Triage(provenance=True))
     #: workload index at which each cluster was first seen
     first_seen: Dict[int, int] = field(default_factory=dict)
-    #: per-stage wall time summed over workloads (telemetry satellite data)
-    stage_totals: Dict[str, float] = field(default_factory=dict)
+    #: Cumulative time-to-bug series (Figure 3 shape): the workload index
+    #: and cumulative pipeline second at which each new cluster appeared.
+    time_to_bug: List[TimeToBug] = field(default_factory=list)
 
     def add_result(self, result: TestResult) -> None:
-        self.workloads_tested += 1
-        self.crash_states += result.n_crash_states
-        self.unique_states += result.n_unique_states
-        self.wall_time += result.elapsed
-        self.memo_hits += getattr(result, "memo_hits", 0)
-        self.memo_misses += getattr(result, "memo_misses", 0)
-        self.memo_noop_dropped += getattr(result, "memo_noop_dropped", 0)
-        self.memo_shared_hits += getattr(result, "memo_shared_hits", 0)
-        self.memo_evictions += getattr(result, "memo_evictions", 0)
-        for reason, n in getattr(result, "memo_miss_reasons", {}).items():
-            self.memo_miss_reasons[reason] = (
-                self.memo_miss_reasons.get(reason, 0) + n
-            )
-        self.unique_outcomes += getattr(result, "n_unique_outcomes", 0)
-        self.outcome_hits += getattr(result, "outcome_hits", 0)
-        self.outcome_misses += getattr(result, "outcome_misses", 0)
-        mode = getattr(result, "crash_plans", "subset")
-        self.crash_plans = mode if self.crash_plans in ("?", mode) else "mixed"
-        for kind, n in getattr(result, "mech_recognized", {}).items():
-            self.mech_recognized[kind] = self.mech_recognized.get(kind, 0) + n
-        self.mech_plans_emitted += getattr(result, "mech_plans_emitted", 0)
-        self.mech_fallback_epochs += getattr(result, "mech_fallback_epochs", 0)
-        if getattr(result, "truncated", False):
-            self.truncated_workloads += 1
-        for stage, dt in getattr(result, "stage_times", {}).items():
-            self.stage_totals[stage] = self.stage_totals.get(stage, 0.0) + dt
-        new = self.triage.add_new(result.reports)
+        """Fold one in-process :class:`TestResult`."""
+        self._add(vars(result), result.reports)
+
+    def add_dict(self, data: Mapping[str, object]) -> None:
+        """Fold one wire dict (worker result, checkpoint journal)."""
+        self._add(data, [BugReport.from_dict(r) for r in data.get("reports", ())])
+
+    def _add(self, fields: Mapping[str, object], reports: List[BugReport]) -> None:
+        self.add_fields(fields)
+        if not reports:
+            return
+        outcomes = self.totals.setdefault("outcomes", {})
+        for report in reports:
+            name = report.consequence.name
+            outcomes[name] = outcomes.get(name, 0) + 1
+        new = self.triage.add_new(reports)
         base = len(self.triage.clusters) - len(new)
-        for offset in range(len(new)):
-            self.first_seen[base + offset] = self.workloads_tested
+        for offset, cluster in enumerate(new):
+            index, t = base + offset, self.wall_time
+            consequence = cluster.exemplar.consequence.name
+            self.first_seen[index] = self.workloads_tested
+            self.time_to_bug.append(
+                TimeToBug(index, self.workloads_tested, t, consequence)
+            )
+            if self.telemetry is not None:
+                self.telemetry.event(
+                    "cluster_found", cluster=index,
+                    workload=self.workloads_tested, t=t, consequence=consequence,
+                )
 
     @property
     def clusters(self) -> List[Cluster]:
         return self.triage.clusters
+
+    # ------------------------------------------------------------------
+    # Offline ingestion (``python -m repro stats``)
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_traces(cls, paths: Sequence[str]) -> "CampaignSummary":
+        """Rebuild the summary from one or more JSONL traces, merged.
+
+        Counters and histograms add; ``cluster_found`` events carry
+        per-trace cluster numbering (each worker triages its own universe),
+        so the merged time-to-bug series is re-numbered in discovery-time
+        order.  Note this series counts *per-worker* discoveries: the
+        cross-worker dedup of the final bug set happens in the campaign
+        merge stage.  Traces carry no reports, so :attr:`clusters` is empty.
+        """
+        summary = super().from_traces(paths)
+        summary.time_to_bug.sort(key=lambda e: (e.t, e.workload, e.cluster))
+        if len(paths) > 1:
+            summary.time_to_bug = [
+                TimeToBug(i, e.workload, e.t, e.consequence)
+                for i, e in enumerate(summary.time_to_bug)
+            ]
+        return summary
+
+    def add_event(self, name: str, fields: Dict[str, object]) -> None:
+        if name != "cluster_found":
+            super().add_event(name, fields)
+            return
+        self.time_to_bug.append(TimeToBug(
+            cluster=int(fields.get("cluster", len(self.time_to_bug))),
+            workload=int(fields.get("workload", 0)),
+            t=float(fields.get("t", 0.0)),
+            consequence=str(fields.get("consequence", "?")),
+        ))
+
+    # ------------------------------------------------------------------
+    # Machine-readable export (``python -m repro stats --json``)
+    # ------------------------------------------------------------------
+    def to_json_dict(self) -> Dict[str, object]:
+        """The aggregates as one JSON-serializable document.
+
+        Keys mirror the :meth:`render` tables so dashboards and scripts
+        consume the same quantities the text summary shows.
+        """
+        t = self.total
+        return {
+            "fs": self.fs_name,
+            "generator": self.generator,
+            "meta": {k: v for k, v in self.meta.items()
+                     if k not in ("fs", "generator")},
+            "workloads": self.workloads_tested,
+            "truncated_workloads": self.truncated_workloads,
+            "crash_states": self.crash_states,
+            "unique_states": self.unique_states,
+            "dedup_hit_rate": self.dedup_hit_rate,
+            "memo_hits": self.memo_hits,
+            "memo_misses": self.memo_misses,
+            "memo_hit_rate": self.memo_hit_rate,
+            "memo_miss_reasons": dict(t("memo_miss_reasons", {})),
+            "memo_noop_writes_dropped": t("memo_noop_dropped"),
+            "memo_shared_hits": self.memo_shared_hits,
+            "memo_shared_errors": t("memo_shared_errors"),
+            "memo_evictions": t("memo_evictions"),
+            "crash_plans": t("crash_plans", "?"),
+            "mech_recognized": dict(t("mech_recognized", {})),
+            "mech_plans_emitted": t("mech_plans_emitted"),
+            "mech_fallback_epochs": t("mech_fallback_epochs"),
+            "unique_outcomes": t("n_unique_outcomes"),
+            "outcome_hits": t("outcome_hits"),
+            "outcome_misses": t("outcome_misses"),
+            "fences": t("n_fences"),
+            "reports": t("n_reports"),
+            "wall_time": self.wall_time,
+            "states_per_second": self.states_per_second,
+            "stage_totals": dict(t("stage_times", {})),
+            "outcome_counts": dict(t("outcomes", {})),
+            "time_to_bug": [asdict(e) for e in self.time_to_bug],
+            "inflight": {
+                fs: {syscall: list(counts) for syscall, counts in per.items()}
+                for fs, per in self.inflight.items()
+            },
+        }
+
+    # ------------------------------------------------------------------
+    # Text rendering (``python -m repro stats``)
+    # ------------------------------------------------------------------
+    def counter_lines(self) -> List[Tuple[str, str]]:
+        """``(label, text)`` for each skip/exploration counter with data —
+        the lines ``repro stats`` and report.md's Telemetry section share."""
+        t = self.total
+        out: List[Tuple[str, str]] = []
+        if self.memo_hits or self.memo_misses:
+            text = (f"{self.memo_hits} hit(s), {self.memo_misses} miss(es) "
+                    f"(hit-rate {self.memo_hit_rate * 100:.1f}%)")
+            if self.memo_shared_hits:
+                text += f"; {self.memo_shared_hits} served by the shared service"
+            if t("memo_noop_dropped"):
+                text += f"; {t('memo_noop_dropped')} no-op write(s) dropped"
+            out.append(("check memo (checker.memo.*)", text))
+            if t("memo_evictions") or t("memo_shared_errors"):
+                out.append(("memo pressure", (
+                    f"{t('memo_evictions')} clean eviction(s), "
+                    f"{t('memo_shared_errors')} shared-service error(s) "
+                    f"degraded to local misses")))
+        if t("memo_miss_reasons", {}):
+            out.append(("memo misses by reason", ", ".join(
+                f"{reason} {n}" for reason, n in _by_count(t("memo_miss_reasons"))
+            )))
+        unique_outcomes = t("n_unique_outcomes")
+        if unique_outcomes and self.memo_misses:
+            out.append(("recovered outcomes", (
+                f"{unique_outcomes} distinct of {self.memo_misses} checked "
+                f"(equivalence-pruning headroom "
+                f"{(1 - unique_outcomes / self.memo_misses) * 100:.1f}%)")))
+        hits, misses = t("outcome_hits"), t("outcome_misses")
+        if hits or misses:
+            out.append(("outcome cache", (
+                f"{hits} hit(s), {misses} miss(es) (walk + usability skipped "
+                f"on {hits / (hits + misses) * 100:.1f}% of mounted states; "
+                f"checker.outcome_cache.*)")))
+        if t("mech_recognized", {}):
+            out.append((
+                f"mechanism recognition (--crash-plans {t('crash_plans', '?')})",
+                ", ".join(f"{kind} {n}"
+                          for kind, n in _by_count(t("mech_recognized"))),
+            ))
+            out.append(("mech plans", (
+                f"{t('mech_plans_emitted')} targeted state(s) emitted, "
+                f"{t('mech_fallback_epochs')} epoch(s) fell back to subset "
+                f"enumeration")))
+        return out
+
+    def render(self) -> str:
+        """Multi-table text summary (the ``python -m repro stats`` output)."""
+        t = self.total
+        lines: List[str] = []
+        head = f"Campaign: {self.fs_name} ({self.generator})"
+        extras = {k: v for k, v in self.meta.items()
+                  if k not in ("fs", "generator")}
+        if extras:
+            head += "  [" + ", ".join(f"{k}={v}" for k, v in sorted(extras.items())) + "]"
+        lines.append(head)
+        trunc = (f" ({self.truncated_workloads} truncated)"
+                 if self.truncated_workloads else "")
+        lines.append(
+            f"workloads: {self.workloads_tested}{trunc}   crash states: "
+            f"{self.crash_states} generated, {self.unique_states} unique "
+            f"(dedup hit-rate {self.dedup_hit_rate * 100:.1f}%)"
+        )
+        lines.append(
+            f"wall time: {self.wall_time:.2f}s   throughput: "
+            f"{self.states_per_second:.1f} crash states/sec   "
+            f"fences: {t('n_fences')}   reports: {t('n_reports')}"
+        )
+        lines.extend(f"{label}: {body}" for label, body in self.counter_lines())
+        lines.append("")
+        lines.append("Per-stage timings")
+        lines.extend(_table(("stage", "total (ms)", "share"), [
+            (stage, f"{dt * 1000:.1f}", f"{share:.1f}%")
+            for stage, dt, share in _stage_rows(t("stage_times", {}))
+        ]))
+        lines.append("")
+        lines.append("Checker outcomes")
+        outcome_rows = [(k, v) for k, v in
+                        sorted(t("outcomes", {}).items(), key=lambda kv: -kv[1])]
+        if not outcome_rows:
+            outcome_rows = [("clean", "-")]
+        lines.extend(_table(("consequence", "reports"), outcome_rows))
+        lines.append("")
+        lines.append("Cumulative time-to-bug")
+        if self.time_to_bug:
+            ttb_rows = [
+                (e.cluster + 1, e.workload, f"{e.t:.2f}", e.consequence)
+                for e in self.time_to_bug
+            ]
+            lines.extend(_table(("cluster", "workload #", "t (s)", "consequence"),
+                                ttb_rows))
+        else:
+            lines.append("(no clusters found)")
+        for fs, per_syscall in sorted(self.inflight.items()):
+            lines.append("")
+            lines.append(f"In-flight write units per syscall [{fs}]")
+            rows = []
+            for syscall in sorted(per_syscall):
+                counts = per_syscall[syscall]
+                rows.append((
+                    syscall, len(counts),
+                    f"{sum(counts) / len(counts):.1f}", max(counts),
+                ))
+            lines.extend(_table(("syscall", "fences", "avg units", "max"), rows))
+        return "\n".join(lines)
+
+
+def _stage_rows(stage_totals: Dict[str, float]):
+    """``(stage, seconds, share %)`` in pipeline order, unknown stages last."""
+    total = sum(stage_totals.values()) or 1.0
+    order = [s for s in STAGES if s in stage_totals]
+    order += sorted(set(stage_totals) - set(STAGES))
+    return [(s, stage_totals[s], stage_totals[s] / total * 100) for s in order]
 
 
 def run_campaign(chipmunk, workloads, generator: str = "ace") -> CampaignSummary:
@@ -111,87 +311,25 @@ def run_campaign(chipmunk, workloads, generator: str = "ace") -> CampaignSummary
 
 
 def _telemetry_section(summary: CampaignSummary) -> List[str]:
-    """Markdown telemetry block: per-stage timings, throughput, dedup rate."""
-    if not summary.stage_totals:
+    """Markdown telemetry block: throughput, dedup rate, the campaign's
+    counter lines, and per-stage timings."""
+    stage_times = summary.total("stage_times", {})
+    if not stage_times:
         return []
     lines: List[str] = ["## Telemetry", ""]
     if summary.wall_time > 0:
         lines.append(
-            f"- **throughput:** {summary.crash_states / summary.wall_time:.1f} "
-            f"crash states/sec"
+            f"- **throughput:** {summary.states_per_second:.1f} crash states/sec"
         )
     if summary.crash_states:
-        rate = 1.0 - summary.unique_states / summary.crash_states
-        lines.append(f"- **dedup hit-rate:** {rate * 100:.1f}%")
-    memo_total = summary.memo_hits + summary.memo_misses
-    if memo_total:
-        noop = (
-            f"; {summary.memo_noop_dropped} no-op write(s) dropped"
-            if summary.memo_noop_dropped else ""
-        )
-        shared = (
-            f"; {summary.memo_shared_hits} served by the shared service"
-            if summary.memo_shared_hits else ""
-        )
-        evict = (
-            f"; {summary.memo_evictions} clean eviction(s)"
-            if summary.memo_evictions else ""
-        )
-        lines.append(
-            f"- **check memo hit-rate:** "
-            f"{summary.memo_hits / memo_total * 100:.1f}% "
-            f"({summary.memo_hits} hit(s), {summary.memo_misses} miss(es); "
-            f"`checker.memo.*`{shared}{evict}{noop})"
-        )
-    if summary.memo_miss_reasons:
-        parts = ", ".join(
-            f"`{reason}` {n}"
-            for reason, n in sorted(
-                summary.memo_miss_reasons.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-        )
-        lines.append(f"- **memo misses by reason:** {parts}")
-    if summary.unique_states and summary.unique_outcomes:
-        headroom = 1.0 - summary.unique_outcomes / summary.unique_states
-        lines.append(
-            f"- **recovered outcomes:** {summary.unique_outcomes} distinct of "
-            f"{summary.unique_states} checked "
-            f"({headroom * 100:.1f}% output-equivalence pruning headroom)"
-        )
-    keyed = summary.outcome_hits + summary.outcome_misses
-    if keyed:
-        lines.append(
-            f"- **outcome cache:** {summary.outcome_hits} hit(s), "
-            f"{summary.outcome_misses} miss(es) — walk + usability skipped "
-            f"on {summary.outcome_hits / keyed * 100:.1f}% of mounted states "
-            f"(`checker.outcome_cache.*`)"
-        )
-    if summary.mech_recognized:
-        parts = ", ".join(
-            f"`{kind}` {n}"
-            for kind, n in sorted(
-                summary.mech_recognized.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-        )
-        lines.append(
-            f"- **mechanism recognition** (`--crash-plans "
-            f"{summary.crash_plans}`): {parts}"
-        )
-        lines.append(
-            f"- **mech plans:** {summary.mech_plans_emitted} targeted "
-            f"state(s) emitted, {summary.mech_fallback_epochs} epoch(s) fell "
-            f"back to subset enumeration"
-        )
+        lines.append(f"- **dedup hit-rate:** {summary.dedup_hit_rate * 100:.1f}%")
+    lines.extend(f"- **{label}:** {text}"
+                 for label, text in summary.counter_lines())
     lines.append("")
     lines.append("| stage | total (ms) | share |")
     lines.append("| --- | ---: | ---: |")
-    total = sum(summary.stage_totals.values()) or 1.0
-    for stage in ("record", "oracle", "enumerate", "check", "triage", "analyze"):
-        if stage in summary.stage_totals:
-            dt = summary.stage_totals[stage]
-            lines.append(
-                f"| {stage} | {dt * 1000:.1f} | {dt / total * 100:.1f}% |"
-            )
+    for stage, dt, share in _stage_rows(stage_times):
+        lines.append(f"| {stage} | {dt * 1000:.1f} | {share:.1f}% |")
     lines.append("")
     return lines
 

@@ -409,8 +409,9 @@ class CampaignEngine:
             self._memo_address = self.spec.memo_address
             return
         from repro.memo.server import MemoServer
+        from repro.memo.store import DEFAULT_MAX_ENTRIES
 
-        self._memo_server = MemoServer(max_entries=self.spec.memo_entries)
+        self._memo_server = MemoServer(max_entries=DEFAULT_MAX_ENTRIES)
         self._memo_server.start()
         self._memo_address = self._memo_server.address_str
 

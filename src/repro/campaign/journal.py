@@ -59,6 +59,11 @@ class JournalState:
     def done_ids(self) -> set:
         return set(self.results) | set(self.quarantined)
 
+    def ordered_results(self) -> List[dict]:
+        """Every journaled result dict, in canonical (ordinal) order."""
+        order = sorted(self.results, key=lambda i: self.ordinals.get(i, 0))
+        return [result for item_id in order for result in self.results[item_id]]
+
 
 class CheckpointJournal:
     """Append-only JSONL journal for one campaign directory."""

@@ -11,10 +11,10 @@ run's:
    workers' reports, through the same :class:`~repro.core.triage.Triage`
    the serial path uses — two workers finding the same bug yield one
    cluster, not two.
-3. **Real objects.**  Serialized results rebuild into genuine
-   :class:`~repro.core.harness.TestResult`s, so the existing aggregation
-   (:class:`~repro.analysis.reporting.CampaignSummary`) is reused verbatim
-   rather than reimplemented.
+3. **One aggregate.**  Serialized results fold straight into the same
+   :class:`~repro.analysis.reporting.CampaignSummary` the serial path
+   feeds ``TestResult`` objects to — the wire dict carries the same field
+   names, and only its reports are parsed (for triage).
 
 Per-worker telemetry traces are concatenated into one campaign trace; the
 multi-file ``python -m repro stats`` path consumes either form.
@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 from repro.analysis.reporting import CampaignSummary, render_markdown
 from repro.campaign.queue import WorkItem
 from repro.campaign.spec import CampaignSpec
-from repro.core.harness import TestResult
 from repro.obs.coverage import coverage_from_results
 from repro.obs.tracing import read_jsonl, write_jsonl
 
@@ -107,7 +106,7 @@ def merge_results(
     summary = CampaignSummary(fs_name=spec.fs, generator=spec.generator)
     for item in sorted(items, key=lambda i: i.ordinal):
         for result_dict in results.get(item.item_id, ()):
-            summary.add_result(TestResult.from_dict(result_dict))
+            summary.add_dict(result_dict)
     return summary
 
 

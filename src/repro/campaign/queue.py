@@ -142,9 +142,8 @@ def build_items(spec) -> List[WorkItem]:
 
     items: List[WorkItem] = []
     if spec.generator == "ace":
-        # The serial path (``cmd_ace``) runs seq 1..N applying
-        # ``max_workloads`` per sequence length; mirror that exactly so the
-        # parallel campaign covers the same workload set.
+        # Index for index the slice ``spec.ace_workloads()`` yields (the
+        # serial path), so the parallel campaign covers the same workloads.
         ordinal = 0
         for seq in range(1, spec.seq + 1):
             total = count(seq)

@@ -11,8 +11,9 @@ and refuses to mix campaigns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.harness import Chipmunk, ChipmunkConfig
 from repro.fs.bugs import BugConfig
@@ -57,9 +58,6 @@ class CampaignSpec:
     #: ``HOST:PORT`` of an external ``repro memod`` — lets campaigns on
     #: several hosts share one table.  Implies :attr:`shared_memo`.
     memo_address: Optional[str] = None
-    #: Local memo bound (``ChipmunkConfig.memo_entries``): LRU cap on
-    #: clean verdict entries per workload memo; 0 = unbounded.
-    memo_entries: int = 262144
 
     def __post_init__(self) -> None:
         if self.fs not in FS_CLASSES():
@@ -83,6 +81,16 @@ class CampaignSpec:
         """ACE mode for this file system (paper section 3.4.1)."""
         return "pm" if FS_CLASSES()[self.fs].strong_guarantees else "fsync"
 
+    def ace_workloads(self) -> Iterator:
+        """The ACE slice in canonical order: sequence lengths 1..``seq``, at
+        most ``max_workloads`` of each (what ``repro ace`` runs, and what
+        :func:`repro.campaign.queue.build_items` shards by index)."""
+        from repro.workloads import ace
+
+        for seq in range(1, self.seq + 1):
+            workloads = ace.generate(seq, mode=self.mode)
+            yield from itertools.islice(workloads, self.max_workloads or None)
+
     def bug_config(self) -> BugConfig:
         if self.bug_ids is None:
             return BugConfig.buggy(self.fs)
@@ -99,7 +107,6 @@ class CampaignSpec:
                 memoize=self.memoize,
                 crash_plans=self.crash_plans,
                 profile=self.profile,
-                memo_entries=self.memo_entries,
             ),
             telemetry=telemetry,
             shared_memo=shared_memo,

@@ -8,7 +8,8 @@ pure *reader* — it attaches to a campaign directory from any terminal,
 re-replays the journal each tick, and renders a refreshing dashboard:
 
 * progress bar, throughput (recent items/min) and ETA,
-* memo hit-rate and bugs-so-far folded from the journaled results,
+* memo hit-rate and bugs-so-far, the journaled results folded by the
+  shared result fold (:class:`~repro.obs.campaign.ResultFold`),
 * per-worker liveness from heartbeat mtimes (a worker grinding through a
   slow workload shows its current item; a wedged one shows as stale),
 * quarantine count.
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.campaign.journal import CheckpointJournal, JournalState
+from repro.obs.campaign import ResultFold
 
 #: A heartbeat older than this is rendered as stale ("no heartbeat").
 STALE_HEARTBEAT_S = 30.0
@@ -105,44 +107,12 @@ class Snapshot:
             return None
         return remaining / (rate / 60.0)
 
-    def fold_counters(self) -> Dict[str, object]:
-        """Sum the exploration counters out of the journaled results."""
-        totals: Dict[str, object] = {
-            "crash_states": 0, "checked": 0, "memo_hits": 0,
-            "memo_misses": 0, "memo_shared_hits": 0, "memo_shared_errors": 0,
-            "reports": 0, "mech_plans": 0,
-            "mech_fallbacks": 0, "outcome_hits": 0, "outcome_misses": 0,
-        }
-        profile_bytes: Dict[str, int] = {}
-        for results in self.state.results.values():
-            for fields in results:
-                totals["crash_states"] += int(fields.get("n_crash_states", 0))
-                totals["checked"] += int(fields.get("n_unique_states", 0))
-                totals["memo_hits"] += int(fields.get("memo_hits", 0))
-                totals["memo_misses"] += int(fields.get("memo_misses", 0))
-                totals["memo_shared_hits"] += int(
-                    fields.get("memo_shared_hits", 0)
-                )
-                totals["memo_shared_errors"] += int(
-                    fields.get("memo_shared_errors", 0)
-                )
-                totals["reports"] += len(list(fields.get("reports", [])))
-                totals["outcome_hits"] += int(fields.get("outcome_hits", 0))
-                totals["outcome_misses"] += int(
-                    fields.get("outcome_misses", 0)
-                )
-                totals["mech_plans"] += int(
-                    fields.get("mech_plans_emitted", 0)
-                )
-                totals["mech_fallbacks"] += int(
-                    fields.get("mech_fallback_epochs", 0)
-                )
-                for cat, n in dict(
-                    (fields.get("profile") or {}).get("bytes") or {}
-                ).items():
-                    profile_bytes[cat] = profile_bytes.get(cat, 0) + int(n)
-        totals["profile_bytes"] = profile_bytes
-        return totals
+    def aggregate(self) -> ResultFold:
+        """The journaled results so far, through the shared result fold."""
+        agg = ResultFold()
+        for fields in self.state.ordered_results():
+            agg.add_fields(fields)
+        return agg
 
 
 class CampaignMonitor:
@@ -218,42 +188,34 @@ class CampaignMonitor:
             f"quarantined {snap.n_quarantined}"
         )
 
-        totals = snap.fold_counters()
-        memo_total = totals["memo_hits"] + totals["memo_misses"]
-        memo = (
-            f"{totals['memo_hits'] / memo_total * 100:.0f}%"
-            if memo_total else "--"
-        )
-        shared = ""
-        if totals["memo_shared_hits"] or totals["memo_shared_errors"]:
-            shared = (
-                f"shared hits {totals['memo_shared_hits']}"
-                + (
-                    f" ({totals['memo_shared_errors']} err)"
-                    if totals["memo_shared_errors"] else ""
-                )
-                + "   "
-            )
+        agg = snap.aggregate()
+        t = agg.total
+        lookups = agg.memo_hits + agg.memo_misses
+        memo = f"{agg.memo_hit_rate * 100:.0f}%" if lookups else "--"
+        shared, errors = "", t("memo_shared_errors")
+        if agg.memo_shared_hits or errors:
+            shared = (f"shared hits {agg.memo_shared_hits}"
+                      + (f" ({errors} err)" if errors else "") + "   ")
         lines.append(
-            f"crash states {totals['crash_states']}   "
-            f"checked {totals['checked']}   "
+            f"crash states {agg.crash_states}   "
+            f"checked {agg.unique_states}   "
             f"memo hit-rate {memo}   "
             f"{shared}"
-            f"bug reports {totals['reports']}"
+            f"bug reports {t('n_reports')}"
         )
-        if totals["mech_plans"] or totals["mech_fallbacks"]:
+        if t("mech_plans_emitted") or t("mech_fallback_epochs"):
             lines.append(
-                f"mech plans {totals['mech_plans']}   "
-                f"fallback epochs {totals['mech_fallbacks']}"
+                f"mech plans {t('mech_plans_emitted')}   "
+                f"fallback epochs {t('mech_fallback_epochs')}"
             )
-        keyed = totals["outcome_hits"] + totals["outcome_misses"]
-        if keyed:
+        hits, misses = t("outcome_hits"), t("outcome_misses")
+        if hits or misses:
             lines.append(
-                f"outcome cache hits {totals['outcome_hits']}/{keyed} "
-                f"({totals['outcome_hits'] / keyed * 100:.0f}% of mounted "
+                f"outcome cache hits {hits}/{hits + misses} "
+                f"({hits / (hits + misses) * 100:.0f}% of mounted "
                 f"states skip walk + usability)"
             )
-        profile_bytes = totals["profile_bytes"]
+        profile_bytes = t("profile", {}).get("bytes", {})
         if any(profile_bytes.values()):
             from repro.obs.profile import human_bytes
 

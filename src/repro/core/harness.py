@@ -9,7 +9,7 @@ crash states, checks each, and triages the findings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Type, Union
 
 from repro.core.checker import CheckerConfig, CheckMemo, ConsistencyChecker
@@ -61,10 +61,6 @@ class ChipmunkConfig:
     #: (:class:`repro.core.checker.CheckMemo`).  ``False`` falls back to
     #: eager whole-image sha1 dedup — same reports, eager cost.
     memoize: bool = True
-    #: Local check-memo bound: LRU cap on *clean* verdict entries per
-    #: workload memo (buggy entries are pinned — see
-    #: :class:`repro.memo.store.MemoTable`); 0 disables the bound.
-    memo_entries: int = 262144
     #: Crash-plan selection: ``"subset"`` enumerates capped store subsets
     #: per fence epoch (the paper's strategy); ``"mech"`` recognizes the
     #: persistence mechanism behind each epoch (:mod:`repro.mech`) and
@@ -103,18 +99,24 @@ RECOVERY_LINE = 64
 
 @dataclass
 class TestResult:
-    """Outcome of testing one workload."""
+    """Outcome of testing one workload.
+
+    The fields are the one schema of a workload result: :meth:`to_dict`,
+    :meth:`from_dict`, the ``workload_result`` trace event and the campaign
+    fold (:func:`repro.obs.campaign.fold`) all derive from them, so a new
+    counter is declared here and nowhere else.
+    """
 
     workload_desc: str
-    reports: List[BugReport]
-    clusters: List[Cluster]
-    n_crash_states: int
-    n_unique_states: int
-    n_fences: int
-    log_length: int
-    inflight: Dict[str, List[int]]
+    reports: List[BugReport] = field(default_factory=list)
+    clusters: List[Cluster] = field(default_factory=list)
+    n_crash_states: int = 0
+    n_unique_states: int = 0
+    n_fences: int = 0
+    log_length: int = 0
+    inflight: Dict[str, List[int]] = field(default_factory=dict)
     #: Total pipeline time; always the sum of :attr:`stage_times`.
-    elapsed: float
+    elapsed: float = 0.0
     errnos: List[Optional[str]] = field(default_factory=list)
     #: Per-stage wall time (keys from :data:`STAGES`), sourced from the
     #: telemetry span layer.
@@ -206,108 +208,36 @@ class TestResult:
         )
 
     # ------------------------------------------------------------------
-    # JSON round-trip.  Campaign workers return results to the parent as
-    # dicts, and the checkpoint journal persists them across kills; the
-    # merge stage rebuilds real ``TestResult`` objects so every existing
-    # aggregator (``CampaignSummary``, ``CampaignStats``) works unchanged.
+    # JSON round-trip.  The dataclass fields are the one schema of a
+    # workload result: campaign workers return results to the parent as
+    # this dict, the checkpoint journal persists it across kills, and the
+    # ``workload_result`` trace event is the same dict minus ``reports``.
     # Clusters are not serialized — they are a pure function of the reports
     # and are re-derived on load, which keeps the journal compact.
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "workload_desc": self.workload_desc,
-            "reports": [r.to_dict() for r in self.reports],
-            "n_crash_states": self.n_crash_states,
-            "n_unique_states": self.n_unique_states,
-            "n_fences": self.n_fences,
-            "log_length": self.log_length,
-            "inflight": {k: list(v) for k, v in self.inflight.items()},
-            "elapsed": self.elapsed,
-            "errnos": list(self.errnos),
-            "stage_times": dict(self.stage_times),
-            "truncated": self.truncated,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_miss_reasons": dict(self.memo_miss_reasons),
-            "memo_collisions": [list(c) for c in self.memo_collisions],
-            "memo_noop_dropped": self.memo_noop_dropped,
-            "memo_shared_hits": self.memo_shared_hits,
-            "memo_shared_errors": self.memo_shared_errors,
-            "memo_evictions": self.memo_evictions,
-            "n_unique_outcomes": self.n_unique_outcomes,
-            "outcome_hits": self.outcome_hits,
-            "outcome_misses": self.outcome_misses,
-            "persistence": {k: dict(v) for k, v in self.persistence.items()},
-            "store_regions": {k: dict(v) for k, v in self.store_regions.items()},
-            "recovery_overlap": dict(self.recovery_overlap),
-            "crash_plans": self.crash_plans,
-            "mech_recognized": dict(self.mech_recognized),
-            "mech_plans_emitted": self.mech_plans_emitted,
-            "mech_fallback_epochs": self.mech_fallback_epochs,
-            "profile": dict(self.profile),
-            "image_backend": self.image_backend,
-        }
+    def to_dict(self, reports: bool = True) -> Dict[str, object]:
+        data = {name: getattr(self, name) for name in _WIRE_FIELDS}
+        data["image_backend"] = IMAGE_BACKEND
+        if reports:
+            data["reports"] = [r.to_dict() for r in self.reports]
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TestResult":
-        reports = [BugReport.from_dict(r) for r in data.get("reports", [])]
+        """Inverse of :meth:`to_dict`: unknown keys are ignored and missing
+        keys take their defaults, so older journals still load."""
+        reports = [BugReport.from_dict(r) for r in data.get("reports", ())]
         return cls(
-            workload_desc=str(data["workload_desc"]),
             reports=reports,
             clusters=triage_reports(reports),
-            n_crash_states=int(data.get("n_crash_states", 0)),
-            n_unique_states=int(data.get("n_unique_states", 0)),
-            n_fences=int(data.get("n_fences", 0)),
-            log_length=int(data.get("log_length", 0)),
-            inflight={
-                str(k): [int(c) for c in v]
-                for k, v in dict(data.get("inflight", {})).items()
-            },
-            elapsed=float(data.get("elapsed", 0.0)),
-            errnos=list(data.get("errnos", [])),
-            stage_times={
-                str(k): float(v)
-                for k, v in dict(data.get("stage_times", {})).items()
-            },
-            truncated=bool(data.get("truncated", False)),
-            memo_hits=int(data.get("memo_hits", 0)),
-            memo_misses=int(data.get("memo_misses", 0)),
-            memo_miss_reasons={
-                str(k): int(v)
-                for k, v in dict(data.get("memo_miss_reasons", {})).items()
-            },
-            memo_collisions=[
-                [str(c[0]), int(c[1])]
-                for c in list(data.get("memo_collisions", []))
-            ],
-            memo_noop_dropped=int(data.get("memo_noop_dropped", 0)),
-            memo_shared_hits=int(data.get("memo_shared_hits", 0)),
-            memo_shared_errors=int(data.get("memo_shared_errors", 0)),
-            memo_evictions=int(data.get("memo_evictions", 0)),
-            n_unique_outcomes=int(data.get("n_unique_outcomes", 0)),
-            outcome_hits=int(data.get("outcome_hits", 0)),
-            outcome_misses=int(data.get("outcome_misses", 0)),
-            persistence={
-                str(k): {str(kk): int(vv) for kk, vv in dict(v).items()}
-                for k, v in dict(data.get("persistence", {})).items()
-            },
-            store_regions={
-                str(k): {str(kk): int(vv) for kk, vv in dict(v).items()}
-                for k, v in dict(data.get("store_regions", {})).items()
-            },
-            recovery_overlap={
-                str(k): int(v)
-                for k, v in dict(data.get("recovery_overlap", {})).items()
-            },
-            crash_plans=str(data.get("crash_plans", "subset")),
-            mech_recognized={
-                str(k): int(v)
-                for k, v in dict(data.get("mech_recognized", {})).items()
-            },
-            mech_plans_emitted=int(data.get("mech_plans_emitted", 0)),
-            mech_fallback_epochs=int(data.get("mech_fallback_epochs", 0)),
-            profile=dict(data.get("profile", {})),
+            **{name: data[name] for name in _WIRE_FIELDS if name in data},
         )
+
+
+#: Serialized :class:`TestResult` fields: all but the report objects.
+_WIRE_FIELDS = tuple(
+    f.name for f in fields(TestResult) if f.name not in ("reports", "clusters")
+)
 
 
 class Chipmunk:
@@ -470,7 +400,6 @@ class Chipmunk:
             telemetry=tel,
             delta=self.config.memoize,
             shared=self.shared_memo,
-            max_entries=self.config.memo_entries,
         )
         planner = None
         if self.config.crash_plans == "mech" and crash_points == "fence":
@@ -637,7 +566,8 @@ class Chipmunk:
 
     def _emit_result(self, tel, result: TestResult) -> None:
         """Counters plus the ``workload_result`` trace event that
-        :meth:`repro.obs.campaign.CampaignStats.from_trace` folds back."""
+        :meth:`repro.analysis.reporting.CampaignSummary.from_traces` folds
+        back: the wire dict minus ``reports``, plus the per-report tallies."""
         tel.count("harness.workloads")
         tel.count("harness.crash_states", result.n_crash_states)
         tel.count("harness.unique_states", result.n_unique_states)
@@ -651,36 +581,10 @@ class Chipmunk:
         tel.event(
             "workload_result",
             fs=self.fs_class.name,
-            desc=result.workload_desc,
-            elapsed=result.elapsed,
-            stages=result.stage_times,
-            n_crash_states=result.n_crash_states,
-            n_unique_states=result.n_unique_states,
-            n_fences=result.n_fences,
             n_reports=len(result.reports),
             n_clusters=len(result.clusters),
-            truncated=result.truncated,
-            memo_hits=result.memo_hits,
-            memo_misses=result.memo_misses,
-            memo_miss_reasons=result.memo_miss_reasons,
-            memo_collisions=result.memo_collisions,
-            memo_noop_dropped=result.memo_noop_dropped,
-            memo_shared_hits=result.memo_shared_hits,
-            memo_shared_errors=result.memo_shared_errors,
-            memo_evictions=result.memo_evictions,
-            n_unique_outcomes=result.n_unique_outcomes,
-            outcome_hits=result.outcome_hits,
-            outcome_misses=result.outcome_misses,
-            persistence=result.persistence,
-            store_regions=result.store_regions,
-            recovery_overlap=result.recovery_overlap,
-            crash_plans=result.crash_plans,
-            mech_recognized=result.mech_recognized,
-            mech_plans_emitted=result.mech_plans_emitted,
-            mech_fallback_epochs=result.mech_fallback_epochs,
-            profile=result.profile,
             outcomes=outcomes,
-            inflight=result.inflight,
+            **result.to_dict(reports=False),
         )
 
     # ------------------------------------------------------------------

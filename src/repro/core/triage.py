@@ -199,9 +199,9 @@ class Triage:
     def add_new(self, reports: List[BugReport]) -> List[Cluster]:
         """Insert a batch, returning only the clusters it *founded*.
 
-        The campaign layers (``CampaignStats``, ``CampaignSummary``, the
-        parallel merge stage) all need "which clusters are new?" to emit
-        time-to-bug points; this replaces their before/after length dance.
+        The campaign aggregate (``CampaignSummary``, in-process and in the
+        parallel merge stage) needs "which clusters are new?" to emit
+        time-to-bug points; this replaces a before/after length dance.
         """
         before = len(self.clusters)
         self.add_all(reports)

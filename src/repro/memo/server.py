@@ -144,7 +144,9 @@ class MemoServer:
                     # is no way to resynchronize a byte stream mid-frame.
                     self.frame_errors += 1
                     return
-                if request is None:
+                # A request that arrives after stop() is not answered: a
+                # stopped service must look dead to a connected client.
+                if request is None or self._stop.is_set():
                     return
                 send_frame(conn, self._handle(request))
         except OSError:

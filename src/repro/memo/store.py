@@ -38,9 +38,11 @@ CLEAN = "clean"
 BUGGY = "buggy"
 VERDICTS = (CLEAN, BUGGY)
 
-#: Default clean-entry cap.  A seq-2 campaign checks ~10^5 distinct states;
-#: at ~100 bytes per table entry this bounds the store near 25 MiB while
-#: still holding an entire campaign's working set.
+#: Clean-entry cap of every workload's local memo and of the engine-hosted
+#: shared service (``repro memod --max-entries`` overrides it for a
+#: standalone service).  A seq-2 campaign checks ~10^5 distinct states; at
+#: ~100 bytes per table entry this bounds the store near 25 MiB while still
+#: holding an entire campaign's working set.
 DEFAULT_MAX_ENTRIES = 262144
 
 

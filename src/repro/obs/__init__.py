@@ -5,8 +5,9 @@ The subsystem is dependency-free and split by concern:
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms;
 * :mod:`repro.obs.tracing` — nestable spans, ring-buffer recorder, JSONL
   and Chrome trace-event exporters;
-* :mod:`repro.obs.campaign` — :class:`~repro.obs.campaign.CampaignStats`,
-  the aggregator behind ``python -m repro stats``.
+* :mod:`repro.obs.campaign` — :func:`~repro.obs.campaign.fold`, the one
+  additive fold of per-workload results that every campaign aggregate
+  (``repro stats``, ``coverage``, ``watch``, ``diff``, report.md) uses.
 
 :class:`Telemetry` is the facade the pipeline is instrumented against;
 :data:`NULL` is the no-op implementation installed by default.  The null

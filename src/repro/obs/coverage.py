@@ -8,8 +8,10 @@ distinct outcomes, how much of the stored data does recovery even read?
 :class:`CoverageReport` aggregates those distributions from data the
 pipeline already produces (serialized :class:`~repro.core.harness.TestResult`
 dicts in a campaign's checkpoint journal, or ``workload_result`` events in
-``--trace`` JSONL files) and renders them as a markdown report with ASCII
-CDFs that campaigns drop next to ``report.md`` and ``forensics.md``.
+``--trace`` JSONL files), folded by the same
+:class:`~repro.obs.campaign.ResultFold` as every campaign aggregate, and
+renders them as a markdown report with ASCII CDFs that campaigns drop next
+to ``report.md`` and ``forensics.md``.
 
 The module stays dependency-light like the rest of :mod:`repro.obs`:
 campaign-journal access is deferred into the builder function, so importing
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.tracing import read_jsonl
+from repro.obs.campaign import ResultFold
 
 #: Bar width of the ASCII CDF / histogram renderings.
 BAR_WIDTH = 40
@@ -96,135 +98,43 @@ def _percentile(sorted_values: Sequence[int], q: float) -> int:
 
 
 @dataclass
-class CoverageReport:
-    """Aggregated exploration-coverage distributions of one campaign."""
+class CoverageReport(ResultFold):
+    """Aggregated exploration-coverage distributions of one campaign.
 
-    fs_name: str = "?"
-    generator: str = "?"
-    meta: Dict[str, object] = field(default_factory=dict)
+    The counters are the shared result fold (:attr:`totals`, keyed by
+    ``TestResult`` field names); only the per-workload distributions below
+    are coverage's own.
+    """
 
-    workloads: int = 0
     buggy_workloads: int = 0
-    n_reports: int = 0
-    truncated: int = 0
-
-    #: fs -> syscall -> in-flight unit count at each fence epoch.
-    inflight: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
     fences_per_workload: List[int] = field(default_factory=list)
     stores_per_workload: List[int] = field(default_factory=list)
-
-    #: persistence function -> {stores, flushes, fences, bytes}.
-    persistence: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: layout region -> {writes, bytes}.
-    store_regions: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    states_enumerated: int = 0
-    states_checked: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_noop_dropped: int = 0
-    #: Hits served by the campaign-wide shared memo service (a subset of
-    #: :attr:`memo_hits`: cross-workload/cross-worker clean-verdict dedup).
-    memo_shared_hits: int = 0
-    #: Clean entries LRU-evicted from bounded local memos.
-    memo_evictions: int = 0
-    miss_reasons: Dict[str, int] = field(default_factory=dict)
     #: content-key hex -> max distinct overlay shapes seen (per workload).
     collisions: Dict[str, int] = field(default_factory=dict)
-    unique_outcomes: int = 0
-    #: Recovered-outcome cache: mounted states that reused / ran the walk
-    #: and usability pass (the realised part of :attr:`outcome_headroom`).
-    outcome_hits: int = 0
-    outcome_misses: int = 0
 
-    #: Crash-plan mode ("subset" | "mech" | "mixed"; "?" until data arrives).
-    crash_plans: str = "?"
-    #: mechanism kind -> fence epochs recognized as that kind.
-    mech_recognized: Dict[str, int] = field(default_factory=dict)
-    mech_plans_emitted: int = 0
-    mech_fallback_epochs: int = 0
-
-    recovery: Dict[str, int] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    # Ingestion: one entry point for both journal result dicts and
-    # ``workload_result`` trace-event fields (the keys coincide by design).
-    # ------------------------------------------------------------------
     def add_fields(self, fields: Dict[str, object]) -> None:
-        self.workloads += 1
-        n_reports = int(
-            fields.get("n_reports", len(list(fields.get("reports", []))))
-        )
-        self.n_reports += n_reports
-        if n_reports:
+        """Fold one journal result dict or ``workload_result`` event."""
+        super().add_fields(fields)
+        # Every file system seen gets a window table, in-flight data or not.
+        self.inflight.setdefault(str(fields.get("fs", self.fs_name)), {})
+        if fields.get("n_reports", len(fields.get("reports", ()))):
             self.buggy_workloads += 1
-        if fields.get("truncated"):
-            self.truncated += 1
-        self.states_enumerated += int(fields.get("n_crash_states", 0))
-        self.states_checked += int(fields.get("n_unique_states", 0))
-        self.memo_hits += int(fields.get("memo_hits", 0))
-        self.memo_misses += int(fields.get("memo_misses", 0))
-        self.memo_noop_dropped += int(fields.get("memo_noop_dropped", 0))
-        self.memo_shared_hits += int(fields.get("memo_shared_hits", 0))
-        self.memo_evictions += int(fields.get("memo_evictions", 0))
-        self.unique_outcomes += int(fields.get("n_unique_outcomes", 0))
-        self.outcome_hits += int(fields.get("outcome_hits", 0))
-        self.outcome_misses += int(fields.get("outcome_misses", 0))
         self.fences_per_workload.append(int(fields.get("n_fences", 0)))
-        for reason, n in dict(fields.get("memo_miss_reasons", {})).items():
-            self.miss_reasons[str(reason)] = (
-                self.miss_reasons.get(str(reason), 0) + int(n)
-            )
-        for pair in list(fields.get("memo_collisions", [])):
-            key, count = str(pair[0]), int(pair[1])
-            self.collisions[key] = max(self.collisions.get(key, 0), count)
-        mode = str(fields.get("crash_plans", "subset"))
-        if self.crash_plans == "?":
-            self.crash_plans = mode
-        elif self.crash_plans != mode:
-            self.crash_plans = "mixed"
-        for kind, n in dict(fields.get("mech_recognized", {})).items():
-            self.mech_recognized[str(kind)] = (
-                self.mech_recognized.get(str(kind), 0) + int(n)
-            )
-        self.mech_plans_emitted += int(fields.get("mech_plans_emitted", 0))
-        self.mech_fallback_epochs += int(fields.get("mech_fallback_epochs", 0))
-        stores = 0
-        for func, mix in dict(fields.get("persistence", {})).items():
-            mix = dict(mix)
-            bucket = self.persistence.setdefault(
-                str(func), {"stores": 0, "flushes": 0, "fences": 0, "bytes": 0}
-            )
-            for k in bucket:
-                bucket[k] += int(mix.get(k, 0))
-            stores += int(mix.get("stores", 0)) + int(mix.get("flushes", 0))
-        self.stores_per_workload.append(stores)
-        for region, traffic in dict(fields.get("store_regions", {})).items():
-            traffic = dict(traffic)
-            bucket = self.store_regions.setdefault(
-                str(region), {"writes": 0, "bytes": 0}
-            )
-            for k in bucket:
-                bucket[k] += int(traffic.get(k, 0))
-        for k, v in dict(fields.get("recovery_overlap", {})).items():
-            self.recovery[str(k)] = self.recovery.get(str(k), 0) + int(v)
-        fs = str(fields.get("fs", self.fs_name))
-        if self.fs_name == "?" and fs != "?":
-            self.fs_name = fs
-        bucket_fs = fs if fs != "?" else self.fs_name
-        per_syscall = self.inflight.setdefault(bucket_fs, {})
-        for syscall, counts in dict(fields.get("inflight", {})).items():
-            per_syscall.setdefault(str(syscall), []).extend(
-                int(c) for c in counts
+        self.stores_per_workload.append(sum(
+            int(mix.get("stores", 0)) + int(mix.get("flushes", 0))
+            for mix in dict(fields.get("persistence", {})).values()
+        ))
+        for key, count in fields.get("memo_collisions", ()):
+            self.collisions[str(key)] = max(
+                self.collisions.get(str(key), 0), int(count)
             )
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def memo_hit_rate(self) -> float:
-        total = self.memo_hits + self.memo_misses
-        return self.memo_hits / total if total else 0.0
+    def miss_reasons(self) -> Dict[str, int]:
+        return self.total("memo_miss_reasons", {})
 
     @property
     def attribution_consistent(self) -> bool:
@@ -240,26 +150,28 @@ class CoverageReport:
     @property
     def outcome_headroom(self) -> float:
         """Fraction of checked states recovering to an already-seen outcome."""
-        if not self.states_checked:
+        if not self.unique_states:
             return 0.0
-        return 1.0 - self.unique_outcomes / self.states_checked
+        return 1.0 - self.total("n_unique_outcomes") / self.unique_states
 
     @property
     def mech_recognized_fraction(self) -> float:
         """Fraction of classified epochs explained by a real mechanism
         (anything but the ``unstructured`` fallback kind)."""
-        total = sum(self.mech_recognized.values())
+        recognized = self.total("mech_recognized", {})
+        total = sum(recognized.values())
         if not total:
             return 0.0
-        return 1.0 - self.mech_recognized.get("unstructured", 0) / total
+        return 1.0 - recognized.get("unstructured", 0) / total
 
     @property
     def recovery_unread_fraction(self) -> float:
         """Fraction of stored cache lines recovery never reads."""
-        stored = self.recovery.get("store_lines", 0)
+        recovery = self.total("recovery_overlap", {})
+        stored = recovery.get("store_lines", 0)
         if not stored:
             return 0.0
-        return 1.0 - self.recovery.get("overlap_lines", 0) / stored
+        return 1.0 - recovery.get("overlap_lines", 0) / stored
 
     def all_window_sizes(self, fs: Optional[str] = None) -> List[int]:
         merged: List[int] = []
@@ -274,40 +186,41 @@ class CoverageReport:
     # Export
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
+        t = self.total
         return {
             "fs": self.fs_name,
             "generator": self.generator,
-            "workloads": self.workloads,
+            "workloads": self.workloads_tested,
             "buggy_workloads": self.buggy_workloads,
-            "reports": self.n_reports,
-            "truncated_workloads": self.truncated,
-            "states_enumerated": self.states_enumerated,
-            "states_checked": self.states_checked,
+            "reports": t("n_reports"),
+            "truncated_workloads": self.truncated_workloads,
+            "states_enumerated": self.crash_states,
+            "states_checked": self.unique_states,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
-            "memo_noop_writes_dropped": self.memo_noop_dropped,
+            "memo_noop_writes_dropped": t("memo_noop_dropped"),
             "memo_shared_hits": self.memo_shared_hits,
-            "memo_evictions": self.memo_evictions,
+            "memo_evictions": t("memo_evictions"),
             "memo_miss_reasons": dict(self.miss_reasons),
             "memo_miss_reasons_consistent": self.attribution_consistent,
             "memo_collisions": sorted(
                 self.collisions.items(), key=lambda kv: (-kv[1], kv[0])
             ),
-            "unique_outcomes": self.unique_outcomes,
+            "unique_outcomes": t("n_unique_outcomes"),
             "outcome_headroom": self.outcome_headroom,
-            "outcome_hits": self.outcome_hits,
-            "outcome_misses": self.outcome_misses,
-            "crash_plans": self.crash_plans,
-            "mech_recognized": dict(self.mech_recognized),
-            "mech_plans_emitted": self.mech_plans_emitted,
-            "mech_fallback_epochs": self.mech_fallback_epochs,
+            "outcome_hits": t("outcome_hits"),
+            "outcome_misses": t("outcome_misses"),
+            "crash_plans": t("crash_plans", "?"),
+            "mech_recognized": dict(t("mech_recognized", {})),
+            "mech_plans_emitted": t("mech_plans_emitted"),
+            "mech_fallback_epochs": t("mech_fallback_epochs"),
             "mech_recognized_fraction": self.mech_recognized_fraction,
             "fences_per_workload": list(self.fences_per_workload),
             "stores_per_workload": list(self.stores_per_workload),
-            "persistence": {k: dict(v) for k, v in self.persistence.items()},
-            "store_regions": {k: dict(v) for k, v in self.store_regions.items()},
-            "recovery": dict(self.recovery),
+            "persistence": {k: dict(v) for k, v in t("persistence", {}).items()},
+            "store_regions": {k: dict(v) for k, v in t("store_regions", {}).items()},
+            "recovery": dict(t("recovery_overlap", {})),
             "recovery_unread_fraction": self.recovery_unread_fraction,
             "inflight": {
                 fs: {s: list(c) for s, c in per.items()}
@@ -319,6 +232,7 @@ class CoverageReport:
     # Markdown rendering
     # ------------------------------------------------------------------
     def render_markdown(self) -> str:
+        t = self.total
         lines: List[str] = []
         lines.append(
             f"# Exploration coverage: {self.fs_name} ({self.generator})"
@@ -332,10 +246,11 @@ class CoverageReport:
             lines.append(
                 "- " + ", ".join(f"**{k}:** {v}" for k, v in extras.items())
             )
-        lines.append(f"- **workloads:** {self.workloads}"
-                     + (f" ({self.truncated} truncated)" if self.truncated else ""))
+        truncated = self.truncated_workloads
+        lines.append(f"- **workloads:** {self.workloads_tested}"
+                     + (f" ({truncated} truncated)" if truncated else ""))
         lines.append(
-            f"- **findings:** {self.n_reports} report(s) across "
+            f"- **findings:** {t('n_reports')} report(s) across "
             f"{self.buggy_workloads} buggy workload(s)"
         )
         lines.append("")
@@ -348,32 +263,33 @@ class CoverageReport:
         )
         lines.append("| ---: | ---: | ---: | ---: | ---: | ---: |")
         lines.append(
-            f"| {self.states_enumerated} | {self.states_checked} | "
+            f"| {self.crash_states} | {self.unique_states} | "
             f"{self.memo_hits} | {self.memo_shared_hits} | "
             f"{self.memo_hit_rate * 100:.1f}% | "
-            f"{self.unique_outcomes} |"
+            f"{t('n_unique_outcomes')} |"
         )
         lines.append("")
-        if self.memo_shared_hits or self.memo_evictions:
+        if self.memo_shared_hits or t("memo_evictions"):
             lines.append(
                 f"The campaign-wide shared memo served "
                 f"{self.memo_shared_hits} clean-verdict hit(s) across "
-                f"workloads/workers; {self.memo_evictions} clean local "
+                f"workloads/workers; {t('memo_evictions')} clean local "
                 f"entrie(s) were LRU-evicted under the memo bound."
             )
             lines.append("")
-        if self.states_checked:
+        hits, misses = t("outcome_hits"), t("outcome_misses")
+        if self.unique_states:
             lines.append(
-                f"Of {self.states_checked} checked states, only "
-                f"{self.unique_outcomes} recovered to distinct observable "
+                f"Of {self.unique_states} checked states, only "
+                f"{t('n_unique_outcomes')} recovered to distinct observable "
                 f"outcomes — **{self.outcome_headroom * 100:.1f}% headroom** "
                 f"for WITCHER-style output-equivalence pruning."
                 + (
                     f"  Realised: the recovered-outcome cache skipped walk + "
-                    f"usability on {self.outcome_hits} state(s) "
-                    f"({self.outcome_hits / self.states_checked * 100:.1f}% "
-                    f"of checked; {self.outcome_misses} ran in full)."
-                    if self.outcome_hits or self.outcome_misses else ""
+                    f"usability on {hits} state(s) "
+                    f"({hits / self.unique_states * 100:.1f}% "
+                    f"of checked; {misses} ran in full)."
+                    if hits or misses else ""
                 )
             )
             lines.append("")
@@ -423,11 +339,12 @@ class CoverageReport:
 
         lines.append("## Persistence-mechanism store breakdown")
         lines.append("")
-        if self.persistence:
+        persistence = t("persistence", {})
+        if persistence:
             lines.append("| function | stores | flushes | fences | bytes |")
             lines.append("| --- | ---: | ---: | ---: | ---: |")
             ordered_funcs = sorted(
-                self.persistence.items(),
+                persistence.items(),
                 key=lambda kv: -(kv[1]["stores"] + kv[1]["flushes"] + kv[1]["fences"]),
             )
             for func, mix in ordered_funcs:
@@ -441,21 +358,22 @@ class CoverageReport:
 
         lines.append("## Mechanism recognition")
         lines.append("")
-        if self.mech_recognized:
-            total = sum(self.mech_recognized.values()) or 1
+        recognized = t("mech_recognized", {})
+        if recognized:
+            total = sum(recognized.values()) or 1
             lines.append(
-                f"Crash-plan mode: `{self.crash_plans}` — "
+                f"Crash-plan mode: `{t('crash_plans', '?')}` — "
                 f"{self.mech_recognized_fraction * 100:.1f}% of {total} "
                 f"classified epoch(s) explained by a recognized mechanism; "
-                f"{self.mech_plans_emitted} targeted state(s) emitted, "
-                f"{self.mech_fallback_epochs} epoch(s) fell back to subset "
+                f"{t('mech_plans_emitted')} targeted state(s) emitted, "
+                f"{t('mech_fallback_epochs')} epoch(s) fell back to subset "
                 f"enumeration."
             )
             lines.append("")
             lines.append("| mechanism kind | epochs | share |")
             lines.append("| --- | ---: | ---: |")
             for kind, n in sorted(
-                self.mech_recognized.items(), key=lambda kv: (-kv[1], kv[0])
+                recognized.items(), key=lambda kv: (-kv[1], kv[0])
             ):
                 lines.append(f"| `{kind}` | {n} | {n / total * 100:.1f}% |")
         else:
@@ -466,11 +384,12 @@ class CoverageReport:
 
         lines.append("## Store placement by layout region")
         lines.append("")
-        if self.store_regions:
+        regions = t("store_regions", {})
+        if regions:
             lines.append("| region | writes | bytes |")
             lines.append("| --- | ---: | ---: |")
             for region, traffic in sorted(
-                self.store_regions.items(), key=lambda kv: -kv[1]["writes"]
+                regions.items(), key=lambda kv: -kv[1]["writes"]
             ):
                 lines.append(
                     f"| `{region}` | {traffic['writes']} | {traffic['bytes']} |"
@@ -502,7 +421,7 @@ class CoverageReport:
                 f"(`overlay_shape` + `noop_write_perturbation` — the memo "
                 f"keys on the byte-granular content address, so any "
                 f"nonzero count is a key-purity regression); "
-                f"{self.memo_noop_dropped} no-op overlay write(s) dropped "
+                f"{t('memo_noop_dropped')} no-op overlay write(s) dropped "
                 f"before digesting."
             )
             lines.append("")
@@ -525,12 +444,13 @@ class CoverageReport:
 
         lines.append("## Recovery-read redundancy")
         lines.append("")
-        if self.recovery.get("store_lines"):
+        recovery = t("recovery_overlap", {})
+        if recovery.get("store_lines"):
             lines.append(
                 f"Summed over workloads: recovery read "
-                f"{self.recovery.get('read_lines', 0)} cache line(s) at "
-                f"mount, workloads stored {self.recovery['store_lines']}, "
-                f"overlap {self.recovery.get('overlap_lines', 0)} — "
+                f"{recovery.get('read_lines', 0)} cache line(s) at "
+                f"mount, workloads stored {recovery['store_lines']}, "
+                f"overlap {recovery.get('overlap_lines', 0)} — "
                 f"**{self.recovery_unread_fraction * 100:.1f}%** of stored "
                 f"lines are never read by recovery (Vinter-heuristic "
                 f"redundancy)."
@@ -577,26 +497,6 @@ def coverage_from_campaign_dir(campaign_dir: str) -> CoverageReport:
         meta["seq"] = spec.seq
     report = CoverageReport(fs_name=fs, generator=generator)
     report.meta.update(meta)
-    for item_id in sorted(state.results, key=lambda i: state.ordinals.get(i, 0)):
-        for fields in state.results[item_id]:
-            report.add_fields(fields)
-    return report
-
-
-def coverage_from_traces(paths: Sequence[str]) -> CoverageReport:
-    """Build a report from ``--trace`` JSONL files (``workload_result``)."""
-    report = CoverageReport()
-    for path in paths:
-        for rec in read_jsonl(path):
-            kind = rec.get("type")
-            if kind == "meta":
-                report.meta.update(
-                    {k: v for k, v in rec.items() if k != "type"}
-                )
-                report.fs_name = str(report.meta.get("fs", report.fs_name))
-                report.generator = str(
-                    report.meta.get("generator", report.generator)
-                )
-            elif kind == "event" and rec.get("name") == "workload_result":
-                report.add_fields(rec.get("fields", {}))
+    for fields in state.ordered_results():
+        report.add_fields(fields)
     return report

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.report import BugReport
+from repro.obs.campaign import ResultFold
 
 __all__ = ["DiffSide", "CampaignDiff", "load_side", "diff_sides", "render_diff"]
 
@@ -94,22 +95,23 @@ class CampaignDiff:
         return self.strict_equal is False
 
 
-def _metrics_of_stats(stats) -> Dict[str, float]:
-    """Headline metrics from a :class:`~repro.obs.campaign.CampaignStats`."""
+def _metrics_of(agg) -> Dict[str, float]:
+    """Headline metrics from a :class:`~repro.obs.campaign.ResultFold`."""
+    t = agg.total
     metrics = {
-        "workloads": float(stats.n_workloads),
-        "states_enumerated": float(stats.n_crash_states),
-        "states_checked": float(stats.n_unique_states),
-        "memo_hit_rate": stats.memo_hit_rate,
-        "mech_plans_emitted": float(stats.n_mech_plans_emitted),
-        "mech_fallback_epochs": float(stats.n_mech_fallback_epochs),
-        "reports": float(stats.n_reports),
-        "wall_time_seconds": stats.wall_time,
-        "states_per_sec": stats.states_per_second,
+        "workloads": float(agg.workloads_tested),
+        "states_enumerated": float(agg.crash_states),
+        "states_checked": float(agg.unique_states),
+        "memo_hit_rate": agg.memo_hit_rate,
+        "mech_plans_emitted": float(t("mech_plans_emitted")),
+        "mech_fallback_epochs": float(t("mech_fallback_epochs")),
+        "reports": float(t("n_reports")),
+        "wall_time_seconds": agg.wall_time,
+        "states_per_sec": agg.states_per_second,
     }
-    if stats.n_memo_misses:
+    if agg.memo_misses:
         metrics["coverage_headroom"] = (
-            1.0 - stats.n_unique_outcomes / stats.n_memo_misses
+            1.0 - t("n_unique_outcomes") / agg.memo_misses
         )
     return metrics
 
@@ -131,11 +133,8 @@ def _parse_reports(report_dicts: List[dict]) -> List[BugReport]:
 
 def load_side(path: str) -> DiffSide:
     """Load one comparand; raises ``FileNotFoundError``/``ValueError``."""
-    from repro.obs.campaign import CampaignStats
-
     if os.path.isdir(path):
         from repro.campaign.journal import CheckpointJournal
-        from repro.core.harness import TestResult
 
         side = DiffSide(path=path)
         bugs_path = os.path.join(path, "bugs.json")
@@ -145,25 +144,18 @@ def load_side(path: str) -> DiffSide:
             side.reports = _parse_reports(side.report_dicts)
         state = CheckpointJournal.replay(path)
         if state.results:
-            stats = CampaignStats()
-            for item_id in sorted(
-                state.results, key=lambda i: state.ordinals.get(i, 0)
-            ):
-                for result_dict in state.results[item_id]:
-                    stats.add_result(TestResult.from_dict(result_dict))
-            side.metrics = _metrics_of_stats(stats)
+            result_dicts = state.ordered_results()
+            agg = ResultFold()
+            for result_dict in result_dicts:
+                agg.add_fields(result_dict)
+            side.metrics = _metrics_of(agg)
             if side.reports is None:
                 # No merged bugs.json (campaign interrupted before merge):
                 # fall back to the journal's full report stream — the diff's
                 # own triage pass dedups it.
-                side.reports = [
-                    report
-                    for item_id in sorted(
-                        state.results, key=lambda i: state.ordinals.get(i, 0)
-                    )
-                    for result_dict in state.results[item_id]
-                    for report in TestResult.from_dict(result_dict).reports
-                ]
+                side.reports = _parse_reports([
+                    r for d in result_dicts for r in d.get("reports", ())
+                ])
         if side.reports is None and not side.metrics:
             raise FileNotFoundError(
                 f"{path}: neither bugs.json nor journal.jsonl found"
@@ -172,8 +164,8 @@ def load_side(path: str) -> DiffSide:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     if path.endswith(".jsonl"):
-        stats = CampaignStats.from_traces([path])
-        return DiffSide(path=path, metrics=_metrics_of_stats(stats))
+        agg = ResultFold.from_traces([path])
+        return DiffSide(path=path, metrics=_metrics_of(agg))
     with open(path, "r", encoding="utf-8") as fh:
         report_dicts = _parse_report_dicts(json.load(fh))
     return DiffSide(

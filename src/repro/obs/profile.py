@@ -38,6 +38,8 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.campaign import fold
+
 __all__ = [
     "ACTIVE",
     "BYTE_CATEGORIES",
@@ -184,28 +186,25 @@ def install(profiler: Profiler):
 # Aggregation + rendering (the ``repro profile`` CLI surface)
 # ----------------------------------------------------------------------
 def merge_profiles(profiles: Iterable[Dict[str, object]]) -> Dict[str, object]:
-    """Sum per-workload profile dicts into one campaign-level profile."""
-    stages: Dict[str, float] = {}
+    """Sum per-workload profile dicts into one campaign-level profile:
+    stages and bytes through the shared result fold, site rows by key."""
+    merged: Dict[str, object] = {
+        "stages": {}, "bytes": {cat: 0 for cat in BYTE_CATEGORIES},
+    }
     sites: Dict[Tuple[str, str], List[float]] = {}
-    nbytes: Dict[str, int] = {cat: 0 for cat in BYTE_CATEGORIES}
     for prof in profiles:
-        if not prof:
-            continue
-        for stage, seconds in dict(prof.get("stages", {})).items():
-            stages[stage] = stages.get(stage, 0.0) + float(seconds)
+        fold(merged, prof)
         for stage, site, calls, seconds, sbytes in prof.get("sites", []):
             cell = sites.setdefault((stage, site), [0, 0.0, 0])
             cell[0] += int(calls)
             cell[1] += float(seconds)
             cell[2] += int(sbytes)
-        for cat, n in dict(prof.get("bytes", {})).items():
-            nbytes[cat] = nbytes.get(cat, 0) + int(n)
-    rows = [
-        [stage, site, calls, seconds, b]
-        for (stage, site), (calls, seconds, b) in sites.items()
-    ]
-    rows.sort(key=lambda row: -row[3])
-    return {"stages": stages, "sites": rows, "bytes": nbytes}
+    merged["sites"] = sorted(
+        ([stage, site, calls, seconds, b]
+         for (stage, site), (calls, seconds, b) in sites.items()),
+        key=lambda row: -row[3],
+    )
+    return merged
 
 
 def human_bytes(n: int) -> str:

@@ -61,3 +61,40 @@ class TestBuildChipmunk:
         assert chipmunk.fs_class.name == "winefs"
         assert chipmunk.config.cap == 1
         assert chipmunk.bugs == BugConfig.fixed()
+
+
+class TestLegacySpecKeys:
+    """Journals written while ``memo_entries`` was a spec field resume: the
+    local memo bound is now the module constant next to ``MemoTable``."""
+
+    def test_memo_entries_key_is_dropped(self):
+        data = {**CampaignSpec(fs="nova").to_dict(), "memo_entries": 1024}
+        assert CampaignSpec.from_dict(data) == CampaignSpec(fs="nova")
+
+    def test_journal_with_memo_entries_resumes(self, tmp_path):
+        import json
+        import os
+
+        from repro.campaign import CampaignEngine, EngineConfig
+
+        spec = CampaignSpec(fs="nova", seq=1, max_workloads=4)
+        config = EngineConfig(workers=1, batch_size=1)
+        campaign_dir = str(tmp_path / "camp")
+        CampaignEngine(spec, campaign_dir, config).run()
+        path = os.path.join(campaign_dir, "journal.jsonl")
+        kept = []
+        for line in open(path):
+            record = json.loads(line)
+            if record["type"] == "campaign_meta":
+                record["spec"]["memo_entries"] = 262144
+            if record["type"] == "campaign_done" or (
+                record["type"] == "item_done" and record["ordinal"] >= 2
+            ):
+                continue
+            kept.append(json.dumps(record))
+        with open(path, "w") as fh:
+            fh.write("\n".join(kept) + "\n")
+
+        merged = CampaignEngine(spec, campaign_dir, config, resume=True).run()
+        assert merged.engine["items_resumed"] == 2
+        assert merged.summary.workloads_tested == 4

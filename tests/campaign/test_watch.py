@@ -65,9 +65,9 @@ class TestSnapshot:
         assert snap.n_quarantined == 0
         assert snap.rate_per_min > 0
         assert snap.eta_s is None
-        totals = snap.fold_counters()
-        assert totals["crash_states"] == merged.summary.crash_states
-        assert totals["reports"] > 0
+        agg = snap.aggregate()
+        assert agg.crash_states == merged.summary.crash_states
+        assert agg.total("n_reports") > 0
         # the engine cleans up the heartbeat beacons with the results files
         assert not [n for n in os.listdir(campaign_dir) if n.endswith(".hb")]
 
@@ -109,11 +109,11 @@ class TestSnapshot:
         CampaignEngine(spec, campaign_dir,
                        EngineConfig(workers=2, batch_size=2)).run()
         snap = CampaignMonitor(campaign_dir).snapshot()
-        totals = snap.fold_counters()
-        assert totals["mech_plans"] > 0
+        totals = snap.aggregate().totals
+        assert totals["mech_plans_emitted"] > 0
         # A clean pipeline copies no image: zero categories stay unlisted.
-        assert totals["profile_bytes"]["materialized"] == 0
-        assert totals["profile_bytes"]["digest_hashed"] > 0
+        assert totals["profile"]["bytes"]["materialized"] == 0
+        assert totals["profile"]["bytes"]["digest_hashed"] > 0
         frame = CampaignMonitor(campaign_dir).render(snap)
         assert "mech plans" in frame
         assert "profile bytes:" in frame

@@ -1,9 +1,10 @@
-"""CampaignStats aggregation: time-to-bug ordering, rates, trace rebuild."""
+"""Campaign aggregation: time-to-bug ordering, rates, trace rebuild."""
 
+from repro.analysis.reporting import CampaignSummary
 from repro.core import Chipmunk
 from repro.fs.bugs import BugConfig
 from repro.obs import Telemetry
-from repro.obs.campaign import CampaignStats, TimeToBug
+from repro.obs.campaign import TimeToBug
 from repro.workloads.ops import Op
 
 CLEAN = [Op("creat", ("/x",))]
@@ -16,26 +17,26 @@ def run(workload, **kwargs):
 
 class TestAggregation:
     def test_counts_and_rates(self):
-        stats = CampaignStats(fs_name="nova", generator="ace")
+        stats = CampaignSummary(fs_name="nova", generator="ace")
         result = run(CLEAN, bugs=BugConfig.fixed())
         stats.add_result(result)
         stats.add_result(run(CLEAN, bugs=BugConfig.fixed()))
-        assert stats.n_workloads == 2
-        assert stats.n_crash_states == 2 * result.n_crash_states
+        assert stats.workloads_tested == 2
+        assert stats.crash_states == 2 * result.n_crash_states
         assert stats.wall_time > 0
         assert stats.states_per_second > 0
         assert 0.0 <= stats.dedup_hit_rate < 1.0
-        assert stats.outcome_counts == {}
+        assert stats.total("outcomes", {}) == {}
         assert stats.time_to_bug == []
 
     def test_stage_totals_cover_all_stages(self):
-        stats = CampaignStats(fs_name="nova")
+        stats = CampaignSummary(fs_name="nova")
         stats.add_result(run(CLEAN, bugs=BugConfig.fixed()))
         for stage in ("record", "oracle", "enumerate", "check", "triage"):
-            assert stage in stats.stage_totals
+            assert stage in stats.totals["stage_times"]
 
     def test_inflight_merged_per_fs_and_syscall(self):
-        stats = CampaignStats(fs_name="nova")
+        stats = CampaignSummary(fs_name="nova")
         stats.add_result(run(CLEAN, bugs=BugConfig.fixed()))
         stats.add_result(run(CLEAN, bugs=BugConfig.fixed()))
         assert "nova" in stats.inflight
@@ -45,7 +46,7 @@ class TestAggregation:
 
 class TestTimeToBug:
     def test_series_is_cumulative_and_ordered(self):
-        stats = CampaignStats(fs_name="nova")
+        stats = CampaignSummary(fs_name="nova")
         stats.add_result(run(CLEAN, bugs=BugConfig.fixed()))
         stats.add_result(run(BUGGY, bugs=BugConfig.only(5)))
         assert stats.time_to_bug, "buggy workload must open at least one cluster"
@@ -61,7 +62,7 @@ class TestTimeToBug:
             assert a.t <= b.t
 
     def test_known_cluster_does_not_reappear(self):
-        stats = CampaignStats(fs_name="nova")
+        stats = CampaignSummary(fs_name="nova")
         stats.add_result(run(BUGGY, bugs=BugConfig.only(5)))
         n = len(stats.time_to_bug)
         stats.add_result(run(BUGGY, bugs=BugConfig.only(5)))
@@ -69,7 +70,7 @@ class TestTimeToBug:
 
     def test_cluster_found_events_emitted_through_telemetry(self):
         tel = Telemetry()
-        stats = CampaignStats(fs_name="nova", telemetry=tel)
+        stats = CampaignSummary(fs_name="nova", telemetry=tel)
         stats.add_result(run(BUGGY, bugs=BugConfig.only(5)))
         events = [r for r in tel.tracer.records
                   if r["type"] == "event" and r["name"] == "cluster_found"]
@@ -82,21 +83,21 @@ class TestFromTrace:
         tel = Telemetry()
         tel.meta.update(fs="nova", generator="ace", seed=7)
         cm = Chipmunk("nova", bugs=BugConfig.only(5), telemetry=tel)
-        live = CampaignStats(fs_name="nova", generator="ace", telemetry=tel)
+        live = CampaignSummary(fs_name="nova", generator="ace", telemetry=tel)
         live.add_result(cm.test_workload(CLEAN))
         live.add_result(cm.test_workload(BUGGY))
         path = str(tmp_path / "trace.jsonl")
         tel.export_jsonl(path)
 
-        rebuilt = CampaignStats.from_trace(path)
+        rebuilt = CampaignSummary.from_traces([path])
         assert rebuilt.fs_name == "nova"
         assert rebuilt.generator == "ace"
         assert rebuilt.meta["seed"] == 7
-        assert rebuilt.n_workloads == live.n_workloads
-        assert rebuilt.n_crash_states == live.n_crash_states
-        assert rebuilt.n_unique_states == live.n_unique_states
-        assert rebuilt.n_reports == live.n_reports
-        assert rebuilt.outcome_counts == live.outcome_counts
+        assert rebuilt.workloads_tested == live.workloads_tested
+        assert rebuilt.crash_states == live.crash_states
+        assert rebuilt.unique_states == live.unique_states
+        assert rebuilt.total("n_reports") == live.total("n_reports")
+        assert rebuilt.total("outcomes") == live.total("outcomes")
         assert rebuilt.inflight == live.inflight
         assert abs(rebuilt.wall_time - live.wall_time) < 1e-9
         assert [(e.cluster, e.workload) for e in rebuilt.time_to_bug] == \
@@ -106,11 +107,11 @@ class TestFromTrace:
         tel = Telemetry()
         tel.meta.update(fs="nova", generator="ace")
         cm = Chipmunk("nova", bugs=BugConfig.only(5), telemetry=tel)
-        stats = CampaignStats(fs_name="nova", generator="ace", telemetry=tel)
+        stats = CampaignSummary(fs_name="nova", generator="ace", telemetry=tel)
         stats.add_result(cm.test_workload(BUGGY))
         path = str(tmp_path / "trace.jsonl")
         tel.export_jsonl(path)
-        text = CampaignStats.from_trace(path).render()
+        text = CampaignSummary.from_traces([path]).render()
         assert "Per-stage timings" in text
         assert "crash states/sec" in text
         assert "dedup hit-rate" in text
@@ -121,18 +122,18 @@ class TestFromTrace:
 
 class TestRender:
     def test_render_empty_campaign(self):
-        text = CampaignStats(fs_name="pmfs", generator="fuzz").render()
+        text = CampaignSummary(fs_name="pmfs", generator="fuzz").render()
         assert "pmfs" in text
         assert "(no clusters found)" in text
 
     def test_truncated_count_surfaces(self):
-        stats = CampaignStats(fs_name="nova")
-        stats.n_workloads = 3
-        stats.n_truncated = 1
+        stats = CampaignSummary(fs_name="nova")
+        stats.workloads_tested = 3
+        stats.totals["truncated"] = 1
         assert "(1 truncated)" in stats.render()
 
     def test_time_to_bug_rows_render(self):
-        stats = CampaignStats(fs_name="nova")
+        stats = CampaignSummary(fs_name="nova")
         stats.time_to_bug.append(TimeToBug(0, 4, 1.25, "ATOMICITY"))
         text = stats.render()
         assert "1.25" in text

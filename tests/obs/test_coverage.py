@@ -12,7 +12,6 @@ from repro.obs.coverage import (
     ascii_histogram,
     coverage_from_campaign_dir,
     coverage_from_results,
-    coverage_from_traces,
 )
 from repro.workloads.ops import Op
 
@@ -53,8 +52,8 @@ class TestFromResults:
     def test_totals_fold(self, result_dicts):
         report = coverage_from_results(result_dicts, fs="nova",
                                        generator="ace")
-        assert report.workloads == len(result_dicts)
-        assert report.states_checked == sum(
+        assert report.workloads_tested == len(result_dicts)
+        assert report.unique_states == sum(
             d["n_unique_states"] for d in result_dicts
         )
         assert report.memo_misses == sum(
@@ -95,7 +94,7 @@ class TestFromResults:
         report = coverage_from_results(result_dicts, fs="nova")
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["memo_miss_reasons_consistent"] is True
-        assert doc["states_checked"] == report.states_checked
+        assert doc["states_checked"] == report.unique_states
 
 
 class TestFromCampaignDir:
@@ -115,18 +114,18 @@ class TestFromCampaignDir:
         report = coverage_from_campaign_dir(campaign_dir)
         assert report.fs_name == "nova"
         assert report.generator == "ace"
-        assert report.workloads == 4
+        assert report.workloads_tested == 4
         assert report.attribution_consistent
         # the merge stage wrote the same analytics next to report.md
         cov_path = os.path.join(campaign_dir, "coverage.md")
         assert os.path.exists(cov_path)
         on_disk = open(cov_path).read()
         assert "Memo-miss attribution" in on_disk
-        assert f"| {report.states_enumerated} |" in on_disk
+        assert f"| {report.crash_states} |" in on_disk
 
     def test_empty_dir_yields_empty_report(self, tmp_path):
         report = coverage_from_campaign_dir(str(tmp_path))
-        assert report.workloads == 0
+        assert report.workloads_tested == 0
 
 
 class TestFromTraces:
@@ -139,9 +138,9 @@ class TestFromTraces:
         cm.test_workload(WORKLOADS[0])
         path = str(tmp_path / "t.jsonl")
         tel.export_jsonl(path)
-        report = coverage_from_traces([path])
+        report = CoverageReport.from_traces([path])
         assert report.fs_name == "nova"
         assert report.generator == "ace"
-        assert report.workloads == 1
+        assert report.workloads_tested == 1
         assert report.attribution_consistent
-        assert report.states_checked > 0
+        assert report.unique_states > 0

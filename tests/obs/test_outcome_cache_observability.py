@@ -3,7 +3,7 @@
 "Why was each state checked or skipped" must be answerable from a
 campaign's artefacts: the per-workload hit/miss counts ride
 ``TestResult`` → ``to_dict``/``from_dict`` → journal and trace →
-``CampaignStats`` / ``CoverageReport`` / ``CampaignSummary``, and surface
+``CampaignSummary`` / ``CoverageReport``, and surface
 in ``repro stats``, ``repro watch``, ``repro coverage`` and report.md.
 """
 
@@ -17,7 +17,6 @@ from repro.campaign.watch import CampaignMonitor
 from repro.core.harness import Chipmunk, TestResult
 from repro.core.outcome_cache import OutcomeCache
 from repro.obs import Telemetry
-from repro.obs.campaign import CampaignStats
 from repro.obs.coverage import coverage_from_results
 from repro.workloads.ops import Op
 
@@ -79,16 +78,17 @@ class TestSurfaces:
         tel, results = traced
         path = str(tmp_path / "t.jsonl")
         tel.export_jsonl(path)
-        offline = CampaignStats.from_trace(path)
-        live = CampaignStats(fs_name="pmfs")
+        offline = CampaignSummary.from_traces([path])
+        live = CampaignSummary(fs_name="pmfs")
         for result in results:
             live.add_result(result)
-        assert offline.n_outcome_hits == live.n_outcome_hits > 0
-        assert offline.n_outcome_misses == live.n_outcome_misses
-        assert offline.to_json_dict()["outcome_hits"] == live.n_outcome_hits
+        live_hits = live.total("outcome_hits")
+        assert offline.total("outcome_hits") == live_hits > 0
+        assert offline.total("outcome_misses") == live.total("outcome_misses")
+        assert offline.to_json_dict()["outcome_hits"] == live_hits
         line = next(l for l in offline.render().splitlines()
                     if l.startswith("outcome cache"))
-        assert f"{live.n_outcome_hits} hit(s)" in line
+        assert f"{live_hits} hit(s)" in line
 
     def test_coverage_prints_realised_hits_next_to_headroom(self, traced):
         results = traced[1]
@@ -105,7 +105,7 @@ class TestSurfaces:
         for result in traced[1]:
             summary.add_result(result)
         text = render_markdown(summary)
-        assert f"**outcome cache:** {summary.outcome_hits} hit(s)" in text
+        assert f"**outcome cache:** {summary.total('outcome_hits')} hit(s)" in text
 
     def test_watch_frame(self, tmp_path):
         spec = CampaignSpec(fs="pmfs", seq=1, max_workloads=4)
@@ -114,8 +114,6 @@ class TestSurfaces:
                        EngineConfig(workers=1, batch_size=4)).run()
         monitor = CampaignMonitor(campaign_dir)
         snap = monitor.snapshot()
-        totals = snap.fold_counters()
-        assert totals["outcome_hits"] > 0
-        assert f"outcome cache hits {totals['outcome_hits']}/" in (
-            monitor.render(snap)
-        )
+        hits = snap.aggregate().total("outcome_hits")
+        assert hits > 0
+        assert f"outcome cache hits {hits}/" in monitor.render(snap)

@@ -118,7 +118,7 @@ class TestInstrumentationSignals:
         assert len(events) == 1
         fields = events[0]["fields"]
         assert fields["n_crash_states"] == result.n_crash_states
-        assert fields["stages"] == result.stage_times
+        assert fields["stage_times"] == result.stage_times
         assert fields["fs"] == "nova"
 
     def test_replayer_histogram_observed(self):
