@@ -84,8 +84,8 @@ def run_eager(cm, base, log, checker):
 
 
 def run_delta(cm, base, log, checker, telemetry=None):
-    """Today's pipeline: CrashImage states through the memoized entry point."""
-    memo = CheckMemo(checker, telemetry=telemetry, delta=True)
+    """Today's pipeline: CrashImage states through the memo entry point."""
+    memo = CheckMemo(checker, telemetry=telemetry)
     n_states = 0
     reports = []
     for state in enumerate_crash_states(base, log, cap=cm.config.cap):

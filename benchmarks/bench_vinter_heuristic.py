@@ -11,7 +11,7 @@ observes, so it should reach the bug in no more states — usually fewer.
 from conftest import print_table, run_once
 
 from repro.analysis.bugdb import TRIGGERS
-from repro.core.checker import CheckerConfig, ConsistencyChecker
+from repro.core.checker import ConsistencyChecker
 from repro.core.harness import Chipmunk, ChipmunkConfig
 from repro.core.oracle import run_oracle
 from repro.core.recovery_reads import rank_units, recovery_read_set
@@ -28,9 +28,7 @@ def _states_to_first_report(fs_name, bug_id, use_heuristic):
     for workload in TRIGGERS[bug_id]:
         base, log, _ = cm.record(workload)
         oracle = run_oracle(cm.fs_class, workload, cm.config.device_size, bugs=bugs)
-        checker = ConsistencyChecker(
-            cm.fs_class, oracle, "ablation", bugs=bugs, config=CheckerConfig()
-        )
+        checker = ConsistencyChecker(cm.fs_class, oracle, "ablation", bugs=bugs)
         ranker = None
         if use_heuristic:
             read_lines = recovery_read_set(cm.fs_class, base, bugs=bugs)

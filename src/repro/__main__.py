@@ -119,14 +119,17 @@ def _parse_op(text: str) -> Op:
     return Op(name, converted)
 
 
-def _spec(args, **knobs):
+def _spec(args):
     """The campaign spec behind every testing command's harness.
 
-    Maps the shared harness flags (file system, ``--bugs``, ``--fixed``,
-    ``--cap``, ``--no-memoize``, ``--crash-plans``); ``knobs`` sets the
-    command's own spec fields.  ``spec.build_chipmunk()`` is the one
-    harness constructor, and ``spec.mode`` the one ACE-mode rule.
+    Parsed flags map onto spec fields by name (a flag meaning something
+    else, like ``--trace FILE``, has its own ``dest``); ``--bugs`` and
+    ``--fixed`` become ``bug_ids``.  Raises ``ValueError`` on a bad knob.
+    ``spec.build_chipmunk()`` is the one harness constructor, and
+    ``spec.mode`` the one ACE-mode rule.
     """
+    from dataclasses import fields
+
     from repro.campaign.spec import CampaignSpec
 
     if args.fixed:
@@ -135,19 +138,14 @@ def _spec(args, **knobs):
         bug_ids = list(args.bugs)
     else:
         bug_ids = None
-    return CampaignSpec(
-        fs=args.fs,
-        bug_ids=bug_ids,
-        cap=args.cap,
-        memoize=args.memoize,
-        crash_plans=args.crash_plans,
-        **knobs,
-    )
+    knobs = {f.name: getattr(args, f.name)
+             for f in fields(CampaignSpec) if hasattr(args, f.name)}
+    return CampaignSpec(**knobs, bug_ids=bug_ids)
 
 
 def _telemetry_for(args, generator: str) -> Optional[Telemetry]:
     """Build a Telemetry object when ``--trace``/``--metrics`` ask for one."""
-    if not getattr(args, "trace", None) and not getattr(args, "metrics", False):
+    if not args.trace_file and not args.metrics:
         return None
     tel = Telemetry()
     tel.meta.update(fs=args.fs, generator=generator)
@@ -159,18 +157,19 @@ def _finish_telemetry(args, tel: Optional[Telemetry]) -> None:
     """Export the trace and/or print the metrics snapshot, as requested."""
     if tel is None:
         return
-    if getattr(args, "trace", None):
+    if args.trace_file:
         try:
-            n = tel.export_jsonl(args.trace)
+            n = tel.export_jsonl(args.trace_file)
         except OSError as exc:
             print(
-                f"[telemetry] error: cannot write trace {args.trace!r}: "
+                f"[telemetry] error: cannot write trace {args.trace_file!r}: "
                 f"{exc.strerror or exc}",
                 file=sys.stderr,
             )
         else:
-            print(f"[telemetry] wrote {n} trace record(s) to {args.trace}")
-    if getattr(args, "metrics", False):
+            print(f"[telemetry] wrote {n} trace record(s) to "
+                  f"{args.trace_file}")
+    if args.metrics:
         print("[telemetry] metrics snapshot:")
         for record in tel.metrics.snapshot():
             if record["kind"] == "histogram":
@@ -215,7 +214,7 @@ def cmd_list_bugs(_args) -> int:
 
 def cmd_test(args) -> int:
     tel = _telemetry_for(args, "test")
-    chipmunk = _spec(args).build_chipmunk(telemetry=tel)
+    chipmunk = args.spec.build_chipmunk(telemetry=tel)
     result = chipmunk.test_workload(args.op or [Op("creat", ("/probe",))])
     print(result.summary())
     for cluster in result.clusters:
@@ -229,7 +228,7 @@ def cmd_test(args) -> int:
 
 def cmd_ace(args) -> int:
     tel = _telemetry_for(args, "ace")
-    spec = _spec(args, seq=args.seq, max_workloads=args.max_workloads)
+    spec = args.spec
     chipmunk = spec.build_chipmunk(telemetry=tel)
     summary = CampaignSummary(fs_name=args.fs, generator="ace", telemetry=tel)
     saved_reports: List = []
@@ -268,7 +267,7 @@ def cmd_fuzz(args) -> int:
         # The seed lands in the trace header so a campaign is reproducible
         # from its trace file alone.
         tel.meta["seed"] = args.seed
-    chipmunk = _spec(args).build_chipmunk(telemetry=tel)
+    chipmunk = args.spec.build_chipmunk(telemetry=tel)
     fuzzer = WorkloadFuzzer(chipmunk, seed=args.seed)
     interrupted = False
     try:
@@ -304,6 +303,16 @@ def cmd_campaign(args) -> int:
         SpecMismatch,
     )
 
+    try:
+        config = EngineConfig(
+            workers=args.workers,
+            batch_size=args.batch,
+            item_timeout=args.timeout,
+            max_retries=args.max_retries,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.resume:
         # Resuming re-reads the spec from the journal: the campaign is
         # defined by what was started, not by what flags accompany the
@@ -322,39 +331,10 @@ def cmd_campaign(args) -> int:
             )
             return 2
     else:
-        if args.fs is None:
-            print("error: campaign: a file system is required "
-                  "(positional or --fs), or --resume DIR", file=sys.stderr)
-            return 2
         campaign_dir = args.out or f"campaign-{args.fs}-{args.generator}"
-        try:
-            spec = _spec(
-                args,
-                generator=args.generator,
-                seq=args.seq,
-                max_workloads=args.max_workloads,
-                seed=args.seed,
-                segments=args.segments,
-                executions=args.executions,
-                trace=args.trace,
-                profile=args.profile,
-                shared_memo=args.shared_memo or bool(args.memo_server),
-                memo_address=args.memo_server,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    engine = CampaignEngine(
-        spec,
-        campaign_dir,
-        EngineConfig(
-            workers=args.workers,
-            batch_size=args.batch,
-            item_timeout=args.timeout,
-            max_retries=args.max_retries,
-        ),
-        resume=bool(args.resume),
-    )
+        spec = args.spec
+    engine = CampaignEngine(spec, campaign_dir, config,
+                            resume=bool(args.resume))
     try:
         merged = engine.run()
     except SpecMismatch as exc:
@@ -557,8 +537,7 @@ def cmd_profile(args) -> int:
         # even when --trace/--metrics were not requested.
         tel = Telemetry()
         tel.meta.update(fs=args.fs, generator="profile")
-    spec = _spec(args, profile=True, seq=args.seq,
-                 max_workloads=args.max_workloads)
+    spec = args.spec
     chipmunk = spec.build_chipmunk(telemetry=tel)
     results: List = []
     interrupted = False
@@ -779,13 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--cap", type=int, default=2, help="replay cap (default 2)")
         p.add_argument(
-            "--no-memoize",
-            dest="memoize",
-            action="store_false",
-            help="disable content-addressed check memoization (eager "
-            "whole-image dedup; same reports, slower)",
-        )
-        p.add_argument(
             "--crash-plans",
             choices=("subset", "mech"),
             default="subset",
@@ -797,6 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_harness(p)
         p.add_argument(
             "--trace",
+            dest="trace_file",
             metavar="FILE",
             help="write a JSONL telemetry trace (see `python -m repro stats`)",
         )
@@ -806,27 +779,38 @@ def build_parser() -> argparse.ArgumentParser:
             help="print the telemetry metrics snapshot after the run",
         )
 
+    def add_ops(p, text):
+        p.add_argument("--op", type=_parse_op, action="append", help=text)
+
+    def add_save_reports(p):
+        p.add_argument(
+            "--save-reports", metavar="FILE",
+            help="save bug reports (with provenance) as JSON for "
+            "`repro explain`",
+        )
+
+    def add_ace_slice(p, max_workloads=0):
+        """``--seq``/``--max-workloads``: the slice
+        :meth:`~repro.campaign.spec.CampaignSpec.ace_workloads` runs."""
+        p.add_argument("--seq", type=int, default=1, choices=(1, 2, 3),
+                       help="ACE sequence lengths to run (1..seq)")
+        p.add_argument(
+            "--max-workloads", type=int, default=max_workloads,
+            help="cap ACE workloads per sequence length" + (
+                f" (default {max_workloads}; 0 = the whole sequence space)"
+                if max_workloads else ""
+            ),
+        )
+
     p_test = sub.add_parser("test", help="test one workload")
     add_common(p_test)
-    p_test.add_argument(
-        "--op",
-        type=_parse_op,
-        action="append",
-        help='operation, e.g. "write /foo 0 65 512" (repeatable)',
-    )
-    p_test.add_argument(
-        "--save-reports", metavar="FILE",
-        help="save bug reports (with provenance) as JSON for `repro explain`",
-    )
+    add_ops(p_test, 'operation, e.g. "write /foo 0 65 512" (repeatable)')
+    add_save_reports(p_test)
 
     p_ace = sub.add_parser("ace", help="run an ACE campaign")
     add_common(p_ace)
-    p_ace.add_argument("--seq", type=int, default=1, choices=(1, 2, 3))
-    p_ace.add_argument("--max-workloads", type=int, default=0)
-    p_ace.add_argument(
-        "--save-reports", metavar="FILE",
-        help="save bug reports (with provenance) as JSON for `repro explain`",
-    )
+    add_ace_slice(p_ace)
+    add_save_reports(p_ace)
 
     p_fuzz = sub.add_parser("fuzz", help="run the gray-box fuzzer")
     add_common(p_fuzz)
@@ -858,10 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--resume", metavar="DIR",
                         help="resume a killed campaign from its directory, "
                         "skipping journaled workloads")
-    p_camp.add_argument("--seq", type=int, default=1, choices=(1, 2, 3),
-                        help="ACE sequence lengths to run (1..seq)")
-    p_camp.add_argument("--max-workloads", type=int, default=0,
-                        help="cap ACE workloads per sequence length")
+    add_ace_slice(p_camp)
     p_camp.add_argument("--seed", type=int, default=0,
                         help="fuzzer base seed (seed space is split into "
                         "segments)")
@@ -878,6 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--memo-server",
+        dest="memo_address",
         metavar="HOST:PORT",
         help="attach to an external `repro memod` shared check-memo "
         "service (multi-host campaigns dedup against one table); "
@@ -1014,17 +996,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run workloads with hot-path time/byte attribution enabled",
     )
     add_common(p_prof)
-    p_prof.add_argument(
-        "--op",
-        type=_parse_op,
-        action="append",
-        help="profile this workload instead of an ACE slice (repeatable)",
-    )
-    p_prof.add_argument("--seq", type=int, default=1, choices=(1, 2, 3),
-                        help="ACE sequence lengths to run (1..seq)")
-    p_prof.add_argument("--max-workloads", type=int, default=25,
-                        help="cap ACE workloads per sequence length "
-                        "(default 25; 0 = the whole sequence space)")
+    p_prof.set_defaults(profile=True)
+    add_ops(p_prof,
+            "profile this workload instead of an ACE slice (repeatable)")
+    add_ace_slice(p_prof, max_workloads=25)
     p_prof.add_argument("--top", type=int, default=15,
                         help="hot-callsite rows to show (default 15)")
     p_prof.add_argument(
@@ -1127,6 +1102,13 @@ def main(argv=None) -> int:
         if args.fs is None and not getattr(args, "resume", None):
             parser.error(f"{args.command}: a file system is required "
                          "(positional or --fs)")
+        if args.fs is not None:
+            # Validate the harness knobs once, before any work starts.
+            try:
+                args.spec = _spec(args)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
     handlers = {
         "list-bugs": cmd_list_bugs,
         "test": cmd_test,

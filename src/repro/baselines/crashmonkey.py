@@ -21,6 +21,7 @@ Two policies are provided:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Type, Union
 
 from repro.core.harness import Chipmunk, ChipmunkConfig, TestResult
@@ -41,8 +42,7 @@ class CrashMonkeyStyleTester:
     ) -> None:
         if policy not in ("fsync", "post"):
             raise ValueError(f"unknown CrashMonkey policy {policy!r}")
-        config = config or ChipmunkConfig()
-        config.crash_points = policy
+        config = replace(config or ChipmunkConfig(), crash_points=policy)
         self.policy = policy
         self._chipmunk = Chipmunk(fs, bugs=bugs, config=config)
 

@@ -37,6 +37,9 @@ from repro.campaign.queue import ShardedWorkQueue, WorkItem, build_items
 from repro.campaign.spec import CampaignSpec
 from repro.campaign import worker as workermod
 
+#: Seconds the event loop sleeps when no worker made progress.
+POLL_INTERVAL = 0.005
+
 
 @dataclass
 class EngineConfig:
@@ -51,10 +54,23 @@ class EngineConfig:
     item_timeout: float = 60.0
     #: Re-executions allowed per item before quarantine.
     max_retries: int = 2
-    poll_interval: float = 0.005
     #: Test-only fault injection forwarded to workers
     #: (``{"item_id": ..., "kind": "crash"|"hang"|"raise", "times": N}``).
     fault: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1 (got {self.workers})")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1 (got {self.batch_size})")
+        if self.item_timeout <= 0:
+            raise ValueError(
+                f"item_timeout must be > 0 (got {self.item_timeout})"
+            )
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be >= 0 (got {self.max_retries})"
+            )
 
 
 @dataclass
@@ -227,7 +243,6 @@ class CampaignEngine:
         return merged
 
     def _event_loop(self, queue, journal, results, quarantined, retries) -> None:
-        config = self.config
         while True:
             in_flight = sum(len(w.in_flight) for w in self._workers.values())
             if not queue.pending() and not in_flight:
@@ -240,7 +255,7 @@ class CampaignEngine:
             self._dispatch_ready(queue)
             self._reap_failures(queue, journal, results, quarantined, retries)
             if not progressed:
-                time.sleep(config.poll_interval)
+                time.sleep(POLL_INTERVAL)
 
     # ------------------------------------------------------------------
     def _drain_messages(self, handle, queue, journal, results,

@@ -3,7 +3,8 @@
 A campaign crosses process boundaries twice — parent → worker at dispatch
 and disk → parent at ``--resume`` — so the full configuration must round-
 trip through plain JSON.  :class:`CampaignSpec` is that closure: file
-system, bug configuration, harness knobs, generator parameters.  Workers
+system, bug configuration, harness knobs (inherited from
+:class:`~repro.config.ChipmunkConfig`), generator parameters.  Workers
 receive the dict form and call :meth:`CampaignSpec.build_chipmunk`;
 ``--resume`` compares the journal's stored spec against the requested one
 and refuses to mix campaigns.
@@ -15,21 +16,22 @@ import itertools
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.core.harness import Chipmunk, ChipmunkConfig
+from repro.config import ChipmunkConfig
+from repro.core.harness import Chipmunk
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import FS_CLASSES
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One campaign's full, JSON-serializable configuration."""
+@dataclass(frozen=True, kw_only=True)
+class CampaignSpec(ChipmunkConfig):
+    """One campaign's full, JSON-serializable configuration.  The harness
+    knobs are inherited: the spec *is* the harness config."""
 
     fs: str
     generator: str = "ace"  # "ace" | "fuzz"
     #: ``None`` means "all of the FS's catalogue bugs" (the CLI default);
     #: an explicit list pins the configuration, ``[]`` means fully fixed.
     bug_ids: Optional[List[int]] = None
-    cap: Optional[int] = 2
     #: ACE parameters.
     seq: int = 1
     max_workloads: int = 0  # 0 = the whole sequence space
@@ -40,16 +42,6 @@ class CampaignSpec:
     executions: int = 25
     #: Write per-worker telemetry traces into the campaign directory.
     trace: bool = False
-    #: Content-addressed check memoization (``ChipmunkConfig.memoize``);
-    #: part of the spec so a resumed campaign keeps the original setting.
-    memoize: bool = True
-    #: Crash-plan selection (``ChipmunkConfig.crash_plans``): ``"subset"``
-    #: or ``"mech"``; in the spec so resumed campaigns and every worker
-    #: explore the same state space.
-    crash_plans: str = "subset"
-    #: Hot-path profiler (``ChipmunkConfig.profile``): per-stage/per-site
-    #: time and byte attribution recorded into each ``TestResult``.
-    profile: bool = False
     #: Campaign-wide shared check memo: workers dedup clean verdicts
     #: against one table instead of each rediscovering the same states.
     #: With :attr:`memo_address` unset the engine hosts the service itself
@@ -60,14 +52,17 @@ class CampaignSpec:
     memo_address: Optional[str] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.fs not in FS_CLASSES():
             raise ValueError(f"unknown file system {self.fs!r}")
         if self.generator not in ("ace", "fuzz"):
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.generator == "ace" and self.seq not in (1, 2, 3):
             raise ValueError(f"seq must be 1, 2, or 3 (got {self.seq})")
-        if self.crash_plans not in ("subset", "mech"):
-            raise ValueError(f"unknown crash-plan mode {self.crash_plans!r}")
+        if self.max_workloads < 0:
+            raise ValueError(
+                f"max_workloads must be >= 0 (got {self.max_workloads})"
+            )
         if self.memo_address is not None:
             from repro.memo.client import parse_address
 
@@ -102,21 +97,20 @@ class CampaignSpec:
         return Chipmunk(
             self.fs,
             bugs=self.bug_config(),
-            config=ChipmunkConfig(
-                cap=self.cap,
-                memoize=self.memoize,
-                crash_plans=self.crash_plans,
-                profile=self.profile,
-            ),
+            config=self,
             telemetry=telemetry,
             shared_memo=shared_memo,
         )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
+        """Flat: the inherited harness knobs sit beside the spec's own."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignSpec":
-        known = {f for f in cls.__dataclass_fields__}
+        """Inverse of :meth:`to_dict`: unknown keys (knobs since deleted,
+        like ``memo_entries``) are ignored and missing ones take their
+        defaults, so journals of older specs still load."""
+        known = cls.__dataclass_fields__
         return cls(**{k: v for k, v in data.items() if k in known})

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -53,11 +52,8 @@ DATA_OPS = ("write", "pwrite", "append", "fallocate")
 
 PROBE_NAME = ".chk_probe"
 
-
-@dataclass
-class CheckerConfig:
-    usability_check: bool = True
-    max_diff_entries: int = 4
+#: Tree differences quoted per report (detail text and ``paths``).
+MAX_DIFF_ENTRIES = 4
 
 
 class ConsistencyChecker:
@@ -69,7 +65,6 @@ class ConsistencyChecker:
         oracle: OracleResult,
         workload_desc: str,
         bugs=None,
-        config: Optional[CheckerConfig] = None,
         telemetry=None,
         provenance=None,
         outcome_cache=None,
@@ -78,7 +73,6 @@ class ConsistencyChecker:
         self.oracle = oracle
         self.workload_desc = workload_desc
         self.bugs = bugs
-        self.config = config or CheckerConfig()
         self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
         #: Optional :class:`~repro.forensics.provenance.ProvenanceRecorder`;
         #: when attached, every report carries its crash state's lineage.
@@ -102,11 +96,9 @@ class ConsistencyChecker:
         #: re-replay, hand-built checkers) walks and probes every state.
         self.outcome_cache = outcome_cache
         if outcome_cache is not None:
-            outcome_cache.bind((
-                fs_class,
-                bugs.enabled if bugs is not None else None,
-                self.config.usability_check,
-            ))
+            outcome_cache.bind(
+                (fs_class, bugs.enabled if bugs is not None else None)
+            )
         #: This workload's share of the cache traffic: mounted states whose
         #: walk + usability were reused / ran in full and were eligible /
         #: could not be keyed (a flat, hand-built image).
@@ -123,9 +115,9 @@ class ConsistencyChecker:
         Two checkers judging byte-identical images reach the same verdict
         iff their expectations agree, so the cross-workload memo key folds
         in a digest of exactly the inputs :meth:`_check_device` consults:
-        the file system, the enabled bug set, the checker knobs, and the
-        oracle trees the state's ``(syscall, mid_syscall, after_syscall)``
-        context is compared against.  Equal digest ⟹ equal expectations ⟹
+        the file system, the enabled bug set, and the oracle trees the
+        state's ``(syscall, mid_syscall, after_syscall)`` context is
+        compared against.  Equal digest ⟹ equal expectations ⟹
         (with equal image bytes) equal verdict — the soundness argument for
         sharing verdicts across workloads, workers, and hosts.  Tree
         digests go through :meth:`_tree_digest`, a pure function of the
@@ -143,7 +135,6 @@ class ConsistencyChecker:
         h.update(b"\x00")
         enabled = sorted(self.bugs.enabled) if self.bugs is not None else []
         h.update(repr(enabled).encode())
-        h.update(b"\x01" if self.config.usability_check else b"\x02")
         h.update(b"\x01" if self.fs_class.atomic_data_writes else b"\x02")
         oracle = self.oracle
         if state.mid_syscall and state.syscall is not None:
@@ -277,13 +268,11 @@ class ConsistencyChecker:
         reports.extend(self._check_semantics(state, crash_tree))
         if prof is not None:
             prof.add("checker.semantics", perf_counter() - t0)
-        unusable: List[BugReport] = []
-        if self.config.usability_check:
-            t0 = perf_counter() if prof is not None else 0.0
-            unusable = self._check_usability(state, fs, crash_tree)
-            reports.extend(unusable)
-            if prof is not None:
-                prof.add("checker.usability", perf_counter() - t0)
+        t0 = perf_counter() if prof is not None else 0.0
+        unusable = self._check_usability(state, fs, crash_tree)
+        reports.extend(unusable)
+        if prof is not None:
+            prof.add("checker.usability", perf_counter() - t0)
         if key is not None and not unusable:
             # Only a readable, usable recovery is worth remembering — and
             # safe to: there is no walk or usability report a later hit
@@ -492,14 +481,14 @@ class ConsistencyChecker:
         if op is not None and op.name in DATA_OPS and (missing_data or not detail_bits):
             consequence = Consequence.DATA_LOSS
         detail_bits.extend(
-            d.describe() for d in diffs[: self.config.max_diff_entries]
+            d.describe() for d in diffs[:MAX_DIFF_ENTRIES]
         )
         return self._report(
             state,
             consequence,
             f"matches neither pre nor post state of "
             f"{op.describe() if op else '?'}: " + " | ".join(detail_bits),
-            paths=tuple(d.path for d in diffs[: self.config.max_diff_entries]),
+            paths=tuple(d.path for d in diffs[:MAX_DIFF_ENTRIES]),
         )
 
     def _mismatch(
@@ -510,12 +499,12 @@ class ConsistencyChecker:
         consequence: Consequence,
     ) -> BugReport:
         diffs = diff_trees(crash, expected)
-        detail = " | ".join(d.describe() for d in diffs[: self.config.max_diff_entries])
+        detail = " | ".join(d.describe() for d in diffs[:MAX_DIFF_ENTRIES])
         return self._report(
             state,
             consequence,
             f"state after syscall #{state.after_syscall} diverges: {detail}",
-            paths=tuple(d.path for d in diffs[: self.config.max_diff_entries]),
+            paths=tuple(d.path for d in diffs[:MAX_DIFF_ENTRIES]),
         )
 
     def _report(
@@ -593,9 +582,10 @@ class CheckMemo:
     crash-checked mid-syscall and post-syscall is judged against different
     oracle expectations.
 
-    With ``delta=True`` the content address is the *canonical* byte-
-    granular key (:meth:`~repro.obs.attribution.MemoAttribution.content_key`:
-    sha1 over the fence-base digest and the exact byte diff from base via
+    The content address of a :class:`~repro.pm.image.CrashImage` is the
+    *canonical* byte-granular key
+    (:meth:`~repro.obs.attribution.MemoAttribution.content_key`: sha1 over
+    the fence-base digest and the exact byte diff from base via
     :func:`~repro.pm.image.flatten_overlay`) — O(overlay), no
     materialization, and identical for every overlay shape that
     materializes the same bytes.  Two states whose overlays partition the
@@ -607,9 +597,8 @@ class CheckMemo:
     a state that would have checked differently — memoization cannot mask
     a bug, only cost a redundant check.
 
-    With ``delta=False`` every state is materialized and keyed by
-    ``sha1(image)`` — the eager whole-image dedup this PR replaces, kept as
-    the benchmark baseline and for flat-``bytes`` states.
+    A flat-``bytes`` image (a hand-built state) is keyed by
+    ``sha1(image)``.
 
     :meth:`check` returns ``None`` on a memo hit (the state was already
     checked; any findings are already in the caller's hands) and the
@@ -629,7 +618,7 @@ class CheckMemo:
     **Local tier.** Verdicts live in a :class:`~repro.memo.store.MemoTable`
     bounded at ``max_entries`` clean entries (LRU).  Buggy keys are pinned:
     evicting one would re-check the state and append its reports *again*,
-    breaking memo-on/off ``bugs.json`` byte-equality; evicting a clean key
+    making ``bugs.json`` depend on the table size; evicting a clean key
     only costs a redundant check.  Evictions surface as
     ``checker.memo.evictions``.
 
@@ -652,10 +641,8 @@ class CheckMemo:
     """
 
     def __init__(self, checker: ConsistencyChecker, telemetry=None,
-                 delta: bool = True, shared=None,
-                 max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+                 shared=None, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.checker = checker
-        self.delta = delta
         self.shared = shared
         self._tel = telemetry if telemetry is not None and telemetry.enabled else None
         #: Per-memo hit/miss counts (one memo per workload).
@@ -684,7 +671,7 @@ class CheckMemo:
         t0 = perf_counter() if prof is not None else 0.0
         m0 = prof.mark() if prof is not None else 0.0
         image = state.image
-        if self.delta and isinstance(image, CrashImage):
+        if isinstance(image, CrashImage):
             digest = MemoAttribution.content_key(image)
         else:
             digest = hashlib.sha1(
@@ -759,7 +746,7 @@ class CheckMemo:
 
     def check(self, state: CrashState) -> Optional[List[BugReport]]:
         key = self.key_of(state)
-        if self.delta and isinstance(state.image, CrashImage):
+        if isinstance(state.image, CrashImage):
             dropped = state.image.noop_dropped
             if dropped:
                 self.noop_writes_dropped += dropped
@@ -770,14 +757,6 @@ class CheckMemo:
             if self._counters is not None:
                 self._counters.hit()
             return None
-        # On the delta path (and for flat images) the memo digest *is* the
-        # canonical content key — hand it over so attribution never
-        # re-flattens the overlay.
-        precomputed = (
-            key[0]
-            if self.delta or not isinstance(state.image, CrashImage)
-            else None
-        )
         skey = None
         if self.shared is not None and getattr(self.shared, "ok", True):
             skey = self.shared_key(state, key)
@@ -796,12 +775,13 @@ class CheckMemo:
                 # A shared hit is a hit, not a miss: seed the attribution
                 # universe (base + context now "seen") without a reason
                 # count, keeping sum(reasons) == misses structural.
-                self.attribution.note_shared_hit(state, ckey=precomputed)
+                self.attribution.note_shared_hit(state, key[0])
                 return None
             if self._tel is not None:
                 self._tel.count("checker.memo.shared.misses")
         self.misses += 1
-        reason = self.attribution.classify_miss(state, key[0], ckey=precomputed)
+        # The memo digest *is* the canonical content key.
+        reason = self.attribution.classify_miss(state, key[0], key[0])
         if self._counters is not None:
             self._counters.miss()
         if self._tel is not None:

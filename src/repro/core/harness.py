@@ -9,10 +9,11 @@ crash states, checks each, and triages the findings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Type, Union
 
-from repro.core.checker import CheckerConfig, CheckMemo, ConsistencyChecker
+from repro.config import ChipmunkConfig
+from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.oracle import run_oracle
 from repro.core.outcome_cache import OutcomeCache
 from repro.core.probes import ProbeSet, probe_targets_of
@@ -35,51 +36,9 @@ from repro.vfs.interface import FileSystem
 from repro.workloads.ops import Op, Workload, describe_workload, execute_op
 
 
-@dataclass
-class ChipmunkConfig:
-    """Knobs of one testing campaign."""
-
-    device_size: int = 256 * 1024
-    #: Maximum in-flight write units replayed per crash state (None = all;
-    #: the paper finds 2 sufficient for every bug, section 5.1.2).
-    cap: Optional[int] = 2
-    #: NT stores at least this large coalesce as file-data writes.
-    coalesce_threshold: int = 256
-    usability_check: bool = True
-    #: Stop checking a workload after this many reports (the triage layer
-    #: dedups anyway; this bounds worst-case work on very buggy states).
-    max_reports_per_workload: int = 64
-    #: Override the crash-point strategy ("fence", "post", "fsync"); None
-    #: picks "fence" for strong-guarantee systems and "fsync" otherwise.
-    crash_points: Optional[str] = None
-    #: Attach store-level lineage (:mod:`repro.forensics`) to every bug
-    #: report.  Capture only runs for failing states, so the cost on clean
-    #: workloads is a no-op.
-    forensics: bool = True
-    #: Content-addressed check memoization: key crash states by their
-    #: O(overlay) delta digest instead of hashing the materialized image
-    #: (:class:`repro.core.checker.CheckMemo`).  ``False`` falls back to
-    #: eager whole-image sha1 dedup — same reports, eager cost.
-    memoize: bool = True
-    #: Crash-plan selection: ``"subset"`` enumerates capped store subsets
-    #: per fence epoch (the paper's strategy); ``"mech"`` recognizes the
-    #: persistence mechanism behind each epoch (:mod:`repro.mech`) and
-    #: emits a few targeted plans instead, falling back to subset
-    #: enumeration for unrecognized epochs.
-    crash_plans: str = "subset"
-    #: Install the hot-path profiler (:mod:`repro.obs.profile`) for the
-    #: duration of each workload: per-stage wall time, per-callsite
-    #: attribution, and byte accounting land in :attr:`TestResult.profile`.
-    #: Off by default — the disabled path costs one global read per
-    #: instrumented site (the telemetry-overhead bench pins it).
-    profile: bool = False
-
-    def __post_init__(self) -> None:
-        if self.crash_plans not in ("subset", "mech"):
-            raise ValueError(
-                f"unknown crash-plan mode {self.crash_plans!r} "
-                f"(expected 'subset' or 'mech')"
-            )
+#: Stop checking a workload after this many reports (the triage layer
+#: dedups anyway; this bounds worst-case work on very buggy states).
+MAX_REPORTS_PER_WORKLOAD = 64
 
 
 #: Pipeline stage keys of :attr:`TestResult.stage_times`, in execution order.
@@ -121,7 +80,7 @@ class TestResult:
     #: Per-stage wall time (keys from :data:`STAGES`), sourced from the
     #: telemetry span layer.
     stage_times: Dict[str, float] = field(default_factory=dict)
-    #: True when checking stopped early at ``max_reports_per_workload`` —
+    #: True when checking stopped early at :data:`MAX_REPORTS_PER_WORKLOAD` —
     #: a capped campaign is not a clean one.
     truncated: bool = False
     #: Check-memoization counters (``checker.memo.*``): states skipped
@@ -375,32 +334,22 @@ class Chipmunk:
                 workload=workload,
                 setup=list(setup),
                 bug_ids=sorted(self.bugs.enabled),
-                cap=self.config.cap,
-                coalesce_threshold=self.config.coalesce_threshold,
-                device_size=self.config.device_size,
-                crash_points=crash_points,
-                usability_check=self.config.usability_check,
+                config=replace(self.config, crash_points=crash_points),
             )
         checker = ConsistencyChecker(
             self.fs_class,
             oracle,
             desc,
             bugs=self.bugs,
-            config=CheckerConfig(usability_check=self.config.usability_check),
             telemetry=tel,
             provenance=recorder,
             outcome_cache=self.outcome_cache,
         )
         stats = ReplayStats()
-        # The memo is the single entry point for checking: dedup (by delta
-        # digest or eager sha1, per ``config.memoize``), the ``check_state``
-        # telemetry span, and the checker call all live behind it.
-        memo = CheckMemo(
-            checker,
-            telemetry=tel,
-            delta=self.config.memoize,
-            shared=self.shared_memo,
-        )
+        # The memo is the single entry point for checking: dedup by
+        # canonical content key, the ``check_state`` telemetry span, and
+        # the checker call all live behind it.
+        memo = CheckMemo(checker, telemetry=tel, shared=self.shared_memo)
         planner = None
         if self.config.crash_plans == "mech" and crash_points == "fence":
             # Mechanism recognition only prunes fence-epoch subsets; the
@@ -409,14 +358,8 @@ class Chipmunk:
             from repro.mech.plans import MechPlanner
 
             planner = MechPlanner(
-                self.fs_class,
-                log,
-                self.config.device_size,
-                base_image=base,
-                bugs=self.bugs,
-                cap=self.config.cap,
-                coalesce_threshold=self.config.coalesce_threshold,
-                telemetry=tel,
+                self.fs_class, log, self.config, base_image=base,
+                bugs=self.bugs, telemetry=tel,
             )
         reports: List[BugReport] = []
         n_states = 0
@@ -460,7 +403,7 @@ class Chipmunk:
             check_time += t_prev - t_state
             if profiler is not None:
                 profiler.set_stage("enumerate")
-            if len(reports) >= self.config.max_reports_per_workload:
+            if len(reports) >= MAX_REPORTS_PER_WORKLOAD:
                 truncated = True
                 break
         stage_times["enumerate"] = enum_time

@@ -372,7 +372,7 @@ def store_region_counts(log: PMLog, layout) -> Dict[str, Dict[str, int]]:
     """Write traffic per on-device layout region.
 
     ``layout`` is a :class:`repro.fs.common.layout.LayoutMap` (duck-typed:
-    only ``region_of`` is used) — normally the memoized mkfs-fresh map from
+    only ``region_of`` is used) — normally the cached mkfs-fresh map from
     :func:`repro.core.triage.layout_map_for`.  Each store/flush is charged
     to the region containing its start address, which is exact for this
     codebase's probes (persistence functions never straddle regions).

@@ -51,7 +51,7 @@ _LAYOUT_MAPS: Dict[Tuple[str, int], object] = {}
 
 
 def layout_map_for(fs_name: str, device_size: int):
-    """The layout map of a freshly formatted ``fs_name`` device, memoized.
+    """The layout map of a freshly formatted ``fs_name`` device, cached.
 
     Triage only needs region *names* for addresses, and those depend on the
     geometry (derived from the device size), not on any workload — so one
@@ -95,7 +95,7 @@ def provenance_sites(
             dropped = narrowed
     if not dropped:
         return None
-    layout = layout_map_for(prov.fs_name, prov.device_size)
+    layout = layout_map_for(prov.fs_name, prov.config.device_size)
     return frozenset(
         (e.func, layout.region_of(e.addr)) for e in dropped if e.addr >= 0
     ) or None

@@ -7,7 +7,7 @@ consequences against the same crash state, and triage keeps an exemplar of
 each.  Explaining them independently re-records the workload N times and
 re-replays the same candidate subsets over and over.
 
-This module memoizes both layers:
+This module caches both layers:
 
 * **Session cache** — rebuilt :class:`~repro.forensics.replay.Recording`
   objects keyed by the full reproduction context.  Explaining N reports
@@ -49,19 +49,15 @@ def context_key(prov: CrashProvenance) -> ContextKey:
 
     Two provenances with equal keys rebuild byte-identical recordings
     (recording is deterministic); any differing field — file system,
-    workload, setup, bug set, or harness knob — must yield a different key,
-    or the session cache would hand back a mismatched session.
+    workload, setup, bug set, or harness config — must yield a different
+    key, or the session cache would hand back a mismatched session.
     """
     return (
         prov.fs_name,
         prov.workload,
         prov.setup,
         tuple(sorted(prov.bug_ids)),
-        prov.cap,
-        prov.coalesce_threshold,
-        prov.device_size,
-        prov.crash_points,
-        prov.usability_check,
+        prov.config,
     )
 
 
@@ -131,7 +127,7 @@ class ForensicsCache:
     def check_positions(
         self, session: ReplaySession, persisted_units: Sequence[int]
     ) -> FrozenSet[str]:
-        """Checker outcome for a persisted unit set, memoized by position set.
+        """Checker outcome for a persisted unit set, cached by position set.
 
         The cache key uses in-flight *positions* rather than unit indices:
         positions are the canonical coordinates of the crash region, so two

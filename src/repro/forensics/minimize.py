@@ -27,7 +27,7 @@ telemetry object is attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.forensics.replay import ReplaySession, outcome_of
@@ -279,7 +279,7 @@ def minimize_workload(
     the replay session or the verdict cache; each test costs a full
     pipeline run and the default budget is correspondingly small.
     """
-    from repro.core.harness import Chipmunk, ChipmunkConfig
+    from repro.core.harness import Chipmunk
     from repro.forensics.provenance import ops_from_tuples
     from repro.fs.bugs import BugConfig
 
@@ -287,14 +287,8 @@ def minimize_workload(
     workload = ops_from_tuples(prov.workload)
     setup = ops_from_tuples(prov.setup)
     bugs = BugConfig(frozenset(prov.bug_ids))
-    config = ChipmunkConfig(
-        device_size=prov.device_size,
-        cap=prov.cap,
-        coalesce_threshold=prov.coalesce_threshold,
-        usability_check=prov.usability_check,
-        crash_points=prov.crash_points,
-        forensics=False,  # candidates need verdicts, not new provenance
-    )
+    # Candidates need verdicts, not new provenance.
+    config = replace(prov.config, forensics=False)
 
     def test(indices: List[int]) -> bool:
         if tel is not None:

@@ -9,7 +9,8 @@ cost scales with bugs, not with crash states) and travels inside the report
 as a compact, JSON-serializable :class:`CrashProvenance`.
 
 The provenance also carries the full *reproduction context* — file system,
-workload and setup operations, bug configuration, and harness knobs — so
+workload and setup operations, bug configuration, and the harness
+:class:`~repro.config.ChipmunkConfig` — so
 ``python -m repro explain`` can rebuild the exact crash state offline from
 a saved report, re-run the checker, and minimize the culprit store set
 (:mod:`repro.forensics.minimize`).
@@ -17,9 +18,11 @@ a saved report, re-run the checker, and minimize the culprit store set
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import ChipmunkConfig
 from repro.pm.log import Fence, Flush, NTStore, PMLog, SyscallBegin, SyscallEnd
 
 #: Entry statuses.  ``durable`` — fenced before the crash region;
@@ -39,6 +42,17 @@ MARKER = "marker"
 #: needs the payload — it re-records).  Longer payloads are truncated with
 #: an explicit ``payload_truncated`` marker.
 PAYLOAD_CAP = 32
+
+#: The harness knobs a recording depends on, in ``bugs.json`` key order.
+#: A provenance keeps these and leaves every other knob at its default.
+RECORDED_KNOBS = ("cap", "coalesce_threshold", "device_size", "crash_points")
+
+
+@functools.lru_cache(maxsize=64)
+def _recorded_config(knobs: Tuple[Tuple[str, object], ...]) -> ChipmunkConfig:
+    """One shared (immutable) config per set of recorded knobs: the
+    thousands of provenances of a campaign hold a single instance."""
+    return ChipmunkConfig(**dict(knobs))
 
 
 @dataclass(frozen=True)
@@ -135,11 +149,10 @@ class CrashProvenance:
     workload: Tuple[Tuple[str, Tuple], ...] = ()
     setup: Tuple[Tuple[str, Tuple], ...] = ()
     bug_ids: Tuple[int, ...] = ()
-    cap: Optional[int] = 2
-    coalesce_threshold: int = 256
-    device_size: int = 256 * 1024
-    crash_points: str = "fence"
-    usability_check: bool = True
+    #: The harness config the crash state was recorded under, reduced to
+    #: :data:`RECORDED_KNOBS` (``crash_points`` resolved): re-running
+    #: ``Chipmunk`` with it re-records the same log.
+    config: ChipmunkConfig = ChipmunkConfig()
 
     # ------------------------------------------------------------------
     # Derived views
@@ -187,11 +200,10 @@ class CrashProvenance:
             "workload": [[name, list(args)] for name, args in self.workload],
             "setup": [[name, list(args)] for name, args in self.setup],
             "bug_ids": list(self.bug_ids),
-            "cap": self.cap,
-            "coalesce_threshold": self.coalesce_threshold,
-            "device_size": self.device_size,
-            "crash_points": self.crash_points,
-            "usability_check": self.usability_check,
+            **{k: getattr(self.config, k) for k in RECORDED_KNOBS},
+            # The usability pass always runs; the key keeps old readers
+            # and ``bugs.json`` bytes unchanged.
+            "usability_check": True,
         }
 
     @classmethod
@@ -218,11 +230,9 @@ class CrashProvenance:
                 (str(name), tuple(args)) for name, args in data.get("setup", ())
             ),
             bug_ids=tuple(int(b) for b in data.get("bug_ids", ())),
-            cap=data.get("cap"),
-            coalesce_threshold=int(data.get("coalesce_threshold", 256)),
-            device_size=int(data.get("device_size", 256 * 1024)),
-            crash_points=str(data.get("crash_points", "fence")),
-            usability_check=bool(data.get("usability_check", True)),
+            config=_recorded_config(
+                tuple((k, data[k]) for k in RECORDED_KNOBS if k in data)
+            ),
         )
 
 
@@ -234,13 +244,12 @@ def capture_provenance(
     workload: Sequence = (),
     setup: Sequence = (),
     bug_ids: Sequence[int] = (),
-    cap: Optional[int] = 2,
-    coalesce_threshold: int = 256,
-    device_size: int = 256 * 1024,
-    crash_points: str = "fence",
-    usability_check: bool = True,
+    config: ChipmunkConfig = ChipmunkConfig(),
 ) -> CrashProvenance:
     """Tag every log entry up to the crash point of ``state``.
+
+    ``config`` is the harness config ``log`` was recorded under, with
+    ``crash_points`` resolved.
 
     Stores before the crash region's opening fence are ``durable``; stores
     inside the crash region are ``replayed`` or ``dropped`` according to the
@@ -326,11 +335,9 @@ def capture_provenance(
         workload=_ops_to_tuples(workload),
         setup=_ops_to_tuples(setup),
         bug_ids=tuple(sorted(bug_ids)),
-        cap=cap,
-        coalesce_threshold=coalesce_threshold,
-        device_size=device_size,
-        crash_points=crash_points,
-        usability_check=usability_check,
+        config=_recorded_config(
+            tuple((k, getattr(config, k)) for k in RECORDED_KNOBS)
+        ),
     )
 
 

@@ -2,7 +2,7 @@
 
 Recording is deterministic (the simulated file systems have no hidden
 entropy), so a :class:`~repro.forensics.provenance.CrashProvenance` is a
-complete recipe: rebuild the harness from the context fields, re-record the
+complete recipe: rebuild the harness from its config, re-record the
 workload to recover the base image and write log, then replay any subset of
 the crash region's in-flight write units — including subsets the original
 enumeration never generated, which is what the minimizer needs.
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.checker import CheckerConfig, ConsistencyChecker
-from repro.core.harness import Chipmunk, ChipmunkConfig
+from repro.core.checker import ConsistencyChecker
+from repro.core.harness import Chipmunk
 from repro.core.oracle import run_oracle
 from repro.core.replayer import (
     CrashState,
@@ -93,7 +93,7 @@ def crash_region(prov: CrashProvenance, base: bytes, log: PMLog) -> CrashRegion:
             inflight.clear()
         elif isinstance(entry, (NTStore, Flush)):
             inflight.append(entry)
-    units = coalesce_units(inflight, prov.coalesce_threshold)
+    units = coalesce_units(inflight, prov.config.coalesce_threshold)
     return CrashRegion(
         base=persistent.base(),
         inflight=inflight,
@@ -204,32 +204,22 @@ class Recording:
 def rebuild_recording(prov: CrashProvenance, telemetry=None) -> Recording:
     """Re-record the workload of a saved provenance and set up checking.
 
-    The rebuilt harness uses the same bug configuration, replay cap, and
-    coalescing threshold as the original campaign run, so the recovered
-    write log — and every derived crash state — is bit-identical.
+    The rebuilt harness uses the same bug configuration and harness config
+    as the original campaign run, so the recovered write log — and every
+    derived crash state — is bit-identical.
     """
     bugs = BugConfig(frozenset(prov.bug_ids))
-    config = ChipmunkConfig(
-        device_size=prov.device_size,
-        cap=prov.cap,
-        coalesce_threshold=prov.coalesce_threshold,
-        usability_check=prov.usability_check,
-        crash_points=prov.crash_points,
-    )
-    chipmunk = Chipmunk(prov.fs_name, bugs=bugs, config=config,
+    chipmunk = Chipmunk(prov.fs_name, bugs=bugs, config=prov.config,
                         telemetry=telemetry)
     workload = ops_from_tuples(prov.workload)
     setup = ops_from_tuples(prov.setup)
     base, log, _errnos = chipmunk.record(workload, setup=setup)
     oracle = run_oracle(
-        chipmunk.fs_class, workload, config.device_size, bugs=bugs, setup=setup
+        chipmunk.fs_class, workload, prov.config.device_size, bugs=bugs,
+        setup=setup,
     )
     checker = ConsistencyChecker(
-        chipmunk.fs_class,
-        oracle,
-        describe_workload(workload),
-        bugs=bugs,
-        config=CheckerConfig(usability_check=config.usability_check),
+        chipmunk.fs_class, oracle, describe_workload(workload), bugs=bugs
     )
     return Recording(chipmunk=chipmunk, base=base, log=log, checker=checker)
 

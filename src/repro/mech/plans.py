@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import ChipmunkConfig
 from repro.mech.recognize import EpochClass, MechanismHints, iter_epochs
 
 Combo = Tuple[int, ...]
@@ -200,11 +201,9 @@ class MechPlanner:
         self,
         fs_class,
         log,
-        device_size: int,
+        config: ChipmunkConfig,
         base_image: Optional[bytes] = None,
         bugs=None,
-        cap: Optional[int] = 2,
-        coalesce_threshold: int = 256,
         telemetry=None,
     ) -> None:
         # Imported here, not at module top: fs modules import
@@ -213,7 +212,7 @@ class MechPlanner:
         from repro.core.replayer import coalesce_units
         from repro.core.triage import layout_map_for
 
-        self.cap = cap
+        self.cap = cap = config.cap
         self.recognized: Dict[str, int] = {}
         self.plans_emitted = 0
         self.fallback_epochs = 0
@@ -225,7 +224,7 @@ class MechPlanner:
             # enumeration.  plan_for() misses on every index.
             return
         try:
-            layout = layout_map_for(fs_class.name, device_size)
+            layout = layout_map_for(fs_class.name, config.device_size)
         except Exception:  # noqa: BLE001 — a torn layout means no claims
             return
         # Sequence-aware boundary-redundancy rules (opt-in per FS): drop
@@ -247,7 +246,7 @@ class MechPlanner:
         prev_visible = True
         first_epoch = True
         for epoch, units in iter_epochs(
-            log, layout, hints, coalesce_units, coalesce_threshold
+            log, layout, hints, coalesce_units, config.coalesce_threshold
         ):
             self.recognized[epoch.kind] = self.recognized.get(epoch.kind, 0) + 1
             if self._tel is not None:

@@ -24,7 +24,7 @@ context)``, so key equality implies both byte-identical images *and*
 identical oracle expectations — a shared hit can never mask a bug.  Only
 CLEAN verdicts are skippable; a BUGGY verdict forces a local re-check so
 every workload still emits its own reports and ``bugs.json`` stays
-byte-equal to a memo-off run.
+byte-equal to a run without the service.
 """
 
 from repro.memo.client import MemoClient

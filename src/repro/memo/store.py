@@ -12,9 +12,9 @@ key, or the shared service's context-folded digest) to a *verdict*:
 ``BUGGY``
     The state produced at least one report.  Buggy entries are **pinned**:
     they are never evicted, because inside one workload an evicted buggy
-    key would be re-checked and its reports appended *again*, breaking the
-    memo-on/off byte-equality contract.  Pinning is naturally bounded —
-    the harness stops a workload at ``max_reports_per_workload`` (64), so
+    key would be re-checked and its reports appended *again*, making
+    ``bugs.json`` depend on the table size.  Pinning is naturally bounded —
+    the harness stops a workload at ``MAX_REPORTS_PER_WORKLOAD`` (64), so
     a table can only ever pin a handful of buggy keys per workload.
 
 Eviction is LRU over the clean entries only, bounded by ``max_entries``

@@ -10,7 +10,7 @@ exactly one of:
 
 ``cold_base``
     The fence base's content digest had never been seen — the first state
-    of a new persistent epoch.  Unavoidable: nothing to memoize against.
+    of a new persistent epoch.  Unavoidable: nothing to dedup against.
 ``overlay_shape``
     The *materialized* content (base + exact byte diff, via
     :func:`repro.pm.image.flatten_overlay`) was already checked under the
@@ -138,22 +138,17 @@ class MemoAttribution:
         return covered - diff_bytes
 
     # ------------------------------------------------------------------
-    def classify_miss(
-        self, state, memo_digest: bytes, ckey: Optional[bytes] = None
-    ) -> str:
+    def classify_miss(self, state, memo_digest: bytes, ckey: bytes) -> str:
         """Label one miss; record the state for future classifications.
 
         ``memo_digest`` is the content-address component of the memo key
-        that just missed — it feeds the colliding-digest table.  When the
-        memo already keys on the canonical content address it passes it as
-        ``ckey`` so the overlay is never flattened twice; legacy callers
-        (range-wise or eager keying) omit it and the key is derived here.
+        that just missed — it feeds the colliding-digest table.  ``ckey``
+        is the state's :meth:`content_key`, which the memo has already
+        computed, so the overlay is never flattened twice.
         """
         image = state.image
         context = (state.syscall, state.mid_syscall, state.after_syscall)
         is_delta = isinstance(image, CrashImage)
-        if ckey is None:
-            ckey = self.content_key(image)
         if is_delta and image.base.digest not in self._bases:
             reason = "cold_base"
         elif ckey in self._contexts:
@@ -174,7 +169,7 @@ class MemoAttribution:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
         return reason
 
-    def note_shared_hit(self, state, ckey: Optional[bytes] = None) -> None:
+    def note_shared_hit(self, state, ckey: bytes) -> None:
         """Record a state resolved by the *shared* memo tier.
 
         A shared hit is a hit, not a miss, so no reason is counted —
@@ -188,8 +183,6 @@ class MemoAttribution:
         """
         image = state.image
         context = (state.syscall, state.mid_syscall, state.after_syscall)
-        if ckey is None:
-            ckey = self.content_key(image)
         if isinstance(image, CrashImage):
             self._bases.add(image.base.digest)
         self._contexts.setdefault(ckey, set()).add(context)

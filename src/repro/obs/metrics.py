@@ -149,7 +149,7 @@ class CacheCounters:
 
 
 class MetricsRegistry:
-    """Named metric store; lookups are memoized so hot paths can cache the
+    """Named metric store; lookups are cached so hot paths can cache the
     returned object and skip the dictionary entirely."""
 
     def __init__(self) -> None:

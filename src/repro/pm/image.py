@@ -496,7 +496,7 @@ class CrashImage:
         No-op writes (see :meth:`effective_writes`) are dropped before
         hashing, so a state that replays only idempotent stores shares the
         digest of the state that dropped them — the two images are
-        byte-identical and now memoize as such.  Equal digests imply
+        byte-identical and now share a memo key.  Equal digests imply
         byte-identical materialized images; see the module docstring for
         why the one-way implication is the safe one.
         """

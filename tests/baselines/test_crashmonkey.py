@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.bugdb import TRIGGERS
 from repro.baselines.crashmonkey import CrashMonkeyStyleTester
-from repro.core import Chipmunk
+from repro.core import Chipmunk, ChipmunkConfig
 from repro.fs.bugs import BugConfig
 from repro.workloads.ops import Op
 
@@ -17,6 +17,13 @@ class TestPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             CrashMonkeyStyleTester("nova", policy="bogus")
+
+    def test_caller_config_untouched(self):
+        config = ChipmunkConfig(cap=1)
+        tester = CrashMonkeyStyleTester("nova", policy="post", config=config)
+        assert config.crash_points is None
+        assert tester._chipmunk.config.crash_points == "post"
+        assert tester._chipmunk.config.cap == 1
 
     def test_fsync_policy_checks_nothing_without_fsync(self):
         """On strong-guarantee FS workloads (no fsync), the real CrashMonkey

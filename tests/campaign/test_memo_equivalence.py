@@ -1,5 +1,6 @@
-"""Memoization equivalence: memo-on parallel campaigns must produce the
-same ``bugs.json`` — byte for byte — as a serial memo-off run.
+"""Memoization equivalence: memoized parallel campaigns must produce the
+same ``bugs.json`` — byte for byte — as a serial run under the eager
+whole-image reference memo (:class:`conftest.EagerCheckMemo`).
 
 This is the acceptance gate for check memoization: skipping re-checks of
 byte-identical crash states may change how fast a campaign runs, but never
@@ -7,36 +8,20 @@ which bugs it reports, how they cluster, or how the exemplars serialize.
 """
 
 import itertools
-import json
 
 import pytest
+from conftest import eager_memo, serial_bugs_json
 
-from repro.analysis.reporting import CampaignSummary
 from repro.campaign import CampaignEngine, CampaignSpec, EngineConfig
 from repro.workloads import ace
 
 N = 10
-
-
-def spec_for(memoize):
-    return CampaignSpec(fs="nova", seq=1, max_workloads=N, memoize=memoize)
-
-
-def serial_bugs_doc(spec):
-    """The bugs.json document of a serial in-process run of ``spec``."""
-    chipmunk = spec.build_chipmunk()
-    summary = CampaignSummary(fs_name=spec.fs, generator=spec.generator)
-    for w in itertools.islice(ace.generate(spec.seq, mode=spec.mode), N):
-        summary.add_result(chipmunk.test_workload(w.core, setup=w.setup))
-    return json.dumps(
-        {"reports": [c.exemplar.to_dict() for c in summary.clusters]},
-        sort_keys=True,
-    ).encode()
+SPEC = CampaignSpec(fs="nova", seq=1, max_workloads=N)
 
 
 def engine_bugs_bytes(tmp_path, workers):
     engine = CampaignEngine(
-        spec_for(memoize=True),
+        SPEC,
         str(tmp_path),
         EngineConfig(workers=workers, batch_size=3, item_timeout=60.0),
     )
@@ -47,24 +32,27 @@ def engine_bugs_bytes(tmp_path, workers):
 
 class TestMemoBugSetEquivalence:
     def test_serial_memo_on_equals_memo_off(self):
-        assert serial_bugs_doc(spec_for(True)) == serial_bugs_doc(spec_for(False))
+        with eager_memo():
+            reference = serial_bugs_json(SPEC)
+        assert serial_bugs_json(SPEC) == reference
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_parallel_memo_on_matches_serial_memo_off(self, tmp_path, workers):
-        reference = serial_bugs_doc(spec_for(memoize=False))
+        with eager_memo():
+            reference = serial_bugs_json(SPEC)
         assert engine_bugs_bytes(tmp_path, workers) == reference
 
     def test_memo_off_reports_identical_per_workload(self):
-        """memoize=False still dedups (eager sha1 keying): the reports of
-        every workload agree across modes.  The delta digest is *finer*
-        than a whole-image sha1 (an overlay rewriting identical base bytes
-        is a distinct content address), so memo-on may re-check — and
-        count — a few extra "unique" states, never fewer."""
-        on = spec_for(True).build_chipmunk()
-        off = spec_for(False).build_chipmunk()
+        """The eager reference still dedups (whole-image sha1 keying): the
+        reports of every workload agree with the canonical key's.  The
+        canonical key may be *finer* than a whole-image sha1, so the memo
+        may re-check — and count — a few extra "unique" states, never
+        fewer."""
+        chipmunk = SPEC.build_chipmunk()
         for w in itertools.islice(ace.generate(1), 4):
-            a = on.test_workload(w.core, setup=w.setup)
-            b = off.test_workload(w.core, setup=w.setup)
+            a = chipmunk.test_workload(w.core, setup=w.setup)
+            with eager_memo():
+                b = chipmunk.test_workload(w.core, setup=w.setup)
             assert a.n_crash_states == b.n_crash_states
             assert a.n_unique_states >= b.n_unique_states
             assert a.reports == b.reports

@@ -2,45 +2,29 @@
 *when* states get checked, never *what the campaign reports*.
 
 Three configurations are held to byte-equality on ``bugs.json`` against a
-serial memo-off reference: the engine-embedded service (``--shared-memo``),
-an external server (``--memo-server HOST:PORT``, the multi-host path), and
-a server that dies mid-campaign (the degradation path).  Sequence-2
+serial reference under the eager whole-image memo: the engine-embedded
+service (``--shared-memo``), an external server (``--memo-server
+HOST:PORT``, the multi-host path), and a server that dies mid-campaign (the
+degradation path).  Sequence-2
 workloads are used deliberately: cross-workload redundancy lives in shared
 multi-op prefixes — seq-1 workloads are one distinct op each and share
 nothing — so these runs actually exercise shared hits, which the live-mode
 tests assert on.
 """
 
-import itertools
-import json
 import threading
 
 import pytest
+from conftest import eager_memo, serial_bugs_json
 
-from repro.analysis.reporting import CampaignSummary
 from repro.campaign import CampaignEngine, CampaignSpec, EngineConfig
 from repro.memo import MemoServer
-from repro.workloads import ace
 
 N = 6  # per sequence length; the campaign runs seq 1 and seq 2
 
 
 def spec_for(**kwargs):
     return CampaignSpec(fs="nova", seq=2, max_workloads=N, **kwargs)
-
-
-def serial_bugs_doc():
-    """bugs.json of a serial, memo-off, shared-less run of the same items."""
-    spec = spec_for(memoize=False)
-    chipmunk = spec.build_chipmunk()
-    summary = CampaignSummary(fs_name=spec.fs, generator=spec.generator)
-    for seq in (1, 2):
-        for w in itertools.islice(ace.generate(seq, mode=spec.mode), N):
-            summary.add_result(chipmunk.test_workload(w.core, setup=w.setup))
-    return json.dumps(
-        {"reports": [c.exemplar.to_dict() for c in summary.clusters]},
-        sort_keys=True,
-    ).encode()
 
 
 def run_engine(tmp_path, spec, workers=4):
@@ -57,7 +41,9 @@ def run_engine(tmp_path, spec, workers=4):
 
 @pytest.fixture(scope="module")
 def reference():
-    return serial_bugs_doc()
+    """bugs.json of a serial, eager-memo, shared-less run of the same items."""
+    with eager_memo():
+        return serial_bugs_json(spec_for())
 
 
 class TestSharedMemoEquivalence:

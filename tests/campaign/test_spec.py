@@ -59,13 +59,16 @@ class TestBuildChipmunk:
         spec = CampaignSpec(fs="winefs", bug_ids=[], cap=1)
         chipmunk = spec.build_chipmunk()
         assert chipmunk.fs_class.name == "winefs"
+        assert chipmunk.config is spec
         assert chipmunk.config.cap == 1
         assert chipmunk.bugs == BugConfig.fixed()
 
 
 class TestLegacySpecKeys:
     """Journals written while ``memo_entries`` was a spec field resume: the
-    local memo bound is now the module constant next to ``MemoTable``."""
+    local memo bound is now the module constant next to ``MemoTable``.
+    So do journals whose spec carries the deleted ``memoize`` and lacks
+    the keys the spec now inherits from ``ChipmunkConfig``."""
 
     def test_memo_entries_key_is_dropped(self):
         data = {**CampaignSpec(fs="nova").to_dict(), "memo_entries": 1024}
@@ -98,3 +101,32 @@ class TestLegacySpecKeys:
         merged = CampaignEngine(spec, campaign_dir, config, resume=True).run()
         assert merged.engine["items_resumed"] == 2
         assert merged.summary.workloads_tested == 4
+
+    def test_pre_config_journal_resumes_and_reads(self, tmp_path, capsys):
+        import json
+        import os
+
+        from repro.__main__ import main
+        from repro.campaign import CampaignEngine
+
+        spec = CampaignSpec(fs="nova", seq=1, max_workloads=4)
+        campaign_dir = str(tmp_path / "camp")
+        CampaignEngine(spec, campaign_dir).run()
+        path = os.path.join(campaign_dir, "journal.jsonl")
+        records = [json.loads(line) for line in open(path)]
+        inherited = ("device_size", "coalesce_threshold", "crash_points",
+                     "forensics")
+        old = {k: v for k, v in records[0]["spec"].items()
+               if k not in inherited}
+        records[0]["spec"] = {**old, "memoize": False}
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+
+        merged = CampaignEngine(spec, campaign_dir, resume=True).run()
+        assert merged.engine["items_resumed"] == 4
+        assert main(["watch", campaign_dir, "--once"]) == 0
+        assert main(["coverage", campaign_dir]) == 0
+        assert main(["diff", campaign_dir, campaign_dir]) == 0
+        out = capsys.readouterr().out
+        assert "[nova/ace]" in out
+        assert "0 appeared, 0 disappeared" in out

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
+
 import pytest
 
+from repro.analysis.reporting import CampaignSummary
+from repro.core.checker import CheckMemo
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import FS_CLASSES
 from repro.pm.device import PMDevice
@@ -51,3 +57,33 @@ def strong_fs(strong_fs_name):
 def remount(fs):
     """Remount the file system on its current device image."""
     return type(fs).mount(fs.device, bugs=fs.bugcfg)
+
+
+class EagerCheckMemo(CheckMemo):
+    """The memo-equivalence reference: every state materialized and keyed
+    by ``sha1(bytes(state.image))`` — eager whole-image dedup, against
+    which the canonical delta key of :class:`CheckMemo` is held."""
+
+    def key_of(self, state):
+        digest = hashlib.sha1(bytes(state.image)).digest()
+        return (digest, state.syscall, state.mid_syscall, state.after_syscall)
+
+
+@contextlib.contextmanager
+def eager_memo():
+    """Workloads tested inside check through :class:`EagerCheckMemo`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.core.harness.CheckMemo", EagerCheckMemo)
+        yield
+
+
+def serial_bugs_json(spec) -> bytes:
+    """``bugs.json`` of a serial in-process run of ``spec``'s ACE slice."""
+    chipmunk = spec.build_chipmunk()
+    summary = CampaignSummary(fs_name=spec.fs, generator=spec.generator)
+    for w in spec.ace_workloads():
+        summary.add_result(chipmunk.test_workload(w.core, setup=w.setup))
+    return json.dumps(
+        {"reports": [c.exemplar.to_dict() for c in summary.clusters]},
+        sort_keys=True,
+    ).encode()

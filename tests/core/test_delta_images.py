@@ -8,15 +8,17 @@ demand byte-identical state sequences across every ``crash_points`` mode,
 with and without a unit ranker.
 """
 
+import dataclasses
 import hashlib
 import itertools
 
 import pytest
+from conftest import EagerCheckMemo, eager_memo
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checker import CheckMemo, ConsistencyChecker
-from repro.core.harness import Chipmunk, ChipmunkConfig
+from repro.core.harness import Chipmunk
 from repro.core.replayer import coalesce_units, enumerate_crash_states
 from repro.fs.bugs import BugConfig
 from repro.pm.device import PMDevice
@@ -419,17 +421,18 @@ class TestFlattenOverlay:
 class TestCheckMemo:
     WORKLOAD = [Op("creat", ("/foo",)), Op("creat", ("/foo",))]
 
-    def _run(self, memoize):
-        cm = Chipmunk("nova", config=ChipmunkConfig(memoize=memoize))
-        return cm.test_workload(self.WORKLOAD)
+    def _run(self):
+        return Chipmunk("nova").test_workload(self.WORKLOAD)
 
     def test_same_reports_with_and_without_memo(self):
-        on, off = self._run(True), self._run(False)
+        on = self._run()
+        with eager_memo():
+            off = self._run()
         assert on.reports == off.reports
         assert on.n_crash_states == off.n_crash_states
 
     def test_memo_counters_populated(self):
-        result = self._run(True)
+        result = self._run()
         assert result.memo_misses == result.n_unique_states
         assert result.memo_hits + result.memo_misses == result.n_crash_states
         assert result.memo_hits > 0  # seq-2 workloads repeat states
@@ -437,7 +440,7 @@ class TestCheckMemo:
     def test_counters_round_trip(self):
         from repro.core.harness import TestResult
 
-        result = self._run(True)
+        result = self._run()
         rebuilt = TestResult.from_dict(result.to_dict())
         assert rebuilt.memo_hits == result.memo_hits
         assert rebuilt.memo_misses == result.memo_misses
@@ -468,8 +471,10 @@ class TestCheckMemo:
                 state.mid_syscall,
                 state.after_syscall,
             )
-            memo = CheckMemo(checker=None, delta=False)
-            assert memo.key_of(state) == eager_key
+            # A hand-built flat-bytes state keys by the same sha1.
+            flat = dataclasses.replace(state, image=bytes(state.image))
+            assert CheckMemo(checker=None).key_of(flat) == eager_key
+            assert EagerCheckMemo(checker=None).key_of(state) == eager_key
 
     def test_canonical_key_ignores_overlay_shape(self):
         """Two overlays that materialize the same bytes share a memo key
@@ -500,7 +505,7 @@ class TestCheckMemo:
         """A live memoized campaign records zero avoidable misses and no
         colliding content keys: the memo keys on the canonical content
         address, so both would be key-purity regressions."""
-        result = self._run(True)
+        result = self._run()
         assert result.memo_miss_reasons.get("overlay_shape", 0) == 0
         assert result.memo_miss_reasons.get("noop_write_perturbation", 0) == 0
         assert result.memo_collisions == []

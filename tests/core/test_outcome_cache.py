@@ -43,8 +43,7 @@ class AuditingChecker(ConsistencyChecker):
         tree = fs.walk()
         assert tree == outcome.tree, state.describe()
         assert self._tree_digest(tree) == outcome.digest
-        if self.config.usability_check:
-            assert self._check_usability(state, fs, tree) == [], state.describe()
+        assert self._check_usability(state, fs, tree) == [], state.describe()
         type(self).audited += 1
         return super()._reuse_outcome(state, fs, outcome)
 

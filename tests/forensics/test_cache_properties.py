@@ -18,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.forensics.cache as cache_mod
+from repro.config import ChipmunkConfig
 from repro.forensics.cache import ForensicsCache, context_key, subset_key
-from repro.forensics.provenance import CrashProvenance
+from repro.forensics.provenance import RECORDED_KNOBS, CrashProvenance
 
 
 def make_prov(**overrides):
+    """A provenance; harness-knob overrides land in its ``config``."""
+    knobs = {k: overrides.pop(k) for k in RECORDED_KNOBS if k in overrides}
     fields = dict(
         fs_name="nova",
         fence_index=1,
@@ -37,11 +40,7 @@ def make_prov(**overrides):
         workload=(("creat", ("/foo",)),),
         setup=(),
         bug_ids=(5,),
-        cap=2,
-        coalesce_threshold=256,
-        device_size=256 * 1024,
-        crash_points="fence",
-        usability_check=True,
+        config=ChipmunkConfig(**{"crash_points": "fence", **knobs}),
     )
     fields.update(overrides)
     return CrashProvenance(**fields)
@@ -60,7 +59,6 @@ CONTEXT_VARIANTS = [
     {"coalesce_threshold": 64},
     {"device_size": 512 * 1024},
     {"crash_points": "syscall"},
-    {"usability_check": False},
 ]
 
 #: Crash-point-only perturbations: the context key must NOT change (that is

@@ -77,7 +77,7 @@ class TestSplitfsLayoutMap:
         result = Chipmunk("splitfs").test_workload(w.core, setup=w.setup)
         report = next(r for r in result.reports if r.provenance.dropped())
         prov = report.provenance
-        layout = fresh_layout(SplitFS, prov.device_size)
+        layout = fresh_layout(SplitFS, prov.config.device_size)
         culprits = [e.seq for e in prov.dropped()][:1]
         text = render_timeline(prov, layout, culprits)
         assert "oplog[" in text

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.core.harness import Chipmunk, ChipmunkConfig
+from repro.core.harness import Chipmunk
 from repro.core.report import BugReport
 from repro.forensics.explain import load_report_dicts
 from repro.forensics.replay import rebuild_session
@@ -28,9 +28,8 @@ SEQ2 = [Op("creat", ("/foo",)), Op("creat", ("/foo",))]
 
 @pytest.fixture(scope="module")
 def memoized_bugs_json(tmp_path_factory):
-    """A ``bugs.json`` written from a memoize-on run (the default)."""
-    config = ChipmunkConfig(memoize=True)
-    result = Chipmunk("nova", config=config).test_workload(SEQ2)
+    """A ``bugs.json`` written from a memoized run."""
+    result = Chipmunk("nova").test_workload(SEQ2)
     assert result.memo_hits > 0, "fixture must actually exercise the memo"
     report = next(r for r in result.reports if r.provenance.dropped())
     path = tmp_path_factory.mktemp("memoized") / "bugs.json"
@@ -43,7 +42,7 @@ class TestMemoizedExplainGolden:
         report = BugReport.from_dict(load_report_dicts(memoized_bugs_json)[0])
         prov = report.provenance
         culprits = [e.seq for e in prov.dropped()][:1]
-        dev = PMDevice(prov.device_size)
+        dev = PMDevice(prov.config.device_size)
         NovaFS.mkfs(dev)
         layout = NovaFS.layout_map(dev.snapshot())
         text = render_timeline(prov, layout, culprits) + "\n"

@@ -1,11 +1,13 @@
 """Provenance capture: tagging, memoization, and the JSON round-trip."""
 
 import json
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.harness import Chipmunk
+from repro.core.harness import Chipmunk, ChipmunkConfig
+from repro.core.report import BugReport
 from repro.forensics.provenance import (
     DROPPED,
     PAYLOAD_CAP,
@@ -20,6 +22,10 @@ from repro.pm.log import PMLog
 from repro.workloads.ops import Op
 
 SEQ2 = [Op("creat", ("/foo",)), Op("creat", ("/foo",))]
+
+#: ``bugs.json`` of ``repro campaign pmfs --seq 2 --max-workloads 100``,
+#: written before provenance carried a ``ChipmunkConfig``.
+OLD_BUGS_JSON = Path(__file__).parent / "golden" / "bugs_pmfs_seq2.json"
 
 
 def failing_reports(fs="nova", workload=SEQ2, setup=()):
@@ -113,6 +119,19 @@ class TestRoundTrip:
     def test_engine_emitted_provenance_roundtrips(self):
         for report in failing_reports():
             assert roundtrip(report.provenance) == report.provenance
+
+    def test_old_bugs_json_roundtrips_byte_identically(self):
+        raw = OLD_BUGS_JSON.read_text()
+        reports = [BugReport.from_dict(data).to_dict()
+                   for data in json.loads(raw)["reports"]]
+        assert json.dumps({"reports": reports}, sort_keys=True) == raw
+
+    def test_missing_knobs_take_the_config_defaults(self):
+        data = json.loads(OLD_BUGS_JSON.read_text())["reports"][0]
+        prov = data["provenance"]
+        for key in ("cap", "coalesce_threshold", "device_size", "crash_points"):
+            del prov[key]
+        assert CrashProvenance.from_dict(prov).config == ChipmunkConfig()
 
     @given(
         seq=st.integers(0, 10_000),

@@ -51,7 +51,7 @@ class TestTimelineGolden:
         from repro.fs.nova.fs import NovaFS
         from repro.pm.device import PMDevice
 
-        dev = PMDevice(prov.device_size)
+        dev = PMDevice(prov.config.device_size)
         NovaFS.mkfs(dev)
         layout = NovaFS.layout_map(dev.snapshot())
         text = render_timeline(prov, layout, culprits)

@@ -31,7 +31,8 @@ def _classify(attr, image, syscall=None, mid=False, after=False):
     # the memo digest is whatever the memo would key on; the range-wise
     # delta digest serves for CrashImages
     digest = image.digest() if isinstance(image, CrashImage) else bytes(8)
-    return attr.classify_miss(state, digest)
+    ckey = MemoAttribution.content_key(image)
+    return attr.classify_miss(state, digest, ckey)
 
 
 class TestReasonClasses:
@@ -120,7 +121,7 @@ class TestSumInvariant:
         assert sum(memo.attribution.reasons.values()) == memo.misses
 
     def test_harness_result_carries_attribution(self):
-        cm = Chipmunk("nova", config=ChipmunkConfig(memoize=True))
+        cm = Chipmunk("nova", config=ChipmunkConfig())
         result = cm.test_workload(self.WORKLOAD)
         assert sum(result.memo_miss_reasons.values()) == result.memo_misses
         assert set(result.memo_miss_reasons) <= set(MISS_REASONS)

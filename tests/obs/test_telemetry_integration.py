@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import Chipmunk, ChipmunkConfig
+from repro.core import Chipmunk, harness
 from repro.fs.bugs import BugConfig
 from repro.obs import NULL, NullTelemetry, Telemetry
 from repro.pm.device import PMDevice
@@ -79,12 +79,9 @@ class TestStageTimes:
 
 
 class TestTruncation:
-    def test_truncated_flag_set_when_report_cap_hit(self):
-        cm = Chipmunk(
-            "nova",
-            bugs=BugConfig.only(5),
-            config=ChipmunkConfig(max_reports_per_workload=1),
-        )
+    def test_truncated_flag_set_when_report_cap_hit(self, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_REPORTS_PER_WORKLOAD", 1)
+        cm = Chipmunk("nova", bugs=BugConfig.only(5))
         result = cm.test_workload([
             Op("creat", ("/foo",)), Op("rename", ("/foo", "/bar")),
         ])

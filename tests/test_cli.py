@@ -1,5 +1,8 @@
 """CLI (`python -m repro`) behaviour."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,6 +231,32 @@ class TestCampaignCLI:
         with pytest.raises(SystemExit):
             main(["campaign"])
         assert "file system is required" in capsys.readouterr().err
+
+
+class TestBadKnobs:
+    """A bad knob is a usage error — exit 2 with ``error:`` on stderr before
+    any work starts — never a silent run, a traceback or a hang.  Run as a
+    subprocess under a timeout, as a user would hit it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ace", "nova", "--max-workloads", "2", "--cap=-1"],
+        ["ace", "nova", "--max-workloads", "-1"],
+        ["campaign", "nova", "--batch", "0", "--max-workloads", "2"],
+        ["campaign", "nova", "--workers", "0"],
+        ["campaign", "nova", "--timeout", "0"],
+        ["campaign", "nova", "--max-retries", "-1"],
+    ], ids=["cap", "max-workloads", "batch", "workers", "timeout",
+            "max-retries"])
+    def test_rejected_as_usage_error(self, argv, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert not list(tmp_path.iterdir()), "no campaign directory"
 
 
 class TestObservabilityCLI:
