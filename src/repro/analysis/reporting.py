@@ -165,6 +165,8 @@ class CampaignSummary(ResultFold):
             "unique_outcomes": t("n_unique_outcomes"),
             "outcome_hits": t("outcome_hits"),
             "outcome_misses": t("outcome_misses"),
+            "recovery_hits": t("recovery_hits"),
+            "recovery_misses": t("recovery_misses"),
             "fences": t("n_fences"),
             "reports": t("n_reports"),
             "wall_time": self.wall_time,
@@ -209,6 +211,12 @@ class CampaignSummary(ResultFold):
                 f"{unique_outcomes} distinct of {self.memo_misses} checked "
                 f"(equivalence-pruning headroom "
                 f"{(1 - unique_outcomes / self.memo_misses) * 100:.1f}%)")))
+        hits, misses = t("recovery_hits"), t("recovery_misses")
+        if hits or misses:
+            out.append(("recovery memo", (
+                f"{hits} hit(s), {misses} miss(es) (mount, walk + usability "
+                f"skipped on {hits / (hits + misses) * 100:.1f}% of checked "
+                f"states; checker.recovery_memo.*)")))
         hits, misses = t("outcome_hits"), t("outcome_misses")
         if hits or misses:
             out.append(("outcome cache", (

@@ -208,6 +208,13 @@ class CampaignMonitor:
                 f"mech plans {t('mech_plans_emitted')}   "
                 f"fallback epochs {t('mech_fallback_epochs')}"
             )
+        hits, misses = t("recovery_hits"), t("recovery_misses")
+        if hits or misses:
+            lines.append(
+                f"recovery memo hits {hits}/{hits + misses} "
+                f"({hits / (hits + misses) * 100:.0f}% of checked states "
+                f"skip mount, walk + usability)"
+            )
         hits, misses = t("outcome_hits"), t("outcome_misses")
         if hits or misses:
             lines.append(

@@ -19,10 +19,13 @@ and rolls both back on exit — the paper's own undo-log strategy — so
 mutations never leak between states and nothing is copied per state.  Only
 hand-built flat-``bytes`` states still get a private device copy.
 
-Steps 2 and 4 are skipped for a state whose *post-mount* image is
-byte-identical to one this process already walked and found usable (the
-recovered-outcome cache, :mod:`repro.core.outcome_cache`); step 3 always
-runs, against the state's own oracle context.
+Steps 1, 2 and 4 are skipped for a state on which they would read only
+bytes an earlier check already read with the same values (the read-trace
+recovery memo, :mod:`repro.core.recovery_memo`); steps 2 and 4 are skipped
+for a state whose *post-mount* image is byte-identical to one this process
+already walked and found usable (the recovered-outcome cache,
+:mod:`repro.core.outcome_cache`).  Step 3 always runs, against the state's
+own oracle context.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.oracle import OracleResult, TreeState
 from repro.obs import profile as _profile
-from repro.core.replayer import CrashState
+from repro.core.recovery_memo import Recovery
+from repro.core.replayer import SYNC_SYSCALLS, CrashState
 from repro.core.report import BugReport, Consequence, diff_trees
 from repro.fs.common.alloc import AllocatorError
 from repro.memo.store import BUGGY, CLEAN, DEFAULT_MAX_ENTRIES, MemoTable
@@ -68,6 +72,7 @@ class ConsistencyChecker:
         telemetry=None,
         provenance=None,
         outcome_cache=None,
+        recovery_memo=None,
     ) -> None:
         self.fs_class = fs_class
         self.oracle = oracle
@@ -105,6 +110,13 @@ class ConsistencyChecker:
         self.outcome_hits = 0
         self.outcome_misses = 0
         self.outcome_bypassed = 0
+        #: Optional :class:`~repro.core.recovery_memo.RecoveryMemo` shared
+        #: like the outcome cache; None mounts every state it checks.
+        self.recovery_memo = recovery_memo
+        #: This workload's share of the memo traffic: states whose mount,
+        #: walk and usability were reused / ran (and were recorded).
+        self.recovery_hits = 0
+        self.recovery_misses = 0
 
     # ------------------------------------------------------------------
     # Oracle-context digest (shared check-memo key component)
@@ -149,13 +161,16 @@ class ConsistencyChecker:
             if oracle.errnos[i] is None:
                 h.update(self._tree_digest(oracle.post_state(i)))
         else:
-            expected = (
-                oracle.states[0]
-                if state.after_syscall < 0
-                else oracle.post_state(state.after_syscall)
-            )
             h.update(b"post")
-            h.update(self._tree_digest(expected))
+            if self._expects_nothing(state.after_syscall):
+                h.update(b"<none>")
+            else:
+                expected = (
+                    oracle.states[0]
+                    if state.after_syscall < 0
+                    else oracle.post_state(state.after_syscall)
+                )
+                h.update(self._tree_digest(expected))
         digest = h.digest()
         self._ctx_digests[context] = digest
         return digest
@@ -201,44 +216,53 @@ class ConsistencyChecker:
                 self._mount_device = PMDevice.adopt(
                     base.tracker.buf, telemetry=self.telemetry
                 )
+                if self.recovery_memo is not None:
+                    self.recovery_memo.bind((
+                        self.fs_class,
+                        self.bugs.enabled if self.bugs is not None else None,
+                        self._mount_device.size,
+                    ))
             writes = tuple(base.restore_writes()) + image.writes
             with self._mount_device.cow_view(writes) as device:
-                return self._check_device(state, device, image)
+                if self.recovery_memo is None:
+                    recovery = self._recover(device, image)[0]
+                else:
+                    recovery = self._recover_memoized(state, device, image)
+                return self._judge(state, recovery)
         # Legacy eager path for flat images (hand-built states, the
         # delta-vs-eager benchmark baseline): fresh device copy per state.
         device = PMDevice.from_snapshot(image, telemetry=self.telemetry)
-        return self._check_device(state, device)
+        return self._judge(state, self._recover(device)[0])
 
-    def _check_device(
-        self,
-        state: CrashState,
-        device: PMDevice,
-        keyed: Optional[CrashImage] = None,
-    ) -> List[BugReport]:
-        """Mount, observe and judge one state on ``device``.
+    def _recover(
+        self, device: PMDevice, keyed: Optional[CrashImage] = None
+    ) -> Tuple[Recovery, bool]:
+        """Mount, walk and probe ``device``: all a check learns from PM.
 
-        ``keyed`` is the crash image ``device`` presents through a COW
-        view, for the recovered-outcome cache; ``None`` for a flat image,
-        which the cache cannot key.
+        Returns the recovery and whether it ran in full — False when the
+        outcome cache skipped walk + usability or the mount crashed, the
+        cases the recovery memo must not remember.  ``keyed`` is the crash
+        image ``device`` presents through a COW view, for the
+        recovered-outcome cache; ``None`` for a flat image, which the cache
+        cannot key.
         """
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         try:
             fs = self.fs_class.mount(device, bugs=self.bugs)
         except MountError as exc:
-            self._note_outcome(b"<unmountable>" + str(exc).encode())
-            return [self._report(state, Consequence.UNMOUNTABLE, str(exc))]
+            return Recovery(
+                digest=b"<unmountable>" + str(exc).encode(),
+                failure=(Consequence.UNMOUNTABLE, str(exc)),
+            ), True
         except (PMDeviceError, AllocatorError) as exc:
-            self._note_outcome(
-                b"<mount-crash>" + type(exc).__name__.encode()
-            )
-            return [
-                self._report(
-                    state,
+            return Recovery(
+                digest=b"<mount-crash>" + type(exc).__name__.encode(),
+                failure=(
                     Consequence.UNMOUNTABLE,
                     f"mount crashed: {type(exc).__name__}: {exc}",
-                )
-            ]
+                ),
+            ), False
         finally:
             if prof is not None:
                 prof.add("checker.mount", perf_counter() - t0)
@@ -249,31 +273,24 @@ class ConsistencyChecker:
             outcome = cache.lookup(key) if key is not None else None
             self._count_outcome_lookup(key, outcome)
             if outcome is not None:
-                return self._reuse_outcome(state, fs, outcome)
-        reports: List[BugReport] = []
+                return self._reuse_outcome(fs, outcome), False
         t0 = perf_counter() if prof is not None else 0.0
         try:
             crash_tree = fs.walk()
         except FsError as exc:
-            reports.append(self._report(state, Consequence.UNREADABLE, str(exc)))
-            crash_tree = None
-        if prof is not None:
-            prof.add("checker.walk", perf_counter() - t0)
-        if crash_tree is None:
-            self._note_outcome(b"<unreadable>")
-            return reports
+            return Recovery(
+                digest=b"<unreadable>",
+                failure=(Consequence.UNREADABLE, str(exc)),
+            ), True
+        finally:
+            if prof is not None:
+                prof.add("checker.walk", perf_counter() - t0)
         tree_digest = self._tree_digest(crash_tree)
-        self._note_outcome(tree_digest)
         t0 = perf_counter() if prof is not None else 0.0
-        reports.extend(self._check_semantics(state, crash_tree))
-        if prof is not None:
-            prof.add("checker.semantics", perf_counter() - t0)
-        t0 = perf_counter() if prof is not None else 0.0
-        unusable = self._check_usability(state, fs, crash_tree)
-        reports.extend(unusable)
+        findings = self._check_usability(fs, crash_tree)
         if prof is not None:
             prof.add("checker.usability", perf_counter() - t0)
-        if key is not None and not unusable:
+        if key is not None and not findings:
             # Only a readable, usable recovery is worth remembering — and
             # safe to: there is no walk or usability report a later hit
             # could elide.
@@ -283,7 +300,73 @@ class ConsistencyChecker:
                 self.telemetry.count(
                     "checker.outcome_cache.evictions", cache.evictions - before
                 )
+        return Recovery(crash_tree, tree_digest, findings), True
+
+    def _judge(self, state: CrashState, recovery: Recovery) -> List[BugReport]:
+        """Reports for ``state`` given what recovery made of its image."""
+        self._note_outcome(recovery.digest)
+        if recovery.failure is not None:
+            return [self._report(state, *recovery.failure)]
+        prof = _profile.ACTIVE
+        t0 = perf_counter() if prof is not None else 0.0
+        reports = self._check_semantics(state, recovery.tree)
+        if prof is not None:
+            prof.add("checker.semantics", perf_counter() - t0)
+        reports.extend(
+            self._report(state, consequence, detail, paths)
+            for consequence, detail, paths in recovery.findings
+        )
         return reports
+
+    # ------------------------------------------------------------------
+    # Read-trace recovery memo (skip mount, walk and usability)
+    # ------------------------------------------------------------------
+    def _recover_memoized(
+        self, state: CrashState, device: PMDevice, image: CrashImage
+    ) -> Recovery:
+        """:meth:`_recover` through the recovery memo.
+
+        The lookup reads the COW view's bytes before anything mounts.  A
+        miss runs the real recovery under a read/write trace; once it is
+        done the view rewinds to the state's own bytes (its undo log), the
+        image the trace's reads are keyed against.
+        """
+        memo = self.recovery_memo
+        prof = _profile.ACTIVE
+        t0 = perf_counter() if prof is not None else 0.0
+        recorded = memo.lookup(device.image)
+        if prof is not None:
+            prof.add("checker.recovery_lookup", perf_counter() - t0)
+        if recorded is not None:
+            self.recovery_hits += 1
+            if self.telemetry is not None:
+                self.telemetry.count("checker.recovery_memo.hits")
+            return self._reuse_recovery(state, device, recorded)
+        self.recovery_misses += 1
+        if self.telemetry is not None:
+            self.telemetry.count("checker.recovery_memo.misses")
+        with device.traced() as trace:
+            recovery, complete = self._recover(device, image)
+        if complete:
+            t0 = perf_counter() if prof is not None else 0.0
+            device.rewind_undo()
+            resets = memo.resets
+            memo.insert(trace, device.image, recovery)
+            if self.telemetry is not None and memo.resets > resets:
+                self.telemetry.count("checker.recovery_memo.resets")
+            if prof is not None:
+                prof.add("checker.recovery_insert", perf_counter() - t0)
+        return recovery
+
+    def _reuse_recovery(
+        self, state: CrashState, device: PMDevice, recorded: Recovery
+    ) -> Recovery:
+        """The recorded recovery of an image that reads like ``device``'s.
+
+        (``state`` and ``device`` are unused here — the equivalence audit
+        in the tests overrides this hook to re-run the real check on them.)
+        """
+        return recorded
 
     # ------------------------------------------------------------------
     # Recovered-outcome cache (skip walk + usability on a known image)
@@ -326,22 +409,15 @@ class ConsistencyChecker:
         if self.telemetry is not None:
             self.telemetry.count("checker.outcome_cache." + name)
 
-    def _reuse_outcome(self, state: CrashState, fs: FileSystem, outcome) -> List[BugReport]:
-        """Judge ``state`` from a cached recovery of the same image.
+    def _reuse_outcome(self, fs: FileSystem, outcome) -> Recovery:
+        """The recovery of an image the outcome cache already judged.
 
         The cached tree is what ``fs.walk()`` would return and the
-        usability pass is known to report nothing, so both are skipped;
-        the oracle comparison still runs for this state's own context.
+        usability pass is known to report nothing, so both are skipped.
         (``fs`` is unused here — the equivalence audit in the tests
         overrides this hook to re-run both passes on it.)
         """
-        self._note_outcome(outcome.digest)
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
-        reports = self._check_semantics(state, outcome.tree)
-        if prof is not None:
-            prof.add("checker.semantics", perf_counter() - t0)
-        return reports
+        return Recovery(outcome.tree, outcome.digest)
 
     # ------------------------------------------------------------------
     # Recovered-outcome tracking (equivalence-pruning headroom)
@@ -396,6 +472,8 @@ class ConsistencyChecker:
                     return []
             return [self._atomicity_report(state, crash_tree, pre, post)]
         # Post-syscall or final state: synchrony — exact match required.
+        if self._expects_nothing(state.after_syscall):
+            return []
         if state.after_syscall < 0:
             expected = oracle.states[0]
         else:
@@ -406,6 +484,21 @@ class ConsistencyChecker:
             Consequence.SYNCHRONY if state.after_syscall >= 0 else Consequence.STATE_MISMATCH
         )
         return [self._mismatch(state, crash_tree, expected, consequence)]
+
+    def _expects_nothing(self, after_syscall: int) -> bool:
+        """True when a crash right after syscall ``after_syscall`` has no
+        synchrony expectation: on a weak-guarantee file system only the
+        sync family promises durability, and a sync call that failed
+        promises nothing (mount, walk and usability findings still stand).
+        """
+        if after_syscall < 0:
+            return False
+        oracle = self.oracle
+        return (
+            oracle.errnos[after_syscall] is not None
+            and oracle.workload[after_syscall].name in SYNC_SYSCALLS
+            and not self.fs_class.strong_guarantees
+        )
 
     def _within_data_envelope(
         self, crash: TreeState, pre: TreeState, post: TreeState
@@ -536,10 +629,14 @@ class ConsistencyChecker:
     # Usability pass
     # ------------------------------------------------------------------
     def _check_usability(
-        self, state: CrashState, fs: FileSystem, crash_tree: TreeState
-    ) -> List[BugReport]:
-        """Create a file in every directory, then delete every file."""
-        reports: List[BugReport] = []
+        self, fs: FileSystem, crash_tree: TreeState
+    ) -> List[Tuple[Consequence, str, Tuple[str, ...]]]:
+        """Create a file in every directory, then delete every file.
+
+        Returns ``(consequence, detail, paths)`` per failed operation —
+        facts about the image, which :meth:`_judge` turns into reports.
+        """
+        findings: List[Tuple[Consequence, str, Tuple[str, ...]]] = []
         dirs = [p for p, obs in crash_tree.items() if obs.ftype is FileType.DIRECTORY]
         files = [p for p, obs in crash_tree.items() if obs.ftype is FileType.REGULAR]
         for d in sorted(dirs):
@@ -548,27 +645,19 @@ class ConsistencyChecker:
                 fs.creat(probe)
                 files.append(probe)
             except FsError as exc:
-                reports.append(
-                    self._report(
-                        state,
-                        Consequence.USABILITY,
-                        f"cannot create a file in {d!r}: {exc}",
-                        paths=(d,),
-                    )
-                )
+                findings.append((
+                    Consequence.USABILITY,
+                    f"cannot create a file in {d!r}: {exc}",
+                    (d,),
+                ))
         for f in sorted(files):
             try:
                 fs.unlink(f)
             except FsError as exc:
-                reports.append(
-                    self._report(
-                        state,
-                        Consequence.USABILITY,
-                        f"cannot delete {f!r}: {exc}",
-                        paths=(f,),
-                    )
-                )
-        return reports
+                findings.append((
+                    Consequence.USABILITY, f"cannot delete {f!r}: {exc}", (f,)
+                ))
+        return findings
 
 
 class CheckMemo:

@@ -16,6 +16,7 @@ from repro.config import ChipmunkConfig
 from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.oracle import run_oracle
 from repro.core.outcome_cache import OutcomeCache
+from repro.core.recovery_memo import RecoveryMemo
 from repro.core.probes import ProbeSet, probe_targets_of
 from repro.core.replayer import (
     ReplayStats,
@@ -113,6 +114,11 @@ class TestResult:
     #: usable (walk + usability skipped) / that ran both in full.
     outcome_hits: int = 0
     outcome_misses: int = 0
+    #: Read-trace recovery memo traffic (``checker.recovery_memo.*``):
+    #: checked states whose recovery reads matched a recorded one (mount,
+    #: walk and usability skipped) / that ran and were recorded.
+    recovery_hits: int = 0
+    recovery_misses: int = 0
     #: Persistence-function mix: func -> {stores, flushes, fences, bytes}.
     persistence: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Write traffic per layout region: region -> {writes, bytes}.
@@ -226,6 +232,11 @@ class Chipmunk:
         #: probed again in the next.  Always on; ``None`` detaches it (the
         #: equivalence tests' control side).
         self.outcome_cache: Optional[OutcomeCache] = OutcomeCache()
+        #: Read-trace recovery memo handed to every workload's checker:
+        #: a state whose recovery would read only bytes already seen with
+        #: the same values is not mounted again.  Always on; ``None``
+        #: detaches it, like :attr:`outcome_cache`.
+        self.recovery_memo: Optional[RecoveryMemo] = RecoveryMemo()
 
     # ------------------------------------------------------------------
     def record(self, workload: Workload, setup: Workload = (), coverage=None) -> tuple:
@@ -344,6 +355,7 @@ class Chipmunk:
             telemetry=tel,
             provenance=recorder,
             outcome_cache=self.outcome_cache,
+            recovery_memo=self.recovery_memo,
         )
         stats = ReplayStats()
         # The memo is the single entry point for checking: dedup by
@@ -461,6 +473,8 @@ class Chipmunk:
             n_unique_outcomes=len(checker.outcome_digests),
             outcome_hits=checker.outcome_hits,
             outcome_misses=checker.outcome_misses,
+            recovery_hits=checker.recovery_hits,
+            recovery_misses=checker.recovery_misses,
             persistence=persistence,
             store_regions=store_regions,
             recovery_overlap=recovery_overlap,
@@ -477,12 +491,10 @@ class Chipmunk:
     def _recovery_overlap(self, base: bytes, log: PMLog) -> Dict[str, int]:
         """Recovery-read overlap with the workload's write set.
 
-        Mounts the final persistent image on an overlay-aware read-tracking
-        device (:func:`repro.core.recovery_reads.recovery_read_set` with
+        Mounts the final persistent image under the device's read trace
+        (:func:`repro.core.recovery_reads.recovery_read_set` with
         ``writes=``) and intersects the cache lines recovery reads with the
-        lines the workload stored.  The fence base is shared by reference
-        and only the chunks recovery touches are materialized, so this
-        analyze stage costs O(log delta + bytes read), never a device copy.
+        lines the workload stored.
         A large never-read remainder is the Vinter-heuristic redundancy the
         coverage report surfaces: in-flight writes recovery does not even
         look at rarely change a verdict.

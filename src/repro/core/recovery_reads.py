@@ -3,8 +3,8 @@
 Vinter reduces its state space by focusing on crash states whose in-flight
 writes are *likely to be read during recovery*.  The paper notes Chipmunk
 "could incorporate this heuristic by recording PM read functions" — this
-module does exactly that: it mounts the last persistent state on a
-read-tracking device, records which byte ranges recovery touches, and lets
+module does exactly that: it mounts the last persistent state under the
+device's access trace, records which byte ranges recovery reads, and lets
 the replayer rank subsets by how much of their in-flight data recovery
 would actually observe.
 
@@ -17,168 +17,42 @@ campaign checks before the first report, with and without the heuristic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
-from repro.pm.device import CACHE_LINE, PMDevice, PMDeviceError
+from repro.pm.device import PMDevice
 from repro.pm.log import WriteEntry
-from repro.vfs.interface import MountError
-
-
-class ReadTrackingDevice(PMDevice):
-    """A device that records every byte range read from it."""
-
-    def __init__(self, size: int) -> None:
-        super().__init__(size)
-        self.read_ranges: List[Tuple[int, int]] = []
-
-    @classmethod
-    def from_snapshot(cls, snap: bytes) -> "ReadTrackingDevice":
-        if not isinstance(snap, (bytes, bytearray)):
-            snap = bytes(snap)  # lazy CrashImage → flat bytes
-        dev = cls(len(snap))
-        dev.image = bytearray(snap)
-        dev.read_ranges.clear()
-        return dev
-
-    def read(self, addr: int, length: int) -> bytes:
-        if length > 0:
-            self.read_ranges.append((addr, length))
-        return super().read(addr, length)
-
-
-class OverlayReadTrackingDevice(PMDevice):
-    """Read-tracking device over ``base`` plus a sparse write overlay.
-
-    Construction takes the shared fence-base bytes *by reference* and an
-    ordered list of overlay writes; nothing is copied up front.  Chunks of
-    the image are materialized copy-on-access — base slice plus the overlay
-    writes that land in the chunk, applied in log order — so a recovery pass
-    that reads a few kilobytes costs a few kilobytes, not a device copy.
-    Mount-time recovery writes land in the same materialized chunks and are
-    observed by later reads, exactly as on a flat device.
-    """
-
-    CHUNK = 4096
-
-    def __init__(self, base, writes: Iterable[Tuple[int, bytes]] = ()) -> None:
-        # ``base`` is flat bytes or a sliceable fence base — only accessed
-        # chunks are read.
-        size = len(base)
-        if size <= 0 or size % CACHE_LINE != 0:
-            raise PMDeviceError(
-                f"device size must be a positive multiple of {CACHE_LINE}, got {size}"
-            )
-        # Deliberately skip PMDevice.__init__: no full-image allocation.
-        self.size = size
-        self._base = base
-        self._chunks: Dict[int, bytearray] = {}
-        self._pending: Dict[int, List[Tuple[int, bytes]]] = {}
-        for addr, data in writes:
-            if not data:
-                continue
-            self.check_range(addr, len(data))
-            first = addr // self.CHUNK
-            last = (addr + len(data) - 1) // self.CHUNK
-            for ci in range(first, last + 1):
-                self._pending.setdefault(ci, []).append((addr, data))
-        self.read_ranges: List[Tuple[int, int]] = []
-        self._undo = None
-        self._c_reads = self._c_read_bytes = None
-        self._c_writes = self._c_write_bytes = None
-
-    def _chunk(self, ci: int) -> bytearray:
-        buf = self._chunks.get(ci)
-        if buf is None:
-            lo = ci * self.CHUNK
-            hi = min(lo + self.CHUNK, self.size)
-            buf = bytearray(self._base[lo:hi])
-            for addr, data in self._pending.pop(ci, ()):
-                s = max(addr, lo)
-                e = min(addr + len(data), hi)
-                if s < e:
-                    buf[s - lo : e - lo] = data[s - addr : e - addr]
-            self._chunks[ci] = buf
-        return buf
-
-    def read(self, addr: int, length: int) -> bytes:
-        self.check_range(addr, length)
-        if length <= 0:
-            return b""
-        self.read_ranges.append((addr, length))
-        first = addr // self.CHUNK
-        last = (addr + length - 1) // self.CHUNK
-        parts = []
-        for ci in range(first, last + 1):
-            lo = ci * self.CHUNK
-            buf = self._chunk(ci)
-            s = max(addr, lo) - lo
-            e = min(addr + length, lo + len(buf)) - lo
-            parts.append(bytes(buf[s:e]))
-        return parts[0] if len(parts) == 1 else b"".join(parts)
-
-    def write(self, addr: int, data: bytes) -> None:
-        self.check_range(addr, len(data))
-        if not data:
-            return
-        first = addr // self.CHUNK
-        last = (addr + len(data) - 1) // self.CHUNK
-        for ci in range(first, last + 1):
-            lo = ci * self.CHUNK
-            buf = self._chunk(ci)
-            s = max(addr, lo)
-            e = min(addr + len(data), lo + len(buf))
-            buf[s - lo : e - lo] = data[s - addr : e - addr]
-
-    def snapshot(self) -> bytes:
-        # Slicing (not buffer conversion) so lazy fence bases — sliceable
-        # but not buffer-protocol objects — work as the base too.
-        buf = bytearray(self._base[0 : self.size])
-        for ci in sorted(set(self._pending) | set(self._chunks)):
-            if ci in self._chunks:
-                lo = ci * self.CHUNK
-                buf[lo : lo + len(self._chunks[ci])] = self._chunks[ci]
-            else:
-                for addr, data in self._pending[ci]:
-                    lo = ci * self.CHUNK
-                    hi = min(lo + self.CHUNK, self.size)
-                    s = max(addr, lo)
-                    e = min(addr + len(data), hi)
-                    if s < e:
-                        buf[s:e] = data[s - addr : e - addr]
-        return bytes(buf)
 
 
 def recovery_read_set(
     fs_class,
-    image: bytes,
+    image,
     bugs=None,
     granularity: int = 64,
     writes: Iterable[Tuple[int, bytes]] | None = None,
 ) -> Set[int]:
-    """Cache lines recovery reads when mounting ``image``.
+    """Lines of ``granularity`` bytes recovery reads when mounting ``image``.
 
-    A failed mount still yields the ranges read up to the failure — those
-    are precisely the locations recovery trusted.
-
-    With ``writes``, ``image`` is treated as the shared fence base and the
-    mount runs against ``base + writes`` on an
-    :class:`OverlayReadTrackingDevice` — no flat copy of the device is ever
-    built, so the cost is proportional to the overlay plus the bytes
-    recovery actually reads.
+    With ``writes``, ``image`` is a base (flat bytes or a sliceable fence
+    base) and the mount runs on ``base + writes``.  Reads are recorded by
+    the device's own access trace (:meth:`PMDevice.traced`), the recorder
+    the checker's recovery memo keys on.  A failed mount still yields the
+    reads made up to the failure — precisely the locations recovery
+    trusted.
     """
-    if writes is not None:
-        device: PMDevice = OverlayReadTrackingDevice(image, writes)
-    else:
-        device = ReadTrackingDevice.from_snapshot(image)
-    try:
-        fs_class.mount(device, bugs=bugs)
-    except (MountError, Exception):  # noqa: BLE001 - any recovery failure is fine
-        pass
+    device = PMDevice(len(image), image=bytearray(image[0 : len(image)]))
+    for addr, data in writes or ():
+        device.check_range(addr, len(data))
+        device.image[addr : addr + len(data)] = data
+    with device.traced() as trace:
+        try:
+            fs_class.mount(device, bugs=bugs)
+        except Exception:  # noqa: BLE001 - any recovery failure is fine
+            pass
     lines: Set[int] = set()
-    for addr, length in device.read_ranges:
-        first = addr // granularity
-        last = (addr + length - 1) // granularity
-        lines.update(range(first, last + 1))
+    for addr, length in trace:
+        if length > 0:
+            lines.update(range(addr // granularity,
+                               (addr + length - 1) // granularity + 1))
     return lines
 
 

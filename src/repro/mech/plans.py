@@ -266,7 +266,7 @@ class MechPlanner:
                 if visible is None:
                     # Append/bulk epoch: mount the boundary image (with
                     # the same seeded-bug configuration the campaign
-                    # runs) on a read-tracking device and test each unit
+                    # runs) under the device's read trace and test each unit
                     # against recovery's actual read set.
                     reads = recovery_read_set(
                         fs_class, base_image, bugs=bugs, granularity=1,

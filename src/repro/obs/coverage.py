@@ -211,6 +211,8 @@ class CoverageReport(ResultFold):
             "outcome_headroom": self.outcome_headroom,
             "outcome_hits": t("outcome_hits"),
             "outcome_misses": t("outcome_misses"),
+            "recovery_hits": t("recovery_hits"),
+            "recovery_misses": t("recovery_misses"),
             "crash_plans": t("crash_plans", "?"),
             "mech_recognized": dict(t("mech_recognized", {})),
             "mech_plans_emitted": t("mech_plans_emitted"),
@@ -277,20 +279,30 @@ class CoverageReport(ResultFold):
                 f"entrie(s) were LRU-evicted under the memo bound."
             )
             lines.append("")
-        hits, misses = t("outcome_hits"), t("outcome_misses")
         if self.unique_states:
+            realised = []
+            hits = t("recovery_hits")
+            if hits or t("recovery_misses"):
+                realised.append(
+                    f"the read-trace recovery memo skipped mount, walk + "
+                    f"usability on {hits} state(s) "
+                    f"({hits / self.unique_states * 100:.1f}% of checked)"
+                )
+            hits, misses = t("outcome_hits"), t("outcome_misses")
+            if hits or misses:
+                realised.append(
+                    f"the recovered-outcome cache skipped walk + "
+                    f"usability on {hits} state(s) "
+                    f"({hits / self.unique_states * 100:.1f}% "
+                    f"of checked; {misses} ran in full)"
+                )
             lines.append(
                 f"Of {self.unique_states} checked states, only "
                 f"{t('n_unique_outcomes')} recovered to distinct observable "
                 f"outcomes — **{self.outcome_headroom * 100:.1f}% headroom** "
                 f"for WITCHER-style output-equivalence pruning."
-                + (
-                    f"  Realised: the recovered-outcome cache skipped walk + "
-                    f"usability on {hits} state(s) "
-                    f"({hits / self.unique_states * 100:.1f}% "
-                    f"of checked; {misses} ran in full)."
-                    if hits or misses else ""
-                )
+                + ("  Realised: " + "; ".join(realised) + "."
+                   if realised else "")
             )
             lines.append("")
 

@@ -52,6 +52,9 @@ class PMDevice:
         #: the replayer's live buffer as a device.
         self.image = image if image is not None else bytearray(size)
         self._undo: List[Tuple[int, bytes]] | None = None
+        #: Access recorder (:meth:`traced`): ``(addr, +length)`` per read,
+        #: ``(addr, -length)`` per write, in program order.
+        self._trace: List[Tuple[int, int]] | None = None
         # Device access counters live on cached Counter objects so the
         # instrumented path is one attribute check plus two integer adds per
         # access; with no telemetry the check is all that remains.
@@ -80,6 +83,8 @@ class PMDevice:
         if self._c_reads is not None:
             self._c_reads.inc()
             self._c_read_bytes.inc(length)
+        if self._trace is not None:
+            self._trace.append((addr, length))
         return bytes(self.image[addr : addr + length])
 
     def write(self, addr: int, data: bytes) -> None:
@@ -93,9 +98,31 @@ class PMDevice:
         if self._c_writes is not None:
             self._c_writes.inc()
             self._c_write_bytes.inc(len(data))
+        if self._trace is not None:
+            self._trace.append((addr, -len(data)))
         if self._undo is not None:
             self._undo.append((addr, bytes(self.image[addr : addr + len(data)])))
         self.image[addr : addr + len(data)] = data
+
+    @contextmanager
+    def traced(self) -> Iterator[List[Tuple[int, int]]]:
+        """Record every :meth:`read` and :meth:`write` while the block runs.
+
+        Yields the trace list: ``(addr, length)`` for a read and
+        ``(addr, -length)`` for a write, in program order.  Everything a
+        file system learns from PM passes through these two methods (the
+        mount-purity contract in :mod:`repro.vfs.interface`), so the trace
+        is the whole input of the computation it covers.  Without a trace
+        attached the cost per access is one ``is not None`` test.
+        """
+        if self._trace is not None:
+            raise PMDeviceError("trace already active")
+        trace: List[Tuple[int, int]] = []
+        self._trace = trace
+        try:
+            yield trace
+        finally:
+            self._trace = None
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -150,9 +177,18 @@ class PMDevice:
 
     def rollback_undo(self) -> None:
         """Undo every write made since :meth:`begin_undo` and stop recording."""
+        self.rewind_undo()
+        self._undo = None
+
+    def rewind_undo(self) -> None:
+        """Undo every write the active log recorded; keep recording.
+
+        Inside a :meth:`cow_view` this puts back the crash state exactly
+        as the view presented it, before any of the caller's mutations.
+        """
         if self._undo is None:
             raise PMDeviceError("no undo log active")
-        records, self._undo = self._undo, None
+        records, self._undo = self._undo, []
         for addr, before in reversed(records):
             self.image[addr : addr + len(before)] = before
 

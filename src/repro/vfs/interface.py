@@ -82,6 +82,17 @@ class FileSystem(abc.ABC):
         and usability results across crash states that mount to
         byte-identical images; ``tests/core/test_outcome_cache.py`` audits
         it for every registry entry.
+
+        The contract extends to the whole check: ``mount`` plus ``walk()``
+        plus the usability pass (``creat``/``unlink``) is a function of
+        ``(cls, bugs, device size)`` and the bytes it *reads*, and it
+        reaches PM only through ``PMDevice.read`` / ``write`` — never the
+        device's ``image``, undo log or trace.  The read-trace recovery
+        memo (:mod:`repro.core.recovery_memo`) keys on exactly those reads
+        to skip the check on a state that would read the same bytes;
+        ``tests/core/test_recovery_memo.py`` audits it for every registry
+        entry and ``tests/fs/test_device_access.py`` guards the access
+        path.
         """
 
     @classmethod

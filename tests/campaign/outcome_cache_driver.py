@@ -1,8 +1,9 @@
-"""Serial ACE campaign with the recovered-outcome cache attached or detached.
+"""Serial ACE campaign with the checker's skip mechanisms attached or detached.
 
-The cache has no flag (it is always on), so "off" exists only here: the
-driver sets ``Chipmunk.outcome_cache`` to ``None``.  It writes the report
-file ``repro diff --strict`` compares —
+The recovered-outcome cache and the read-trace recovery memo have no flag
+(both are always on), so "off" exists only here: the driver sets
+``Chipmunk.outcome_cache`` and ``Chipmunk.recovery_memo`` to ``None``.  It
+writes the report file ``repro diff --strict`` compares —
 
     python tests/campaign/outcome_cache_driver.py pmfs --max-workloads 60 \\
         --out on.json
@@ -20,7 +21,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.reporting import CampaignSummary
 from repro.campaign import CampaignSpec
@@ -28,17 +29,23 @@ from repro.core.harness import TestResult
 from repro.workloads import ace
 
 
+#: The ``Chipmunk`` attributes ``--detach`` sets to ``None``.
+SKIP_MECHANISMS = ("outcome_cache", "recovery_memo")
+
+
 def run_serial(
     fs: str,
     max_workloads: int,
-    detach: bool,
+    detach: Sequence[str],
     seq: int = 2,
 ) -> Tuple[dict, List[TestResult]]:
-    """``(bugs.json document, per-workload results)`` of one serial run."""
+    """``(bugs.json document, per-workload results)`` of one serial run
+    with the named :data:`SKIP_MECHANISMS` detached."""
     spec = CampaignSpec(fs=fs, seq=seq)
     chipmunk = spec.build_chipmunk()
-    if detach:
-        chipmunk.outcome_cache = None
+    for name in detach:
+        assert name in SKIP_MECHANISMS, name
+        setattr(chipmunk, name, None)
     summary = CampaignSummary(fs_name=fs, generator="ace")
     results = []
     for workload in itertools.islice(
@@ -57,17 +64,23 @@ def main(argv=None) -> int:
     parser.add_argument("--seq", type=int, default=2)
     parser.add_argument("--max-workloads", type=int, default=60)
     parser.add_argument("--detach", action="store_true",
-                        help="run with Chipmunk.outcome_cache = None")
+                        help="run with Chipmunk.outcome_cache and "
+                             "Chipmunk.recovery_memo = None")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    doc, results = run_serial(args.fs, args.max_workloads, args.detach, args.seq)
+    doc, results = run_serial(
+        args.fs, args.max_workloads,
+        SKIP_MECHANISMS if args.detach else (), args.seq,
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
     hits = sum(r.outcome_hits for r in results)
+    recovery_hits = sum(r.recovery_hits for r in results)
     print(f"{args.fs}: {len(results)} workload(s), {len(doc['reports'])} "
-          f"cluster(s), {hits} outcome-cache hit(s) -> {args.out}")
-    if not args.detach and not hits:
-        print("expected outcome-cache hits with the cache attached",
+          f"cluster(s), {hits} outcome-cache hit(s), {recovery_hits} "
+          f"recovery-memo hit(s) -> {args.out}")
+    if not args.detach and not recovery_hits:
+        print("expected recovery-memo hits with the memo attached",
               file=sys.stderr)
         return 1
     return 0

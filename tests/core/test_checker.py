@@ -175,3 +175,50 @@ class TestWeakMode:
         checker = ConsistencyChecker(EXT4, oracle, "w", bugs=FIXED)
         image = build(EXT4, workload)
         assert checker.check(state(image, after=1)) == []
+
+    def test_failed_sync_sets_no_synchrony_expectation(self):
+        """A sync call that failed promises nothing on a weak-guarantee
+        file system: the crash right after it is not held to its post-state
+        (the unlink before it was never synced)."""
+        EXT4 = fs_class("ext4-dax")
+        workload = [Op("creat", ("/f",)), Op("fsync", ("/f",)),
+                    Op("unlink", ("/f",)), Op("fsync", ("/f",))]
+        oracle = run_oracle(EXT4, workload, TEST_DEVICE_SIZE, bugs=FIXED)
+        assert oracle.errnos[3] is not None
+        checker = ConsistencyChecker(EXT4, oracle, "w", bugs=FIXED)
+        image = build(EXT4, workload, upto=2)  # /f synced, unlink not yet
+        assert checker.check(state(image, after=3)) == []
+        # Only the synchrony expectation is waived: mount findings stand,
+        # and the same image is still judged after the unlink itself.
+        garbage = b"\xff" * TEST_DEVICE_SIZE
+        (report,) = checker.check(state(garbage, after=3))
+        assert report.consequence is Consequence.UNMOUNTABLE
+        (report,) = checker.check(state(image, after=2))
+        assert report.consequence is Consequence.SYNCHRONY
+        # The shared memo key tells the two contexts apart.
+        assert checker.context_digest(state(image, after=3)) != (
+            checker.context_digest(state(image, after=2))
+        )
+
+    def test_failed_sync_on_a_strong_fs_keeps_its_expectation(self):
+        workload = [Op("creat", ("/f",)), Op("unlink", ("/f",)),
+                    Op("fsync", ("/f",))]
+        checker = checker_for(NOVA, workload)
+        image = build(NOVA, workload, upto=1)
+        (report,) = checker.check(state(image, after=2))
+        assert report.consequence is Consequence.SYNCHRONY
+
+    def test_ext4dax_failed_fsync_is_not_a_synchrony_report(self):
+        """The false positive the ext4-DAX benchmark slice recorded:
+        unlink, link, then an fsync of the unlinked name (ENOENT)."""
+        from repro.campaign import CampaignSpec
+        from repro.workloads import ace
+
+        workload = ace.workload_at(2, 1677, mode="fsync")
+        assert [op.name for op in workload.core] == [
+            "unlink", "link", "fsync", "sync"
+        ]
+        chipmunk = CampaignSpec(fs="ext4-dax", seq=2).build_chipmunk()
+        result = chipmunk.test_workload(workload.core, setup=workload.setup)
+        assert result.errnos[2] is not None
+        assert result.reports == []

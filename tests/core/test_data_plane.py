@@ -11,7 +11,7 @@ simplest definition that could be right, kept in this file:
   the epochs so far, digested by hashing each chunk — checked both while
   its region is current and after enumeration has moved on (the
   ``restore_writes`` and ``read_range`` paths);
-* ``recovery_read_set`` — the same reads on the overlay device as on the
+* ``recovery_read_set`` — the same reads mounting base + overlay as on the
   flat image.
 """
 

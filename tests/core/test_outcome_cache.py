@@ -39,13 +39,13 @@ class AuditingChecker(ConsistencyChecker):
 
     audited = 0
 
-    def _reuse_outcome(self, state, fs, outcome):
+    def _reuse_outcome(self, fs, outcome):
         tree = fs.walk()
-        assert tree == outcome.tree, state.describe()
+        assert tree == outcome.tree
         assert self._tree_digest(tree) == outcome.digest
-        assert self._check_usability(state, fs, tree) == [], state.describe()
+        assert self._check_usability(fs, tree) == []
         type(self).audited += 1
-        return super()._reuse_outcome(state, fs, outcome)
+        return super()._reuse_outcome(fs, outcome)
 
 
 def audit_slice(mode, n_seq2=24):
@@ -66,6 +66,10 @@ def test_every_hit_equals_a_real_walk_and_usability_pass(
     monkeypatch.setattr(AuditingChecker, "audited", 0)
     spec = CampaignSpec(fs=fs, seq=2, bug_ids=bug_ids)
     chipmunk = spec.build_chipmunk()
+    # The recovery memo answers most states before they mount, which would
+    # leave the cache little to audit; it has its own gate
+    # (test_recovery_memo.py).
+    chipmunk.recovery_memo = None
     hits = 0
     for workload in audit_slice(spec.mode):
         result = chipmunk.test_workload(workload.core, setup=workload.setup)

@@ -3,74 +3,114 @@
 import pytest
 
 from conftest import TEST_DEVICE_SIZE, make_fixed_fs
-from repro.core.recovery_reads import (
-    OverlayReadTrackingDevice,
-    ReadTrackingDevice,
-    rank_units,
-    recovery_read_set,
-    write_overlap,
-)
+from repro.core.recovery_reads import rank_units, recovery_read_set, write_overlap
 from repro.fs.bugs import BugConfig
 from repro.fs.nova.fs import NovaFS
+from repro.pm.device import PMDevice, PMDeviceError
 from repro.pm.log import NTStore
 
 
+class ScriptFS:
+    """A 'file system' whose recovery is a script of device accesses.
+
+    ``("r", addr, n)`` reads and remembers what it saw, ``("w", addr,
+    data)`` writes, ``("snap",)`` remembers the whole image.
+    """
+
+    script = ()
+    seen = []
+
+    @classmethod
+    def mount(cls, device, bugs=None):
+        for step in cls.script:
+            if step[0] == "r":
+                cls.seen.append(device.read(step[1], step[2]))
+            elif step[0] == "w":
+                device.write(step[1], step[2])
+            else:
+                cls.seen.append(device.snapshot())
+        return cls()
+
+
+def run_script(script, base, writes=None, granularity=1):
+    fs = type("Script", (ScriptFS,), {"script": tuple(script), "seen": []})
+    lines = recovery_read_set(fs, base, granularity=granularity,
+                              writes=writes)
+    return lines, fs.seen
+
+
 class TestReadTrackingDevice:
+    """Read tracking is the device's own access trace (``traced``)."""
+
     def test_reads_recorded(self):
-        dev = ReadTrackingDevice(1024)
-        dev.read(100, 8)
-        dev.read(500, 64)
-        assert dev.read_ranges == [(100, 8), (500, 64)]
+        dev = PMDevice(1024)
+        with dev.traced() as trace:
+            dev.read(100, 8)
+            dev.write(7, b"data")
+            dev.read(500, 64)
+        dev.read(0, 8)  # after the block: not recorded
+        assert trace == [(100, 8), (7, -4), (500, 64)]
+        with pytest.raises(PMDeviceError):
+            with dev.traced():
+                with dev.traced():
+                    pass
 
     def test_zero_length_ignored(self):
-        dev = ReadTrackingDevice(1024)
-        dev.read(0, 0)
-        assert dev.read_ranges == []
+        lines, _ = run_script(
+            [("r", 0, 0), ("w", 640, b"x" * 64), ("r", 130, 8)],
+            bytes(1024), granularity=64,
+        )
+        assert lines == {2}  # neither the empty read nor the write counts
 
     def test_from_snapshot(self):
-        dev = ReadTrackingDevice(1024)
+        dev = PMDevice(1024)
         dev.write(7, b"data")
-        clone = ReadTrackingDevice.from_snapshot(dev.snapshot())
-        assert clone.read(7, 4) == b"data"
-        assert clone.read_ranges == [(7, 4)]
+        clone = PMDevice.from_snapshot(dev.snapshot())
+        with clone.traced() as trace:
+            assert clone.read(7, 4) == b"data"
+        assert trace == [(7, 4)]
 
 
 class TestOverlayReadTrackingDevice:
+    """With ``writes=``, recovery mounts ``base + writes``; the caller's
+    base never changes."""
+
     def test_reads_through_overlay(self):
-        base = bytes(8192)
-        dev = OverlayReadTrackingDevice(base, [(100, b"abcd"), (102, b"XY")])
-        assert dev.read(100, 4) == b"abXY"  # later writes win, in log order
-        assert dev.read_ranges == [(100, 4)]
+        lines, seen = run_script([("r", 100, 4)], bytes(8192),
+                                 writes=[(100, b"abcd"), (102, b"XY")])
+        assert seen == [b"abXY"]  # later writes win, in log order
+        assert lines == {100, 101, 102, 103}
 
     def test_base_never_mutated(self):
         base = bytes(8192)
-        dev = OverlayReadTrackingDevice(base, [(0, b"hello")])
-        dev.write(4096, b"recovery-write")
-        assert dev.read(4096, 14) == b"recovery-write"
+        _, seen = run_script([("w", 4096, b"recovery-write"), ("r", 4096, 14)],
+                             base, writes=[(0, b"hello")])
+        assert seen == [b"recovery-write"]
         assert base == bytes(8192)
 
     def test_cross_chunk_read(self):
-        chunk = OverlayReadTrackingDevice.CHUNK
         data = b"Z" * 16
-        dev = OverlayReadTrackingDevice(bytes(4 * chunk), [(chunk - 8, data)])
-        assert dev.read(chunk - 8, 16) == data
-        assert dev.read(0, 2 * chunk) == bytes(chunk - 8) + data + bytes(chunk - 8)
+        _, seen = run_script([("r", 4088, 16), ("r", 0, 8192)],
+                             bytes(4 * 4096), writes=[(4088, data)])
+        assert seen == [data, bytes(4088) + data + bytes(4088)]
 
     def test_mount_writes_visible_to_later_reads(self):
-        dev = OverlayReadTrackingDevice(bytes(8192))
-        dev.write(64, b"\x01" * 8)
-        assert dev.read(64, 8) == b"\x01" * 8
+        _, seen = run_script([("w", 64, b"\x01" * 8), ("r", 64, 8)],
+                             bytes(8192), writes=[])
+        assert seen == [b"\x01" * 8]
 
     def test_snapshot_matches_flat_application(self):
-        chunk = OverlayReadTrackingDevice.CHUNK
-        base = bytes(range(256)) * (2 * chunk // 256)
-        writes = [(10, b"aa"), (chunk - 1, b"bb"), (chunk + 5, b"c" * 70)]
+        base = bytes(range(256)) * 32
+        writes = [(10, b"aa"), (4095, b"bb"), (4101, b"c" * 70)]
         flat = bytearray(base)
         for addr, data in writes:
             flat[addr : addr + len(data)] = data
-        dev = OverlayReadTrackingDevice(base, writes)
-        dev.read(0, 16)  # materialize one chunk, leave the other pending
-        assert dev.snapshot() == bytes(flat)
+        _, seen = run_script([("r", 0, 16), ("snap",)], base, writes=writes)
+        assert seen[1] == bytes(flat)
+
+    def test_out_of_range_overlay_write_rejected(self):
+        with pytest.raises(PMDeviceError):
+            run_script([("r", 0, 8)], bytes(1024), writes=[(1020, b"12345678")])
 
     def test_matches_flat_device_read_set(self):
         fs = make_fixed_fs("nova")

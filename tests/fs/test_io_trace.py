@@ -42,60 +42,60 @@ BUG_SETS = {"catalogue": None, "fixed": []}
 #: (fs, bug set) -> (io digest, results digest).
 GOLDEN = {
     ('ext4-dax', 'catalogue'): (
-        '02526e8ac5d42c5ee02cf229827565e43776803b',
-        '0abf60701f24d8bba5dab141144c6aa50fcb75b5',
+        '94a990d8861e01d963d822d26b969eab0cb8661d',
+        'e30966134b3ef7309f0b27045a3522fca821d22b',
     ),
     ('ext4-dax', 'fixed'): (
-        '02526e8ac5d42c5ee02cf229827565e43776803b',
-        '0abf60701f24d8bba5dab141144c6aa50fcb75b5',
+        '94a990d8861e01d963d822d26b969eab0cb8661d',
+        'e30966134b3ef7309f0b27045a3522fca821d22b',
     ),
     ('nova', 'catalogue'): (
-        'b4b6937bfed0cd04e56e7d9834ce9286df5166e8',
-        '7832bb02d2831c34d1d05b01d5eeb555f9f5e2dc',
+        '6e0b18d1cb494360225b463fe7435b92b5531e29',
+        'ca88fe8d510f42fa1e841c232e4c3f1b34cb6669',
     ),
     ('nova', 'fixed'): (
-        '42960f16ff9585786c554bef2406ec8f861016bf',
-        '9115a19dfc6046ee13842b8a18de6e41d0b32227',
+        '8cb38e586f14d8029b3c65dfcecaaadd17688192',
+        'af9191884108220b88245875c4393be7b9e0c123',
     ),
     ('nova-fortis', 'catalogue'): (
-        '682a7df1bc3026b968626b31d189af61b97090b7',
-        '49bdcfe070f333272f5d47d053244bf4f8aa5bcd',
+        'ce86f3dbc8c3a2f79ca07770b2d47f97221c659b',
+        '2bced4f84017140c9815ac572a8f3f2af49376a9',
     ),
     ('nova-fortis', 'fixed'): (
-        'b6743ca2ef3ed4367f8fb6077029027e6ee2e1fa',
-        '0cd0c6fff7a81b278b75ed3baeec2d8eb201b48d',
+        '1bd5e1f0a37ff4ae3c305e1644baf7ecfecbf8c6',
+        'fb2621617f20ac65790072a199a4ad6e196b6b02',
     ),
     ('pmfs', 'catalogue'): (
-        '206701853085f706df5e279cdb410fde59e30ad9',
-        'fbb3413089d74a9efe404d824903cb5cc0c992ed',
+        '280680406d686ffb29924d20cef52c748d230df8',
+        '95efdbb15ecc5a455706c1261bbfa75b5041ef12',
     ),
     ('pmfs', 'fixed'): (
-        'dbb78fe9b23fbb323666ed91c36fa88e6d7bdd03',
-        '7d715cdb13afc5fffbb7f0f39fcc4f223c873ccb',
+        '17c35585b32e84881ed8af7cf28744de6cfcd48a',
+        '93a550cdf277c3a369fc5f63832b534684824aad',
     ),
     ('splitfs', 'catalogue'): (
-        '0799c45bd5e4b6a948135cfeb868d1fbb45b9c7c',
-        '31ec42a0d7748b109ce65ca0da13f778ec4ad078',
+        'f4a1655fa4f9791d9df9d2ba339ce5dc63c568ab',
+        '6d5470eaa504d31133073d1463e9d21b7b413322',
     ),
     ('splitfs', 'fixed'): (
-        'b5555b244d5c0f22e962ec597b68c98f7988366c',
-        '8b349a693a75eb192da535b059e860e987631374',
+        '551af5b1c77a6d2245935ecda3b23009a482bb5b',
+        '7208187006ecae16efc6de8e2f33ecd827b7e8af',
     ),
     ('winefs', 'catalogue'): (
-        'dac16fcfea173ea2c50c2088b3a1ec60bee708f4',
-        'b966c317d3abdc480e915f4b153ea4d436198a5c',
+        '2fdfc7d3eb1eff9a9afb404a4e27bc9cfd53ff33',
+        '536b95aa308ee313ea3408551f02afe0cfe6808e',
     ),
     ('winefs', 'fixed'): (
-        '196601ed41b98d88e3d411c07f5f4c5d3881b381',
-        'f9f47fda77fa488a09d5f7bec32badc9b81812a8',
+        '6e890285d21925ba2060223f7bb63506274b215b',
+        '1b9b0f4c1e0bef2422d89e6d0ce5303df21b1556',
     ),
     ('xfs-dax', 'catalogue'): (
-        'ec8fe408124b2a387f0ae3bbe84412be7902adbd',
-        '0abf60701f24d8bba5dab141144c6aa50fcb75b5',
+        '5695b370da31d262f125e9c3bfc198e6dc9657de',
+        'e30966134b3ef7309f0b27045a3522fca821d22b',
     ),
     ('xfs-dax', 'fixed'): (
-        'ec8fe408124b2a387f0ae3bbe84412be7902adbd',
-        '0abf60701f24d8bba5dab141144c6aa50fcb75b5',
+        '5695b370da31d262f125e9c3bfc198e6dc9657de',
+        'e30966134b3ef7309f0b27045a3522fca821d22b',
     ),
 }
 
