@@ -15,6 +15,8 @@ and :meth:`CampaignSummary.render` is the ``repro stats`` text view.
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,6 +39,12 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[str
     return lines
 
 
+def campaign_triage() -> Triage:
+    """The triage every campaign aggregate clusters with; campaign workers
+    key their reports with it too."""
+    return Triage(provenance=True)
+
+
 def _by_count(counts: Dict[str, int]):
     """``(name, n)`` pairs, most frequent first, ties by name."""
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -54,7 +62,7 @@ class CampaignSummary(ResultFold):
     #: different syscalls merges — and the rest fall back to the lexical
     #: procedure.  Campaigns run with forensics disabled therefore behave
     #: exactly as before.
-    triage: Triage = field(default_factory=lambda: Triage(provenance=True))
+    triage: Triage = field(default_factory=campaign_triage)
     #: workload index at which each cluster was first seen
     first_seen: Dict[int, int] = field(default_factory=dict)
     #: Cumulative time-to-bug series (Figure 3 shape): the workload index
@@ -63,25 +71,43 @@ class CampaignSummary(ResultFold):
 
     def add_result(self, result: TestResult) -> None:
         """Fold one in-process :class:`TestResult`."""
-        self._add(vars(result), result.reports)
+        key_of = self.triage.key_of
+        self._add(vars(result), [(key_of(r), r) for r in result.reports])
 
     def add_dict(self, data: Mapping[str, object]) -> None:
-        """Fold one wire dict (worker result, checkpoint journal)."""
-        self._add(data, [BugReport.from_dict(r) for r in data.get("reports", ())])
+        """Fold one wire dict (worker result, checkpoint journal).
 
-    def _add(self, fields: Mapping[str, object], reports: List[BugReport]) -> None:
+        A report entry is either a full :meth:`BugReport.to_dict` (the key
+        is derived on read) or a campaign worker's compact entry: its
+        ``key``, plus the report's fields only where the report may found a
+        cluster (see :func:`repro.campaign.worker.compact_results`).
+        """
+        keyed = []
+        for entry in data.get("reports", ()):
+            report = (BugReport.from_dict(entry)
+                      if "fs_name" in entry else None)
+            key = entry.get("key")
+            keyed.append((self.triage.key_of(report) if key is None else key,
+                          report))
+        self._add(data, keyed)
+
+    def _add(self, fields: Mapping[str, object],
+             keyed: List[Tuple[tuple, Optional[BugReport]]]) -> None:
         self.add_fields(fields)
-        if not reports:
+        if not keyed:
             return
         outcomes = self.totals.setdefault("outcomes", {})
-        for report in reports:
-            name = report.consequence.name
+        clusters = self.triage.clusters
+        for key, report in keyed:
+            # Both key shapes carry the consequence second to last.
+            name = key[-2]
             outcomes[name] = outcomes.get(name, 0) + 1
-        new = self.triage.add_new(reports)
-        base = len(self.triage.clusters) - len(new)
-        for offset, cluster in enumerate(new):
-            index, t = base + offset, self.wall_time
-            consequence = cluster.exemplar.consequence.name
+            before = len(clusters)
+            self.triage.add_key(key, report)
+            if len(clusters) == before:
+                continue
+            index, t = before, self.wall_time
+            consequence = clusters[index].exemplar.consequence.name
             self.first_seen[index] = self.workloads_tested
             self.time_to_bug.append(
                 TimeToBug(index, self.workloads_tested, t, consequence)
@@ -167,6 +193,7 @@ class CampaignSummary(ResultFold):
             "outcome_misses": t("outcome_misses"),
             "recovery_hits": t("recovery_hits"),
             "recovery_misses": t("recovery_misses"),
+            "recovery_resets": t("recovery_resets"),
             "fences": t("n_fences"),
             "reports": t("n_reports"),
             "wall_time": self.wall_time,
@@ -216,7 +243,9 @@ class CampaignSummary(ResultFold):
             out.append(("recovery memo", (
                 f"{hits} hit(s), {misses} miss(es) (mount, walk + usability "
                 f"skipped on {hits / (hits + misses) * 100:.1f}% of checked "
-                f"states; checker.recovery_memo.*)")))
+                f"states; checker.recovery_memo.*)"
+                + (f"; {t('recovery_resets')} trie reset(s) at the node "
+                   f"budget" if t("recovery_resets") else ""))))
         hits, misses = t("outcome_hits"), t("outcome_misses")
         if hits or misses:
             out.append(("outcome cache", (
@@ -381,15 +410,30 @@ def _engine_section(engine_meta: Optional[Dict[str, object]],
             f"and were excluded; their coverage is missing from this report."
         )
         lines.append("")
-        lines.append("| workload | retries | last error |")
-        lines.append("| --- | ---: | --- |")
+        lines.append("| workload | retries | last error | raised at |")
+        lines.append("| --- | ---: | --- | --- |")
         for record in quarantined:
+            frame = last_frame(record.get("traceback", ""))
             lines.append(
                 f"| `{record.get('id', '?')}` | {record.get('retries', '?')} "
-                f"| {record.get('error', '?')} |"
+                f"| {record.get('error', '?')} "
+                f"| {f'`{frame}`' if frame else '-'} |"
             )
         lines.append("")
     return lines
+
+
+_FRAME = re.compile(r'File "([^"]+)", line (\d+), in (\S+)')
+
+
+def last_frame(traceback_text: str) -> str:
+    """``file.py:LINE in func`` of a traceback's innermost frame ("" when
+    there is none — e.g. a worker that died rather than raised)."""
+    frames = _FRAME.findall(traceback_text or "")
+    if not frames:
+        return ""
+    path, line, func = frames[-1]
+    return f"{os.path.basename(path)}:{line} in {func}"
 
 
 def _forensics_section(exemplar, finding_index: int) -> List[str]:

@@ -281,11 +281,12 @@ class CampaignEngine:
                         retries.get(item_id, 0), item_results,
                     )
             elif tag == workermod.MSG_ITEM_ERROR:
-                _, wid, item_id, error = message
+                _, wid, item_id, error, tb = message
                 item = handle.in_flight.pop(item_id, None)
                 if item is not None:
                     self._retry_or_quarantine(
-                        item, error, queue, journal, quarantined, retries
+                        item, error, queue, journal, quarantined, retries,
+                        traceback=tb,
                     )
             elif tag == workermod.MSG_BATCH_DONE:
                 handle.awaiting_dispatch = True
@@ -375,17 +376,13 @@ class CampaignEngine:
                 self._spawn_worker(handle.shard)
 
     def _retry_or_quarantine(self, item, error, queue, journal,
-                             quarantined, retries) -> None:
+                             quarantined, retries,
+                             traceback: Optional[str] = None) -> None:
         attempts = retries.get(item.item_id, 0) + 1
         retries[item.item_id] = attempts
         if attempts > self.config.max_retries:
-            record = {
-                "type": "item_quarantined", "id": item.item_id,
-                "ordinal": item.ordinal, "retries": attempts, "error": error,
-            }
-            quarantined[item.item_id] = record
-            journal.write_item_quarantined(
-                item.item_id, item.ordinal, attempts, error
+            quarantined[item.item_id] = journal.write_item_quarantined(
+                item.item_id, item.ordinal, attempts, error, traceback
             )
         else:
             queue.requeue([item])

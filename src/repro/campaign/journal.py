@@ -6,12 +6,14 @@ Record types (one JSON object per line)::
     {"type": "item_done", "id": "ace:1:000007", "ordinal": 7, "worker": 0,
      "retries": 0, "results": [<TestResult.to_dict()>, ...]}
     {"type": "item_quarantined", "id": ..., "ordinal": ..., "retries": R,
-     "error": "..."}
+     "error": "...", "traceback": "..."}
     {"type": "campaign_done", "elapsed": ...}
 
 Every record additionally carries ``"t"``, a wall-clock timestamp stamped
 centrally on append; ``python -m repro watch`` derives throughput and ETA
 from the ``item_done`` stamps.  Replay tolerates records without it.
+``traceback`` (bounded, innermost frames kept) is present when the item's
+last failure raised in the worker; a worker that died leaves none.
 
 Every record is flushed and fsync'd on append, so a SIGKILL at any point
 loses at most the in-flight (unjournaled) workloads — exactly the ones
@@ -19,10 +21,16 @@ loses at most the in-flight (unjournaled) workloads — exactly the ones
 mid-write) is detected and ignored on replay; the item it described simply
 runs again.
 
-``item_done`` carries the item's full serialized results (reports included)
-rather than a bare index: the merge stage rebuilds the campaign's entire
-bug set from the journal alone, which is what makes a resumed campaign's
-report equal an uninterrupted one without re-executing finished work.
+``item_done`` carries the item's serialized results rather than a bare
+index, so the merge stage rebuilds the campaign's whole bug set from the
+journal alone — which is what makes a resumed campaign's report equal an
+uninterrupted one without re-executing finished work.  Each report in
+them is the worker's compact entry
+(:func:`repro.campaign.worker.compact_results`): its triage key, plus the
+full report only where it may found a cluster.  The journal therefore
+holds every key, in order, but only a few full reports per key; journals
+written with full reports and no key still fold, the key being derived
+on read.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ class CheckpointJournal:
             self._fh.close()
             self._fh = None
 
-    def _append(self, record: Dict[str, object]) -> None:
+    def _append(self, record: Dict[str, object]) -> Dict[str, object]:
         if self._fh is None:
             raise RuntimeError("journal is not open")
         # Stamp every record centrally so the monitor can derive progress
@@ -98,6 +106,7 @@ class CheckpointJournal:
         # only aspire to.
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        return record
 
     def write_meta(self, spec_dict: Dict[str, object], n_items: int) -> None:
         self._append({"type": "campaign_meta", "spec": spec_dict,
@@ -114,11 +123,16 @@ class CheckpointJournal:
 
     def write_item_quarantined(
         self, item_id: str, ordinal: int, retries: int, error: str,
-    ) -> None:
-        self._append({
+        traceback: Optional[str] = None,
+    ) -> Dict[str, object]:
+        """Journal a quarantine; returns the record as written."""
+        record = {
             "type": "item_quarantined", "id": item_id, "ordinal": ordinal,
             "retries": retries, "error": error,
-        })
+        }
+        if traceback:
+            record["traceback"] = traceback
+        return self._append(record)
 
     def write_done(self, elapsed: float) -> None:
         self._append({"type": "campaign_done", "elapsed": elapsed})

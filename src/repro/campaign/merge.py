@@ -14,7 +14,15 @@ run's:
 3. **One aggregate.**  Serialized results fold straight into the same
    :class:`~repro.analysis.reporting.CampaignSummary` the serial path
    feeds ``TestResult`` objects to — the wire dict carries the same field
-   names, and only its reports are parsed (for triage).
+   names.
+
+Workers ship each report as its triage key, and in full only where that
+worker had not yet streamed the key at an earlier or equal position.  Only
+a key's canonical-first report can found a cluster (a repeated key always
+joins one), and the worker that ran it shipped it in full, so replaying
+every key in ordinal order — duplicates included — reproduces the serial
+clusters, counts, ``first_seen`` and time-to-bug exactly.  A cluster that
+would be founded without a report raises; the merge never guesses.
 
 Per-worker telemetry traces are concatenated into one campaign trace; the
 multi-file ``python -m repro stats`` path consumes either form.

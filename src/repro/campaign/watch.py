@@ -12,7 +12,8 @@ re-replays the journal each tick, and renders a refreshing dashboard:
   shared result fold (:class:`~repro.obs.campaign.ResultFold`),
 * per-worker liveness from heartbeat mtimes (a worker grinding through a
   slow workload shows its current item; a wedged one shows as stale),
-* quarantine count.
+* quarantine count, and each quarantined item's error and the innermost
+  frame of its traceback.
 
 It exits 0 when the journal's ``campaign_done`` marker appears, so shell
 scripts can ``repro ace ... &; repro watch DIR && notify``.  Re-replaying
@@ -31,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.analysis.reporting import last_frame
 from repro.campaign.journal import CheckpointJournal, JournalState
 from repro.obs.campaign import ResultFold
 
@@ -214,6 +216,8 @@ class CampaignMonitor:
                 f"recovery memo hits {hits}/{hits + misses} "
                 f"({hits / (hits + misses) * 100:.0f}% of checked states "
                 f"skip mount, walk + usability)"
+                + (f", {t('recovery_resets')} trie reset(s)"
+                   if t("recovery_resets") else "")
             )
         hits, misses = t("outcome_hits"), t("outcome_misses")
         if hits or misses:
@@ -241,6 +245,12 @@ class CampaignMonitor:
                 else:
                     liveness = f"idle ({beat.age:.0f}s ago)"
                 lines.append(f"  w{beat.worker}: {liveness}")
+        for item_id, record in sorted(snap.state.quarantined.items()):
+            frame = last_frame(record.get("traceback", ""))
+            lines.append(
+                f"quarantined {item_id}: {record.get('error', '?')}"
+                + (f" (raised at {frame})" if frame else "")
+            )
         if snap.state.torn_lines:
             lines.append(f"(journal has {snap.state.torn_lines} torn line(s))")
         return "\n".join(lines)

@@ -15,6 +15,11 @@ segment (a fresh :class:`~repro.workloads.fuzzer.WorkloadFuzzer` seeded
 with the segment's seed) and stream one result per execution, so both
 generators merge identically.
 
+Results ship the answer, not the reports: each report travels as its
+triage key, and in full only where it may found a cluster in the merge
+(:func:`compact_results`).  A failed item ships its error and a bounded
+traceback.
+
 Queue messages are *not* crash-durable: ``multiprocessing.Queue`` buffers
 through a feeder thread, so a worker that dies right after ``put`` can
 lose results it already finished.  Each worker therefore also appends
@@ -33,10 +38,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional
+import traceback
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.reporting import campaign_triage
 from repro.campaign.queue import WorkItem
 from repro.campaign.spec import CampaignSpec
+from repro.core.harness import TestResult
+from repro.core.report import BugReport
 from repro.memo.client import MemoClient
 from repro.obs import Telemetry
 from repro.workloads import ace
@@ -55,6 +64,9 @@ TASK_STOP = "stop"
 
 _ORPHAN_POLL_S = 2.0
 
+#: Characters of a failed item's traceback kept for the journal.
+TRACEBACK_CHARS = 4000
+
 
 def _fault_fires(fault: Optional[dict], item: WorkItem, campaign_dir: str) -> Optional[str]:
     """Check (and consume) one occurrence of an injected fault."""
@@ -72,6 +84,16 @@ def _fault_fires(fault: Optional[dict], item: WorkItem, campaign_dir: str) -> Op
     with open(marker, "w", encoding="utf-8"):
         pass
     return str(fault.get("kind", "crash"))
+
+
+def bounded_traceback() -> str:
+    """The current exception's traceback, keeping its last
+    :data:`TRACEBACK_CHARS` characters — the innermost frames are the ones
+    that name the fault."""
+    text = traceback.format_exc()
+    if len(text) <= TRACEBACK_CHARS:
+        return text
+    return "..." + text[-TRACEBACK_CHARS:]
 
 
 def _append_result(fh, item_id: str, results: List[dict]) -> None:
@@ -98,17 +120,50 @@ def _write_heartbeat(path: str, wid: int, item_id: Optional[str]) -> None:
         pass
 
 
-def _run_item(chipmunk, spec: CampaignSpec, item: WorkItem) -> List[dict]:
-    """Execute one work item, returning serialized per-workload results."""
+def _run_item(chipmunk, spec: CampaignSpec, item: WorkItem) -> List[TestResult]:
+    """Execute one work item, returning its per-workload results."""
     if item.kind == "ace":
         workload = ace.workload_at(item.seq, item.index, mode=spec.mode)
-        result = chipmunk.test_workload(workload.core, setup=workload.setup)
-        return [result.to_dict()]
+        return [chipmunk.test_workload(workload.core, setup=workload.setup)]
     fuzzer = WorkloadFuzzer(chipmunk, seed=item.seed)
-    results: List[dict] = []
-    for _ in range(item.executions):
-        results.append(fuzzer.step().to_dict())
-    return results
+    return [fuzzer.step() for _ in range(item.executions)]
+
+
+def compact_results(
+    results: List[TestResult], ordinal: int, shipped: Dict[tuple, tuple],
+    key_of: Callable[[BugReport], tuple],
+) -> Tuple[List[dict], Dict[tuple, tuple]]:
+    """Serialize one item's results for the parent, reports compacted.
+
+    Each report becomes ``{"key": K}`` with ``K = key_of(report)`` — all
+    the merge's clustering reads of it.  The entry also carries the
+    report's fields unless this worker already streamed ``K`` at an
+    earlier or equal canonical position ``(ordinal, result index)``;
+    ``shipped`` maps each streamed key to its least such position.  Only
+    the canonical-first report of a key can found a cluster (see
+    :class:`~repro.core.triage.Triage`), and no worker can have streamed
+    that key at an earlier position, so whichever runs it ships it in full.
+
+    Returns the dicts and the ``shipped`` updates; the caller applies the
+    updates once the results are streamed.
+    """
+    out: List[dict] = []
+    updates: Dict[tuple, tuple] = {}
+    for index, result in enumerate(results):
+        position = (ordinal, index)
+        entries = []
+        for report in result.reports:
+            key = key_of(report)
+            entry: Dict[str, object] = {"key": key}
+            seen = updates.get(key, shipped.get(key))
+            if seen is None or seen > position:
+                entry.update(report.to_dict())
+                updates[key] = position
+            entries.append(entry)
+        data = result.to_dict(reports=False)
+        data["reports"] = entries
+        out.append(data)
+    return out, updates
 
 
 def worker_main(
@@ -149,6 +204,9 @@ def worker_main(
     )
     hb_path = os.path.join(campaign_dir, f"worker-{run_tag}-{wid}.hb")
     results_fh = open(results_path, "a", encoding="utf-8")
+    key_of = campaign_triage().key_of
+    #: Triage key -> least (ordinal, result index) this worker streamed it at.
+    shipped: Dict[tuple, tuple] = {}
     _write_heartbeat(hb_path, wid, None)
     result_q.put((MSG_READY, wid))
     while True:
@@ -170,18 +228,21 @@ def worker_main(
                 os._exit(41)
             elif kind == "hang":
                 time.sleep(3600.0)
-            elif kind == "raise":
-                result_q.put((MSG_ITEM_ERROR, wid, item.item_id,
-                              "injected fault"))
-                continue
             try:
-                results = _run_item(chipmunk, spec, item)
+                if kind == "raise":
+                    raise RuntimeError("injected fault")
+                results, updates = compact_results(
+                    _run_item(chipmunk, spec, item), item.ordinal, shipped,
+                    key_of,
+                )
             except Exception as exc:  # noqa: BLE001 — fault boundary
                 result_q.put((MSG_ITEM_ERROR, wid, item.item_id,
-                              f"{type(exc).__name__}: {exc}"))
+                              f"{type(exc).__name__}: {exc}",
+                              bounded_traceback()))
             else:
                 _append_result(results_fh, item.item_id, results)
                 result_q.put((MSG_RESULT, wid, item.item_id, results))
+                shipped.update(updates)
         _write_heartbeat(hb_path, wid, None)
         result_q.put((MSG_BATCH_DONE, wid))
     if telemetry is not None:

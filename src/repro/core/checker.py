@@ -117,6 +117,9 @@ class ConsistencyChecker:
         #: walk and usability were reused / ran (and were recorded).
         self.recovery_hits = 0
         self.recovery_misses = 0
+        #: Times one of this workload's inserts hit the trie budget and
+        #: cleared it.
+        self.recovery_resets = 0
 
     # ------------------------------------------------------------------
     # Oracle-context digest (shared check-memo key component)
@@ -352,8 +355,10 @@ class ConsistencyChecker:
             device.rewind_undo()
             resets = memo.resets
             memo.insert(trace, device.image, recovery)
-            if self.telemetry is not None and memo.resets > resets:
-                self.telemetry.count("checker.recovery_memo.resets")
+            if memo.resets > resets:
+                self.recovery_resets += 1
+                if self.telemetry is not None:
+                    self.telemetry.count("checker.recovery_memo.resets")
             if prof is not None:
                 prof.add("checker.recovery_insert", perf_counter() - t0)
         return recovery

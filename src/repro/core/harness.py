@@ -119,6 +119,9 @@ class TestResult:
     #: walk and usability skipped) / that ran and were recorded.
     recovery_hits: int = 0
     recovery_misses: int = 0
+    #: Times the recovery memo's trie hit its node budget and was cleared
+    #: (``checker.recovery_memo.resets``) — each one discards a warm trie.
+    recovery_resets: int = 0
     #: Persistence-function mix: func -> {stores, flushes, fences, bytes}.
     persistence: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Write traffic per layout region: region -> {writes, bytes}.
@@ -475,6 +478,7 @@ class Chipmunk:
             outcome_misses=checker.outcome_misses,
             recovery_hits=checker.recovery_hits,
             recovery_misses=checker.recovery_misses,
+            recovery_resets=checker.recovery_resets,
             persistence=persistence,
             store_regions=store_regions,
             recovery_overlap=recovery_overlap,

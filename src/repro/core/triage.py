@@ -101,6 +101,13 @@ def provenance_sites(
     ) or None
 
 
+#: A report's triage key — everything clustering reads of it.  With
+#: culprit sites: ``(fs, consequence, sorted sites)``; otherwise
+#: ``(consequence, sorted signature tokens)``.  JSON turns the tuples into
+#: lists; :meth:`Triage.add_key` accepts either form.
+TriageKey = tuple
+
+
 @dataclass
 class Cluster:
     """A group of similar reports; the first is the exemplar.
@@ -112,19 +119,25 @@ class Cluster:
 
     exemplar: BugReport
     tokens: FrozenSet[str]
+    #: The members that arrived as reports — every member on the in-process
+    #: path; a key-only member (a compact campaign entry) counts but has no
+    #: report to keep.
     members: List[BugReport] = field(default_factory=list)
     #: (fs_name, consequence name) for provenance clusters; None = lexical.
     prov_key: Optional[Tuple[str, str]] = None
     #: Union of the members' culprit site sets (provenance clusters only).
     sites: FrozenSet[Site] = frozenset()
+    #: Members, key-only ones included.
+    count: int = 1
 
     def __post_init__(self) -> None:
         if not self.members:
             self.members.append(self.exemplar)
 
-    @property
-    def count(self) -> int:
-        return len(self.members)
+    def join(self, report: Optional[BugReport]) -> None:
+        self.count += 1
+        if report is not None:
+            self.members.append(report)
 
     def describe(self) -> str:
         return f"x{self.count} {self.exemplar.render()}"
@@ -145,6 +158,15 @@ class Triage:
     cluster by (fs, consequence, intersecting sites); everything else runs
     through the lexical procedure against lexical clusters only, so the two
     populations never cross-contaminate.
+
+    Clustering reads a report only through its :meth:`key_of`, so a stream
+    of keys replays it exactly: :meth:`add_key` needs the report itself only
+    where its key founds a cluster (the report becomes the exemplar).  A
+    key already seen always joins an existing cluster — a provenance
+    cluster's sites only grow, so they still intersect it, and a lexical
+    cluster's tokens never change, so the one the earlier equal key founded
+    or joined still scores at least the threshold — which is what lets the
+    campaign merge replay compact worker entries.
     """
 
     def __init__(self, threshold: float = 0.72, provenance: bool = False) -> None:
@@ -152,60 +174,62 @@ class Triage:
         self.provenance = provenance
         self.clusters: List[Cluster] = []
 
-    def _add_by_sites(
-        self, report: BugReport, sites: FrozenSet[Site]
-    ) -> Cluster:
-        prov_key = (report.provenance.fs_name, report.consequence.name)
-        for cluster in self.clusters:
-            if cluster.prov_key == prov_key and cluster.sites & sites:
-                cluster.members.append(report)
-                cluster.sites = cluster.sites | sites
-                return cluster
+    def key_of(self, report: BugReport) -> TriageKey:
+        """The triage key of ``report`` (see :data:`TriageKey`)."""
+        if self.provenance:
+            sites = provenance_sites(report)
+            if sites:
+                return (report.provenance.fs_name, report.consequence.name,
+                        tuple(sorted(sites)))
+        return (report.consequence.name,
+                tuple(sorted(tokenize(report.signature()))))
+
+    def add(self, report: BugReport) -> Cluster:
+        """Insert a report, returning the cluster it joined (or founded)."""
+        return self.add_key(self.key_of(report), report)
+
+    def add_key(self, key: TriageKey, report: Optional[BugReport]) -> Cluster:
+        """Insert one report by its key, returning the cluster it joined or
+        founded; ``report`` may be ``None`` unless the key founds one."""
+        if len(key) == 3:
+            fs_name, consequence, site_list = key
+            sites = frozenset(map(tuple, site_list))
+            prov_key = (fs_name, consequence)
+            for cluster in self.clusters:
+                if cluster.prov_key == prov_key and cluster.sites & sites:
+                    cluster.join(report)
+                    cluster.sites = cluster.sites | sites
+                    return cluster
+            tokens = None
+        else:
+            tokens, prov_key, sites = frozenset(key[1]), None, frozenset()
+            best: Cluster | None = None
+            best_score = 0.0
+            for cluster in self.clusters:
+                if cluster.prov_key is not None:
+                    continue
+                score = jaccard(tokens, cluster.tokens)
+                if score > best_score:
+                    best, best_score = cluster, score
+            if best is not None and best_score >= self.threshold:
+                best.join(report)
+                return best
+        if report is None:
+            raise ValueError(
+                f"triage key {key!r} founds a cluster but carries no report"
+            )
         cluster = Cluster(
             exemplar=report,
-            tokens=tokenize(report.signature()),
+            tokens=tokenize(report.signature()) if tokens is None else tokens,
             prov_key=prov_key,
             sites=sites,
         )
         self.clusters.append(cluster)
         return cluster
 
-    def add(self, report: BugReport) -> Cluster:
-        """Insert a report, returning the cluster it joined (or founded)."""
-        if self.provenance:
-            sites = provenance_sites(report)
-            if sites:
-                return self._add_by_sites(report, sites)
-        tokens = tokenize(report.signature())
-        best: Cluster | None = None
-        best_score = 0.0
-        for cluster in self.clusters:
-            if cluster.prov_key is not None:
-                continue
-            score = jaccard(tokens, cluster.tokens)
-            if score > best_score:
-                best, best_score = cluster, score
-        if best is not None and best_score >= self.threshold:
-            best.members.append(report)
-            return best
-        cluster = Cluster(exemplar=report, tokens=tokens)
-        self.clusters.append(cluster)
-        return cluster
-
     def add_all(self, reports: List[BugReport]) -> None:
         for report in reports:
             self.add(report)
-
-    def add_new(self, reports: List[BugReport]) -> List[Cluster]:
-        """Insert a batch, returning only the clusters it *founded*.
-
-        The campaign aggregate (``CampaignSummary``, in-process and in the
-        parallel merge stage) needs "which clusters are new?" to emit
-        time-to-bug points; this replaces a before/after length dance.
-        """
-        before = len(self.clusters)
-        self.add_all(reports)
-        return self.clusters[before:]
 
     @property
     def unique(self) -> List[BugReport]:

@@ -213,6 +213,7 @@ class CoverageReport(ResultFold):
             "outcome_misses": t("outcome_misses"),
             "recovery_hits": t("recovery_hits"),
             "recovery_misses": t("recovery_misses"),
+            "recovery_resets": t("recovery_resets"),
             "crash_plans": t("crash_plans", "?"),
             "mech_recognized": dict(t("mech_recognized", {})),
             "mech_plans_emitted": t("mech_plans_emitted"),
@@ -286,7 +287,10 @@ class CoverageReport(ResultFold):
                 realised.append(
                     f"the read-trace recovery memo skipped mount, walk + "
                     f"usability on {hits} state(s) "
-                    f"({hits / self.unique_states * 100:.1f}% of checked)"
+                    f"({hits / self.unique_states * 100:.1f}% of checked"
+                    + (f"; its trie was reset {t('recovery_resets')} time(s) "
+                       f"at the node budget" if t("recovery_resets") else "")
+                    + ")"
                 )
             hits, misses = t("outcome_hits"), t("outcome_misses")
             if hits or misses:

@@ -144,18 +144,25 @@ def load_side(path: str) -> DiffSide:
             side.reports = _parse_reports(side.report_dicts)
         state = CheckpointJournal.replay(path)
         if state.results:
-            result_dicts = state.ordered_results()
-            agg = ResultFold()
-            for result_dict in result_dicts:
-                agg.add_fields(result_dict)
-            side.metrics = _metrics_of(agg)
             if side.reports is None:
                 # No merged bugs.json (campaign interrupted before merge):
-                # fall back to the journal's full report stream — the diff's
-                # own triage pass dedups it.
-                side.reports = _parse_reports([
-                    r for d in result_dicts for r in d.get("reports", ())
-                ])
+                # fold the journal the way the merge does and take the
+                # cluster exemplars — what bugs.json would have held.
+                from repro.analysis.reporting import CampaignSummary
+
+                summary = CampaignSummary()
+                for result_dict in state.ordered_results():
+                    summary.add_dict(result_dict)
+                side.reports = [c.exemplar for c in summary.clusters]
+                side.report_dicts = json.loads(json.dumps(
+                    [r.to_dict() for r in side.reports]
+                ))
+                agg = summary
+            else:
+                agg = ResultFold()
+                for result_dict in state.ordered_results():
+                    agg.add_fields(result_dict)
+            side.metrics = _metrics_of(agg)
         if side.reports is None and not side.metrics:
             raise FileNotFoundError(
                 f"{path}: neither bugs.json nor journal.jsonl found"

@@ -5,7 +5,8 @@ itself: a real ``python -m repro campaign`` process is hard-killed (whole
 process group, no cleanup handlers run) mid-flight, and the resumed run
 must (a) skip every journaled workload, (b) execute each remaining
 workload exactly once, and (c) converge on the same bug set as a run that
-was never interrupted.
+was never interrupted, and on the serial path's ``bugs.json`` byte for
+byte.
 """
 
 import json
@@ -17,6 +18,7 @@ import time
 
 import pytest
 
+from conftest import serial_bugs_json
 from repro.campaign import (
     CampaignEngine,
     CampaignSpec,
@@ -124,4 +126,10 @@ def test_sigkill_then_resume_equals_uninterrupted_run(tmp_path):
     assert (
         resumed.summary.workloads_tested
         == uninterrupted.summary.workloads_tested
+    )
+    # Byte for byte: the resumed run's workers started with no record of
+    # what the killed run's workers shipped, and the merge still finds a
+    # full report for every cluster it founds.
+    assert (killed_dir / "bugs.json").read_bytes() == serial_bugs_json(
+        campaign_spec()
     )

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.reporting import CampaignSummary
-from repro.campaign import CampaignSpec
+from repro.campaign import CampaignSpec, CheckpointJournal
+from repro.campaign.watch import CampaignMonitor
 from repro.core import harness, recovery_memo
 from repro.core.checker import ConsistencyChecker
 from repro.core.oracle import run_oracle
@@ -204,6 +205,42 @@ class TestBudget:
         assert memo.lookup(first) is None
         assert memo.lookup(third).digest == b"3"
 
+    def test_resets_reach_the_result_and_every_surface(self, monkeypatch,
+                                                        tmp_path):
+        """Through the harness, each budget reset is counted on the
+        ``TestResult`` of the workload whose insert cleared the trie, and
+        the one result fold carries it to stats, report.md and coverage."""
+        monkeypatch.setattr(recovery_memo, "MAX_NODES", 80)
+        tel = Telemetry()
+        chipmunk = harness.Chipmunk("nova", telemetry=tel)
+        results = [chipmunk.test_workload(w) for w in WORKLOADS]
+        resets = sum(r.recovery_resets for r in results)
+        assert resets > 0
+        assert resets == chipmunk.recovery_memo.resets
+        assert tel.metrics.counter("checker.recovery_memo.resets").value == (
+            resets)
+        summary = CampaignSummary(fs_name="nova")
+        for result in results:
+            summary.add_dict(json.loads(json.dumps(result.to_dict())))
+        assert summary.to_json_dict()["recovery_resets"] == resets
+        assert dict(summary.counter_lines())["recovery memo"].endswith(
+            f"; {resets} trie reset(s) at the node budget")
+        report = coverage_from_results([r.to_dict() for r in results],
+                                       fs="nova")
+        assert report.to_json_dict()["recovery_resets"] == resets
+        assert (f"its trie was reset {resets} time(s)"
+                in report.render_markdown())
+        journal = CheckpointJournal(str(tmp_path))
+        journal.open()
+        journal.write_meta({"fs": "nova"}, n_items=len(results))
+        for i, result in enumerate(results):
+            journal.write_item_done(f"ace:1:{i:06d}", i, 0, 0,
+                                    [result.to_dict()])
+        journal.close()
+        monitor = CampaignMonitor(str(tmp_path))
+        assert f", {resets} trie reset(s)" in monitor.render(
+            monitor.snapshot())
+
     def test_a_path_longer_than_the_budget_is_not_stored(self, monkeypatch):
         monkeypatch.setattr(recovery_memo, "MAX_NODES", 2)
         memo = RecoveryMemo()
@@ -248,6 +285,7 @@ class TestHarness:
         assert counter("checker.recovery_memo.hits").value == hits
         assert counter("checker.recovery_memo.misses").value == misses
         assert counter("checker.recovery_memo.resets").value == 0
+        assert not any(r.recovery_resets for r in results)
 
     def test_detached_memo_mounts_every_state(self):
         chipmunk = harness.Chipmunk("nova")

@@ -43,59 +43,59 @@ BUG_SETS = {"catalogue": None, "fixed": []}
 GOLDEN = {
     ('ext4-dax', 'catalogue'): (
         '94a990d8861e01d963d822d26b969eab0cb8661d',
-        'e30966134b3ef7309f0b27045a3522fca821d22b',
+        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
     ),
     ('ext4-dax', 'fixed'): (
         '94a990d8861e01d963d822d26b969eab0cb8661d',
-        'e30966134b3ef7309f0b27045a3522fca821d22b',
+        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
     ),
     ('nova', 'catalogue'): (
         '6e0b18d1cb494360225b463fe7435b92b5531e29',
-        'ca88fe8d510f42fa1e841c232e4c3f1b34cb6669',
+        'e939cfb118448c3972b60490291c3524673a8d23',
     ),
     ('nova', 'fixed'): (
         '8cb38e586f14d8029b3c65dfcecaaadd17688192',
-        'af9191884108220b88245875c4393be7b9e0c123',
+        'd766c0b1b8b55df5a6f1b0387f3b3884d912875f',
     ),
     ('nova-fortis', 'catalogue'): (
         'ce86f3dbc8c3a2f79ca07770b2d47f97221c659b',
-        '2bced4f84017140c9815ac572a8f3f2af49376a9',
+        '2521d69e0c39007676cbca37a57dc15bda2ca0b4',
     ),
     ('nova-fortis', 'fixed'): (
         '1bd5e1f0a37ff4ae3c305e1644baf7ecfecbf8c6',
-        'fb2621617f20ac65790072a199a4ad6e196b6b02',
+        'f4bcc97b0f856bba400c1ec8feaec8e64bb039b6',
     ),
     ('pmfs', 'catalogue'): (
         '280680406d686ffb29924d20cef52c748d230df8',
-        '95efdbb15ecc5a455706c1261bbfa75b5041ef12',
+        '43dcd87ffad4a21f84db28ecae53fa58beb1d2cf',
     ),
     ('pmfs', 'fixed'): (
         '17c35585b32e84881ed8af7cf28744de6cfcd48a',
-        '93a550cdf277c3a369fc5f63832b534684824aad',
+        '1917be69910f78b0e1944e632ccda98b08af02ae',
     ),
     ('splitfs', 'catalogue'): (
         'f4a1655fa4f9791d9df9d2ba339ce5dc63c568ab',
-        '6d5470eaa504d31133073d1463e9d21b7b413322',
+        'fa01451b004473b8f3b56b932cb108101bd4072c',
     ),
     ('splitfs', 'fixed'): (
         '551af5b1c77a6d2245935ecda3b23009a482bb5b',
-        '7208187006ecae16efc6de8e2f33ecd827b7e8af',
+        '2f9580f3456737a50657758e11cc79d0f2967e4a',
     ),
     ('winefs', 'catalogue'): (
         '2fdfc7d3eb1eff9a9afb404a4e27bc9cfd53ff33',
-        '536b95aa308ee313ea3408551f02afe0cfe6808e',
+        '0a777d6ab8fa736bbea6b80006791b8eda0a251f',
     ),
     ('winefs', 'fixed'): (
         '6e890285d21925ba2060223f7bb63506274b215b',
-        '1b9b0f4c1e0bef2422d89e6d0ce5303df21b1556',
+        '5d6dcb2f120b6da68521929cb08eceb85ae0f741',
     ),
     ('xfs-dax', 'catalogue'): (
         '5695b370da31d262f125e9c3bfc198e6dc9657de',
-        'e30966134b3ef7309f0b27045a3522fca821d22b',
+        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
     ),
     ('xfs-dax', 'fixed'): (
         '5695b370da31d262f125e9c3bfc198e6dc9657de',
-        'e30966134b3ef7309f0b27045a3522fca821d22b',
+        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
     ),
 }
 
