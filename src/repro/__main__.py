@@ -29,8 +29,8 @@ Commands
     emits the same aggregates as JSON.
 ``coverage``
     Exploration-coverage analytics: in-flight window CDFs, fence/store
-    histograms, persistence-mechanism breakdowns, memo-miss attribution,
-    and recovery-read redundancy, from a campaign directory (journal) or
+    histograms, persistence-mechanism breakdowns and recovery-read
+    redundancy, from a campaign directory (journal) or
     trace files; ``--out`` writes the markdown report to a file.
 ``watch``
     Live dashboard for a running campaign directory: progress, throughput,
@@ -925,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser(
         "coverage",
         help="exploration-coverage analytics (window CDFs, store "
-        "breakdowns, memo-miss attribution) from a campaign dir or traces",
+        "breakdowns, recovery-read redundancy) from a campaign dir or traces",
     )
     p_cov.add_argument(
         "target", nargs="+", metavar="TARGET",

@@ -179,11 +179,8 @@ class CampaignSummary(ResultFold):
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
-            "memo_miss_reasons": dict(t("memo_miss_reasons", {})),
-            "memo_noop_writes_dropped": t("memo_noop_dropped"),
             "memo_shared_hits": self.memo_shared_hits,
             "memo_shared_errors": t("memo_shared_errors"),
-            "memo_evictions": t("memo_evictions"),
             "crash_plans": t("crash_plans", "?"),
             "mech_recognized": dict(t("mech_recognized", {})),
             "mech_plans_emitted": t("mech_plans_emitted"),
@@ -220,18 +217,10 @@ class CampaignSummary(ResultFold):
                     f"(hit-rate {self.memo_hit_rate * 100:.1f}%)")
             if self.memo_shared_hits:
                 text += f"; {self.memo_shared_hits} served by the shared service"
-            if t("memo_noop_dropped"):
-                text += f"; {t('memo_noop_dropped')} no-op write(s) dropped"
+            if t("memo_shared_errors"):
+                text += (f"; {t('memo_shared_errors')} shared-service "
+                         f"error(s) degraded to local misses")
             out.append(("check memo (checker.memo.*)", text))
-            if t("memo_evictions") or t("memo_shared_errors"):
-                out.append(("memo pressure", (
-                    f"{t('memo_evictions')} clean eviction(s), "
-                    f"{t('memo_shared_errors')} shared-service error(s) "
-                    f"degraded to local misses")))
-        if t("memo_miss_reasons", {}):
-            out.append(("memo misses by reason", ", ".join(
-                f"{reason} {n}" for reason, n in _by_count(t("memo_miss_reasons"))
-            )))
         unique_outcomes = t("n_unique_outcomes")
         if unique_outcomes and self.memo_misses:
             out.append(("recovered outcomes", (

@@ -156,7 +156,7 @@ def merge_campaign(
             fh.write(merged.render_markdown())
         # Exploration-coverage analytics next to the findings report: the
         # same ordinal-ordered result dicts, viewed as distributions
-        # (window CDFs, store breakdowns, memo-miss attribution).
+        # (window CDFs, store breakdowns, recovery-read redundancy).
         coverage = coverage_from_results(
             (
                 result_dict

@@ -41,8 +41,7 @@ from repro.core.recovery_memo import Recovery
 from repro.core.replayer import SYNC_SYSCALLS, CrashState
 from repro.core.report import BugReport, Consequence, diff_trees
 from repro.fs.common.alloc import AllocatorError
-from repro.memo.store import BUGGY, CLEAN, DEFAULT_MAX_ENTRIES, MemoTable
-from repro.obs.attribution import MemoAttribution
+from repro.memo.store import CLEAN
 from repro.obs.metrics import CacheCounters
 from repro.pm.device import PMDevice, PMDeviceError
 from repro.pm.image import CrashImage, patched_digest
@@ -676,45 +675,21 @@ class CheckMemo:
     crash-checked mid-syscall and post-syscall is judged against different
     oracle expectations.
 
-    The content address of a :class:`~repro.pm.image.CrashImage` is the
-    *canonical* byte-granular key
-    (:meth:`~repro.obs.attribution.MemoAttribution.content_key`: sha1 over
-    the fence-base digest and the exact byte diff from base via
-    :func:`~repro.pm.image.flatten_overlay`) — O(overlay), no
+    The content address of a :class:`~repro.pm.image.CrashImage` is its
+    :meth:`~repro.pm.image.CrashImage.content_key` — O(overlay), no
     materialization, and identical for every overlay shape that
-    materializes the same bytes.  Two states whose overlays partition the
-    same content into different write ranges, or that differ only in
-    residual no-op bytes, now *hit*; under the earlier range-wise
-    :meth:`~repro.pm.image.CrashImage.digest` keying they were the
-    ``overlay_shape`` / ``noop_write_perturbation`` miss classes.  Key
-    equality still implies byte-identical images, so a hit can never skip
-    a state that would have checked differently — memoization cannot mask
-    a bug, only cost a redundant check.
-
-    A flat-``bytes`` image (a hand-built state) is keyed by
-    ``sha1(image)``.
+    materializes the same bytes on the same base.  Key equality implies
+    byte-identical images, so a hit can never skip a state that would have
+    checked differently.  A flat-``bytes`` image (a hand-built state) is
+    keyed by ``sha1(image)``.
 
     :meth:`check` returns ``None`` on a memo hit (the state was already
     checked; any findings are already in the caller's hands) and the
     checker's report list on a miss.
 
-    Every miss is classified by a :class:`~repro.obs.attribution.MemoAttribution`
-    (cold base / overlay shape / no-op perturbation / syscall context /
-    new content — the reason counts sum exactly to :attr:`misses`).  With
-    the canonical key the two avoidable classes are structurally
-    unreachable; a nonzero ``overlay_shape`` or
-    ``noop_write_perturbation`` count is a regression signal that the key
-    stopped being a pure function of the bytes.  Overlay writes dropped as
-    whole-write no-ops are still tallied in :attr:`noop_writes_dropped`.
-    With telemetry attached both surface as registry counters:
-    ``checker.memo.miss.{reason}`` and ``checker.memo.noop_writes_dropped``.
-
-    **Local tier.** Verdicts live in a :class:`~repro.memo.store.MemoTable`
-    bounded at ``max_entries`` clean entries (LRU).  Buggy keys are pinned:
-    evicting one would re-check the state and append its reports *again*,
-    making ``bugs.json`` depend on the table size; evicting a clean key
-    only costs a redundant check.  Evictions surface as
-    ``checker.memo.evictions``.
+    **Local tier.** The keys this workload has checked, in a ``set``: one
+    memo serves one workload, whose distinct states fit in memory, so
+    nothing is ever evicted and no state is checked twice.
 
     **Shared tier.** With ``shared`` attached (a
     :class:`~repro.memo.client.MemoClient` or anything with the same
@@ -735,7 +710,7 @@ class CheckMemo:
     """
 
     def __init__(self, checker: ConsistencyChecker, telemetry=None,
-                 shared=None, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+                 shared=None) -> None:
         self.checker = checker
         self.shared = shared
         self._tel = telemetry if telemetry is not None and telemetry.enabled else None
@@ -746,11 +721,6 @@ class CheckMemo:
         self.shared_hits = 0
         #: Shared-service calls that failed (degraded to a local miss).
         self.shared_errors = 0
-        #: Overlay writes dropped before digesting because they were
-        #: byte-equal to the base (summed over every state keyed).
-        self.noop_writes_dropped = 0
-        #: Miss classifier; its reason counts always sum to :attr:`misses`.
-        self.attribution = MemoAttribution()
         # Registry-backed counters accumulate campaign-wide under
         # ``checker.memo.*`` when telemetry is attached.
         self._counters = (
@@ -758,7 +728,8 @@ class CheckMemo:
             if self._tel is not None
             else None
         )
-        self._local = MemoTable(max_entries)
+        #: Local tier: keys of every state checked or shared-hit so far.
+        self._seen: set = set()
 
     def key_of(self, state: CrashState):
         prof = _profile.ACTIVE
@@ -766,7 +737,7 @@ class CheckMemo:
         m0 = prof.mark() if prof is not None else 0.0
         image = state.image
         if isinstance(image, CrashImage):
-            digest = MemoAttribution.content_key(image)
+            digest = image.content_key()
         else:
             digest = hashlib.sha1(
                 image if isinstance(image, (bytes, bytearray)) else bytes(image)
@@ -781,11 +752,6 @@ class CheckMemo:
     def checked(self) -> int:
         """States actually checked — the campaign's "unique states"."""
         return self.misses
-
-    @property
-    def evictions(self) -> int:
-        """Clean entries LRU-evicted from the local table."""
-        return self._local.evictions
 
     def shared_key(self, state: CrashState, key) -> bytes:
         """Campaign-wide key: oracle context folded into the content address.
@@ -840,13 +806,7 @@ class CheckMemo:
 
     def check(self, state: CrashState) -> Optional[List[BugReport]]:
         key = self.key_of(state)
-        if isinstance(state.image, CrashImage):
-            dropped = state.image.noop_dropped
-            if dropped:
-                self.noop_writes_dropped += dropped
-                if self._tel is not None:
-                    self._tel.count("checker.memo.noop_writes_dropped", dropped)
-        if self._local.lookup(key) is not None:
+        if key in self._seen:
             self.hits += 1
             if self._counters is not None:
                 self._counters.hit()
@@ -865,21 +825,13 @@ class CheckMemo:
                     self._counters.hit()
                 if self._tel is not None:
                     self._tel.count("checker.memo.shared.hits")
-                self._local.publish(key, CLEAN)
-                # A shared hit is a hit, not a miss: seed the attribution
-                # universe (base + context now "seen") without a reason
-                # count, keeping sum(reasons) == misses structural.
-                self.attribution.note_shared_hit(state, key[0])
+                self._seen.add(key)
                 return None
             if self._tel is not None:
                 self._tel.count("checker.memo.shared.misses")
         self.misses += 1
-        # The memo digest *is* the canonical content key.
-        reason = self.attribution.classify_miss(state, key[0], key[0])
         if self._counters is not None:
             self._counters.miss()
-        if self._tel is not None:
-            self._tel.count("checker.memo.miss." + reason)
         if self._tel is not None:
             with self._tel.span(
                 "check_state",
@@ -890,14 +842,8 @@ class CheckMemo:
                 reports = self.checker.check(state)
         else:
             reports = self.checker.check(state)
-        verdict = BUGGY if reports else CLEAN
-        before = self._local.evictions
-        self._local.publish(key, verdict)
-        if self._tel is not None and self._local.evictions > before:
-            self._tel.count(
-                "checker.memo.evictions", self._local.evictions - before
-            )
-        if skey is not None and verdict == CLEAN:
+        self._seen.add(key)
+        if skey is not None and not reports:
             # Only clean verdicts travel: a shared BUGGY entry could never
             # be used to skip (buggy states always re-check locally), so
             # publishing it would be pure table growth.

@@ -88,24 +88,12 @@ class TestResult:
     #: because a byte-identical image was already checked / states checked.
     memo_hits: int = 0
     memo_misses: int = 0
-    #: Memo-miss attribution: reason -> count (``checker.memo.miss.*``).
-    #: Values sum exactly to :attr:`memo_misses`.
-    memo_miss_reasons: Dict[str, int] = field(default_factory=dict)
-    #: Top colliding content keys: ``[content_key_hex, n_shapes]`` pairs —
-    #: byte-identical contents checked under multiple overlay shapes.
-    memo_collisions: List[List[object]] = field(default_factory=list)
-    #: Overlay writes dropped as no-ops before digesting
-    #: (``checker.memo.noop_writes_dropped``).
-    memo_noop_dropped: int = 0
     #: Hits served by the campaign-wide shared memo service
     #: (``checker.memo.shared.hits``); also counted in :attr:`memo_hits`.
     memo_shared_hits: int = 0
     #: Shared-service calls that failed and degraded to local misses
     #: (``checker.memo.shared.errors``).
     memo_shared_errors: int = 0
-    #: Clean entries LRU-evicted from the local memo
-    #: (``checker.memo.evictions``).
-    memo_evictions: int = 0
     #: Distinct recovered observable outcomes among the checked states —
     #: the numerator of the output-equivalence pruning headroom.
     n_unique_outcomes: int = 0
@@ -465,14 +453,8 @@ class Chipmunk:
             truncated=truncated,
             memo_hits=memo.hits,
             memo_misses=memo.misses,
-            memo_miss_reasons=dict(memo.attribution.reasons),
-            memo_collisions=[
-                [key, count] for key, count in memo.attribution.top_collisions()
-            ],
-            memo_noop_dropped=memo.noop_writes_dropped,
             memo_shared_hits=memo.shared_hits,
             memo_shared_errors=memo.shared_errors,
-            memo_evictions=memo.evictions,
             n_unique_outcomes=len(checker.outcome_digests),
             outcome_hits=checker.outcome_hits,
             outcome_misses=checker.outcome_misses,

@@ -1,23 +1,18 @@
-"""Vinter-style recovery-read heuristic (paper section 6.2).
+"""Recovery-read sets (paper section 6.2).
 
 Vinter reduces its state space by focusing on crash states whose in-flight
 writes are *likely to be read during recovery*.  The paper notes Chipmunk
 "could incorporate this heuristic by recording PM read functions" — this
-module does exactly that: it mounts the last persistent state under the
-device's access trace, records which byte ranges recovery reads, and lets
-the replayer rank subsets by how much of their in-flight data recovery
-would actually observe.
-
-This is an *ordering* heuristic, not a filter: with a subset cap in place it
-changes which states are generated first, which matters when a campaign is
-stopped early (time-boxed fuzzing).  The ablation bench
-(`benchmarks/bench_vinter_heuristic.py`) measures how many crash states a
-campaign checks before the first report, with and without the heuristic.
+module records them: it mounts an image under the device's access trace
+and returns the cache lines recovery reads.  The harness intersects them
+with a workload's stores (``TestResult.recovery_overlap``), and the
+mechanism planner asks :func:`write_overlap` whether recovery reads a
+replay unit's writes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 from repro.pm.device import PMDevice
 from repro.pm.log import WriteEntry
@@ -62,14 +57,3 @@ def write_overlap(entry: WriteEntry, read_lines: Set[int], granularity: int = 64
     last = (entry.addr + max(entry.length, 1) - 1) // granularity
     return sum(1 for line in range(first, last + 1) if line in read_lines)
 
-
-def rank_units(
-    units: List[List[WriteEntry]], read_lines: Set[int]
-) -> List[List[WriteEntry]]:
-    """Order replay units so recovery-visible writes come first."""
-    scored = [
-        (sum(write_overlap(e, read_lines) for e in unit), i, unit)
-        for i, unit in enumerate(units)
-    ]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [unit for _, _, unit in scored]

@@ -147,7 +147,6 @@ def enumerate_crash_states(
     coalesce_threshold: int = DATA_WRITE_THRESHOLD,
     crash_points: str = "fence",
     stats: Optional[ReplayStats] = None,
-    unit_ranker=None,
     telemetry=None,
     planner=None,
 ) -> Iterator[CrashState]:
@@ -165,11 +164,6 @@ def enumerate_crash_states(
     ``cap`` limits how many in-flight write units are replayed per state
     (the paper finds a cap of two exposes every bug; section 5.1.2).
 
-    ``unit_ranker`` optionally reorders the replay units before subset
-    enumeration (e.g. the Vinter-style recovery-read heuristic of
-    :mod:`repro.core.recovery_reads`) so that, under a budget, the most
-    interesting states are generated first.
-
     ``telemetry`` optionally receives replay counters and the in-flight
     unit-count histogram; instrumentation happens only at fence boundaries,
     never per write entry, so the enabled overhead stays negligible.
@@ -181,9 +175,7 @@ def enumerate_crash_states(
     space, the fallback) or a canonically ordered list of unit-index
     combos to emit instead.  Planned combos are always a subset of the
     subset-mode combos in the same order, so the planned state stream is a
-    subsequence of the unplanned one.  The planner takes precedence over
-    ``unit_ranker`` for planned epochs (plans are already targeted);
-    fallback epochs still rank.
+    subsequence of the unplanned one.
 
     Every log entry must lie inside ``base_image``; an entry outside
     ``[0, len(base_image))`` raises ``ValueError`` (real logs cannot hold
@@ -210,20 +202,10 @@ def enumerate_crash_states(
             # the adjacent regions' subsets and the post-syscall states.
             return
         plan = planner.plan_for(fence_index, n) if planner is not None else None
+        # coalesce_units emits units in program order and combinations()
+        # enumerates indices ascending, so every combo is already
+        # program-ordered: replay needs no sort.
         positions = unit_positions(units)
-        if plan is None and unit_ranker is not None and n > 1:
-            # The ranked path pays for an id()-keyed order map so replay
-            # (which must stay in program order) can undo whatever order
-            # the ranker chose for *generation*.
-            rank_of = {id(u): i for i, u in enumerate(units)}
-            units = unit_ranker(units)
-            program_index = [rank_of[id(u)] for u in units]
-            positions = [positions[i] for i in program_index]
-        else:
-            # Unranked fast path: coalesce_units emits units in program
-            # order and combinations() enumerates indices ascending, so
-            # every combo is already program-ordered — no sort, no map.
-            program_index = None
         stats.max_inflight = max(stats.max_inflight, n)
         stats.inflight_per_fence.append(n)
         if tel is not None:
@@ -238,7 +220,7 @@ def enumerate_crash_states(
         if plan is not None:
             # Mechanism-targeted plan: a canonically ordered sub-list of
             # the combos the loop below would generate (already size-
-            # ascending and program-ordered, so no ranker interaction).
+            # ascending and program-ordered).
             combos = iter(plan)
         else:
             combos = (
@@ -247,8 +229,6 @@ def enumerate_crash_states(
                 for combo in itertools.combinations(range(n), size)
             )
         for combo in combos:
-            if program_index is not None:
-                combo = sorted(combo, key=lambda i: program_index[i])
             chosen: List[WriteEntry] = []
             replayed: List[int] = []
             for unit_index in combo:

@@ -1,7 +1,8 @@
-"""Bounded verdict store: the table behind both the local and shared memo.
+"""Bounded verdict store: the table behind the shared memo service and the
+recovered-outcome cache.
 
-One :class:`MemoTable` maps an opaque key (the memo's content-addressed
-key, or the shared service's context-folded digest) to a *verdict*:
+One :class:`MemoTable` maps an opaque key (the shared service's
+context-folded digest, or a post-mount image digest) to a *verdict*:
 
 ``CLEAN``
     The state was checked and produced zero reports.  Skipping a re-check
@@ -11,11 +12,8 @@ key, or the shared service's context-folded digest) to a *verdict*:
     correctness).
 ``BUGGY``
     The state produced at least one report.  Buggy entries are **pinned**:
-    they are never evicted, because inside one workload an evicted buggy
-    key would be re-checked and its reports appended *again*, making
-    ``bugs.json`` depend on the table size.  Pinning is naturally bounded —
-    the harness stops a workload at ``MAX_REPORTS_PER_WORKLOAD`` (64), so
-    a table can only ever pin a handful of buggy keys per workload.
+    they are never evicted and a later ``CLEAN`` publish never overwrites
+    them, so a key's stored verdict can only move from clean to buggy.
 
 Eviction is LRU over the clean entries only, bounded by ``max_entries``
 (0 disables the bound).  The table is thread-safe: the shared memo server
@@ -38,11 +36,11 @@ CLEAN = "clean"
 BUGGY = "buggy"
 VERDICTS = (CLEAN, BUGGY)
 
-#: Clean-entry cap of every workload's local memo and of the engine-hosted
-#: shared service (``repro memod --max-entries`` overrides it for a
-#: standalone service).  A seq-2 campaign checks ~10^5 distinct states; at
-#: ~100 bytes per table entry this bounds the store near 25 MiB while still
-#: holding an entire campaign's working set.
+#: Clean-entry cap of the engine-hosted shared memo service (``repro memod
+#: --max-entries`` overrides it for a standalone service).  A seq-2
+#: campaign checks ~10^5 distinct states; at ~100 bytes per table entry this
+#: bounds the store near 25 MiB while still holding an entire campaign's
+#: working set.
 DEFAULT_MAX_ENTRIES = 262144
 
 

@@ -1,10 +1,10 @@
 """Crash-state space coverage analytics (``python -m repro coverage``).
 
 Every remaining exploration lever — mechanism-aware pruning, WITCHER-style
-output-equivalence pruning, digest canonicalization — starts from a
-distribution question: how big are in-flight windows per fence epoch, which
-persistence mechanisms carry the stores, how many checked states recover to
-distinct outcomes, how much of the stored data does recovery even read?
+output-equivalence pruning — starts from a distribution question: how big
+are in-flight windows per fence epoch, which persistence mechanisms carry
+the stores, how many checked states recover to distinct outcomes, how much
+of the stored data does recovery even read?
 :class:`CoverageReport` aggregates those distributions from data the
 pipeline already produces (serialized :class:`~repro.core.harness.TestResult`
 dicts in a campaign's checkpoint journal, or ``workload_result`` events in
@@ -109,8 +109,6 @@ class CoverageReport(ResultFold):
     buggy_workloads: int = 0
     fences_per_workload: List[int] = field(default_factory=list)
     stores_per_workload: List[int] = field(default_factory=list)
-    #: content-key hex -> max distinct overlay shapes seen (per workload).
-    collisions: Dict[str, int] = field(default_factory=dict)
 
     def add_fields(self, fields: Dict[str, object]) -> None:
         """Fold one journal result dict or ``workload_result`` event."""
@@ -124,29 +122,10 @@ class CoverageReport(ResultFold):
             int(mix.get("stores", 0)) + int(mix.get("flushes", 0))
             for mix in dict(fields.get("persistence", {})).values()
         ))
-        for key, count in fields.get("memo_collisions", ()):
-            self.collisions[str(key)] = max(
-                self.collisions.get(str(key), 0), int(count)
-            )
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def miss_reasons(self) -> Dict[str, int]:
-        return self.total("memo_miss_reasons", {})
-
-    @property
-    def attribution_consistent(self) -> bool:
-        """Reason counts sum exactly to the memo miss count."""
-        return sum(self.miss_reasons.values()) == self.memo_misses
-
-    @property
-    def avoidable_misses(self) -> int:
-        return self.miss_reasons.get("overlay_shape", 0) + self.miss_reasons.get(
-            "noop_write_perturbation", 0
-        )
-
     @property
     def outcome_headroom(self) -> float:
         """Fraction of checked states recovering to an already-seen outcome."""
@@ -199,14 +178,7 @@ class CoverageReport(ResultFold):
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
-            "memo_noop_writes_dropped": t("memo_noop_dropped"),
             "memo_shared_hits": self.memo_shared_hits,
-            "memo_evictions": t("memo_evictions"),
-            "memo_miss_reasons": dict(self.miss_reasons),
-            "memo_miss_reasons_consistent": self.attribution_consistent,
-            "memo_collisions": sorted(
-                self.collisions.items(), key=lambda kv: (-kv[1], kv[0])
-            ),
             "unique_outcomes": t("n_unique_outcomes"),
             "outcome_headroom": self.outcome_headroom,
             "outcome_hits": t("outcome_hits"),
@@ -272,12 +244,11 @@ class CoverageReport(ResultFold):
             f"{t('n_unique_outcomes')} |"
         )
         lines.append("")
-        if self.memo_shared_hits or t("memo_evictions"):
+        if self.memo_shared_hits:
             lines.append(
                 f"The campaign-wide shared memo served "
                 f"{self.memo_shared_hits} clean-verdict hit(s) across "
-                f"workloads/workers; {t('memo_evictions')} clean local "
-                f"entrie(s) were LRU-evicted under the memo bound."
+                f"workloads/workers."
             )
             lines.append("")
         if self.unique_states:
@@ -413,50 +384,6 @@ class CoverageReport(ResultFold):
         else:
             lines.append("(no layout data)")
         lines.append("")
-
-        lines.append("## Memo-miss attribution")
-        lines.append("")
-        if self.miss_reasons:
-            lines.append("| reason | misses | share |")
-            lines.append("| --- | ---: | ---: |")
-            total = sum(self.miss_reasons.values()) or 1
-            for reason, n in sorted(
-                self.miss_reasons.items(), key=lambda kv: (-kv[1], kv[0])
-            ):
-                lines.append(f"| `{reason}` | {n} | {n / total * 100:.1f}% |")
-            lines.append("")
-            check = "==" if self.attribution_consistent else "!="
-            mark = "✓" if self.attribution_consistent else "✗ MISMATCH"
-            lines.append(
-                f"Reason counts sum to {sum(self.miss_reasons.values())} "
-                f"{check} `checker.memo.misses` ({self.memo_misses}) {mark}."
-            )
-            lines.append(
-                f"Canonical-key sentinel misses: "
-                f"{self.avoidable_misses} "
-                f"(`overlay_shape` + `noop_write_perturbation` — the memo "
-                f"keys on the byte-granular content address, so any "
-                f"nonzero count is a key-purity regression); "
-                f"{t('memo_noop_dropped')} no-op overlay write(s) dropped "
-                f"before digesting."
-            )
-            lines.append("")
-            if self.collisions:
-                lines.append(
-                    "Top colliding content keys (byte-identical content "
-                    "checked under multiple overlay shapes):"
-                )
-                lines.append("")
-                lines.append("| content key | distinct shapes |")
-                lines.append("| --- | ---: |")
-                for key, count in sorted(
-                    self.collisions.items(), key=lambda kv: (-kv[1], kv[0])
-                )[:5]:
-                    lines.append(f"| `{key}` | {count} |")
-                lines.append("")
-        else:
-            lines.append("(no attribution data)")
-            lines.append("")
 
         lines.append("## Recovery-read redundancy")
         lines.append("")

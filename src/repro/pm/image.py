@@ -19,26 +19,13 @@ replayed byte ranges.  This module holds the lazy representation:
   the tracker's buffer, so taking a fence base at every region costs
   O(bytes written since the last fence), not O(device).
 
-The content address of a crash state is
-``sha1(base.digest ‖ (addr, len, payload) per effective replayed range)``.
-*Effective* ranges are the overlay after dropping no-op writes: a write
-whose payload is byte-equal to the content it overwrites — the base slice
-it covers, patched with whatever earlier *kept* writes it overlaps —
-cannot change the materialized image, because replaying an idempotent
-store is indistinguishable from losing it.  (Overlap resolution matters
-because later writes win: a base-equal write layered over an earlier kept
-write restores base content, which is an effect, and is kept; conversely
-a write that merely repeats an earlier kept write's visible bytes is a
-no-op even though it overlaps it.)
-Digest equality therefore implies byte-identical images, which is the
-direction check memoization needs: a memo hit can never skip a state that
-might have checked differently.  The converse still does not fully hold —
-partial or overlapping rewrites of base content survive canonicalization
-and yield distinct digests for identical images — so memoization may
-rarely re-check a duplicate, which costs time but can never mask a bug.
-:func:`flatten_overlay` computes the exact byte-level diff from base
-(:mod:`repro.obs.attribution` uses it to measure how often that residual
-case actually bites).
+The content address of a crash state is :meth:`CrashImage.content_key`:
+``sha1(base.digest ‖ (addr, len, bytes) per flatten_overlay run)``, where
+:func:`flatten_overlay` reduces the overlay to the exact byte diff from the
+base.  The key is a pure function of the materialized bytes within one
+base, whatever shape the overlay writes take: equal keys imply
+byte-identical images (a memo hit can never skip a state that might have
+checked differently), and identical images on one base share a key.
 """
 
 from __future__ import annotations
@@ -427,93 +414,37 @@ class CrashImage:
 
     Behaves like ``bytes`` for every consumer the pipeline has — length,
     indexing/slicing, equality and ordering against other images or raw
-    ``bytes``, hashing — but costs O(overlay) to construct and to digest.
+    ``bytes``, hashing — but costs O(overlay) to construct and to key.
     Flat ``bytes`` are produced only by :meth:`materialize` (cached), which
     comparisons and subscripts fall back on; the hot check path (COW mount
-    via :meth:`repro.pm.device.PMDevice.cow_view` + digest memoization)
+    via :meth:`repro.pm.device.PMDevice.cow_view` + content-key memoization)
     never materializes at all.
     """
 
-    __slots__ = ("base", "writes", "_digest", "_mat", "_effective", "_noop_dropped")
+    __slots__ = ("base", "writes", "_key", "_mat")
 
     def __init__(self, base: RegionBase, writes: Sequence[OverlayWrite] = ()) -> None:
         self.base = base
         #: Overlay ranges in replay (program) order; later writes win.
         self.writes: Tuple[OverlayWrite, ...] = tuple(writes)
-        self._digest: Optional[bytes] = None
+        self._key: Optional[bytes] = None
         self._mat: Optional[bytes] = None
-        self._effective: Optional[Tuple[OverlayWrite, ...]] = None
-        self._noop_dropped: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def effective_writes(self) -> Tuple[OverlayWrite, ...]:
-        """The overlay with no-op writes dropped (cached).
+    def content_key(self) -> bytes:
+        """Content address: sha1(base digest ‖ each flattened diff run).
 
-        A write is a no-op — and safe to drop — when its payload is
-        byte-equal to the content it overwrites: the base slice it covers,
-        patched with the earlier *kept* writes it overlaps.  Comparing
-        against the overlap-resolved content (not the raw base) is what
-        keeps the drop sound under later-writes-win materialization in
-        both directions: a base-equal write on top of a kept write
-        restores base content — an effect, kept — while a write that
-        merely repeats a kept write's visible bytes (e.g. a rewrite whose
-        visible suffix is idempotent) changes nothing and drops.  (Overlap
-        with earlier *dropped* writes needs no patching: a dropped write
-        left the prior content in place by definition.)
+        O(overlay), no materialization, and cached.  Two images on one
+        base share a key iff they materialize to the same bytes, because
+        :func:`flatten_overlay` is a pure function of those bytes.
         """
-        if self._effective is None:
-            base = self.base
-            kept: List[OverlayWrite] = []
-            dropped = 0
-            for addr, data in self.writes:
-                end = addr + len(data)
-                current = None
-                for a, d in kept:
-                    e = a + len(d)
-                    if a < end and addr < e:
-                        if current is None:
-                            current = bytearray(base[addr:end])
-                        s, t = max(a, addr), min(e, end)
-                        current[s - addr : t - addr] = d[s - a : t - a]
-                if (bytes(current) if current is not None else base[addr:end]) == data:
-                    dropped += 1
-                    continue
-                kept.append((addr, data))
-            self._effective = tuple(kept)
-            self._noop_dropped = dropped
-        return self._effective
-
-    @property
-    def noop_dropped(self) -> int:
-        """Overlay writes :meth:`digest` ignored as no-ops."""
-        if self._noop_dropped is None:
-            self.effective_writes()
-        return self._noop_dropped  # type: ignore[return-value]
-
-    def digest(self) -> bytes:
-        """Content address: sha1(base digest ‖ each effective overlay range).
-
-        No-op writes (see :meth:`effective_writes`) are dropped before
-        hashing, so a state that replays only idempotent stores shares the
-        digest of the state that dropped them — the two images are
-        byte-identical and now share a memo key.  Equal digests imply
-        byte-identical materialized images; see the module docstring for
-        why the one-way implication is the safe one.
-        """
-        if self._digest is None:
-            prof = _profile.ACTIVE
-            t0 = perf_counter() if prof is not None else 0.0
+        if self._key is None:
             h = hashlib.sha1(self.base.digest)
-            hashed = len(self.base.digest)
-            for addr, data in self.effective_writes():
+            for addr, data in flatten_overlay(self.base, self.writes):
                 h.update(struct.pack("<QQ", addr, len(data)))
                 h.update(data)
-                hashed += 16 + len(data)
-            self._digest = h.digest()
-            if prof is not None:
-                prof.add("image.digest", perf_counter() - t0, hashed,
-                         "digest_hashed")
-        return self._digest
+            self._key = h.digest()
+        return self._key
 
     def materialize(self) -> bytes:
         """The flat ``bytes`` image (cached after the first call)."""

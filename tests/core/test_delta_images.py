@@ -4,8 +4,7 @@ The lazy ``CrashImage`` representation (shared fence base + sparse overlay)
 must be observationally identical to the eager ``bytes`` images the seed
 replayer built — the property tests here replay random PM logs through the
 delta enumerator and an in-test reimplementation of the eager algorithm and
-demand byte-identical state sequences across every ``crash_points`` mode,
-with and without a unit ranker.
+demand byte-identical state sequences across every ``crash_points`` mode.
 """
 
 import dataclasses
@@ -45,8 +44,7 @@ def apply_entries(image, entries):
         image[entry.addr : entry.addr + len(entry.data)] = entry.data
 
 
-def eager_states(base_image, log, cap=2, threshold=256, crash_points="fence",
-                 unit_ranker=None):
+def eager_states(base_image, log, cap=2, threshold=256, crash_points="fence"):
     """Yield (image_bytes, replayed_entries, kind) exactly as the eager
     replayer produced them."""
     persistent = bytearray(base_image)
@@ -56,8 +54,6 @@ def eager_states(base_image, log, cap=2, threshold=256, crash_points="fence",
 
     def subset_states(log_pos):
         units = coalesce_units(inflight, threshold)
-        if unit_ranker is not None and len(units) > 1:
-            units = unit_ranker(units)
         program_order = {id(e): i for i, e in enumerate(inflight)}
         n = len(units)
         if not n:
@@ -132,30 +128,18 @@ def pm_logs(draw):
     return log
 
 
-def reverse_ranker(units):
-    return list(reversed(units))
-
-
 class TestDeltaMatchesEagerProperty:
     @settings(max_examples=40, deadline=None)
     @given(
         log=pm_logs(),
         cap=st.sampled_from([None, 1, 2]),
         crash_points=st.sampled_from(["fence", "post", "fsync"]),
-        ranked=st.booleans(),
     )
-    def test_images_byte_identical_to_eager(self, log, cap, crash_points, ranked):
-        ranker = reverse_ranker if ranked else None
+    def test_images_byte_identical_to_eager(self, log, cap, crash_points):
         delta = list(
-            enumerate_crash_states(
-                BASE, log, cap=cap, crash_points=crash_points, unit_ranker=ranker
-            )
+            enumerate_crash_states(BASE, log, cap=cap, crash_points=crash_points)
         )
-        eager = list(
-            eager_states(
-                BASE, log, cap=cap, crash_points=crash_points, unit_ranker=ranker
-            )
-        )
+        eager = list(eager_states(BASE, log, cap=cap, crash_points=crash_points))
         assert len(delta) == len(eager)
         for state, (image, replayed, kind) in zip(delta, eager):
             assert bytes(state.image) == image
@@ -166,58 +150,13 @@ class TestDeltaMatchesEagerProperty:
     @settings(max_examples=25, deadline=None)
     @given(log=pm_logs(), cap=st.sampled_from([None, 2]))
     def test_digest_equality_matches_byte_equality_one_way(self, log, cap):
-        """Digest equality must imply byte-identical images (the direction
-        memoization relies on); the converse may not hold."""
-        by_digest = {}
+        """Content-key equality implies byte-identical images across every
+        fence base of a replayed log (the direction memoization relies on)."""
+        by_key = {}
         for state in enumerate_crash_states(BASE, log, cap=cap):
             image = state.image
-            prior = by_digest.setdefault(image.digest(), bytes(image))
+            prior = by_key.setdefault(image.content_key(), bytes(image))
             assert prior == bytes(image)
-
-
-class TestRankerOrderingSatellite:
-    """Satellite: the unranked path skips the per-combo sort entirely; an
-    order-preserving ranker (which takes the sorted path) must still emit
-    identical ``replayed_entries``."""
-
-    def _record(self):
-        cm = Chipmunk("nova", bugs=BugConfig.fixed())
-        base, log, _ = cm.record(
-            [Op("creat", ("/f",)), Op("write", ("/f", 0, 0x41, 512))]
-        )
-        return base, log
-
-    def test_identity_ranker_pins_replayed_entries(self):
-        base, log = self._record()
-        plain = list(enumerate_crash_states(base, log, cap=None))
-        ranked = list(
-            enumerate_crash_states(base, log, cap=None, unit_ranker=list)
-        )
-        assert [s.replayed_entries for s in plain] == [
-            s.replayed_entries for s in ranked
-        ]
-        assert [bytes(s.image) for s in plain] == [bytes(s.image) for s in ranked]
-
-    def test_reverse_ranker_same_state_set(self):
-        base, log = self._record()
-        plain = {
-            (s.replayed_entries, bytes(s.image))
-            for s in enumerate_crash_states(base, log, cap=None)
-        }
-        ranked = {
-            (s.replayed_entries, bytes(s.image))
-            for s in enumerate_crash_states(
-                base, log, cap=None, unit_ranker=reverse_ranker
-            )
-        }
-        assert plain == ranked
-
-    def test_replayed_entries_always_program_ordered(self):
-        base, log = self._record()
-        for ranker in (None, reverse_ranker):
-            for s in enumerate_crash_states(base, log, cap=None,
-                                            unit_ranker=ranker):
-                assert list(s.replayed_entries) == sorted(s.replayed_entries)
 
 
 class TestChunkedDigest:
@@ -281,14 +220,13 @@ class TestCrashImage:
         base = fence_base(bytes(64))
         assert CrashImage(base).materialize() is base.data
 
-    def test_digest_depends_on_overlay_shape(self):
+    def test_content_key_ignores_overlay_shape(self):
         base = fence_base(bytes(64))
         a = CrashImage(base, ((0, b"ab"),))
         b = CrashImage(base, ((0, b"a"), (1, b"b")))
-        c = CrashImage(base, ((0, b"ab"),))
         assert bytes(a) == bytes(b)
-        assert a.digest() == c.digest()
-        assert a.digest() != b.digest()  # same bytes, distinct address
+        assert a.content_key() == b.content_key()
+        assert a.content_key() != CrashImage(base, ((0, b"ac"),)).content_key()
 
     def test_replay_order_wins_on_overlap(self):
         base = fence_base(bytes(8))
@@ -297,67 +235,60 @@ class TestCrashImage:
 
 
 class TestNoopOverlayWrites:
-    """Satellite: base-equal overlay writes are dropped before digesting."""
+    """Overlay writes that change no byte leave the content key alone."""
 
     def test_noop_write_does_not_perturb_digest(self):
         base = fence_base(bytes(range(256)))
         clean = CrashImage(base, ((10, b"XY"),))
         noisy = CrashImage(base, ((10, b"XY"), (50, bytes(range(50, 54)))))
         assert bytes(clean) == bytes(noisy)
-        assert noisy.digest() == clean.digest()
-        assert noisy.noop_dropped == 1
-        assert clean.noop_dropped == 0
+        assert noisy.content_key() == clean.content_key()
 
     def test_noop_overlapping_kept_write_is_not_dropped(self):
         # Replay order: a base-equal write landing on top of an earlier
-        # effective write restores base content there — dropping it would
-        # change the materialized image.
+        # effective write restores base content there, so it changes the
+        # materialized image and the key.
         base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x01\x01"), (1, b"\x00")))
-        assert img.noop_dropped == 0
         assert bytes(img)[:3] == b"\x01\x00\x00"
         shape_only = CrashImage(base, ((0, b"\x01\x01"),))
-        assert img.digest() != shape_only.digest()
+        assert img.content_key() != shape_only.content_key()
+        assert img.content_key() == CrashImage(base, ((0, b"\x01"),)).content_key()
 
     def test_noop_suffix_over_kept_write_drops(self):
-        # Regression: a rewrite that repeats an earlier kept write's
-        # visible bytes — its visible suffix is a no-op — must be compared
-        # against the overlap-resolved content, not the raw base.  It
-        # changes nothing, so it drops, and the digest stays canonical.
+        # A rewrite that repeats an earlier write's visible bytes changes
+        # nothing, measured against the overlap-resolved content.
         base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x05"), (0, b"\x05\x00")))
         assert bytes(img)[:3] == b"\x05\x00\x00"
-        assert img.noop_dropped == 1
-        assert img.digest() == CrashImage(base, ((0, b"\x05"),)).digest()
+        assert img.content_key() == CrashImage(base, ((0, b"\x05"),)).content_key()
 
     def test_noop_overlapping_dropped_write_still_drops(self):
         # Two stacked no-ops: the first leaves base content in place, so
-        # the second overlapping no-op is also droppable.
+        # the second overlapping no-op changes nothing either.
         base = fence_base(bytes(range(64)))
         img = CrashImage(
             base, ((0, bytes(range(4))), (2, bytes(range(2, 6))))
         )
-        assert img.noop_dropped == 2
-        assert img.digest() == CrashImage(base, ()).digest()
+        assert bytes(img) == base.data
+        assert img.content_key() == CrashImage(base, ()).content_key()
 
-    def test_effective_writes_preserve_materialization(self):
+    def test_flattened_writes_preserve_materialization(self):
         base = fence_base(bytes(range(128)))
         writes = (
             (0, b"\xaa\xbb"),
             (10, bytes(range(10, 14))),  # no-op
             (1, b"\xcc"),
-            (0, b"\x00\x01"),            # no-op bytes, overlaps kept writes
+            (0, b"\x00\x01"),            # no-op bytes, overlaps earlier writes
         )
         img = CrashImage(base, writes)
         replayed = bytearray(base.data)
         for addr, data in writes:
             replayed[addr:addr + len(data)] = data
         assert bytes(img) == bytes(replayed)
-        # Materializing only the effective writes gives the same image.
-        effective = bytearray(base.data)
-        for addr, data in img.effective_writes():
-            effective[addr:addr + len(data)] = data
-        assert bytes(effective) == bytes(replayed)
+        flat = CrashImage(base, flatten_overlay(base, writes))
+        assert bytes(flat) == bytes(replayed)
+        assert flat.content_key() == img.content_key()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -370,19 +301,86 @@ class TestNoopOverlayWrites:
         )
     )
     def test_property_digest_canonical_under_noops(self, writes):
-        """Adding base-equal writes anywhere never changes the digest as
-        long as they do not overlap an earlier kept write; and
-        materialization is always preserved."""
+        """An overlay and its flattened byte diff materialize alike and
+        share a content key."""
         base = fence_base(bytes(range(64)))
         img = CrashImage(base, tuple(writes))
         replayed = bytearray(base.data)
         for addr, data in writes:
             replayed[addr:addr + len(data)] = data
         assert bytes(img) == bytes(replayed)
-        # digest equality still implies byte equality across variants
-        flat = flatten_overlay(base.data, writes)
-        canonical = CrashImage(base, flat)
+        canonical = CrashImage(base, flatten_overlay(base.data, writes))
         assert bytes(canonical) == bytes(img)
+        assert canonical.content_key() == img.content_key()
+
+
+#: Bytes drawn from a two-letter alphabet, so random overlays often write
+#: what is already there and random pairs often materialize alike.
+_BITS = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8).map(bytes)
+_OVERLAYS = st.lists(st.tuples(st.integers(0, 56), _BITS), max_size=6)
+
+
+def _replay(base: bytes, writes) -> bytearray:
+    image = bytearray(base)
+    for addr, data in writes:
+        image[addr:addr + len(data)] = data
+    return image
+
+
+@st.composite
+def _reshaped(draw, base: bytes, writes):
+    """Another overlay over ``base``: unrelated, ``writes`` split into
+    one-byte writes, or ``writes`` with no-op rewrites of the current
+    content interleaved (these may overlap earlier writes)."""
+    mode = draw(st.sampled_from(["random", "split", "noop"]))
+    if mode == "random":
+        return draw(_OVERLAYS)
+    if mode == "split":
+        return [(addr + i, data[i:i + 1])
+                for addr, data in writes for i in range(len(data))]
+    out = []
+    for k in range(len(writes) + 1):
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, 60))
+            hi = draw(st.integers(lo + 1, 64))
+            out.append((lo, bytes(_replay(base, writes[:k])[lo:hi])))
+        if k < len(writes):
+            out.append(writes[k])
+    return out
+
+
+class TestContentKeyPurity:
+    """The content key is a pure function of the materialized bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           raw=st.lists(st.sampled_from([0, 1]), min_size=64, max_size=64),
+           writes=_OVERLAYS)
+    def test_same_base_key_equality_iff_byte_equality(self, data, raw, writes):
+        raw = bytes(raw)
+        other = data.draw(_reshaped(raw, writes))
+        base = fence_base(raw)
+        a, b = CrashImage(base, writes), CrashImage(base, other)
+        assert bytes(a) == bytes(_replay(raw, writes))
+        assert (a.content_key() == b.content_key()) == (bytes(a) == bytes(b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raws=st.lists(
+               st.lists(st.sampled_from([0, 1]), min_size=64, max_size=64),
+               min_size=2, max_size=2),
+           same_base=st.booleans(), a=_OVERLAYS, b=_OVERLAYS)
+    def test_equal_keys_imply_equal_bytes_across_bases(
+        self, raws, same_base, a, b
+    ):
+        raw_a = bytes(raws[0])
+        raw_b = raw_a if same_base else bytes(raws[1])
+        x = CrashImage(fence_base(raw_a), a)
+        y = CrashImage(fence_base(raw_b), b)
+        if x.content_key() == y.content_key():
+            assert bytes(x) == bytes(y)
+        if raw_a == raw_b:
+            # Distinct base objects with equal content share a digest.
+            assert (x.content_key() == y.content_key()) == (bytes(x) == bytes(y))
 
 
 class TestFlattenOverlay:
@@ -500,15 +498,6 @@ class TestCheckMemo:
         assert bytes(one) == bytes(split) == bytes(noisy)
         different = CrashImage(base, ((0, b"\xff\xfd"),))
         assert memo.key_of(S(one)) != memo.key_of(S(different))
-
-    def test_no_sentinel_misses_live(self):
-        """A live memoized campaign records zero avoidable misses and no
-        colliding content keys: the memo keys on the canonical content
-        address, so both would be key-purity regressions."""
-        result = self._run()
-        assert result.memo_miss_reasons.get("overlay_shape", 0) == 0
-        assert result.memo_miss_reasons.get("noop_write_perturbation", 0) == 0
-        assert result.memo_collisions == []
 
 
 class TestCowCheckIsolation:

@@ -1,9 +1,9 @@
-"""Vinter-style recovery-read heuristic (extension, paper section 6.2)."""
+"""Recovery-read sets (extension, paper section 6.2)."""
 
 import pytest
 
 from conftest import TEST_DEVICE_SIZE, make_fixed_fs
-from repro.core.recovery_reads import rank_units, recovery_read_set, write_overlap
+from repro.core.recovery_reads import recovery_read_set, write_overlap
 from repro.fs.bugs import BugConfig
 from repro.fs.nova.fs import NovaFS
 from repro.pm.device import PMDevice, PMDeviceError
@@ -150,70 +150,8 @@ class TestRecoveryReadSet:
 
 
 class TestRanking:
-    def _unit(self, addr, length=8):
-        return [NTStore(addr, b"\x01" * length, "f", 0)]
-
     def test_overlap_counts_lines(self):
         entry = NTStore(0, b"\x01" * 130, "f", 0)
         assert write_overlap(entry, {0, 1, 2}) == 3
         assert write_overlap(entry, {1}) == 1
         assert write_overlap(entry, set()) == 0
-
-    def test_recovery_visible_units_first(self):
-        cold, hot = self._unit(4096), self._unit(0)
-        ranked = rank_units([cold, hot], read_lines={0})
-        assert ranked[0] is hot
-
-    def test_stable_for_equal_scores(self):
-        a, b = self._unit(4096), self._unit(8192)
-        assert rank_units([a, b], read_lines=set()) == [a, b]
-
-
-class TestReplayerIntegration:
-    def test_ranker_changes_order_not_results(self):
-        """With and without the ranker, the same set of crash-state images
-        is produced — only the order differs."""
-        from repro.core.harness import Chipmunk
-        from repro.core.replayer import enumerate_crash_states
-        from repro.workloads.ops import Op
-
-        cm = Chipmunk("nova", bugs=BugConfig.fixed())
-        base, log, _ = cm.record(
-            [Op("creat", ("/f",)), Op("write", ("/f", 0, 0x41, 512))]
-        )
-
-        def reverse_ranker(units):
-            return list(reversed(units))
-
-        plain = [s.image for s in enumerate_crash_states(base, log, cap=None)]
-        ranked = [
-            s.image
-            for s in enumerate_crash_states(
-                base, log, cap=None, unit_ranker=reverse_ranker
-            )
-        ]
-        assert sorted(plain) == sorted(ranked)
-
-    def test_heuristic_end_to_end(self):
-        """Using the recovery-read ranker still detects a real bug."""
-        from repro.core.checker import ConsistencyChecker
-        from repro.core.harness import Chipmunk
-        from repro.core.oracle import run_oracle
-        from repro.core.replayer import enumerate_crash_states
-        from repro.workloads.ops import Op
-
-        bugs = BugConfig.only(5)
-        cm = Chipmunk("nova", bugs=bugs)
-        workload = [Op("creat", ("/f",)), Op("rename", ("/f", "/g"))]
-        base, log, _ = cm.record(workload)
-        read_lines = recovery_read_set(NovaFS, base, bugs=bugs)
-        oracle = run_oracle(NovaFS, workload, cm.config.device_size, bugs=bugs)
-        checker = ConsistencyChecker(NovaFS, oracle, "w", bugs=bugs)
-        found = False
-        for state in enumerate_crash_states(
-            base, log, cap=2, unit_ranker=lambda u: rank_units(u, read_lines)
-        ):
-            if checker.check(state):
-                found = True
-                break
-        assert found

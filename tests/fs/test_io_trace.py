@@ -43,59 +43,59 @@ BUG_SETS = {"catalogue": None, "fixed": []}
 GOLDEN = {
     ('ext4-dax', 'catalogue'): (
         '94a990d8861e01d963d822d26b969eab0cb8661d',
-        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
+        '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
     ('ext4-dax', 'fixed'): (
         '94a990d8861e01d963d822d26b969eab0cb8661d',
-        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
+        '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
     ('nova', 'catalogue'): (
         '6e0b18d1cb494360225b463fe7435b92b5531e29',
-        'e939cfb118448c3972b60490291c3524673a8d23',
+        '27efdd304b8e3b622aefeb36a18a0c87b8e094af',
     ),
     ('nova', 'fixed'): (
         '8cb38e586f14d8029b3c65dfcecaaadd17688192',
-        'd766c0b1b8b55df5a6f1b0387f3b3884d912875f',
+        'eb9639febc0a82453edaa1b996ca5caa5d7ab254',
     ),
     ('nova-fortis', 'catalogue'): (
         'ce86f3dbc8c3a2f79ca07770b2d47f97221c659b',
-        '2521d69e0c39007676cbca37a57dc15bda2ca0b4',
+        'b1b10b18a8fb6d32d09d8fec8315960b26de1d84',
     ),
     ('nova-fortis', 'fixed'): (
         '1bd5e1f0a37ff4ae3c305e1644baf7ecfecbf8c6',
-        'f4bcc97b0f856bba400c1ec8feaec8e64bb039b6',
+        'dc2cea5f6f523eea3322c6814b78d04ae60c2adc',
     ),
     ('pmfs', 'catalogue'): (
         '280680406d686ffb29924d20cef52c748d230df8',
-        '43dcd87ffad4a21f84db28ecae53fa58beb1d2cf',
+        'c37f59bebde2824f6189109a3d25e70b0a0d774b',
     ),
     ('pmfs', 'fixed'): (
         '17c35585b32e84881ed8af7cf28744de6cfcd48a',
-        '1917be69910f78b0e1944e632ccda98b08af02ae',
+        '3f7b535222cdbc842cbc19e9eacdc611ef269f7a',
     ),
     ('splitfs', 'catalogue'): (
         'f4a1655fa4f9791d9df9d2ba339ce5dc63c568ab',
-        'fa01451b004473b8f3b56b932cb108101bd4072c',
+        '03e9389a0b1c4cfdc061895e3fcad539a34226fa',
     ),
     ('splitfs', 'fixed'): (
         '551af5b1c77a6d2245935ecda3b23009a482bb5b',
-        '2f9580f3456737a50657758e11cc79d0f2967e4a',
+        '7321ed926684d6a10db946ef8e2c41c53b4a6bc4',
     ),
     ('winefs', 'catalogue'): (
         '2fdfc7d3eb1eff9a9afb404a4e27bc9cfd53ff33',
-        '0a777d6ab8fa736bbea6b80006791b8eda0a251f',
+        '80a2f55d88c94367046351f0756ae00b47e20b2a',
     ),
     ('winefs', 'fixed'): (
         '6e890285d21925ba2060223f7bb63506274b215b',
-        '5d6dcb2f120b6da68521929cb08eceb85ae0f741',
+        '8f22b44a0a5cd83e727cbeb21ec055ce6a3b2cef',
     ),
     ('xfs-dax', 'catalogue'): (
         '5695b370da31d262f125e9c3bfc198e6dc9657de',
-        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
+        '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
     ('xfs-dax', 'fixed'): (
         '5695b370da31d262f125e9c3bfc198e6dc9657de',
-        'f1a9c31b518c6caf377a1a3d284299583813ee2f',
+        '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
 }
 

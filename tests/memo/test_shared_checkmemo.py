@@ -6,8 +6,7 @@ verdict may skip a check — a BUGGY one, even a wrong one, must leave the
 local check path untouched; (2) any backend misbehavior (exceptions, a
 dead client) degrades to plain local memoization; (3) the shared key
 folds the oracle's expectations, so byte-identical images judged against
-different expectations never cross-hit; and (4) the attribution invariant
-``sum(reasons) == misses`` survives shared hits.
+different expectations never cross-hit.
 """
 
 from dataclasses import dataclass
@@ -58,12 +57,12 @@ class RaisingShared(FakeShared):
 WORKLOAD = [Op("mkdir", ("/A",)), Op("creat", ("/A/f",))]
 
 
-def fresh_memo(cm, shared=None, max_entries=0, bugs=None):
+def fresh_memo(cm, shared=None, bugs=None):
     """A CheckMemo over a fresh checker for WORKLOAD (one per 'workload')."""
     bugs = bugs if bugs is not None else cm.bugs
     oracle = run_oracle(cm.fs_class, WORKLOAD, cm.config.device_size, bugs=bugs)
     checker = ConsistencyChecker(cm.fs_class, oracle, "w", bugs=bugs)
-    return CheckMemo(checker, shared=shared, max_entries=max_entries)
+    return CheckMemo(checker, shared=shared)
 
 
 def run_states(cm, memo):
@@ -258,31 +257,3 @@ class TestDeepContentSeparation:
         reports = second.check(state)
         assert second.shared_hits == 0
         assert [r.consequence for r in reports] == [Consequence.SYNCHRONY]
-
-
-class TestBoundedLocalTier:
-    def test_tiny_cap_preserves_reports(self):
-        """An LRU cap small enough to thrash constantly may re-check clean
-        states, but buggy pinning keeps the report stream byte-identical."""
-        cm = Chipmunk("nova")
-        unbounded = run_states(cm, fresh_memo(cm, max_entries=0))
-        tiny = fresh_memo(cm, max_entries=1)
-        assert run_states(cm, tiny) == unbounded
-        assert tiny.evictions > 0
-
-
-class TestAttributionInvariant:
-    def test_sum_reasons_equals_misses_with_shared_hits(self):
-        """A shared hit is a hit: it seeds the attribution universe but
-        counts no miss reason, so the invariant stays exact — and a state
-        *derived* from a shared-hit base classifies as new_content, never
-        cold_base."""
-        cm = Chipmunk("nova", bugs=BugConfig.fixed())
-        shared = FakeShared()
-        run_states(cm, fresh_memo(cm, shared=shared))
-        memo = fresh_memo(cm, shared=shared)
-        run_states(cm, memo)
-        assert memo.shared_hits > 0
-        assert sum(memo.attribution.reasons.values()) == memo.misses
-        assert memo.attribution.total == memo.misses
-        assert memo.attribution.reasons.get("cold_base", 0) == 0

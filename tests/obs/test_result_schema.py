@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import os
+import shutil
 
 import pytest
 
@@ -66,6 +67,23 @@ def aggregates(results, dicts, trace_path):
     }
 
 
+#: Per-workload fields older builds journaled: memo-miss reason counts,
+#: colliding content keys, whole-write no-op drops, LRU evictions.
+REMOVED_MEMO_FIELDS = {
+    "memo_miss_reasons": {"cold_base": 3, "new_content": 5},
+    "memo_collisions": [["0123456789abcdef", 2]],
+    "memo_noop_dropped": 4,
+    "memo_evictions": 1,
+}
+
+
+def summary_of(dicts):
+    summary = CampaignSummary(fs_name="nova")
+    for data in dicts:
+        summary.add_dict(data)
+    return summary
+
+
 def merged(values):
     out = {}
     for value in values:
@@ -80,8 +98,7 @@ class TestOneFold:
         results, dicts, path = traced
         assert {"n_crash_states", "memo_hits", "outcome_hits", "elapsed",
                 "truncated", "mech_plans_emitted"} <= set(NUMERIC)
-        assert {"stage_times", "memo_miss_reasons", "persistence",
-                "mech_recognized"} <= set(MAPPINGS)
+        assert {"stage_times", "persistence", "mech_recognized"} <= set(MAPPINGS)
         assert sum(r.mech_plans_emitted for r in results) > 0
         for carrier, agg in aggregates(results, dicts, path).items():
             for name in NUMERIC:
@@ -137,14 +154,50 @@ class TestLegacyInputs:
         fresh, old = CampaignSummary(fs_name="nova"), CampaignSummary(fs_name="nova")
         for data in dicts:
             stale = {**data, "image_backend": "numpy", "note": "newer build"}
-            del stale["memo_evictions"]  # a counter an older build lacked
+            del stale["recovery_resets"]  # a counter an older build lacked
             fresh.add_dict(data)
             old.add_dict(stale)
-        assert fresh.total("memo_evictions") == 0  # the field's default
+        assert fresh.total("recovery_resets") == 0  # nothing reset here
         for name in NUMERIC + MAPPINGS:
             assert old.total(name) == fresh.total(name), name
         back = harness.TestResult.from_dict(stale)
-        assert (back.memo_evictions, back.image_backend) == (0, "python")
+        assert (back.recovery_resets, back.image_backend) == (0, "python")
+
+    def test_journal_dicts_with_removed_memo_fields(self, traced):
+        """Results journaled by a build that still carried the memo-miss
+        classifier, whole-write no-op drops and the LRU local tier load
+        and fold exactly like results without those keys."""
+        dicts = traced[1]
+        old = [{**data, **REMOVED_MEMO_FIELDS} for data in dicts]
+        for data, stale in zip(dicts, old):
+            assert (harness.TestResult.from_dict(stale).to_dict()
+                    == harness.TestResult.from_dict(data).to_dict())
+        for fold_all in (summary_of, lambda ds: coverage_from_results(ds)):
+            fresh, legacy = fold_all(dicts), fold_all(old)
+            for name, total in fresh.totals.items():
+                assert legacy.total(name) == total, name
+            assert legacy.to_json_dict() == fresh.to_json_dict()
+
+    def test_diff_strict_against_legacy_campaign_dir(self, tmp_path, capsys):
+        fresh = str(tmp_path / "fresh")
+        assert main(["campaign", "nova", "--seq", "1", "--max-workloads", "6",
+                     "--workers", "1", "--out", fresh]) in (0, 1)
+        legacy = str(tmp_path / "legacy")
+        shutil.copytree(fresh, legacy)
+        os.remove(os.path.join(legacy, "bugs.json"))  # diff folds the journal
+        journal = os.path.join(legacy, "journal.jsonl")
+        with open(journal) as fh:
+            records = [json.loads(line) for line in fh]
+        for rec in records:
+            if rec["type"] == "item_done":
+                rec["results"] = [{**r, **REMOVED_MEMO_FIELDS}
+                                  for r in rec["results"]]
+        with open(journal, "w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        out = str(tmp_path / "diff.md")
+        main(["diff", "--strict", fresh, legacy, "--out", out])
+        capsys.readouterr()
+        assert "0 appeared, 0 disappeared" in open(out).read()
 
 
 class TestAceMatchesCampaign:

@@ -272,15 +272,15 @@ class TestObservabilityCLI:
         assert main(["stats", campaign_dir]) == 0
         out = capsys.readouterr().out
         assert "Campaign: nova (ace)" in out
-        assert "memo misses by reason" in out
+        assert "check memo (checker.memo.*)" in out
 
-    def test_stats_json_carries_miss_reasons(self, campaign_dir, capsys):
+    def test_stats_json_memo_accounting(self, campaign_dir, capsys):
         assert main(["stats", campaign_dir, "--json"]) == 0
         import json
 
         doc = json.loads(capsys.readouterr().out)
-        assert doc["memo_miss_reasons"]
-        assert sum(doc["memo_miss_reasons"].values()) == doc["memo_misses"]
+        assert doc["memo_hits"] + doc["memo_misses"] == doc["crash_states"]
+        assert doc["unique_states"] == doc["memo_misses"]
         assert doc["unique_outcomes"] > 0
 
     def test_stats_dir_without_traces_errors_with_hint(self, tmp_path, capsys):
@@ -291,23 +291,22 @@ class TestObservabilityCLI:
         out_file = str(tmp_path / "coverage.md")
         assert main(["coverage", campaign_dir, "--out", out_file]) == 0
         text = open(out_file).read()
-        assert "Memo-miss attribution" in text
+        assert "## Crash-state space" in text
         assert "In-flight window size CDF" in text
         assert "Persistence-mechanism store breakdown" in text
-        assert "✓" in text  # reason counts sum exactly to memo misses
 
     def test_coverage_json_sum_invariant(self, campaign_dir, capsys):
         assert main(["coverage", campaign_dir, "--json"]) == 0
         import json
 
         doc = json.loads(capsys.readouterr().out)
-        assert doc["memo_miss_reasons_consistent"] is True
-        assert sum(doc["memo_miss_reasons"].values()) == doc["memo_misses"]
+        assert doc["memo_hits"] + doc["memo_misses"] == doc["states_enumerated"]
+        assert doc["states_checked"] == doc["memo_misses"]
 
     def test_coverage_on_trace_files(self, campaign_dir, capsys):
         trace = str(Path(campaign_dir) / "trace.jsonl")
         assert main(["coverage", trace]) == 0
-        assert "Memo-miss attribution" in capsys.readouterr().out
+        assert "## Crash-state space" in capsys.readouterr().out
 
     def test_coverage_merge_artifact_exists(self, campaign_dir):
         assert (Path(campaign_dir) / "coverage.md").exists()
