@@ -529,7 +529,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.obs.profile import merge_profiles, render_profile
+    from repro.obs.profile import ProfileFold, render_profile
 
     tel = _telemetry_for(args, "profile")
     if args.chrome and tel is None:
@@ -539,30 +539,35 @@ def cmd_profile(args) -> int:
         tel.meta.update(fs=args.fs, generator="profile")
     spec = args.spec
     chipmunk = spec.build_chipmunk(telemetry=tel)
-    results: List = []
+    # Fold each result as its workload finishes: nothing of a workload,
+    # its reports included, outlives it.
+    profiles = ProfileFold()
+    workloads, elapsed, states = 0, 0, 0
+    runs = ([(args.op, ())] if args.op
+            else ((w.core, w.setup) for w in spec.ace_workloads()))
     interrupted = False
     try:
-        if args.op:
-            results.append(chipmunk.test_workload(args.op))
-        else:
-            for w in spec.ace_workloads():
-                results.append(chipmunk.test_workload(w.core, setup=w.setup))
+        for ops, setup in runs:
+            result = chipmunk.test_workload(ops, setup=setup)
+            if result.profile:
+                profiles.add(result.profile)
+            workloads += 1
+            elapsed += result.elapsed
+            states += result.n_crash_states
     except KeyboardInterrupt:
         interrupted = True
         print("\n[interrupted] rendering partial profile", file=sys.stderr)
-    if not results:
+    if not workloads:
         print("error: no workloads ran", file=sys.stderr)
         return 2
-    merged = merge_profiles([r.profile for r in results if r.profile])
-    elapsed = sum(r.elapsed for r in results)
-    states = sum(r.n_crash_states for r in results)
+    merged = profiles.result()
     stages = dict(merged.get("stages", {}))
     attributed = sum(t for s, t in stages.items() if s != "other")
     share = attributed / elapsed if elapsed else 0.0
     header = [
         f"# Profile: {args.fs}",
         "",
-        f"- workloads: {len(results)}",
+        f"- workloads: {workloads}",
         f"- crash states: {states}",
         f"- harness elapsed: {elapsed:.4f}s",
         f"- attributed to pipeline stages: {attributed:.4f}s "
@@ -576,7 +581,7 @@ def cmd_profile(args) -> int:
     elif args.out:
         if not _write_file(args.out, text):
             return 2
-        print(f"[profile] wrote {args.out} ({len(results)} workload(s), "
+        print(f"[profile] wrote {args.out} ({workloads} workload(s), "
               f"{states} crash state(s))")
     else:
         print(text)

@@ -52,7 +52,12 @@ def _by_count(counts: Dict[str, int]):
 
 @dataclass
 class CampaignSummary(ResultFold):
-    """Aggregated outcome of a testing campaign."""
+    """Aggregated outcome of a testing campaign.
+
+    Its size is bounded by the answer, not by the campaign's length: triage
+    keeps one exemplar report per cluster (with its count and culprit
+    sites), and every other report is dropped once it is folded.
+    """
 
     #: When set, new-cluster discoveries are emitted as ``cluster_found``
     #: trace events so offline ``stats`` sees the same series.
@@ -70,7 +75,9 @@ class CampaignSummary(ResultFold):
     time_to_bug: List[TimeToBug] = field(default_factory=list)
 
     def add_result(self, result: TestResult) -> None:
-        """Fold one in-process :class:`TestResult`."""
+        """Fold one in-process :class:`TestResult`.  Only a report that
+        founds a cluster is kept; keying the others reads their
+        provenance's crash region, never the whole lineage."""
         key_of = self.triage.key_of
         self._add(vars(result), [(key_of(r), r) for r in result.reports])
 

@@ -181,8 +181,19 @@ class TestResult:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TestResult":
         """Inverse of :meth:`to_dict`: unknown keys are ignored and missing
-        keys take their defaults, so older journals still load."""
-        reports = [BugReport.from_dict(r) for r in data.get("reports", ())]
+        keys take their defaults, so older journals still load.
+
+        A campaign journal's compact report entries (a triage ``key``
+        without the report's fields) do not load: fold those through
+        :meth:`repro.analysis.reporting.CampaignSummary.add_dict`.
+        """
+        entries = data.get("reports", ())
+        if any("fs_name" not in entry for entry in entries):
+            raise ValueError(
+                "result holds compact campaign report entries (a triage key "
+                "without the report); fold it with CampaignSummary.add_dict"
+            )
+        reports = [BugReport.from_dict(r) for r in entries]
         return cls(
             reports=reports,
             clusters=triage_reports(reports),

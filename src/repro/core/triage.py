@@ -21,7 +21,7 @@ cleanly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.report import BugReport
@@ -119,25 +119,14 @@ class Cluster:
 
     exemplar: BugReport
     tokens: FrozenSet[str]
-    #: The members that arrived as reports — every member on the in-process
-    #: path; a key-only member (a compact campaign entry) counts but has no
-    #: report to keep.
-    members: List[BugReport] = field(default_factory=list)
     #: (fs_name, consequence name) for provenance clusters; None = lexical.
     prov_key: Optional[Tuple[str, str]] = None
     #: Union of the members' culprit site sets (provenance clusters only).
     sites: FrozenSet[Site] = frozenset()
-    #: Members, key-only ones included.
+    #: Members, the exemplar included.  Only the exemplar is kept: a
+    #: caller that needs membership records the cluster :meth:`Triage.add`
+    #: returns for each report.
     count: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            self.members.append(self.exemplar)
-
-    def join(self, report: Optional[BugReport]) -> None:
-        self.count += 1
-        if report is not None:
-            self.members.append(report)
 
     def describe(self) -> str:
         return f"x{self.count} {self.exemplar.render()}"
@@ -197,7 +186,7 @@ class Triage:
             prov_key = (fs_name, consequence)
             for cluster in self.clusters:
                 if cluster.prov_key == prov_key and cluster.sites & sites:
-                    cluster.join(report)
+                    cluster.count += 1
                     cluster.sites = cluster.sites | sites
                     return cluster
             tokens = None
@@ -212,7 +201,7 @@ class Triage:
                 if score > best_score:
                     best, best_score = cluster, score
             if best is not None and best_score >= self.threshold:
-                best.join(report)
+                best.count += 1
                 return best
         if report is None:
             raise ValueError(

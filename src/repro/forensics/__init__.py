@@ -3,8 +3,9 @@
 The subsystem turns a confirmed checker failure into a diagnosis:
 
 * :mod:`repro.forensics.provenance` — store-level lineage
-  (:class:`CrashProvenance`) captured when a failing crash state is
-  materialized and attached to :class:`~repro.core.report.BugReport`;
+  (:class:`CrashProvenance`) attached to
+  :class:`~repro.core.report.BugReport` when a crash state fails, and
+  built on first read;
 * :mod:`repro.forensics.replay` — offline rematerialization of a crash
   state from its provenance (the engine behind ``python -m repro explain``);
 * :mod:`repro.forensics.minimize` — delta-debugging passes that shrink

@@ -55,13 +55,13 @@ class BatchExplanation:
 
 
 def _cluster_section(
-    clusters: List[Cluster], reports: List[BugReport]
+    clusters: List[Cluster], assigned: List[Cluster]
 ) -> List[str]:
-    index_of = {id(r): i for i, r in enumerate(reports)}
+    """``assigned[i]`` is the cluster the i-th explained report joined."""
     lines = ["## Cluster assignment (provenance-guided)", ""]
     for n, cluster in enumerate(clusters, 1):
         members = ", ".join(
-            f"#{index_of[id(m)]}" for m in cluster.members if id(m) in index_of
+            f"#{i}" for i, joined in enumerate(assigned) if joined is cluster
         )
         mode = "sites" if cluster.prov_key is not None else "lexical"
         line = (
@@ -106,7 +106,7 @@ def explain_all(
         )
         explained.append(report)
     triage = Triage(provenance=True)
-    triage.add_all(explained)
+    assigned = [triage.add(report) for report in explained]
     clusters = triage.clusters
 
     lines: List[str] = [f"# {title}", ""]
@@ -123,7 +123,7 @@ def explain_all(
     lines.append(f"- **clusters:** {len(clusters)}")
     lines.append("")
     if clusters:
-        lines.extend(_cluster_section(clusters, explained))
+        lines.extend(_cluster_section(clusters, assigned))
     for i, explanation in zip(
         (j for j in range(len(reports)) if j not in set(skipped)),
         explanations,

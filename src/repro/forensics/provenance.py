@@ -3,10 +3,17 @@
 A :class:`~repro.core.report.BugReport` used to say *what* diverged; this
 module records *why* — which persistence operations were in flight at the
 crash, which subset the replayer persisted, and which were dropped.  The
-lineage is captured from the recorded :class:`~repro.pm.log.PMLog` at the
-moment a checker failure is reported (never for clean states, so capture
-cost scales with bugs, not with crash states) and travels inside the report
-as a compact, JSON-serializable :class:`CrashProvenance`.
+lineage is derived from the recorded :class:`~repro.pm.log.PMLog` and
+travels inside the report as a compact, JSON-serializable
+:class:`CrashProvenance`.
+
+A checker failure captures only the crash point and a reference to the
+workload's log (:class:`ProvenanceRecorder`); the tagged entry list is
+built on first read — serialization, the timeline, minimization — and
+triage's culprit sites come from the crash region alone
+(:meth:`CrashProvenance.dropped`).  A campaign keeps and serializes only
+its cluster exemplars, so capture cost scales with exemplars, not with
+reports.
 
 The provenance also carries the full *reproduction context* — file system,
 workload and setup operations, bug configuration, and the harness
@@ -130,7 +137,13 @@ def ops_from_tuples(packed: Sequence[Sequence]) -> List:
 
 @dataclass(frozen=True)
 class CrashProvenance:
-    """Full lineage of one failing crash state plus its repro context."""
+    """Full lineage of one failing crash state plus its repro context.
+
+    A provenance from :class:`ProvenanceRecorder` holds the recorded log
+    instead of ``entries`` and builds them on first read (then drops the
+    log); equality, hashing and :meth:`to_dict` read ``entries`` like any
+    other field, so the two forms are indistinguishable.
+    """
 
     fs_name: str
     #: Crash-point identity (mirrors :class:`~repro.core.replayer.CrashState`).
@@ -154,6 +167,28 @@ class CrashProvenance:
     #: ``Chipmunk`` with it re-records the same log.
     config: ChipmunkConfig = ChipmunkConfig()
 
+    @classmethod
+    def _on_demand(cls, log: PMLog, crash_point: Dict[str, object],
+                   context: Dict[str, object]) -> "CrashProvenance":
+        """A provenance whose ``entries`` :meth:`__getattr__` builds from
+        ``log`` on first read."""
+        prov = cls.__new__(cls)
+        prov.__dict__.update(crash_point, **context, _log=log)
+        return prov
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks, which for a
+        # field means the ``entries`` of an on-demand provenance.
+        log = self.__dict__.get("_log")
+        if name != "entries" or log is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        entries = _lineage(log, self.log_pos, self.replayed_entries)
+        object.__setattr__(self, "entries", entries)
+        object.__delattr__(self, "_log")
+        return entries
+
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
@@ -161,7 +196,27 @@ class CrashProvenance:
         return [e for e in self.entries if e.kind in ("store", "flush")]
 
     def dropped(self) -> List[ProvEntry]:
-        return [e for e in self.entries if e.status == DROPPED]
+        """The in-flight stores this state lost — what triage keys on.
+
+        Before ``entries`` are built this reads only the crash region of
+        the log: the replayer emits every state with ``fence_index`` equal
+        to the fences before ``log_pos``, which is the region's epoch.
+        """
+        log = self.__dict__.get("_log")
+        if log is None:
+            return [e for e in self.entries if e.status == DROPPED]
+        entries, replayed = log.entries, set(self.replayed_entries)
+        dropped: List[ProvEntry] = []
+        pos = 0
+        for seq in range(_region_start(entries, self.log_pos), self.log_pos):
+            entry = entries[seq]
+            if isinstance(entry, (NTStore, Flush)):
+                if pos not in replayed:
+                    dropped.append(
+                        _store_entry(seq, entry, DROPPED, self.fence_index)
+                    )
+                pos += 1
+        return dropped
 
     def counts(self) -> Dict[str, int]:
         out = {DURABLE: 0, REPLAYED: 0, DROPPED: 0}
@@ -236,57 +291,55 @@ class CrashProvenance:
         )
 
 
-def capture_provenance(
-    log: PMLog,
-    state,
-    *,
-    fs_name: str,
-    workload: Sequence = (),
-    setup: Sequence = (),
-    bug_ids: Sequence[int] = (),
-    config: ChipmunkConfig = ChipmunkConfig(),
-) -> CrashProvenance:
-    """Tag every log entry up to the crash point of ``state``.
+def _region_start(entries: Sequence, log_pos: int) -> int:
+    """Position of the crash region's first entry: just past the last
+    fence before ``log_pos`` (0 when there is none)."""
+    start = log_pos
+    while start and not isinstance(entries[start - 1], Fence):
+        start -= 1
+    return start
 
-    ``config`` is the harness config ``log`` was recorded under, with
-    ``crash_points`` resolved.
+
+def _store_entry(seq: int, entry, status: str, epoch: int) -> ProvEntry:
+    data = entry.data
+    return ProvEntry(
+        seq=seq,
+        kind="store" if isinstance(entry, NTStore) else "flush",
+        status=status,
+        epoch=epoch,
+        func=entry.func,
+        addr=entry.addr,
+        length=entry.length,
+        syscall=entry.syscall,
+        payload=data[:PAYLOAD_CAP].hex(),
+        payload_truncated=len(data) > PAYLOAD_CAP,
+    )
+
+
+def _lineage(
+    log: PMLog, log_pos: int, replayed_entries: Sequence[int]
+) -> Tuple[ProvEntry, ...]:
+    """Tag every log entry before ``log_pos``.
 
     Stores before the crash region's opening fence are ``durable``; stores
-    inside the crash region are ``replayed`` or ``dropped`` according to the
-    state's ``replayed_entries`` positions; fences and syscall markers keep
+    inside the crash region are ``replayed`` or ``dropped`` according to
+    the ``replayed_entries`` positions; fences and syscall markers keep
     their structural role.
     """
-    prefix = log.entries[: state.log_pos]
-    last_fence = -1
-    for i, entry in enumerate(prefix):
-        if isinstance(entry, Fence):
-            last_fence = i
-    replayed = set(state.replayed_entries)
+    prefix = log.entries[:log_pos]
+    region = _region_start(prefix, len(prefix))
+    replayed = set(replayed_entries)
     entries: List[ProvEntry] = []
     epoch = 0
     pos_in_region = 0
     for seq, entry in enumerate(prefix):
         if isinstance(entry, (NTStore, Flush)):
-            if seq < last_fence:
+            if seq < region:
                 status = DURABLE
             else:
                 status = REPLAYED if pos_in_region in replayed else DROPPED
                 pos_in_region += 1
-            data = entry.data
-            entries.append(
-                ProvEntry(
-                    seq=seq,
-                    kind="store" if isinstance(entry, NTStore) else "flush",
-                    status=status,
-                    epoch=epoch,
-                    func=entry.func,
-                    addr=entry.addr,
-                    length=entry.length,
-                    syscall=entry.syscall,
-                    payload=data[:PAYLOAD_CAP].hex(),
-                    payload_truncated=len(data) > PAYLOAD_CAP,
-                )
-            )
+            entries.append(_store_entry(seq, entry, status, epoch))
         elif isinstance(entry, Fence):
             entries.append(
                 ProvEntry(
@@ -321,8 +374,12 @@ def capture_provenance(
                     label=entry.name,
                 )
             )
-    return CrashProvenance(
-        fs_name=fs_name,
+    return tuple(entries)
+
+
+def _crash_point(state) -> Dict[str, object]:
+    """The provenance fields that identify ``state``'s crash point."""
+    return dict(
         fence_index=state.fence_index,
         log_pos=state.log_pos,
         mid_syscall=state.mid_syscall,
@@ -331,7 +388,19 @@ def capture_provenance(
         after_syscall=state.after_syscall,
         state_kind=getattr(state, "kind", "subset"),
         replayed_entries=tuple(sorted(state.replayed_entries)),
-        entries=tuple(entries),
+    )
+
+
+def _context(
+    fs_name: str,
+    workload: Sequence = (),
+    setup: Sequence = (),
+    bug_ids: Sequence[int] = (),
+    config: ChipmunkConfig = ChipmunkConfig(),
+) -> Dict[str, object]:
+    """The provenance fields shared by every crash state of a workload."""
+    return dict(
+        fs_name=fs_name,
         workload=_ops_to_tuples(workload),
         setup=_ops_to_tuples(setup),
         bug_ids=tuple(sorted(bug_ids)),
@@ -341,22 +410,40 @@ def capture_provenance(
     )
 
 
+def capture_provenance(log: PMLog, state, **context) -> CrashProvenance:
+    """The provenance of ``state`` with its lineage built now.
+
+    ``context`` is the keywords of :class:`ProvenanceRecorder`: ``fs_name``
+    and optionally ``workload``, ``setup``, ``bug_ids`` and ``config`` (the
+    harness config ``log`` was recorded under, ``crash_points`` resolved).
+    """
+    return CrashProvenance(
+        entries=_lineage(log, state.log_pos, state.replayed_entries),
+        **_crash_point(state),
+        **_context(**context),
+    )
+
+
 class ProvenanceRecorder:
     """Per-workload provenance factory handed to the consistency checker.
 
-    Memoizes by crash-point identity: a crash state producing several
-    reports (e.g. unreadable + unusable) captures its lineage once.
+    :meth:`for_state` keeps the crash point and a reference to ``log``, not
+    the state, and leaves the lineage to be built on first read.  It
+    memoizes by crash-point identity: a crash state producing several
+    reports (e.g. unreadable + unusable) shares one provenance.
     """
 
     def __init__(self, log: PMLog, **context) -> None:
         self.log = log
-        self.context = context
+        self.context = _context(**context)
         self._cache: Dict[Tuple[int, Tuple[int, ...]], CrashProvenance] = {}
 
     def for_state(self, state) -> CrashProvenance:
         key = (state.log_pos, tuple(state.replayed_entries))
         hit = self._cache.get(key)
         if hit is None:
-            hit = capture_provenance(self.log, state, **self.context)
+            hit = CrashProvenance._on_demand(
+                self.log, _crash_point(state), self.context
+            )
             self._cache[key] = hit
         return hit

@@ -43,6 +43,7 @@ from repro.obs.campaign import fold
 __all__ = [
     "ACTIVE",
     "BYTE_CATEGORIES",
+    "ProfileFold",
     "Profiler",
     "install",
     "human_bytes",
@@ -185,26 +186,40 @@ def install(profiler: Profiler):
 # ----------------------------------------------------------------------
 # Aggregation + rendering (the ``repro profile`` CLI surface)
 # ----------------------------------------------------------------------
-def merge_profiles(profiles: Iterable[Dict[str, object]]) -> Dict[str, object]:
-    """Sum per-workload profile dicts into one campaign-level profile:
-    stages and bytes through the shared result fold, site rows by key."""
-    merged: Dict[str, object] = {
-        "stages": {}, "bytes": {cat: 0 for cat in BYTE_CATEGORIES},
-    }
-    sites: Dict[Tuple[str, str], List[float]] = {}
-    for prof in profiles:
-        fold(merged, prof)
+class ProfileFold:
+    """Per-workload profile dicts summed one at a time into a campaign-level
+    profile: stages and bytes through the shared result fold, site rows by
+    key."""
+
+    def __init__(self) -> None:
+        self.merged: Dict[str, object] = {
+            "stages": {}, "bytes": {cat: 0 for cat in BYTE_CATEGORIES},
+        }
+        self.sites: Dict[Tuple[str, str], List[float]] = {}
+
+    def add(self, prof: Dict[str, object]) -> None:
+        fold(self.merged, prof)
         for stage, site, calls, seconds, sbytes in prof.get("sites", []):
-            cell = sites.setdefault((stage, site), [0, 0.0, 0])
+            cell = self.sites.setdefault((stage, site), [0, 0.0, 0])
             cell[0] += int(calls)
             cell[1] += float(seconds)
             cell[2] += int(sbytes)
-    merged["sites"] = sorted(
-        ([stage, site, calls, seconds, b]
-         for (stage, site), (calls, seconds, b) in sites.items()),
-        key=lambda row: -row[3],
-    )
-    return merged
+
+    def result(self) -> Dict[str, object]:
+        """The merged profile, site rows hottest first."""
+        return {**self.merged, "sites": sorted(
+            ([stage, site, calls, seconds, b]
+             for (stage, site), (calls, seconds, b) in self.sites.items()),
+            key=lambda row: -row[3],
+        )}
+
+
+def merge_profiles(profiles: Iterable[Dict[str, object]]) -> Dict[str, object]:
+    """Sum per-workload profile dicts (see :class:`ProfileFold`)."""
+    acc = ProfileFold()
+    for prof in profiles:
+        acc.add(prof)
+    return acc.result()
 
 
 def human_bytes(n: int) -> str:

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from conftest import serial_bugs_json
-from repro.analysis.reporting import last_frame
+from repro.analysis.reporting import CampaignSummary, last_frame
 from repro.campaign import (
     CampaignEngine,
     CampaignSpec,
@@ -21,6 +21,7 @@ from repro.campaign import (
     EngineConfig,
 )
 from repro.campaign.watch import CampaignMonitor
+from repro.core import harness
 from repro.fs.registry import FS_CLASSES
 from repro.obs.diff import diff_sides, load_side
 
@@ -161,6 +162,24 @@ class TestJournalBodies:
         assert bodies <= (len(workers) * len(keys)
                           + sum(map(len, late_keys.values())))
         assert bodies < len(entries) / 4
+
+    def test_a_compact_result_names_its_fold(self, tmp_path):
+        """``TestResult.from_dict`` cannot rebuild key-only entries; it
+        says so and names the fold that reads them."""
+        run_engine(tmp_path, NOVA)
+        results = []
+        with open(tmp_path / "journal.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                record = json.loads(line)
+                if record["type"] == "item_done":
+                    results.extend(record["results"])
+        compact = next(r for r in results
+                       if not all(map(has_body, r["reports"])))
+        with pytest.raises(ValueError, match=r"CampaignSummary\.add_dict"):
+            harness.TestResult.from_dict(compact)
+        summary = CampaignSummary()
+        summary.add_dict(compact)
+        assert summary.total("n_reports") == len(compact["reports"])
 
 
 def test_diff_without_bugs_json_folds_the_journal(tmp_path, nova_reference):

@@ -165,10 +165,11 @@ class TestKeyedReplay:
                               provenance=_Provenance(SITES[:2]))
             key = triage.key_of(first)
             assert key == ("nova", "ATOMICITY", tuple(sorted(SITES[:2])))
-            triage.add_key(json.loads(json.dumps(key)), first)
-            triage.add_key(json.loads(json.dumps(key)), None)
+            founded = triage.add_key(json.loads(json.dumps(key)), first)
+            joined = triage.add_key(json.loads(json.dumps(key)), None)
         (cluster,) = triage.clusters
-        assert (cluster.count, cluster.members) == (2, [first])
+        assert founded is joined is cluster
+        assert (cluster.count, cluster.exemplar) == (2, first)
         assert cluster.sites == frozenset(SITES[:2])
 
     @given(stream=items, data=st.data())
@@ -196,20 +197,27 @@ class TestKeyedReplay:
                     seen.update(updates)
                     shipped[ordinal] = json.loads(json.dumps(dicts))
 
-            serial = Triage(provenance=True)
+            # Membership of the reports that arrived in full, by the
+            # cluster each insert returned.
+            serial, serial_members = Triage(provenance=True), {}
             for result in itertools.chain.from_iterable(stream):
                 for report in result:
-                    serial.add(report)
-            replay = Triage(provenance=True)
+                    cluster = serial.add(report)
+                    serial_members.setdefault(id(cluster), []).append(report)
+            replay, replay_members = Triage(provenance=True), {}
             for ordinal, results in enumerate(stream):
                 for reports_, data_ in zip(results, shipped[ordinal]):
                     for report, entry in zip(reports_, data_["reports"]):
                         body = report if "fs_name" in entry else None
-                        replay.add_key(entry["key"], body)
+                        cluster = replay.add_key(entry["key"], body)
+                        if body is not None:
+                            replay_members.setdefault(
+                                id(cluster), []).append(body)
 
         assert len(replay.clusters) == len(serial.clusters)
         for got, want in zip(replay.clusters, serial.clusters):
             assert got.exemplar is want.exemplar
             assert (got.count, got.sites, got.prov_key, got.tokens) == (
                 want.count, want.sites, want.prov_key, want.tokens)
-            assert all(any(m is w for w in want.members) for m in got.members)
+            assert all(any(m is w for w in serial_members[id(want)])
+                       for m in replay_members[id(got)])

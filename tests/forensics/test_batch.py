@@ -23,7 +23,12 @@ from repro.analysis.reporting import CampaignSummary, render_markdown
 from repro.campaign import CampaignEngine, CampaignSpec, EngineConfig
 from repro.core.harness import Chipmunk
 from repro.core.report import BugReport, Consequence
-from repro.core.triage import layout_map_for, provenance_sites, triage_reports
+from repro.core.triage import (
+    Triage,
+    layout_map_for,
+    provenance_sites,
+    triage_reports,
+)
 from repro.forensics.batch import explain_all, explain_campaign
 from repro.forensics.cache import ForensicsCache
 from repro.forensics.explain import explain_report
@@ -230,10 +235,13 @@ class TestProvenanceTriage:
         # differs); the provenance mode merges the same-culprit pair and
         # keeps the different-culprit report separate.
         assert len(triage_reports([same_a, same_b, other])) == 3
-        clusters = triage_reports([same_a, same_b, other], provenance=True)
+        triage = Triage(provenance=True)
+        joined = [triage.add(r) for r in (same_a, same_b, other)]
+        clusters = triage.clusters
         assert len(clusters) == 2
-        assert clusters[0].members == [same_a, same_b]
-        assert clusters[1].members == [other]
+        assert joined[0] is joined[1] is clusters[0]
+        assert joined[2] is clusters[1]
+        assert [c.exemplar for c in clusters] == [same_a, other]
 
     def test_report_without_provenance_falls_back_to_lexical(self, seeded):
         same_a, _, _ = seeded
