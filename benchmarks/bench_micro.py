@@ -54,8 +54,8 @@ def test_bench_mount(benchmark, fs_name):
 def test_bench_record(benchmark):
     """Probe-instrumented workload execution."""
     cm = Chipmunk("nova", bugs=BugConfig.fixed())
-    base, log, errnos = benchmark(cm.record, WORKLOAD)
-    assert errnos == [None] * len(WORKLOAD)
+    base, log, oracle = benchmark(cm.record, WORKLOAD)
+    assert oracle.errnos == [None] * len(WORKLOAD)
     assert len(log) > 0
 
 

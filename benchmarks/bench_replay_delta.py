@@ -30,7 +30,6 @@ import tracemalloc
 
 from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.harness import Chipmunk, ChipmunkConfig
-from repro.core.oracle import run_oracle
 from repro.core.replayer import enumerate_crash_states
 from repro.obs import Telemetry
 from repro.workloads import ace
@@ -57,9 +56,7 @@ MECH_MIN_REDUCTION = 5.0
 def build_pipeline(device_size):
     """Record the workload once and set up a checker (untimed)."""
     cm = Chipmunk("nova", config=ChipmunkConfig(device_size=device_size))
-    base, log, _ = cm.record(SEQ2.core, setup=SEQ2.setup)
-    oracle = run_oracle(cm.fs_class, SEQ2.core, device_size, bugs=cm.bugs,
-                        setup=SEQ2.setup)
+    base, log, oracle = cm.record(SEQ2.core, setup=SEQ2.setup)
     checker = ConsistencyChecker(
         cm.fs_class, oracle, describe_workload(SEQ2.core), bugs=cm.bugs
     )

@@ -8,8 +8,8 @@ The pipeline mirrors Figure 2 of the paper:
    workload runs;
 2. :mod:`repro.core.replayer` — construct crash states from the log by
    replaying subsets of the in-flight writes at each store fence;
-3. :mod:`repro.core.oracle` — run the same workload on a fresh instance and
-   snapshot the legal state around every syscall;
+3. :mod:`repro.core.oracle` — snapshot the legal state around every
+   syscall, walking the recording run itself between syscalls;
 4. :mod:`repro.core.checker` — mount each crash state and check atomicity,
    synchrony, and usability against the oracle;
 5. :mod:`repro.core.report` / :mod:`repro.core.triage` — emit and deduplicate

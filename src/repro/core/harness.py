@@ -2,8 +2,9 @@
 
 :class:`Chipmunk` runs one workload against one file system: it formats a
 device, attaches probes to the file system's persistence functions, executes
-the workload while recording the write log, runs the oracle, enumerates
-crash states, checks each, and triages the findings.
+the workload while recording the write log and observing the tree around
+every syscall (the oracle), enumerates crash states, checks each, and
+triages the findings.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from typing import Dict, List, Optional, Type, Union
 
 from repro.config import ChipmunkConfig
 from repro.core.checker import CheckMemo, ConsistencyChecker
-from repro.core.oracle import run_oracle
+from repro.core.oracle import OracleResult, TreeState
+# The pipeline no longer calls the reference two-instance oracle, but the
+# e2e layer tracer (benchmarks/e2e/spans.py) resolves it by this module.
+from repro.core.oracle import run_oracle  # noqa: F401
 from repro.core.outcome_cache import OutcomeCache
 from repro.core.recovery_memo import RecoveryMemo
 from repro.core.probes import ProbeSet, probe_targets_of
@@ -242,12 +246,20 @@ class Chipmunk:
 
     # ------------------------------------------------------------------
     def record(self, workload: Workload, setup: Workload = (), coverage=None) -> tuple:
-        """Run the workload with probes attached; return (base, log, errnos).
+        """Run the workload with probes attached; return (base, log, oracle).
 
         ``setup`` operations run before recording starts (the ACE dependency
         phase — crash states are only explored for the core workload, as in
         CrashMonkey/ACE).  ``coverage`` optionally attaches a
         :class:`~repro.workloads.coverage.CoverageMap` to the instance.
+
+        The :class:`~repro.core.oracle.OracleResult` comes from this same
+        run: the tree is walked before each syscall and after the last one,
+        and ``oracle.errnos`` are the syscall results.  A walk only reads,
+        so ``log`` is what an unobserved run records; a walk that appends
+        to the log raises ``RuntimeError``.  Walk time accumulates in
+        ``oracle.observe_s`` under ``oracle`` spans and the profiler's
+        ``oracle`` stage.
         """
         tel = self.telemetry
         device = PMDevice(
@@ -263,22 +275,41 @@ class Chipmunk:
         log = PMLog()
         probes = ProbeSet(log)
         probes.attach(probe_targets_of(fs))
-        errnos: List[Optional[str]] = []
+        oracle = OracleResult(workload=list(workload))
+        states, errnos = oracle.states, oracle.errnos
         try:
-            if tel.enabled:
-                for index, op in enumerate(workload):
-                    log.syscall_begin(index, op.name, ", ".join(map(repr, op.args)))
+            for index, op in enumerate(workload):
+                states.append(self._observe(fs, log, oracle))
+                log.syscall_begin(index, op.name, ", ".join(map(repr, op.args)))
+                if tel.enabled:
                     with tel.span("syscall", index=index, op=op.name):
                         errnos.append(execute_op(fs, op))
-                    log.syscall_end()
-            else:
-                for index, op in enumerate(workload):
-                    log.syscall_begin(index, op.name, ", ".join(map(repr, op.args)))
+                else:
                     errnos.append(execute_op(fs, op))
-                    log.syscall_end()
+                log.syscall_end()
+            states.append(self._observe(fs, log, oracle))
         finally:
             probes.detach()
-        return base, log, errnos
+        return base, log, oracle
+
+    def _observe(self, fs: FileSystem, log: PMLog, oracle: OracleResult) -> TreeState:
+        """Walk the recording instance for the oracle, off the record clock."""
+        prof = _profile.ACTIVE
+        if prof is not None:
+            outer = prof.stage
+            prof.set_stage("oracle")
+        logged = len(log)
+        with self.telemetry.span("oracle") as sp:
+            tree = fs.walk()
+        oracle.observe_s += sp.duration
+        if prof is not None:
+            prof.set_stage(outer)
+        if len(log) != logged:
+            raise RuntimeError(
+                f"{self.fs_class.name}: an oracle walk appended "
+                f"{len(log) - logged} entries to the write log"
+            )
+        return tree
 
     def test_workload(
         self, workload: Workload, setup: Workload = (), coverage=None
@@ -288,6 +319,8 @@ class Chipmunk:
         Every stage runs under a telemetry span (``record``, ``oracle``,
         ``enumerate``, ``check``, ``triage``); :attr:`TestResult.stage_times`
         is sourced from the span durations, and ``elapsed`` is their sum.
+        The ``oracle`` spans are the observation walks :meth:`record` makes
+        between syscalls, so ``record`` is its span minus theirs.
         Enumeration and checking interleave (crash states are generated
         lazily), so their stages are timed at crash-state boundaries — each
         ``next()`` on the generator is enumeration, everything after it is
@@ -314,26 +347,14 @@ class Chipmunk:
         if profiler is not None:
             profiler.set_stage("record")
         with tel.span("record", workload=desc) as sp:
-            base, log, errnos = self.record(workload, setup=setup, coverage=coverage)
-        stage_times["record"] = sp.duration
-        if profiler is not None:
-            profiler.set_stage("oracle")
-        with tel.span("oracle") as sp:
-            oracle = run_oracle(
-                self.fs_class, workload, self.config.device_size, bugs=self.bugs,
-                setup=setup,
-            )
-        stage_times["oracle"] = sp.duration
+            base, log, oracle = self.record(workload, setup=setup, coverage=coverage)
+        stage_times["record"] = sp.duration - oracle.observe_s
+        stage_times["oracle"] = oracle.observe_s
         if profiler is not None:
             # Pipeline setup (checker, planner, forensics recorder) sits
             # outside every stage span; keep it out of the stage clock too
             # so profile stages reconcile with ``stage_times``.
             profiler.set_stage("other")
-        if errnos != oracle.errnos:
-            raise RuntimeError(
-                f"probed run and oracle disagree on syscall results: "
-                f"{errnos} vs {oracle.errnos} for [{desc}]"
-            )
         crash_points = self.config.crash_points or (
             "fence" if self.fs_class.strong_guarantees else "fsync"
         )
@@ -459,7 +480,7 @@ class Chipmunk:
             log_length=len(log),
             inflight=inflight_histogram(log, self.config.coalesce_threshold),
             elapsed=sum(stage_times.values()),
-            errnos=errnos,
+            errnos=oracle.errnos,
             stage_times=stage_times,
             truncated=truncated,
             memo_hits=memo.hits,

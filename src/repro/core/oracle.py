@@ -1,12 +1,17 @@
 """Oracle state tracking (paper section 3.3, "Testing crash states").
 
-The oracle runs the original workload on a fresh, unprobed file-system
-instance and records the whole-tree observation before every syscall and
-after the last one.  A crash during syscall *i* must leave the tree at the
-syscall's *pre* or *post* state (atomicity); a crash after it must match the
-*post* state exactly (synchrony).  Observations are cached per version, as
-in the paper ("Chipmunk caches the metadata and contents for each oracle
-file version in memory").
+The oracle is the whole-tree observation of the workload's file system
+before every syscall and after the last one.  A crash during syscall *i*
+must leave the tree at the syscall's *pre* or *post* state (atomicity); a
+crash after it must match the *post* state exactly (synchrony).
+Observations are cached per version, as in the paper ("Chipmunk caches the
+metadata and contents for each oracle file version in memory").
+
+:meth:`repro.core.harness.Chipmunk.record` observes the recording run
+itself: it walks the probed instance between syscalls, and a walk only
+reads, so the write log is what an unobserved run records.
+:func:`run_oracle` builds the same result on a fresh, unprobed instance;
+it is the reference the single-run oracle is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ class OracleResult:
     states: List[TreeState] = field(default_factory=list)
     #: errno name per syscall (None = success).
     errnos: List[Optional[str]] = field(default_factory=list)
+    #: Wall seconds spent walking the trees (the pipeline's ``oracle``
+    #: stage); zero from :func:`run_oracle`, which does not time itself.
+    observe_s: float = field(default=0.0, compare=False)
 
     def pre_state(self, syscall: int) -> TreeState:
         return self.states[syscall]
@@ -55,10 +63,12 @@ def run_oracle(
 ) -> OracleResult:
     """Execute ``workload`` on a fresh instance, snapshotting around each op.
 
-    The oracle uses the same file-system configuration as the system under
-    test (the oracle defines *expected* behaviour, including any behaviour
-    the enabled bugs exhibit in the absence of a crash — the injected bugs
-    are crash-only by construction).
+    This is the reference two-instance oracle; the pipeline takes its
+    oracle from the recording run instead.  The oracle uses the same
+    file-system configuration as the system under test (the oracle defines
+    *expected* behaviour, including any behaviour the enabled bugs exhibit
+    in the absence of a crash — the injected bugs are crash-only by
+    construction).
     """
     device = PMDevice(device_size)
     fs: FileSystem = fs_class.mkfs(device, bugs=bugs)

@@ -15,7 +15,6 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.checker import ConsistencyChecker
 from repro.core.harness import Chipmunk
-from repro.core.oracle import run_oracle
 from repro.core.replayer import (
     CrashState,
     coalesce_units,
@@ -188,7 +187,7 @@ class ReplaySession:
 class Recording:
     """The crash-point-independent part of a rebuilt session.
 
-    Re-recording the workload (mkfs + setup + probed execution + oracle)
+    Re-recording the workload (mkfs + setup + probed, observed execution)
     dominates the cost of :func:`rebuild_session`; everything in this
     object depends only on the provenance's *reproduction context* — not on
     where the crash happened — so reports sharing a context can share one
@@ -213,11 +212,7 @@ def rebuild_recording(prov: CrashProvenance, telemetry=None) -> Recording:
                         telemetry=telemetry)
     workload = ops_from_tuples(prov.workload)
     setup = ops_from_tuples(prov.setup)
-    base, log, _errnos = chipmunk.record(workload, setup=setup)
-    oracle = run_oracle(
-        chipmunk.fs_class, workload, prov.config.device_size, bugs=bugs,
-        setup=setup,
-    )
+    base, log, oracle = chipmunk.record(workload, setup=setup)
     checker = ConsistencyChecker(
         chipmunk.fs_class, oracle, describe_workload(workload), bugs=bugs
     )

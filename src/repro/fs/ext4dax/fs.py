@@ -56,7 +56,7 @@ from repro.vfs.errors import (
     ENOTEMPTY,
     FsError,
 )
-from repro.vfs.interface import FileSystem, MountError
+from repro.vfs.interface import FileObservation, FileSystem, MountError
 from repro.vfs.path import is_ancestor, normalize, split_parent, split_path
 from repro.vfs.types import FileType, Stat
 
@@ -776,7 +776,9 @@ class Ext4DaxFS(FileSystem):
         return len(data)
 
     def read(self, path: str, offset: int, length: int) -> bytes:
-        di = self._file(path)
+        return self._read_inode(self._file(path), offset, length)
+
+    def _read_inode(self, di: DaxInode, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
             raise EINVAL("negative read offset or length")
         end = min(offset + length, di.size)
@@ -866,7 +868,9 @@ class Ext4DaxFS(FileSystem):
     # Introspection
     # ------------------------------------------------------------------
     def stat(self, path: str) -> Stat:
-        di = self._resolve(path)
+        return self._stat_of(self._resolve(path))
+
+    def _stat_of(self, di: DaxInode) -> Stat:
         ftype = FileType.DIRECTORY if di.ftype == FTYPE_DIR else FileType.REGULAR
         return Stat(di.ino, ftype, di.size, di.nlink, di.mode)
 
@@ -875,6 +879,21 @@ class Ext4DaxFS(FileSystem):
         if di.ftype != FTYPE_DIR:
             raise ENOTDIR(path)
         return sorted(self.children.get(di.ino, {}))
+
+    def _walk_into(self, path: str, out: Dict[str, FileObservation]) -> None:
+        self._walk_node(path, self._resolve(path), out)
+
+    def _observe_node(self, path: str, di: DaxInode):
+        if di.ftype == FTYPE_DIR:
+            kids = self.children.get(di.ino, {})
+            return (
+                FileObservation.for_dir(self._stat_of(di), kids),
+                lambda name: self._inode(kids[name]),
+            )
+        if di.ftype != FTYPE_REG:
+            raise EISDIR(path)
+        content = self._read_inode(di, 0, di.size)
+        return FileObservation.for_file(self._stat_of(di), content), None
 
 
 @dataclass(frozen=True)

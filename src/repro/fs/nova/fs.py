@@ -35,7 +35,7 @@ from repro.vfs.errors import (
     ENOTEMPTY,
     FsError,
 )
-from repro.vfs.interface import FileSystem, MountError
+from repro.vfs.interface import FileObservation, FileSystem, MountError
 from repro.vfs.path import is_ancestor, normalize, split_parent, split_path
 from repro.vfs.types import FileType, Stat
 
@@ -697,7 +697,9 @@ class NovaFS(FileSystem):
         return len(data)
 
     def read(self, path: str, offset: int, length: int) -> bytes:
-        di = self._file_for_data(path)
+        return self._read_inode(self._file_for_data(path), offset, length)
+
+    def _read_inode(self, di: DramInode, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
             raise EINVAL("negative read offset or length")
         end = min(offset + length, di.size)
@@ -855,7 +857,9 @@ class NovaFS(FileSystem):
     # Syscalls: introspection
     # ------------------------------------------------------------------
     def stat(self, path: str) -> Stat:
-        di = self._resolve(path)
+        return self._stat_of(self._resolve(path))
+
+    def _stat_of(self, di: DramInode) -> Stat:
         if di.ftype == L.FTYPE_DIR:
             nlink = 2 + sum(
                 1
@@ -871,6 +875,21 @@ class NovaFS(FileSystem):
         if di.ftype != L.FTYPE_DIR:
             raise ENOTDIR(path)
         return sorted(di.children)
+
+    def _walk_into(self, path: str, out: Dict[str, FileObservation]) -> None:
+        self._walk_node(path, self._resolve(path), out)
+
+    def _observe_node(self, path: str, di: DramInode):
+        if di.ftype == L.FTYPE_DIR:
+            kids = di.children
+            return (
+                FileObservation.for_dir(self._stat_of(di), kids),
+                lambda name: self._inode(kids[name]),
+            )
+        if di.ftype != L.FTYPE_REG:
+            raise EISDIR(path)
+        content = self._read_inode(di, 0, di.size)
+        return FileObservation.for_file(self._stat_of(di), content), None
 
 
 def _contiguous_runs(blocks: List[int]) -> List[Tuple[int, int]]:

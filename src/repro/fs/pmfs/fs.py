@@ -38,7 +38,7 @@ from repro.vfs.errors import (
     ENOTEMPTY,
     FsError,
 )
-from repro.vfs.interface import FileSystem, MountError
+from repro.vfs.interface import FileObservation, FileSystem, MountError
 from repro.vfs.path import is_ancestor, normalize, split_parent, split_path
 from repro.vfs.types import FileType, Stat
 
@@ -924,7 +924,9 @@ class PmfsFS(FileSystem):
         self._clear_truncate_entry(tl_index)
 
     def read(self, path: str, offset: int, length: int) -> bytes:
-        _, slot = self._file_slot(path)
+        return self._read_slot_data(self._file_slot(path)[1], offset, length)
+
+    def _read_slot_data(self, slot: L.InodeSlot, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
             raise EINVAL("negative read offset or length")
         end = min(offset + length, slot.size)
@@ -944,7 +946,10 @@ class PmfsFS(FileSystem):
     # Syscalls: introspection
     # ------------------------------------------------------------------
     def stat(self, path: str) -> Stat:
-        ino, slot = self._lookup(path)
+        return self._stat_of(*self._lookup(path))
+
+    @staticmethod
+    def _stat_of(ino: int, slot: L.InodeSlot) -> Stat:
         ftype = FileType.DIRECTORY if slot.ftype == L.FTYPE_DIR else FileType.REGULAR
         return Stat(ino, ftype, slot.size, slot.nlink, slot.mode)
 
@@ -953,3 +958,26 @@ class PmfsFS(FileSystem):
         if slot.ftype != L.FTYPE_DIR:
             raise ENOTDIR(path)
         return sorted(d.name for _, d in self._dir_entries(slot) if d.valid)
+
+    def _walk_into(self, path: str, out: Dict[str, FileObservation]) -> None:
+        self._walk_node(path, self._lookup(path), out)
+
+    def _observe_node(self, path: str, node: Tuple[int, L.InodeSlot]):
+        ino, slot = node
+        if slot.ftype == L.FTYPE_DIR:
+            # One read of the dentries; a name maps to its first valid
+            # dentry, the one _dir_lookup would find.
+            names: List[str] = []
+            first: Dict[str, int] = {}
+            for _, dentry in self._dir_entries(slot):
+                if dentry.valid:
+                    names.append(dentry.name)
+                    first.setdefault(dentry.name, dentry.ino)
+            return (
+                FileObservation.for_dir(self._stat_of(ino, slot), names),
+                lambda name: (first[name], self._live_slot(first[name])),
+            )
+        if slot.ftype != L.FTYPE_REG:
+            raise EISDIR(path)
+        content = self._read_slot_data(slot, 0, slot.size)
+        return FileObservation.for_file(self._stat_of(ino, slot), content), None

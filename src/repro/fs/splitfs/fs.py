@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fs.bugs import BugConfig
 from repro.fs.common.layout import (
@@ -43,7 +43,7 @@ from repro.fs.ext4dax.fs import Ext4DaxFS, Ext4DaxGeometry
 from repro.pm.device import PMDevice
 from repro.pm.persistence import PersistenceOps, persistence_function
 from repro.vfs.errors import EINVAL, ENOSPC, FsError
-from repro.vfs.interface import FileSystem, MountError
+from repro.vfs.interface import FileObservation, FileSystem, MountError
 from repro.vfs.types import Stat
 
 SB_MAGIC = 0x53504C54  # "SPLT"
@@ -593,6 +593,9 @@ class SplitFS(FileSystem):
 
     def readdir(self, path: str) -> List[str]:
         return self.kfs.readdir(path)
+
+    def _walk_into(self, path: str, out: Dict[str, FileObservation]) -> None:
+        self.kfs._walk_into(path, out)
 
     def fsync(self, path: str) -> None:
         # Strict mode: every operation is already synchronous.

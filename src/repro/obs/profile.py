@@ -96,6 +96,11 @@ class Profiler:
         if self._t0 is None:
             self._t0 = perf_counter()
 
+    @property
+    def stage(self) -> str:
+        """The stage the clock is charging now."""
+        return self._stage
+
     def set_stage(self, name: str) -> None:
         """Charge time since the last transition to the outgoing stage."""
         now = perf_counter()
@@ -169,8 +174,8 @@ def install(profiler: Profiler):
     """Install ``profiler`` as :data:`ACTIVE` for the enclosed block.
 
     Re-entrant: the previous profiler (usually ``None``) is restored on
-    exit, so nested pipelines — the oracle re-running the workload, a
-    forensics re-check — keep attributing to the outermost profile.
+    exit, so nested pipelines — a forensics re-record or re-check — keep
+    attributing to the outermost profile.
     """
     global ACTIVE
     prev = ACTIVE

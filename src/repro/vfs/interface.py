@@ -247,15 +247,57 @@ class FileSystem(abc.ABC):
         return out
 
     def _walk_into(self, path: str, out: Dict[str, "FileObservation"]) -> None:
+        """Walk by path: ``stat`` then ``readdir`` or ``read``, per object.
+
+        This is the reference every by-handle override must equal, item
+        for item and error for error, so it recurses into itself and never
+        into an override.
+        """
         st = self.stat(path)
         if st.ftype is FileType.DIRECTORY:
             entries = self.readdir(path)
             out[path] = FileObservation.for_dir(st, entries)
             for entry in entries:
                 child = path.rstrip("/") + "/" + entry
-                self._walk_into(child, out)
+                FileSystem._walk_into(self, child, out)
         else:
             out[path] = FileObservation.for_file(st, self.read(path, 0, st.size))
+
+    def _walk_node(self, path: str, node, out: Dict[str, "FileObservation"]) -> None:
+        """Walk by handle: ``node`` is this file system's handle for ``path``.
+
+        A family whose objects can be observed without resolving their path
+        again overrides :meth:`_walk_into` as ``self._walk_node(path,
+        <handle of path>, out)`` and implements :meth:`_observe_node`; each
+        directory and inode is then read once.  An entry name that is not a
+        single path component (empty, ``.``, ``..`` or holding ``/``, as a
+        corrupt image may list) resolves to something else by path, so its
+        subtree takes the path walk.  A name listed twice is walked once:
+        the path walk's second visit re-observes the same objects.
+        """
+        observation, child_of = self._observe_node(path, node)
+        out[path] = observation
+        if child_of is None:
+            return
+        prefix = path.rstrip("/") + "/"
+        previous = None
+        for name in observation.entries:
+            if name == previous:
+                continue
+            previous = name
+            if name and "/" not in name and name not in (".", ".."):
+                self._walk_node(prefix + name, child_of(name), out)
+            else:
+                FileSystem._walk_into(self, prefix + name, out)
+
+    def _observe_node(self, path: str, node):
+        """``(observation, child_of)`` of the object ``node`` at ``path``.
+
+        ``child_of(name)`` returns the handle of a directory entry, exactly
+        as resolving ``path/name`` would; it is ``None`` for a file.  Must
+        raise what ``stat`` plus ``readdir``/``read`` on ``path`` raise.
+        """
+        raise NotImplementedError
 
 
 class FileObservation:

@@ -120,8 +120,8 @@ class TestExt4DaxLayoutMap:
             Op("fsync", ("/foo",)),
         ]
         chip = Chipmunk("ext4-dax")
-        base, log, errnos = chip.record(workload)
-        assert errnos == [None, None, None]
+        base, log, oracle = chip.record(workload)
+        assert oracle.errnos == [None, None, None]
         states = list(enumerate_crash_states(base, log, cap=2))
         state = next(
             s for s in states

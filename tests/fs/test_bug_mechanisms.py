@@ -19,8 +19,8 @@ from repro.workloads.ops import Op
 
 def crash_states(fs_name, bugs, workload, cap=2):
     cm = Chipmunk(fs_name, bugs=bugs)
-    base, log, errnos = cm.record(workload)
-    assert all(e is None for e in errnos), errnos
+    base, log, oracle = cm.record(workload)
+    assert all(e is None for e in oracle.errnos), oracle.errnos
     return [
         (s, PMDevice.from_snapshot(s.image))
         for s in enumerate_crash_states(base, log, cap=cap)

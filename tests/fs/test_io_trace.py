@@ -42,59 +42,59 @@ BUG_SETS = {"catalogue": None, "fixed": []}
 #: (fs, bug set) -> (io digest, results digest).
 GOLDEN = {
     ('ext4-dax', 'catalogue'): (
-        '94a990d8861e01d963d822d26b969eab0cb8661d',
+        '0b91563529e530950348b67b67b76da35728eecb',
         '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
     ('ext4-dax', 'fixed'): (
-        '94a990d8861e01d963d822d26b969eab0cb8661d',
+        '0b91563529e530950348b67b67b76da35728eecb',
         '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
     ('nova', 'catalogue'): (
-        '6e0b18d1cb494360225b463fe7435b92b5531e29',
+        '5c944025828175caf3c1125afad4830bb34975d3',
         '27efdd304b8e3b622aefeb36a18a0c87b8e094af',
     ),
     ('nova', 'fixed'): (
-        '8cb38e586f14d8029b3c65dfcecaaadd17688192',
+        '9c2f36f6184b60bc4653ce177e0d8a73cbd4678f',
         'eb9639febc0a82453edaa1b996ca5caa5d7ab254',
     ),
     ('nova-fortis', 'catalogue'): (
-        'ce86f3dbc8c3a2f79ca07770b2d47f97221c659b',
+        '15d20c298bcbf274bdf02a15df04e30439848046',
         'b1b10b18a8fb6d32d09d8fec8315960b26de1d84',
     ),
     ('nova-fortis', 'fixed'): (
-        '1bd5e1f0a37ff4ae3c305e1644baf7ecfecbf8c6',
+        '04f79538a0fe753714a590446d4ac24a141cbf7b',
         'dc2cea5f6f523eea3322c6814b78d04ae60c2adc',
     ),
     ('pmfs', 'catalogue'): (
-        '280680406d686ffb29924d20cef52c748d230df8',
+        '2119d6b0149b21be220df106e578ba79ea74d510',
         'c37f59bebde2824f6189109a3d25e70b0a0d774b',
     ),
     ('pmfs', 'fixed'): (
-        '17c35585b32e84881ed8af7cf28744de6cfcd48a',
+        'd6d60c58c582bca6504df27e0156c7400a7b3f27',
         '3f7b535222cdbc842cbc19e9eacdc611ef269f7a',
     ),
     ('splitfs', 'catalogue'): (
-        'f4a1655fa4f9791d9df9d2ba339ce5dc63c568ab',
+        '491e560bf03e9319b7be797bf0472f03851b4789',
         '03e9389a0b1c4cfdc061895e3fcad539a34226fa',
     ),
     ('splitfs', 'fixed'): (
-        '551af5b1c77a6d2245935ecda3b23009a482bb5b',
+        '3c95d0da15e9f8d48bdee58acef26f0552c64935',
         '7321ed926684d6a10db946ef8e2c41c53b4a6bc4',
     ),
     ('winefs', 'catalogue'): (
-        '2fdfc7d3eb1eff9a9afb404a4e27bc9cfd53ff33',
+        'b736280652d6434eda540dea1cea30a02f96915c',
         '80a2f55d88c94367046351f0756ae00b47e20b2a',
     ),
     ('winefs', 'fixed'): (
-        '6e890285d21925ba2060223f7bb63506274b215b',
+        '30f984a6559203b43b86473836f33e897863f30c',
         '8f22b44a0a5cd83e727cbeb21ec055ce6a3b2cef',
     ),
     ('xfs-dax', 'catalogue'): (
-        '5695b370da31d262f125e9c3bfc198e6dc9657de',
+        '95988cb84edd02566f8442340396755d53ae65d3',
         '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
     ('xfs-dax', 'fixed'): (
-        '5695b370da31d262f125e9c3bfc198e6dc9657de',
+        '95988cb84edd02566f8442340396755d53ae65d3',
         '17fb70d6ab1f71c201a645d97866de3773045117',
     ),
 }
