@@ -48,10 +48,6 @@ SEQ2 = ace.workload_at(2, 9)
 
 MIN_SPEEDUP = 3.0
 
-#: Minimum mid-syscall state reduction for ``--crash-plans mech`` on the
-#: bench workload (fixed-bug config) — the mechanism-plan acceptance gate.
-MECH_MIN_REDUCTION = 5.0
-
 
 def build_pipeline(device_size):
     """Record the workload once and set up a checker (untimed)."""
@@ -159,48 +155,6 @@ def measure_size(device_size, rounds=5):
     return entry
 
 
-def measure_mech(device_size=256 * KIB):
-    """Mech-vs-subset enumerated-state reduction on the bench workload.
-
-    Runs the full harness pipeline in both plan modes, demands identical
-    triaged clusters (the byte-equality invariant the equivalence tests
-    pin campaign-wide), and reports the state ratios.  Mid-syscall counts
-    exclude the workload's post-syscall and final states (one per core
-    syscall plus the final tail), which both modes always emit.
-    """
-    from repro.fs.bugs import BugConfig
-
-    n_always = len(SEQ2.core) + 1
-    entry = {"min_mid_reduction": MECH_MIN_REDUCTION}
-    for label, bugs in (
-        ("fixed", BugConfig.fixed()),
-        ("buggy", BugConfig.buggy("nova")),
-    ):
-        runs = {}
-        for mode in ("subset", "mech"):
-            cm = Chipmunk("nova", bugs=bugs, config=ChipmunkConfig(
-                device_size=device_size, crash_plans=mode,
-            ))
-            runs[mode] = cm.test_workload(SEQ2.core, setup=SEQ2.setup)
-        subset, mech = runs["subset"], runs["mech"]
-        assert [c.exemplar.to_dict() for c in subset.clusters] == [
-            c.exemplar.to_dict() for c in mech.clusters
-        ], f"mech plans changed the {label}-config bug clusters"
-        mid_subset = subset.n_crash_states - n_always
-        mid_mech = mech.n_crash_states - n_always
-        entry[label] = {
-            "subset_states": subset.n_crash_states,
-            "mech_states": mech.n_crash_states,
-            "mid_subset_states": mid_subset,
-            "mid_mech_states": mid_mech,
-            "states_ratio": subset.n_crash_states / mech.n_crash_states,
-            "mid_states_ratio": mid_subset / max(mid_mech, 1),
-            "mech_plans_emitted": mech.mech_plans_emitted,
-            "mech_fallback_epochs": mech.mech_fallback_epochs,
-        }
-    return entry
-
-
 def run_bench(sizes, rounds=5):
     from repro.obs.history import host_fingerprint
 
@@ -211,7 +165,6 @@ def run_bench(sizes, rounds=5):
         "host": host_fingerprint(),
         "memo_hit_rate": results[-1]["delta"]["memo_hit_rate"],
         "results": results,
-        "mech": measure_mech(),
     }
 
 
@@ -225,7 +178,6 @@ def record_history(doc, ledger, smoke=False):
         "eager": gate["eager"],
         "delta": gate["delta"],
         "speedup": gate["speedup"],
-        "mech_mid_states_ratio": doc["mech"]["fixed"]["mid_states_ratio"],
     }
     config = {
         "device_size": gate["device_size"],
@@ -260,25 +212,6 @@ def render(doc):
          "memo hits", "eager peak", "delta peak"),
         rows,
     )
-    mech = doc.get("mech")
-    if mech:
-        mech_rows = [
-            (
-                label,
-                mech[label]["subset_states"],
-                mech[label]["mech_states"],
-                f"{mech[label]['states_ratio']:.1f}x",
-                f"{mech[label]['mid_states_ratio']:.1f}x",
-                mech[label]["mech_fallback_epochs"],
-            )
-            for label in ("fixed", "buggy")
-        ]
-        print_table(
-            "Mech plans vs subset enumeration (identical bug clusters)",
-            ("bugs", "subset states", "mech states", "total ratio",
-             "mid-syscall ratio", "fallbacks"),
-            mech_rows,
-        )
 
 
 def write_json(doc, path):
@@ -302,11 +235,6 @@ def test_bench_replay_delta(benchmark):
         f"(need >= {MIN_SPEEDUP}x)"
     )
     assert gate["delta"]["memo_hit_rate"] > 0
-    mech_gate = doc["mech"]["fixed"]["mid_states_ratio"]
-    assert mech_gate >= MECH_MIN_REDUCTION, (
-        f"mech plans only cut mid-syscall states {mech_gate:.1f}x "
-        f"(need >= {MECH_MIN_REDUCTION}x)"
-    )
 
 
 def main(argv=None):
@@ -329,11 +257,6 @@ def main(argv=None):
     write_json(doc, args.out)
     if not args.no_history:
         record_history(doc, args.history, smoke=args.smoke)
-    mech_gate = doc["mech"]["fixed"]["mid_states_ratio"]
-    if mech_gate < MECH_MIN_REDUCTION:
-        print(f"FAIL: mech mid-syscall reduction {mech_gate:.1f}x "
-              f"< {MECH_MIN_REDUCTION}x", file=sys.stderr)
-        return 1
     if not args.smoke:
         gate = doc["results"][-1]
         if gate["speedup"] < MIN_SPEEDUP:

@@ -86,7 +86,7 @@ Examples
     python -m repro watch /tmp/camp --interval 2
     python -m repro ace nova --seq 2 --save-reports /tmp/bugs.json
     python -m repro explain /tmp/bugs.json --minimize --chrome /tmp/bug.trace
-    python -m repro diff /tmp/camp-subset /tmp/camp-mech --strict --out diff.md
+    python -m repro diff /tmp/camp-a /tmp/camp-b --strict --out diff.md
     python -m repro profile nova --max-workloads 10 --out profile.md
     python -m repro perf BENCH_history.jsonl --check
 """
@@ -762,13 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--fixed", action="store_true", help="run the fully fixed variant"
         )
         p.add_argument("--cap", type=int, default=2, help="replay cap (default 2)")
-        p.add_argument(
-            "--crash-plans",
-            choices=("subset", "mech"),
-            default="subset",
-            help="crash-plan selection: capped subset enumeration "
-            "(default) or mechanism-targeted plans with subset fallback",
-        )
 
     def add_common(p):
         add_harness(p)

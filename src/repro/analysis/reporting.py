@@ -45,11 +45,6 @@ def campaign_triage() -> Triage:
     return Triage(provenance=True)
 
 
-def _by_count(counts: Dict[str, int]):
-    """``(name, n)`` pairs, most frequent first, ties by name."""
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 @dataclass
 class CampaignSummary(ResultFold):
     """Aggregated outcome of a testing campaign.
@@ -188,10 +183,6 @@ class CampaignSummary(ResultFold):
             "memo_hit_rate": self.memo_hit_rate,
             "memo_shared_hits": self.memo_shared_hits,
             "memo_shared_errors": t("memo_shared_errors"),
-            "crash_plans": t("crash_plans", "?"),
-            "mech_recognized": dict(t("mech_recognized", {})),
-            "mech_plans_emitted": t("mech_plans_emitted"),
-            "mech_fallback_epochs": t("mech_fallback_epochs"),
             "unique_outcomes": t("n_unique_outcomes"),
             "outcome_hits": t("outcome_hits"),
             "outcome_misses": t("outcome_misses"),
@@ -248,16 +239,6 @@ class CampaignSummary(ResultFold):
                 f"{hits} hit(s), {misses} miss(es) (walk + usability skipped "
                 f"on {hits / (hits + misses) * 100:.1f}% of mounted states; "
                 f"checker.outcome_cache.*)")))
-        if t("mech_recognized", {}):
-            out.append((
-                f"mechanism recognition (--crash-plans {t('crash_plans', '?')})",
-                ", ".join(f"{kind} {n}"
-                          for kind, n in _by_count(t("mech_recognized"))),
-            ))
-            out.append(("mech plans", (
-                f"{t('mech_plans_emitted')} targeted state(s) emitted, "
-                f"{t('mech_fallback_epochs')} epoch(s) fell back to subset "
-                f"enumeration")))
         return out
 
     def render(self) -> str:

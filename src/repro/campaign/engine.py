@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Set
 from repro.campaign.journal import CheckpointJournal, JournalState
 from repro.campaign.merge import MergedCampaign, merge_campaign
 from repro.campaign.queue import ShardedWorkQueue, WorkItem, build_items
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import REMOVED_KNOBS, CampaignSpec
 from repro.campaign import worker as workermod
 
 #: Seconds the event loop sleeps when no worker made progress.
@@ -158,6 +158,13 @@ class CampaignEngine:
                 )
             return JournalState()
         if state.spec_dict is not None:
+            removed = {k: state.spec_dict[k] for k, v in REMOVED_KNOBS.items()
+                       if state.spec_dict.get(k, v) != v}
+            if removed:
+                raise SpecMismatch(
+                    f"journal was written with removed knob(s) {removed}; "
+                    f"this build always runs {REMOVED_KNOBS}"
+                )
             stored = CampaignSpec.from_dict(state.spec_dict)
             if stored != self.spec:
                 raise SpecMismatch(

@@ -22,6 +22,14 @@ from repro.fs.bugs import BugConfig
 from repro.fs.registry import FS_CLASSES
 
 
+#: Deleted knobs that changed which crash states a campaign checks, each
+#: with the value the code now always runs.  :meth:`CampaignSpec.from_dict`
+#: drops them like any unknown key, so resume must look first: a journal
+#: stored at another value enumerated different states, and continuing it
+#: would mix two state sets in one ``bugs.json``.
+REMOVED_KNOBS: Dict[str, object] = {"crash_plans": "subset"}
+
+
 @dataclass(frozen=True, kw_only=True)
 class CampaignSpec(ChipmunkConfig):
     """One campaign's full, JSON-serializable configuration.  The harness

@@ -205,11 +205,6 @@ class CampaignMonitor:
             f"{shared}"
             f"bug reports {t('n_reports')}"
         )
-        if t("mech_plans_emitted") or t("mech_fallback_epochs"):
-            lines.append(
-                f"mech plans {t('mech_plans_emitted')}   "
-                f"fallback epochs {t('mech_fallback_epochs')}"
-            )
         hits, misses = t("recovery_hits"), t("recovery_misses")
         if hits or misses:
             lines.append(

@@ -29,12 +29,6 @@ class ChipmunkConfig:
     #: report.  Capture only runs for failing states, so the cost on clean
     #: workloads is a no-op.
     forensics: bool = True
-    #: Crash-plan selection: ``"subset"`` enumerates capped store subsets
-    #: per fence epoch (the paper's strategy); ``"mech"`` recognizes the
-    #: persistence mechanism behind each epoch (:mod:`repro.mech`) and
-    #: emits a few targeted plans instead, falling back to subset
-    #: enumeration for unrecognized epochs.
-    crash_plans: str = "subset"
     #: Install the hot-path profiler (:mod:`repro.obs.profile`) for the
     #: duration of each workload: per-stage wall time, per-callsite
     #: attribution, and byte accounting land in ``TestResult.profile``.
@@ -45,8 +39,3 @@ class ChipmunkConfig:
     def __post_init__(self) -> None:
         if self.cap is not None and self.cap < 0:
             raise ValueError(f"cap must be >= 0 (got {self.cap})")
-        if self.crash_plans not in ("subset", "mech"):
-            raise ValueError(
-                f"unknown crash-plan mode {self.crash_plans!r} "
-                f"(expected 'subset' or 'mech')"
-            )

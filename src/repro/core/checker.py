@@ -242,9 +242,9 @@ class ConsistencyChecker:
         """Mount, walk and probe ``device``: all a check learns from PM.
 
         Returns the recovery and whether it ran in full — False when the
-        outcome cache skipped walk + usability or the mount crashed, the
-        cases the recovery memo must not remember.  ``keyed`` is the crash
-        image ``device`` presents through a COW view, for the
+        outcome cache skipped walk + usability or the mount or walk
+        crashed, the cases the recovery memo must not remember.  ``keyed``
+        is the crash image ``device`` presents through a COW view, for the
         recovered-outcome cache; ``None`` for a flat image, which the cache
         cannot key.
         """
@@ -284,6 +284,14 @@ class ConsistencyChecker:
                 digest=b"<unreadable>",
                 failure=(Consequence.UNREADABLE, str(exc)),
             ), True
+        except (PMDeviceError, AllocatorError) as exc:
+            return Recovery(
+                digest=b"<walk-crash>" + type(exc).__name__.encode(),
+                failure=(
+                    Consequence.UNREADABLE,
+                    f"walk crashed: {type(exc).__name__}: {exc}",
+                ),
+            ), False
         finally:
             if prof is not None:
                 prof.add("checker.walk", perf_counter() - t0)

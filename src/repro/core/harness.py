@@ -121,17 +121,6 @@ class TestResult:
     #: Recovery-read overlap on the final persistent image
     #: ({read_lines, store_lines, overlap_lines}, 64-byte cache lines).
     recovery_overlap: Dict[str, int] = field(default_factory=dict)
-    #: Crash-plan mode the workload ran under ("subset" | "mech").
-    crash_plans: str = "subset"
-    #: Mechanism recognition (``mech.recognized.{kind}``): fence epochs per
-    #: recognized mechanism kind.  Empty outside mech mode.
-    mech_recognized: Dict[str, int] = field(default_factory=dict)
-    #: Targeted crash states emitted from mechanism plans
-    #: (``mech.plans.emitted``).
-    mech_plans_emitted: int = 0
-    #: Epochs that fell back to full subset enumeration
-    #: (``mech.fallback_epochs``).
-    mech_fallback_epochs: int = 0
     #: Hot-path profile (:meth:`repro.obs.profile.Profiler.to_dict`):
     #: per-stage seconds, per-callsite attribution, byte accounting.
     #: Empty unless the workload ran with ``ChipmunkConfig.profile``.
@@ -385,17 +374,6 @@ class Chipmunk:
         # canonical content key, the ``check_state`` telemetry span, and
         # the checker call all live behind it.
         memo = CheckMemo(checker, telemetry=tel, shared=self.shared_memo)
-        planner = None
-        if self.config.crash_plans == "mech" and crash_points == "fence":
-            # Mechanism recognition only prunes fence-epoch subsets; the
-            # post/fsync strategies never enumerate them, so the classifier
-            # pass would be pure overhead there.
-            from repro.mech.plans import MechPlanner
-
-            planner = MechPlanner(
-                self.fs_class, log, self.config, base_image=base,
-                bugs=self.bugs, telemetry=tel,
-            )
         reports: List[BugReport] = []
         n_states = 0
         truncated = False
@@ -409,7 +387,6 @@ class Chipmunk:
             crash_points=crash_points,
             stats=stats,
             telemetry=tel,
-            planner=planner,
         )
         if profiler is not None:
             profiler.set_stage("enumerate")
@@ -496,10 +473,6 @@ class Chipmunk:
             persistence=persistence,
             store_regions=store_regions,
             recovery_overlap=recovery_overlap,
-            crash_plans=self.config.crash_plans,
-            mech_recognized=dict(planner.recognized) if planner else {},
-            mech_plans_emitted=planner.plans_emitted if planner else 0,
-            mech_fallback_epochs=planner.fallback_epochs if planner else 0,
             profile=prof_dict,
         )
         if tel.enabled:

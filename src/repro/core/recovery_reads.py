@@ -5,9 +5,7 @@ writes are *likely to be read during recovery*.  The paper notes Chipmunk
 "could incorporate this heuristic by recording PM read functions" — this
 module records them: it mounts an image under the device's access trace
 and returns the cache lines recovery reads.  The harness intersects them
-with a workload's stores (``TestResult.recovery_overlap``), and the
-mechanism planner asks :func:`write_overlap` whether recovery reads a
-replay unit's writes.
+with a workload's stores (``TestResult.recovery_overlap``).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Set, Tuple
 
 from repro.pm.device import PMDevice
-from repro.pm.log import WriteEntry
 
 
 def recovery_read_set(
@@ -49,11 +46,4 @@ def recovery_read_set(
             lines.update(range(addr // granularity,
                                (addr + length - 1) // granularity + 1))
     return lines
-
-
-def write_overlap(entry: WriteEntry, read_lines: Set[int], granularity: int = 64) -> int:
-    """How many of the entry's cache lines recovery would read."""
-    first = entry.addr // granularity
-    last = (entry.addr + max(entry.length, 1) - 1) // granularity
-    return sum(1 for line in range(first, last + 1) if line in read_lines)
 

@@ -148,7 +148,6 @@ def enumerate_crash_states(
     crash_points: str = "fence",
     stats: Optional[ReplayStats] = None,
     telemetry=None,
-    planner=None,
 ) -> Iterator[CrashState]:
     """Enumerate crash states for a recorded workload.
 
@@ -167,15 +166,6 @@ def enumerate_crash_states(
     ``telemetry`` optionally receives replay counters and the in-flight
     unit-count histogram; instrumentation happens only at fence boundaries,
     never per write entry, so the enabled overhead stays negligible.
-
-    ``planner`` optionally substitutes mechanism-targeted crash plans for
-    the combinatorial subset space (:class:`repro.mech.plans.MechPlanner`):
-    at each epoch with in-flight units, ``planner.plan_for(fence_index,
-    n_units)`` returns either ``None`` (enumerate the full capped subset
-    space, the fallback) or a canonically ordered list of unit-index
-    combos to emit instead.  Planned combos are always a subset of the
-    subset-mode combos in the same order, so the planned state stream is a
-    subsequence of the unplanned one.
 
     Every log entry must lie inside ``base_image``; an entry outside
     ``[0, len(base_image))`` raises ``ValueError`` (real logs cannot hold
@@ -201,7 +191,6 @@ def enumerate_crash_states(
             # Nothing in flight: the boundary state is already covered by
             # the adjacent regions' subsets and the post-syscall states.
             return
-        plan = planner.plan_for(fence_index, n) if planner is not None else None
         # coalesce_units emits units in program order and combinations()
         # enumerates indices ascending, so every combo is already
         # program-ordered: replay needs no sort.
@@ -217,17 +206,10 @@ def enumerate_crash_states(
                 tel.count("replay.capped_regions")
             max_size = cap
         base = persistent.base()
-        if plan is not None:
-            # Mechanism-targeted plan: a canonically ordered sub-list of
-            # the combos the loop below would generate (already size-
-            # ascending and program-ordered).
-            combos = iter(plan)
-        else:
-            combos = (
-                combo
-                for size in range(0, max_size + 1)
-                for combo in itertools.combinations(range(n), size)
-            )
+        combos = itertools.chain.from_iterable(
+            itertools.combinations(range(n), size)
+            for size in range(max_size + 1)
+        )
         for combo in combos:
             chosen: List[WriteEntry] = []
             replayed: List[int] = []

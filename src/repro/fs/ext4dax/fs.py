@@ -287,21 +287,6 @@ class Ext4DaxFS(FileSystem):
         return LayoutMap(layout_regions(geom))
 
     @classmethod
-    def mechanism_hints(cls):
-        """ext4-DAX/XFS-DAX persistence mechanisms, in ``layout_map()``
-        terms.
-
-        jbd2-style redo journaling: transaction blocks then a commit
-        record, checkpointed in place after commit.  Both DAX systems run
-        under fsync crash points (weak guarantees), so — as for SplitFS —
-        the hints feed recognition analytics rather than fence-epoch
-        planning.
-        """
-        from repro.mech.recognize import MechanismHints
-
-        return MechanismHints(journal_regions=("journal",))
-
-    @classmethod
     def mount(cls, device: PMDevice, bugs=None, origin: int = 0, **kwargs) -> "Ext4DaxFS":
         try:
             geom = unpack_superblock(device.read(origin, 64))

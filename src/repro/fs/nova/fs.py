@@ -166,33 +166,6 @@ class NovaFS(FileSystem):
         ))
 
     @classmethod
-    def mechanism_hints(cls):
-        """NOVA persistence mechanisms, in ``layout_map()`` terms.
-
-        Small writes in ``data`` are per-inode log-entry appends (the log
-        pages live among the data blocks); large NT stores there are COW
-        file data.  ``inode_table`` slot flushes are the in-place commit
-        pointers (``log_count``) that publish appended entries, and the
-        circular ``journal`` stages multi-inode commits.  The journal is
-        redo-style — recovery ignores records without a committed tail —
-        and appends land in never-written log/COW space, unreachable
-        until their commit pointer persists.  Both facts justify the
-        aggressive settings: journal-record epochs keep only their
-        boundary state (the mechanism's visibility edge is the flag and
-        commit epochs), and the ``sequence_rules`` pass prunes
-        recovery-invisible append singles and boundary duplicates.
-        """
-        from repro.mech.recognize import MechanismHints
-
-        return MechanismHints(
-            journal_regions=("journal",),
-            append_regions=("data",),
-            commit_regions=("inode_table",),
-            plan_overrides={"journal_update": "empty"},
-            sequence_rules=True,
-        )
-
-    @classmethod
     def _coerce_geometry(cls, geom: L.NovaGeometry) -> L.NovaGeometry:
         """Convert an unpacked superblock geometry to this class's type."""
         if type(geom) is cls.geometry_class:

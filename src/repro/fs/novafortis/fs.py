@@ -127,32 +127,6 @@ class NovaFortisFS(NovaFS):
         ]
         return LayoutMap(tuple(named))
 
-    @classmethod
-    def mechanism_hints(cls):
-        """NOVA's region vocabulary plus the Fortis mirror structures.
-
-        The inode replica table, per-block checksum table, and
-        pending-truncate record are all shadow copies of primary state —
-        primary/replica divergence (Table-1 bugs 9, 10, 12) is the crash
-        pattern that breaks them, so they are declared replica regions and
-        their epochs keep the full pairwise subset space.  Deliberately
-        *not* inherited from :class:`NovaFS`: Fortis recovery reads
-        checksums and replicas over data NOVA would never look at, so the
-        aggressive NOVA overrides (boundary-only appends, sequence rules)
-        are unsound here — every recognized kind keeps its conservative
-        default policy.
-        """
-        from repro.mech.recognize import MechanismHints
-
-        return MechanismHints(
-            journal_regions=("journal",),
-            append_regions=("data",),
-            commit_regions=("inode_table",),
-            replica_regions=(
-                "replica_table", "csum_table", "pending_truncate",
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Formatting
     # ------------------------------------------------------------------

@@ -183,23 +183,6 @@ class PmfsFS(FileSystem):
                         slot_size=geom.block_size),
         ))
 
-    @classmethod
-    def mechanism_hints(cls):
-        """PMFS persistence mechanisms, in ``layout_map()`` terms.
-
-        Only the undo journal is declared: PMFS updates metadata *in
-        place* (inode table, bitmap, truncate list), and torn in-place
-        mixes are exactly the states an undo journal must recover from —
-        no subset of them is provably redundant, so those epochs must keep
-        the full capped enumeration (they classify ``unstructured``).
-        Journal epochs themselves get the targeted torn-transaction plan;
-        an undo journal's records are live before commit, so singles stay
-        in (unlike a redo journal's).
-        """
-        from repro.mech.recognize import MechanismHints
-
-        return MechanismHints(journal_regions=("journal",))
-
     def _format(self) -> None:
         geom = self.geom
         meta_end = geom.first_data_block * geom.block_size

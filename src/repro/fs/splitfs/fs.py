@@ -256,25 +256,6 @@ class SplitFS(FileSystem):
         return LayoutMap(tuple(regions))
 
     @classmethod
-    def mechanism_hints(cls):
-        """SplitFS persistence mechanisms, in ``layout_map()`` terms.
-
-        The user-space half is purely log-structured: the operation log
-        appends fixed-size entries and data goes to staging blocks relinked
-        on fsync; the embedded K-Split keeps ext4's redo journal.  SplitFS
-        runs under fsync crash points (weak guarantees), so these hints
-        only drive recognition analytics today — fence-epoch planning never
-        triggers — but they keep the declaration next to the layout like
-        every other family.
-        """
-        from repro.mech.recognize import MechanismHints
-
-        return MechanismHints(
-            journal_regions=("kernel.journal",),
-            append_regions=("oplog", "staging"),
-        )
-
-    @classmethod
     def mkfs(cls, device: PMDevice, geometry=None, bugs=None, **kwargs) -> "SplitFS":
         geom = geometry or cls.geometry_class(device_size=device.size)
         if geom.device_size != device.size:

@@ -94,17 +94,6 @@ class WineFS(PmfsFS):
     #: of copy-on-write.
     SMALL_WRITE_LIMIT = 64
 
-    @classmethod
-    def mechanism_hints(cls):
-        """WineFS inherits PMFS's undo-journal hints unchanged.
-
-        The per-CPU journal areas all live inside the one ``journal``
-        layout region (slotted per CPU), and the strict-mode COW data path
-        still publishes through journaled in-place metadata — so, as for
-        PMFS, only journal epochs can safely take a targeted plan.
-        """
-        return super().mechanism_hints()
-
     # ------------------------------------------------------------------
     # Strict-mode data path
     # ------------------------------------------------------------------

@@ -27,17 +27,14 @@ from repro.obs.tracing import read_jsonl
 def fold(totals: Dict[str, object], fields: Mapping[str, object]) -> None:
     """Add one result's fields into ``totals``.
 
-    Numbers and bools add (a bool counts the workloads where it held),
-    dicts merge recursively, ``crash_plans`` collapses to its value or
-    ``"mixed"``; lists and strings are left to the caller.
+    Numbers and bools add (a bool counts the workloads where it held) and
+    dicts merge recursively; lists and strings are left to the caller.
     """
     for key, value in fields.items():
         if isinstance(value, (int, float)):
             totals[key] = totals.get(key, 0) + value
         elif isinstance(value, dict):
             fold(totals.setdefault(key, {}), value)
-        elif key == "crash_plans":
-            totals[key] = value if totals.get(key, value) == value else "mixed"
 
 
 def folded(key: str, default=0) -> property:

@@ -1,7 +1,7 @@
 """Crash-state space coverage analytics (``python -m repro coverage``).
 
-Every remaining exploration lever — mechanism-aware pruning, WITCHER-style
-output-equivalence pruning — starts from a distribution question: how big
+Every remaining exploration lever — WITCHER-style output-equivalence
+pruning — starts from a distribution question: how big
 are in-flight windows per fence epoch, which persistence mechanisms carry
 the stores, how many checked states recover to distinct outcomes, how much
 of the stored data does recovery even read?
@@ -134,16 +134,6 @@ class CoverageReport(ResultFold):
         return 1.0 - self.total("n_unique_outcomes") / self.unique_states
 
     @property
-    def mech_recognized_fraction(self) -> float:
-        """Fraction of classified epochs explained by a real mechanism
-        (anything but the ``unstructured`` fallback kind)."""
-        recognized = self.total("mech_recognized", {})
-        total = sum(recognized.values())
-        if not total:
-            return 0.0
-        return 1.0 - recognized.get("unstructured", 0) / total
-
-    @property
     def recovery_unread_fraction(self) -> float:
         """Fraction of stored cache lines recovery never reads."""
         recovery = self.total("recovery_overlap", {})
@@ -186,11 +176,6 @@ class CoverageReport(ResultFold):
             "recovery_hits": t("recovery_hits"),
             "recovery_misses": t("recovery_misses"),
             "recovery_resets": t("recovery_resets"),
-            "crash_plans": t("crash_plans", "?"),
-            "mech_recognized": dict(t("mech_recognized", {})),
-            "mech_plans_emitted": t("mech_plans_emitted"),
-            "mech_fallback_epochs": t("mech_fallback_epochs"),
-            "mech_recognized_fraction": self.mech_recognized_fraction,
             "fences_per_workload": list(self.fences_per_workload),
             "stores_per_workload": list(self.stores_per_workload),
             "persistence": {k: dict(v) for k, v in t("persistence", {}).items()},
@@ -341,32 +326,6 @@ class CoverageReport(ResultFold):
                 )
         else:
             lines.append("(no persistence data)")
-        lines.append("")
-
-        lines.append("## Mechanism recognition")
-        lines.append("")
-        recognized = t("mech_recognized", {})
-        if recognized:
-            total = sum(recognized.values()) or 1
-            lines.append(
-                f"Crash-plan mode: `{t('crash_plans', '?')}` — "
-                f"{self.mech_recognized_fraction * 100:.1f}% of {total} "
-                f"classified epoch(s) explained by a recognized mechanism; "
-                f"{t('mech_plans_emitted')} targeted state(s) emitted, "
-                f"{t('mech_fallback_epochs')} epoch(s) fell back to subset "
-                f"enumeration."
-            )
-            lines.append("")
-            lines.append("| mechanism kind | epochs | share |")
-            lines.append("| --- | ---: | ---: |")
-            for kind, n in sorted(
-                recognized.items(), key=lambda kv: (-kv[1], kv[0])
-            ):
-                lines.append(f"| `{kind}` | {n} | {n / total * 100:.1f}% |")
-        else:
-            lines.append(
-                "(no mechanism data — run with `--crash-plans mech`)"
-            )
         lines.append("")
 
         lines.append("## Store placement by layout region")

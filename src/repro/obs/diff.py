@@ -1,8 +1,8 @@
 """Campaign differencing: the semantic gate behind ``repro diff A B``.
 
-Every roadmap perf item — per-family mech rules, output-equivalence
-pruning, the vectorized hot path — is a change that must prove "same bugs,
-fewer states, more states/sec".  ``cmp bugs.json`` proves byte equality and
+Every roadmap perf item — output-equivalence pruning, the vectorized hot
+path — is a change that must prove "same bugs, fewer states, more
+states/sec".  ``cmp bugs.json`` proves byte equality and
 nothing else: it cannot say *which* bug appeared, tolerates no benign
 re-ordering, and ignores the state/throughput half of the claim entirely.
 This module compares two campaigns at the level the triage layer already
@@ -15,15 +15,15 @@ defines:
   provenance.  A cluster fed only by side B **appeared**, only by side A
   **disappeared**, by both **persisting**.  Appeared/disappeared clusters
   are bug-set divergence; the CLI exits non-zero on them.
-* **Metrics** (states enumerated/checked, memo hit-rate, mech plan and
-  fallback counts, states/sec, coverage headroom) are folded from each
+* **Metrics** (states enumerated/checked, memo hit-rate, states/sec,
+  coverage headroom) are folded from each
   side's checkpoint journal or telemetry trace and reported as deltas with
   a tolerance threshold — informational, never part of the exit code,
   because wall-clock numbers differ across hosts while bug sets must not.
 
 ``--strict`` additionally demands the two serialized exemplar report lists
 be equal object-for-object — the old ``cmp bugs.json`` contract — for
-callers (CI's subset-vs-mech gate) that pin byte-level equivalence on top
+callers (CI's serial-vs-parallel gate) that pin byte-level equivalence on top
 of cluster-level equivalence.
 
 A side is a campaign directory (``bugs.json`` + ``journal.jsonl``), a bare
@@ -50,8 +50,6 @@ METRICS = (
     ("states_enumerated", "lower"),
     ("states_checked", "lower"),
     ("memo_hit_rate", "higher"),
-    ("mech_plans_emitted", None),
-    ("mech_fallback_epochs", "lower"),
     ("reports", None),
     ("wall_time_seconds", "lower"),
     ("states_per_sec", "higher"),
@@ -103,8 +101,6 @@ def _metrics_of(agg) -> Dict[str, float]:
         "states_enumerated": float(agg.crash_states),
         "states_checked": float(agg.unique_states),
         "memo_hit_rate": agg.memo_hit_rate,
-        "mech_plans_emitted": float(t("mech_plans_emitted")),
-        "mech_fallback_epochs": float(t("mech_fallback_epochs")),
         "reports": float(t("n_reports")),
         "wall_time_seconds": agg.wall_time,
         "states_per_sec": agg.states_per_second,

@@ -109,19 +109,6 @@ class FileSystem(abc.ABC):
 
         return single_region_map(len(image))
 
-    @classmethod
-    def mechanism_hints(cls):
-        """Persistence-mechanism hints for ``--crash-plans mech``.
-
-        Concrete file systems return a
-        :class:`repro.mech.recognize.MechanismHints` declaring which
-        ``layout_map()`` regions host journals, log appends, commit
-        pointers, and replicas — declared next to the layout they refine.
-        ``None`` (the default) means "no claims": mechanism-aware planning
-        degrades to plain subset enumeration for this file system.
-        """
-        return None
-
     # ------------------------------------------------------------------
     # Core operations (paper section 4.1)
     # ------------------------------------------------------------------

@@ -64,6 +64,34 @@ class TestBuildChipmunk:
         assert chipmunk.bugs == BugConfig.fixed()
 
 
+def half_done_campaign(tmp_path, **stored):
+    """A 4-workload campaign cut after 2 items, its journal's spec holding
+    the extra ``stored`` keys: ``(spec, engine config, campaign dir)``."""
+    import json
+    import os
+
+    from repro.campaign import CampaignEngine, EngineConfig
+
+    spec = CampaignSpec(fs="nova", seq=1, max_workloads=4)
+    config = EngineConfig(workers=1, batch_size=1)
+    campaign_dir = str(tmp_path / "camp")
+    CampaignEngine(spec, campaign_dir, config).run()
+    path = os.path.join(campaign_dir, "journal.jsonl")
+    kept = []
+    for line in open(path):
+        record = json.loads(line)
+        if record["type"] == "campaign_meta":
+            record["spec"].update(stored)
+        if record["type"] == "campaign_done" or (
+            record["type"] == "item_done" and record["ordinal"] >= 2
+        ):
+            continue
+        kept.append(json.dumps(record))
+    with open(path, "w") as fh:
+        fh.write("\n".join(kept) + "\n")
+    return spec, config, campaign_dir
+
+
 class TestLegacySpecKeys:
     """Journals written while ``memo_entries`` was a spec field resume: the
     local memo bound is now the module constant next to ``MemoTable``.
@@ -75,29 +103,10 @@ class TestLegacySpecKeys:
         assert CampaignSpec.from_dict(data) == CampaignSpec(fs="nova")
 
     def test_journal_with_memo_entries_resumes(self, tmp_path):
-        import json
-        import os
+        from repro.campaign import CampaignEngine
 
-        from repro.campaign import CampaignEngine, EngineConfig
-
-        spec = CampaignSpec(fs="nova", seq=1, max_workloads=4)
-        config = EngineConfig(workers=1, batch_size=1)
-        campaign_dir = str(tmp_path / "camp")
-        CampaignEngine(spec, campaign_dir, config).run()
-        path = os.path.join(campaign_dir, "journal.jsonl")
-        kept = []
-        for line in open(path):
-            record = json.loads(line)
-            if record["type"] == "campaign_meta":
-                record["spec"]["memo_entries"] = 262144
-            if record["type"] == "campaign_done" or (
-                record["type"] == "item_done" and record["ordinal"] >= 2
-            ):
-                continue
-            kept.append(json.dumps(record))
-        with open(path, "w") as fh:
-            fh.write("\n".join(kept) + "\n")
-
+        spec, config, campaign_dir = half_done_campaign(
+            tmp_path, memo_entries=262144)
         merged = CampaignEngine(spec, campaign_dir, config, resume=True).run()
         assert merged.engine["items_resumed"] == 2
         assert merged.summary.workloads_tested == 4
@@ -130,3 +139,29 @@ class TestLegacySpecKeys:
         out = capsys.readouterr().out
         assert "[nova/ace]" in out
         assert "0 appeared, 0 disappeared" in out
+
+
+class TestRemovedKnobs:
+    """A journal that stored a since-deleted knob at a value other than the
+    one the code now always runs must not resume: its crash states were
+    enumerated another way."""
+
+    def test_mech_journal_refuses_to_resume(self, tmp_path, capsys):
+        from repro.__main__ import main
+        from repro.campaign import CampaignEngine, SpecMismatch
+
+        spec, config, campaign_dir = half_done_campaign(
+            tmp_path, crash_plans="mech")
+        with pytest.raises(SpecMismatch, match="crash_plans"):
+            CampaignEngine(spec, campaign_dir, config, resume=True).run()
+        assert main(["campaign", "--resume", campaign_dir]) == 2
+        assert "crash_plans" in capsys.readouterr().err
+
+    def test_subset_journal_resumes(self, tmp_path):
+        from repro.campaign import CampaignEngine
+
+        spec, config, campaign_dir = half_done_campaign(
+            tmp_path, crash_plans="subset")
+        merged = CampaignEngine(spec, campaign_dir, config, resume=True).run()
+        assert merged.engine["items_resumed"] == 2
+        assert merged.summary.workloads_tested == 4

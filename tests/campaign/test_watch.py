@@ -102,29 +102,26 @@ class TestSnapshot:
         snap = CampaignMonitor(campaign_dir).snapshot()
         assert snap.beats == []
 
-    def test_mech_and_profile_counters_folded(self, tmp_path):
+    def test_profile_counters_folded(self, tmp_path):
         spec = CampaignSpec(fs="nova", generator="ace", seq=1,
-                            max_workloads=4, crash_plans="mech", profile=True)
-        campaign_dir = str(tmp_path / "mechprof")
+                            max_workloads=4, profile=True)
+        campaign_dir = str(tmp_path / "prof")
         CampaignEngine(spec, campaign_dir,
                        EngineConfig(workers=2, batch_size=2)).run()
         snap = CampaignMonitor(campaign_dir).snapshot()
         totals = snap.aggregate().totals
-        assert totals["mech_plans_emitted"] > 0
         # A clean pipeline copies no image: zero categories stay unlisted.
         assert totals["profile"]["bytes"]["materialized"] == 0
         assert totals["profile"]["bytes"]["digest_hashed"] > 0
         frame = CampaignMonitor(campaign_dir).render(snap)
-        assert "mech plans" in frame
         assert "profile bytes:" in frame
         assert "digest_hashed" in frame
         assert "materialized" not in frame
 
-    def test_subset_campaign_shows_no_mech_or_profile_lines(self, tmp_path):
+    def test_unprofiled_campaign_shows_no_profile_lines(self, tmp_path):
         campaign_dir, _ = _run_campaign(tmp_path)
         monitor = CampaignMonitor(campaign_dir)
         frame = monitor.render(monitor.snapshot())
-        assert "mech plans" not in frame
         assert "profile bytes:" not in frame
 
 

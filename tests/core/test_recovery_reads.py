@@ -3,11 +3,10 @@
 import pytest
 
 from conftest import TEST_DEVICE_SIZE, make_fixed_fs
-from repro.core.recovery_reads import recovery_read_set, write_overlap
+from repro.core.recovery_reads import recovery_read_set
 from repro.fs.bugs import BugConfig
 from repro.fs.nova.fs import NovaFS
 from repro.pm.device import PMDevice, PMDeviceError
-from repro.pm.log import NTStore
 
 
 class ScriptFS:
@@ -148,10 +147,3 @@ class TestRecoveryReadSet:
         lines = recovery_read_set(NovaFS, bytes(TEST_DEVICE_SIZE))
         assert lines  # at least the superblock read
 
-
-class TestRanking:
-    def test_overlap_counts_lines(self):
-        entry = NTStore(0, b"\x01" * 130, "f", 0)
-        assert write_overlap(entry, {0, 1, 2}) == 3
-        assert write_overlap(entry, {1}) == 1
-        assert write_overlap(entry, set()) == 0

@@ -43,59 +43,59 @@ BUG_SETS = {"catalogue": None, "fixed": []}
 GOLDEN = {
     ('ext4-dax', 'catalogue'): (
         '0b91563529e530950348b67b67b76da35728eecb',
-        '17fb70d6ab1f71c201a645d97866de3773045117',
+        'e961ef08da97a895b91cf17e622d216844bc6b2a',
     ),
     ('ext4-dax', 'fixed'): (
         '0b91563529e530950348b67b67b76da35728eecb',
-        '17fb70d6ab1f71c201a645d97866de3773045117',
+        'e961ef08da97a895b91cf17e622d216844bc6b2a',
     ),
     ('nova', 'catalogue'): (
         '5c944025828175caf3c1125afad4830bb34975d3',
-        '27efdd304b8e3b622aefeb36a18a0c87b8e094af',
+        'e07aaa97072660f8c9be430958af0371f12245a7',
     ),
     ('nova', 'fixed'): (
         '9c2f36f6184b60bc4653ce177e0d8a73cbd4678f',
-        'eb9639febc0a82453edaa1b996ca5caa5d7ab254',
+        '40a4b53c953ea2741d9c5f50f4e0afa8d2d7f7bc',
     ),
     ('nova-fortis', 'catalogue'): (
         '15d20c298bcbf274bdf02a15df04e30439848046',
-        'b1b10b18a8fb6d32d09d8fec8315960b26de1d84',
+        '6065415e8c0928c4994e04327bb33ad9b9da2f8b',
     ),
     ('nova-fortis', 'fixed'): (
         '04f79538a0fe753714a590446d4ac24a141cbf7b',
-        'dc2cea5f6f523eea3322c6814b78d04ae60c2adc',
+        'a9240ea3bde9f4b30f087a6550db3953e12a9344',
     ),
     ('pmfs', 'catalogue'): (
         '2119d6b0149b21be220df106e578ba79ea74d510',
-        'c37f59bebde2824f6189109a3d25e70b0a0d774b',
+        '17467fd6a96d860cb602b2ff5a7dc4ef0da9c2ef',
     ),
     ('pmfs', 'fixed'): (
         'd6d60c58c582bca6504df27e0156c7400a7b3f27',
-        '3f7b535222cdbc842cbc19e9eacdc611ef269f7a',
+        '9e858b74ca56b7529a43b6115c51d3b5ae6b3f00',
     ),
     ('splitfs', 'catalogue'): (
         '491e560bf03e9319b7be797bf0472f03851b4789',
-        '03e9389a0b1c4cfdc061895e3fcad539a34226fa',
+        '8c6dbba5b6e83916174e14ac516626a1d122bd22',
     ),
     ('splitfs', 'fixed'): (
         '3c95d0da15e9f8d48bdee58acef26f0552c64935',
-        '7321ed926684d6a10db946ef8e2c41c53b4a6bc4',
+        '8464ab6fb3cd6f05dc25098c319faea41c720b2f',
     ),
     ('winefs', 'catalogue'): (
         'b736280652d6434eda540dea1cea30a02f96915c',
-        '80a2f55d88c94367046351f0756ae00b47e20b2a',
+        '206d0847bc14a162510ea0c58cf7655abe35790a',
     ),
     ('winefs', 'fixed'): (
         '30f984a6559203b43b86473836f33e897863f30c',
-        '8f22b44a0a5cd83e727cbeb21ec055ce6a3b2cef',
+        'dad15626d759a76f1de481c69804fd84af133f19',
     ),
     ('xfs-dax', 'catalogue'): (
         '95988cb84edd02566f8442340396755d53ae65d3',
-        '17fb70d6ab1f71c201a645d97866de3773045117',
+        'e961ef08da97a895b91cf17e622d216844bc6b2a',
     ),
     ('xfs-dax', 'fixed'): (
         '95988cb84edd02566f8442340396755d53ae65d3',
-        '17fb70d6ab1f71c201a645d97866de3773045117',
+        'e961ef08da97a895b91cf17e622d216844bc6b2a',
     ),
 }
 

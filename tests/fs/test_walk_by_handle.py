@@ -11,6 +11,7 @@ text — a walk failure's text is a report detail in ``bugs.json``.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -21,15 +22,20 @@ from hypothesis import strategies as st
 from conftest import make_fixed_fs
 from test_totality import TAXONOMY, field_mutations, populated_image
 from repro.campaign import CampaignSpec
+from repro.core.checker import ConsistencyChecker
+from repro.core.recovery_memo import RecoveryMemo
 from repro.core.replayer import enumerate_crash_states
+from repro.core.report import Consequence
 from repro.fs.bugs import BugConfig
 from repro.fs.nova import NovaFS
 from repro.fs.pmfs import PmfsFS
 from repro.fs.pmfs import layout as pmfs_layout
 from repro.fs.registry import FS_CLASSES
 from repro.pm.device import PMDevice
+from repro.pm.image import CrashImage
 from repro.vfs.interface import FileSystem
 from repro.workloads import ace
+from repro.workloads.ops import Op
 
 #: Seq-2 workloads whose crash states are compared, per registry entry.
 N_SEQ2 = 40
@@ -227,3 +233,33 @@ class TestTargetedDamage:
         assert fast == reference
         if fs_name == "nova-fortis":
             assert fast[0] == "raised" and "checksum" in fast[2]
+
+
+@pytest.mark.parametrize("fs_name", ["ext4-dax", "splitfs"])
+def test_a_walk_that_crashes_is_a_finding(fs_name):
+    """The scan's damage that recovery never reads: a file's first block
+    pointer far past the device.  Mount succeeds, the walk's read raises
+    ``PMDeviceError``; the check reports it as UNREADABLE instead of
+    aborting the workload, and the recovery memo never stores it."""
+    spec = CampaignSpec(fs=fs_name, bug_ids=[])
+    chipmunk = spec.build_chipmunk()
+    # sync checkpoints SplitFS's journal, so its replay cannot undo the
+    # damage below.
+    workload = [Op("creat", ("/f",)), Op("write", ("/f", 0, 120, 700)),
+                Op("sync", ())]
+    base, log, oracle = chipmunk.record(workload)
+    state = list(enumerate_crash_states(base, log, crash_points="fsync"))[-1]
+    fs = chipmunk.fs_class.mount(PMDevice.from_snapshot(bytes(state.image)))
+    kfs = getattr(fs, "kfs", None) or fs
+    ptr = kfs.geom.inode_addr(kfs._resolve("/f").ino) + 16
+    damaged = dataclasses.replace(state, image=CrashImage(
+        state.image.base, state.image.writes + ((ptr, b"\xff\xff\xff\x7f"),)))
+    memo = RecoveryMemo()
+    checker = ConsistencyChecker(chipmunk.fs_class, oracle, "w",
+                                 bugs=chipmunk.bugs, recovery_memo=memo)
+    for _ in range(2):
+        (report,) = checker.check(damaged)
+        assert report.consequence is Consequence.UNREADABLE
+        assert report.detail.startswith("walk crashed: PMDeviceError: ")
+    assert (checker.recovery_hits, checker.recovery_misses) == (0, 2)
+    assert memo.nodes == 0

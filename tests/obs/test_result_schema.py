@@ -35,11 +35,11 @@ MAPPINGS = [f.name for f in FIELDS if f.type in (
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
-    """NOVA seq-1/seq-2 results under mech plans and the profiler (so the
-    mech counters are nonzero), their wire dicts, and their trace file."""
+    """NOVA seq-1/seq-2 results under the profiler (so the profile
+    mapping is filled), their wire dicts, and their trace file."""
     tel = Telemetry()
     tel.meta.update(fs="nova", generator="ace")
-    spec = CampaignSpec(fs="nova", seq=2, crash_plans="mech", profile=True)
+    spec = CampaignSpec(fs="nova", seq=2, profile=True)
     chipmunk = spec.build_chipmunk(telemetry=tel)
     workloads = itertools.chain(
         itertools.islice(ace.generate(1, mode=spec.mode), 6),
@@ -76,6 +76,16 @@ REMOVED_MEMO_FIELDS = {
     "memo_evictions": 1,
 }
 
+#: Per-workload fields of the removed mechanism-targeted crash plans: the
+#: plan mode, epochs per recognized mechanism, targeted states emitted and
+#: epochs that fell back to subset enumeration.
+REMOVED_CRASH_PLAN_FIELDS = {
+    "crash_plans": "mech",
+    "mech_recognized": {"journal_commit": 3, "unstructured": 1},
+    "mech_plans_emitted": 7,
+    "mech_fallback_epochs": 1,
+}
+
 
 def summary_of(dicts):
     summary = CampaignSummary(fs_name="nova")
@@ -97,9 +107,9 @@ class TestOneFold:
     def test_every_field_totals_alike_on_every_carrier(self, traced):
         results, dicts, path = traced
         assert {"n_crash_states", "memo_hits", "outcome_hits", "elapsed",
-                "truncated", "mech_plans_emitted"} <= set(NUMERIC)
-        assert {"stage_times", "persistence", "mech_recognized"} <= set(MAPPINGS)
-        assert sum(r.mech_plans_emitted for r in results) > 0
+                "truncated", "recovery_hits"} <= set(NUMERIC)
+        assert {"stage_times", "persistence", "recovery_overlap"} <= set(MAPPINGS)
+        assert sum(r.recovery_hits for r in results) > 0
         for carrier, agg in aggregates(results, dicts, path).items():
             for name in NUMERIC:
                 expected = sum(getattr(r, name) for r in results)
@@ -163,12 +173,9 @@ class TestLegacyInputs:
         back = harness.TestResult.from_dict(stale)
         assert (back.recovery_resets, back.image_backend) == (0, "python")
 
-    def test_journal_dicts_with_removed_memo_fields(self, traced):
-        """Results journaled by a build that still carried the memo-miss
-        classifier, whole-write no-op drops and the LRU local tier load
-        and fold exactly like results without those keys."""
-        dicts = traced[1]
-        old = [{**data, **REMOVED_MEMO_FIELDS} for data in dicts]
+    @staticmethod
+    def assert_load_and_fold_alike(dicts, removed):
+        old = [{**data, **removed} for data in dicts]
         for data, stale in zip(dicts, old):
             assert (harness.TestResult.from_dict(stale).to_dict()
                     == harness.TestResult.from_dict(data).to_dict())
@@ -177,6 +184,17 @@ class TestLegacyInputs:
             for name, total in fresh.totals.items():
                 assert legacy.total(name) == total, name
             assert legacy.to_json_dict() == fresh.to_json_dict()
+
+    def test_journal_dicts_with_removed_memo_fields(self, traced):
+        """Results journaled by a build that still carried the memo-miss
+        classifier, whole-write no-op drops and the LRU local tier load
+        and fold exactly like results without those keys."""
+        self.assert_load_and_fold_alike(traced[1], REMOVED_MEMO_FIELDS)
+
+    def test_journal_dicts_with_removed_crash_plan_fields(self, traced):
+        """Results journaled by a build that still had mechanism-targeted
+        crash plans load and fold exactly like results without them."""
+        self.assert_load_and_fold_alike(traced[1], REMOVED_CRASH_PLAN_FIELDS)
 
     def test_diff_strict_against_legacy_campaign_dir(self, tmp_path, capsys):
         fresh = str(tmp_path / "fresh")
@@ -189,8 +207,11 @@ class TestLegacyInputs:
         with open(journal) as fh:
             records = [json.loads(line) for line in fh]
         for rec in records:
+            if rec["type"] == "campaign_meta":
+                rec["spec"]["crash_plans"] = "subset"
             if rec["type"] == "item_done":
-                rec["results"] = [{**r, **REMOVED_MEMO_FIELDS}
+                rec["results"] = [{**r, **REMOVED_MEMO_FIELDS,
+                                   **REMOVED_CRASH_PLAN_FIELDS}
                                   for r in rec["results"]]
         with open(journal, "w") as fh:
             fh.writelines(json.dumps(rec) + "\n" for rec in records)

@@ -258,6 +258,20 @@ class TestBadKnobs:
         assert proc.stderr.startswith("error: ")
         assert not list(tmp_path.iterdir()), "no campaign directory"
 
+    def test_removed_crash_plans_flag_is_a_usage_error(self, tmp_path):
+        """The mechanism-targeted crash-plan mode is gone; its flag is an
+        unrecognized argument, not a silent subset run."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "nova",
+             "--max-workloads", "2", "--crash-plans", "mech"], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "unrecognized arguments: --crash-plans mech" in proc.stderr
+        assert not list(tmp_path.iterdir()), "no campaign directory"
+
 
 class TestObservabilityCLI:
     @pytest.fixture(scope="class")
