@@ -23,7 +23,6 @@ handling the paper's ad-hoc split lacked:
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -78,11 +77,11 @@ class _WorkerHandle:
     wid: int
     shard: int
     process: multiprocessing.Process
-    task_q: object
-    result_q: object
-    #: The worker's fsync'd results file — the crash-durable copy of what
-    #: it streamed over the (feeder-thread-buffered, lossy) result queue.
-    results_path: str = ""
+    #: The parent's end of the worker's duplex pipe: batches and ``stop``
+    #: go out, progress messages come back.  ``send`` writes in the
+    #: sending thread, so whatever a worker sent before it died is still
+    #: readable here.
+    conn: multiprocessing.connection.Connection
     #: Items dispatched and not yet individually resolved.
     in_flight: Dict[str, WorkItem] = field(default_factory=dict)
     awaiting_dispatch: bool = False
@@ -176,24 +175,19 @@ class CampaignEngine:
     def _spawn_worker(self, shard: int) -> _WorkerHandle:
         wid = self._next_wid
         self._next_wid += 1
-        task_q = self._ctx.Queue()
-        result_q = self._ctx.Queue()
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=workermod.worker_main,
-            args=(wid, self.spec.to_dict(), task_q, result_q,
-                  self.campaign_dir, self.config.fault, self._run_tag,
-                  self._memo_address),
+            args=(wid, self.spec.to_dict(), child_conn, self.campaign_dir,
+                  self.config.fault, self._run_tag, self._memo_address),
             daemon=True,
         )
         process.start()
-        handle = _WorkerHandle(
-            wid=wid, shard=shard, process=process,
-            task_q=task_q, result_q=result_q,
-            results_path=os.path.join(
-                self.campaign_dir,
-                f"worker-{self._run_tag}-{wid}.results.jsonl",
-            ),
-        )
+        # Only the worker may hold its end: once it dies, a read of a torn
+        # last frame then hits end-of-file instead of blocking.
+        child_conn.close()
+        handle = _WorkerHandle(wid=wid, shard=shard, process=process,
+                               conn=conn)
         self._workers[wid] = handle
         return handle
 
@@ -241,7 +235,7 @@ class CampaignEngine:
                 journal.write_done(self.stats.wall_clock)
             journal.close()
             if not self.stats.interrupted:
-                self._remove_worker_results_files()
+                self._remove_heartbeats()
 
         merged = merge_campaign(
             self.spec, items, results, quarantined, self.stats,
@@ -270,9 +264,11 @@ class CampaignEngine:
         progressed = False
         while True:
             try:
-                message = handle.result_q.get_nowait()
-            except Exception:
-                break
+                if not handle.conn.poll():
+                    break
+                message = handle.conn.recv()
+            except (EOFError, OSError):
+                break  # the worker died, possibly mid-send: reaping follows
             progressed = True
             handle.last_progress = time.monotonic()
             tag = message[0]
@@ -313,34 +309,12 @@ class CampaignEngine:
             handle.awaiting_dispatch = False
             handle.in_flight.update({item.item_id: item for item in batch})
             handle.last_progress = time.monotonic()
-            handle.task_q.put(
-                (workermod.TASK_BATCH, [item.to_dict() for item in batch])
-            )
-
-    def _recover_results(self, handle, journal, results, retries) -> None:
-        """Salvage results a dead worker persisted but never delivered.
-
-        Queue messages ride a feeder thread that dies unflushed with the
-        process; the fsync'd per-worker results file is the durable copy,
-        so finished-but-undelivered items are not misblamed for the crash.
-        """
-        try:
-            fh = open(handle.results_path, encoding="utf-8")
-        except OSError:
-            return
-        with fh:
-            for line in fh:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn final line from the crash itself
-                item = handle.in_flight.pop(record.get("id"), None)
-                if item is not None:
-                    results[item.item_id] = record["results"]
-                    journal.write_item_done(
-                        item.item_id, item.ordinal, handle.wid,
-                        retries.get(item.item_id, 0), record["results"],
-                    )
+            try:
+                handle.conn.send(
+                    (workermod.TASK_BATCH, [item.to_dict() for item in batch])
+                )
+            except OSError:
+                pass  # the worker is dead: _reap_failures requeues the batch
 
     def _reap_failures(self, queue, journal, results, quarantined,
                        retries) -> None:
@@ -362,7 +336,12 @@ class CampaignEngine:
                     handle.process.kill()
                     handle.process.join(timeout=5.0)
             self.stats.workers_killed += 1
-            self._recover_results(handle, journal, results, retries)
+            # Everything the worker sent before it died is still in the
+            # pipe: journal it, so only unfinished items are orphans.
+            self._drain_messages(
+                handle, queue, journal, results, quarantined, retries
+            )
+            handle.conn.close()
             orphans = list(handle.in_flight.values())
             handle.in_flight.clear()
             del self._workers[handle.wid]
@@ -394,20 +373,15 @@ class CampaignEngine:
         else:
             queue.requeue([item])
 
-    def _remove_worker_results_files(self) -> None:
-        """The journal subsumes the per-worker durable copies once done.
-
-        Heartbeat beacons go too: a completed campaign has no liveness to
-        monitor, and stale beacons would confuse a later ``repro watch``.
-        """
+    def _remove_heartbeats(self) -> None:
+        """A completed campaign has no liveness to monitor, and stale
+        beacons would confuse a later ``repro watch``."""
         try:
             names = os.listdir(self.campaign_dir)
         except OSError:
             return
         for name in names:
-            if name.startswith("worker-") and (
-                name.endswith(".results.jsonl") or name.endswith(".hb")
-            ):
+            if name.startswith("worker-") and name.endswith(".hb"):
                 try:
                     os.remove(os.path.join(self.campaign_dir, name))
                 except OSError:
@@ -460,8 +434,8 @@ class CampaignEngine:
         for handle in self._workers.values():
             if handle.process.is_alive():
                 try:
-                    handle.task_q.put((workermod.TASK_STOP,))
-                except Exception:
+                    handle.conn.send((workermod.TASK_STOP,))
+                except OSError:
                     pass
         deadline = time.monotonic() + 10.0
         for handle in self._workers.values():
@@ -469,4 +443,5 @@ class CampaignEngine:
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(timeout=5.0)
+            handle.conn.close()
         self._workers.clear()

@@ -2,9 +2,9 @@
 
 Each worker owns a private :class:`~repro.core.harness.Chipmunk` instance
 rebuilt from the campaign spec (nothing heavier than a dict crosses the
-process boundary) and a pair of queues: the parent pushes batches of
-:class:`~repro.campaign.queue.WorkItem` on the task queue, the worker
-streams one message per completed workload back on its result queue.
+process boundary) and one duplex pipe to the parent: the parent sends
+batches of :class:`~repro.campaign.queue.WorkItem` down it, the worker
+streams one message per completed workload back up.
 Per-item streaming is what gives the parent per-workload progress — the
 engine's timeout clock resets on every message, and a killed worker only
 orphans items whose results have not been streamed yet.
@@ -20,12 +20,12 @@ triage key, and in full only where it may found a cluster in the merge
 (:func:`compact_results`).  A failed item ships its error and a bounded
 traceback.
 
-Queue messages are *not* crash-durable: ``multiprocessing.Queue`` buffers
-through a feeder thread, so a worker that dies right after ``put`` can
-lose results it already finished.  Each worker therefore also appends
-every result to a per-incarnation fsync'd results file; on reaping a dead
-worker the engine recovers completed items from that file and only the
-genuinely in-flight workload is charged a retry.
+Delivery survives the worker: ``Connection.send`` writes into the pipe in
+the calling thread, with no feeder thread to die unflushed, so a result
+sent before the worker crashed is still in the pipe when the engine reaps
+it.  The engine drains the pipe, journals what arrived, and charges a
+retry only to the workload that was running.  The parent's journal is the
+one durable copy of a result; the worker writes none.
 
 Fault injection (tests only): the spec's engine config may name an item to
 ``crash`` (``os._exit``), ``hang`` (sleep past the timeout), or ``raise``
@@ -51,14 +51,14 @@ from repro.obs import Telemetry
 from repro.workloads import ace
 from repro.workloads.fuzzer import WorkloadFuzzer
 
-#: Message tags on the worker → parent result queue.
+#: Message tags the worker sends the parent.
 MSG_READY = "ready"
 MSG_RESULT = "result"
 MSG_ITEM_ERROR = "item_error"
 MSG_BATCH_DONE = "batch_done"
 MSG_STOPPED = "stopped"
 
-#: Parent → worker task queue messages.
+#: Messages the parent sends the worker.
 TASK_BATCH = "batch"
 TASK_STOP = "stop"
 
@@ -96,20 +96,12 @@ def bounded_traceback() -> str:
     return "..." + text[-TRACEBACK_CHARS:]
 
 
-def _append_result(fh, item_id: str, results: List[dict]) -> None:
-    """Durably persist one result before it is queued to the parent."""
-    fh.write(json.dumps({"id": item_id, "results": results}) + "\n")
-    fh.flush()
-    os.fsync(fh.fileno())
-
-
 def _write_heartbeat(path: str, wid: int, item_id: Optional[str]) -> None:
     """Overwrite the worker's liveness beacon (best-effort, no fsync).
 
     ``repro watch`` reads these to tell a worker grinding through a slow
     workload from one that is wedged.  Liveness is advisory — losing a
-    beacon to a crash costs nothing, so unlike the results file this is
-    deliberately not durable.
+    beacon to a crash costs nothing, so it is deliberately not durable.
     """
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -169,8 +161,7 @@ def compact_results(
 def worker_main(
     wid: int,
     spec_dict: Dict[str, object],
-    task_q,
-    result_q,
+    conn,
     campaign_dir: str,
     fault: Optional[dict] = None,
     run_tag: str = "run",
@@ -199,25 +190,20 @@ def worker_main(
         except ValueError:
             shared = None  # malformed address: run local-only
     chipmunk = spec.build_chipmunk(telemetry=telemetry, shared_memo=shared)
-    results_path = os.path.join(
-        campaign_dir, f"worker-{run_tag}-{wid}.results.jsonl"
-    )
     hb_path = os.path.join(campaign_dir, f"worker-{run_tag}-{wid}.hb")
-    results_fh = open(results_path, "a", encoding="utf-8")
     key_of = campaign_triage().key_of
     #: Triage key -> least (ordinal, result index) this worker streamed it at.
     shipped: Dict[tuple, tuple] = {}
     _write_heartbeat(hb_path, wid, None)
-    result_q.put((MSG_READY, wid))
+    conn.send((MSG_READY, wid))
     while True:
-        try:
-            message = task_q.get(timeout=_ORPHAN_POLL_S)
-        except Exception:
+        if not conn.poll(_ORPHAN_POLL_S):
             # Timeout: if the parent died (SIGKILL leaves no one to send
             # "stop"), we are reparented — exit rather than leak.
             if os.getppid() == 1:
                 return
             continue
+        message = conn.recv()
         if message[0] == TASK_STOP:
             break
         batch = [WorkItem.from_dict(d) for d in message[1]]
@@ -236,15 +222,14 @@ def worker_main(
                     key_of,
                 )
             except Exception as exc:  # noqa: BLE001 — fault boundary
-                result_q.put((MSG_ITEM_ERROR, wid, item.item_id,
-                              f"{type(exc).__name__}: {exc}",
-                              bounded_traceback()))
+                conn.send((MSG_ITEM_ERROR, wid, item.item_id,
+                           f"{type(exc).__name__}: {exc}",
+                           bounded_traceback()))
             else:
-                _append_result(results_fh, item.item_id, results)
-                result_q.put((MSG_RESULT, wid, item.item_id, results))
+                conn.send((MSG_RESULT, wid, item.item_id, results))
                 shipped.update(updates)
         _write_heartbeat(hb_path, wid, None)
-        result_q.put((MSG_BATCH_DONE, wid))
+        conn.send((MSG_BATCH_DONE, wid))
     if telemetry is not None:
         telemetry.event("worker_stop", worker=wid)
         trace_path = os.path.join(
@@ -256,5 +241,4 @@ def worker_main(
             pass
     if shared is not None:
         shared.close()
-    results_fh.close()
-    result_q.put((MSG_STOPPED, wid))
+    conn.send((MSG_STOPPED, wid))

@@ -428,6 +428,7 @@ class Chipmunk:
         if profiler is not None:
             profiler.set_stage("analyze")
         with tel.span("analyze") as sp:
+            inflight = inflight_histogram(log, self.config.coalesce_threshold)
             persistence = persistence_breakdown(log)
             try:
                 layout = layout_map_for(
@@ -455,7 +456,7 @@ class Chipmunk:
             n_unique_states=memo.checked,
             n_fences=stats.n_fences,
             log_length=len(log),
-            inflight=inflight_histogram(log, self.config.coalesce_threshold),
+            inflight=inflight,
             elapsed=sum(stage_times.values()),
             errnos=oracle.errnos,
             stage_times=stage_times,

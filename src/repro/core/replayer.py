@@ -308,8 +308,7 @@ def persistence_breakdown(log: PMLog) -> Dict[str, Dict[str, int]]:
     One O(log) walk, same shape as :func:`inflight_histogram`: keyed by the
     probed persistence function name (``memcpy_to_pmem_nocache``,
     ``nova_flush_buffer``, …), so the coverage report can show *which
-    persistence mechanisms* a file system leans on — the per-mechanism
-    store breakdown the mechanism-aware pruning follow-up starts from.
+    persistence mechanisms* a file system leans on.
     """
     out: Dict[str, Dict[str, int]] = {}
     for entry in log:

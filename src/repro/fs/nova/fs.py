@@ -613,7 +613,7 @@ class NovaFS(FileSystem):
             raise EINVAL("negative write offset")
         if not data:
             return 0
-        if offset + len(data) > self.geom.n_data_blocks * self.geom.block_size:
+        if offset + len(data) > self.geom.max_file_size:
             raise EFBIG(f"write to offset {offset + len(data)} exceeds device")
         bs = self.geom.block_size
         first_blk = offset // bs
@@ -694,6 +694,8 @@ class NovaFS(FileSystem):
         di = self._file_for_data(path)
         if length < 0:
             raise EINVAL("negative truncate length")
+        if length > self.geom.max_file_size:
+            raise EFBIG("truncate beyond device capacity")
         if length == di.size:
             return
         bs = self.geom.block_size
@@ -735,7 +737,7 @@ class NovaFS(FileSystem):
         di = self._file_for_data(path)
         if offset < 0 or length <= 0:
             raise EINVAL("fallocate needs offset >= 0 and length > 0")
-        if offset + length > self.geom.n_data_blocks * self.geom.block_size:
+        if offset + length > self.geom.max_file_size:
             raise EFBIG("fallocate beyond device capacity")
         bs = self.geom.block_size
         end = offset + length

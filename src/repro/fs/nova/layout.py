@@ -126,6 +126,11 @@ class NovaGeometry:
     def n_data_blocks(self) -> int:
         return self.n_blocks - self.first_data_block
 
+    @cached_property
+    def max_file_size(self) -> int:
+        """No file can hold more bytes than the whole data area."""
+        return self.n_data_blocks * self.block_size
+
     def block_addr(self, block: int) -> int:
         if not (0 <= block < self.n_blocks):
             raise ValueError(f"block {block} out of range")

@@ -127,6 +127,9 @@ def _walk_log(fs, ino: int, slot: L.InodeSlot) -> DramInode:
         except ValueError as exc:
             raise MountError(f"inode {ino}: {exc}") from exc
         _apply_entry(fs, di, entry)
+    # A damaged size would make every read zero-fill up to it.
+    if di.size > geom.max_file_size:
+        raise MountError(f"inode {ino}: size {di.size} exceeds the data area")
     return di
 
 

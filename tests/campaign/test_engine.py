@@ -5,7 +5,11 @@ takes ~15 ms), injecting faults through the engine's test-only hook.
 """
 
 import itertools
+import json
+import multiprocessing
 import os
+import signal
+import struct
 
 import pytest
 
@@ -17,6 +21,9 @@ from repro.campaign import (
     EngineConfig,
     SpecMismatch,
 )
+from repro.campaign import worker as workermod
+from repro.campaign.engine import _WorkerHandle
+from repro.campaign.queue import ShardedWorkQueue, WorkItem
 from repro.core import Chipmunk
 from repro.workloads import ace
 
@@ -46,6 +53,22 @@ def fingerprint(clusters):
         (c.exemplar.consequence.name, c.exemplar.detail, c.count)
         for c in clusters
     ]
+
+
+def journal_records(campaign_dir, kind):
+    with open(os.path.join(str(campaign_dir), "journal.jsonl"),
+              encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return [r for r in records if r["type"] == kind]
+
+
+def assert_delivered_once(campaign_dir, faulty_id):
+    """Every item is journaled once, and only the item the worker died on
+    was charged a retry: what it finished before dying was delivered."""
+    done = journal_records(campaign_dir, "item_done")
+    ids = [r["id"] for r in done]
+    assert len(ids) == len(set(ids))
+    assert all(r["retries"] == 0 for r in done if r["id"] != faulty_id)
 
 
 def serial_fingerprint(spec, n):
@@ -87,6 +110,7 @@ class TestFaultTolerance:
         assert not merged.quarantined
         assert merged.summary.workloads_tested == N
         assert fingerprint(merged.clusters) == serial_fingerprint(spec_for(), N)
+        assert_delivered_once(tmp_path, "ace:1:000005")
 
     def test_poison_item_is_quarantined_not_fatal(self, tmp_path):
         merged = run_engine(
@@ -99,6 +123,7 @@ class TestFaultTolerance:
         report = (tmp_path / "report.md").read_text()
         assert "Quarantined workloads" in report
         assert "ace:1:000002" in report
+        assert_delivered_once(tmp_path, "ace:1:000002")
 
     def test_hung_worker_is_killed_on_timeout(self, tmp_path):
         merged = run_engine(
@@ -118,6 +143,67 @@ class TestFaultTolerance:
         # An in-worker exception must not kill the worker.
         assert merged.engine["workers_killed"] == 0
         assert merged.summary.workloads_tested == N - 1
+
+
+class TestDelivery:
+    def test_torn_last_frame_is_read_as_a_death(self, tmp_path):
+        """A worker killed mid-send leaves a frame shorter than its length
+        header: draining its pipe must end, neither raising nor blocking."""
+        conn, child = multiprocessing.Pipe()
+        os.write(child.fileno(), struct.pack("!i", 100) + b"x" * 10)
+        child.close()
+        engine = CampaignEngine(spec_for(), str(tmp_path))
+        handle = _WorkerHandle(wid=0, shard=0, process=None, conn=conn)
+
+        def blocked(signum, frame):
+            raise TimeoutError("draining a torn frame blocked")
+
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(10)
+        try:
+            progressed = engine._drain_messages(
+                handle, None, None, {}, {}, {}
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            conn.close()
+        assert not progressed
+
+
+    def test_reaping_journals_what_the_dead_worker_sent(
+            self, tmp_path, monkeypatch):
+        """A worker's result sent just before it died is journaled on
+        reaping; only the item it died on is charged a retry."""
+        engine = CampaignEngine(spec_for(), str(tmp_path))
+        monkeypatch.setattr(engine, "_spawn_worker", lambda shard: None)
+        process = multiprocessing.get_context("fork").Process(target=int)
+        process.start()
+        process.join(timeout=10)
+        assert not process.is_alive()
+        conn, child = multiprocessing.Pipe()
+        done, died, unstarted = (WorkItem.ace(1, i, i) for i in range(3))
+        child.send((workermod.MSG_RESULT, 0, done.item_id, []))
+        child.close()
+        handle = _WorkerHandle(
+            wid=0, shard=0, process=process, conn=conn,
+            in_flight={i.item_id: i for i in (done, died, unstarted)},
+        )
+        engine._workers[0] = handle
+        journal = CheckpointJournal(str(tmp_path))
+        journal.open()
+        queue = ShardedWorkQueue(1, [])
+        results, retries = {}, {}
+        try:
+            engine._reap_failures(queue, journal, results, {}, retries)
+        finally:
+            journal.close()
+        assert results == {done.item_id: []}
+        assert [r["id"] for r in journal_records(tmp_path, "item_done")] == [
+            done.item_id]
+        assert retries == {died.item_id: 1}
+        assert {i.item_id for i in queue.next_batch(0, 8)} == {
+            died.item_id, unstarted.item_id}
 
 
 class TestResume:

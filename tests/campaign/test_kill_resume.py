@@ -102,6 +102,8 @@ def test_sigkill_then_resume_equals_uninterrupted_run(tmp_path):
 
     done_before = journal_done_ids(killed_dir)
     assert KILL_AFTER <= len(done_before) < TOTAL_ITEMS
+    # The journal is the one durable copy of a result: workers keep none.
+    assert not list(killed_dir.glob("worker-*.results.jsonl"))
     state = CheckpointJournal.replay(str(killed_dir))
     assert not state.completed_marker
 

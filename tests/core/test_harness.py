@@ -1,9 +1,11 @@
 """End-to-end Chipmunk harness behaviour."""
 
+import time
+
 import pytest
 
 from conftest import STRONG_FS
-from repro.core import Chipmunk, ChipmunkConfig
+from repro.core import Chipmunk, ChipmunkConfig, harness
 from repro.fs.bugs import BugConfig
 from repro.workloads.ops import Op
 
@@ -36,6 +38,18 @@ class TestResultMetadata:
     def test_inflight_histogram_populated(self):
         cm = Chipmunk("nova", bugs=BugConfig.fixed())
         result = cm.test_workload(SIMPLE)
+        assert "creat" in result.inflight
+
+    def test_inflight_histogram_is_on_the_analyze_clock(self, monkeypatch):
+        histogram = harness.inflight_histogram
+
+        def slow_histogram(*args):
+            time.sleep(0.02)
+            return histogram(*args)
+
+        monkeypatch.setattr(harness, "inflight_histogram", slow_histogram)
+        result = Chipmunk("nova", bugs=BugConfig.fixed()).test_workload(SIMPLE)
+        assert result.stage_times["analyze"] >= 0.02
         assert "creat" in result.inflight
 
     def test_unique_not_more_than_total(self):

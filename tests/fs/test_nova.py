@@ -5,7 +5,9 @@ import pytest
 from repro.fs.bugs import BugConfig
 from repro.fs.nova import layout as L
 from repro.fs.nova.fs import ROOT_INO, NovaFS
+from repro.fs.novafortis.fs import NovaFortisFS
 from repro.pm.device import PMDevice
+from repro.vfs.errors import EFBIG
 from repro.vfs.interface import MountError
 
 
@@ -148,6 +150,17 @@ class TestRecoveryValidation:
         with pytest.raises(MountError):
             NovaFS.mount(fs.device, bugs=BugConfig.fixed())
 
+    @pytest.mark.parametrize("cls", [NovaFS, NovaFortisFS])
+    def test_size_past_data_area_unmountable(self, cls):
+        """A damaged size would make a walk zero-fill up to it."""
+        fs = cls.mkfs(PMDevice(256 * 1024), bugs=BugConfig.fixed())
+        fs.creat("/f")
+        di = fs.inodes[fs.inodes[ROOT_INO].children["f"]]
+        fs._append(di, L.pack_attr_entry(1 << 62, di.nlink, di.mode))
+        fs._commit_inplace(di)
+        with pytest.raises(MountError, match="exceeds the data area"):
+            cls.mount(fs.device, bugs=BugConfig.fixed())
+
     def test_orphan_file_completed_at_mount(self):
         """An inode whose link count reached zero but whose slot was never
         invalidated (crash in unlink) is cleaned up by recovery."""
@@ -174,6 +187,12 @@ class TestDataPaths:
         fs.write("/f", 0, b"b" * 512)
         second = dict(fs.inodes[fs.inodes[ROOT_INO].children["f"]].blockmap)
         assert first[0] != second[0]
+
+    def test_truncate_past_data_area_is_efbig(self):
+        fs = make_nova()
+        fs.creat("/f")
+        with pytest.raises(EFBIG):
+            fs.truncate("/f", fs.geom.max_file_size + 1)
 
     def test_blocks_freed_on_truncate(self):
         fs = make_nova()
