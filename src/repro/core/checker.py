@@ -58,6 +58,15 @@ PROBE_NAME = ".chk_probe"
 #: Tree differences quoted per report (detail text and ``paths``).
 MAX_DIFF_ENTRIES = 4
 
+#: What a mount or walk of a damaged image raises outside the file-system
+#: error taxonomy (``MountError``, ``FsError``): a wild pointer read past the
+#: device, a corrupt allocator, an undecodable or out-of-range field, an
+#: unbounded descent.  Each is a "mount crashed" / "walk crashed" finding,
+#: never an aborted workload, and never remembered by the recovery memo.
+RECOVERY_CRASHES = (
+    PMDeviceError, AllocatorError, ValueError, IndexError, RecursionError,
+)
+
 
 class ConsistencyChecker:
     """Checks crash states of one recorded workload against its oracle."""
@@ -257,7 +266,7 @@ class ConsistencyChecker:
                 digest=b"<unmountable>" + str(exc).encode(),
                 failure=(Consequence.UNMOUNTABLE, str(exc)),
             ), True
-        except (PMDeviceError, AllocatorError) as exc:
+        except RECOVERY_CRASHES as exc:
             return Recovery(
                 digest=b"<mount-crash>" + type(exc).__name__.encode(),
                 failure=(
@@ -284,7 +293,7 @@ class ConsistencyChecker:
                 digest=b"<unreadable>",
                 failure=(Consequence.UNREADABLE, str(exc)),
             ), True
-        except (PMDeviceError, AllocatorError) as exc:
+        except RECOVERY_CRASHES as exc:
             return Recovery(
                 digest=b"<walk-crash>" + type(exc).__name__.encode(),
                 failure=(

@@ -9,6 +9,7 @@ triages the findings.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Type, Union
@@ -47,8 +48,9 @@ MAX_REPORTS_PER_WORKLOAD = 64
 
 
 #: Pipeline stage keys of :attr:`TestResult.stage_times`, in execution order.
-#: ``analyze`` is the post-check analytics pass (persistence breakdowns,
-#: recovery-read overlap) feeding ``repro coverage``.
+#: ``analyze`` is the post-check analytics pass (persistence breakdowns, and
+#: recovery-read overlap for one workload in sixteen) feeding
+#: ``repro coverage``.
 STAGES = ("record", "oracle", "enumerate", "check", "triage", "analyze")
 
 #: Value of :attr:`TestResult.image_backend`.  There is one crash-image
@@ -59,6 +61,22 @@ IMAGE_BACKEND = "python"
 #: Cache-line granularity of the recovery-read overlap estimate, matching
 #: :func:`repro.core.recovery_reads.recovery_read_set`.
 RECOVERY_LINE = 64
+
+#: One workload in this many gets the recovery-read overlap estimate, which
+#: costs a second mount of its final image (see :func:`recovery_sampled`).
+RECOVERY_SAMPLE = 16
+
+
+def recovery_sampled(desc: str) -> bool:
+    """Whether the workload described by ``desc`` measures recovery-read
+    overlap.
+
+    A ``blake2b`` digest, not the per-process salted ``hash()``: the
+    choice is a pure function of the workload, the same with one worker or
+    many, on resume, and under ``repro ace`` or ``repro campaign``.
+    """
+    digest = hashlib.blake2b(desc.encode(), digest_size=8).digest()
+    return digest[0] % RECOVERY_SAMPLE == 0
 
 
 @dataclass
@@ -119,7 +137,9 @@ class TestResult:
     #: Write traffic per layout region: region -> {writes, bytes}.
     store_regions: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Recovery-read overlap on the final persistent image
-    #: ({read_lines, store_lines, overlap_lines}, 64-byte cache lines).
+    #: ({read_lines, store_lines, overlap_lines}, 64-byte cache lines, plus
+    #: ``sampled: 1``), measured on one workload in sixteen
+    #: (:func:`recovery_sampled`); empty on the rest.
     recovery_overlap: Dict[str, int] = field(default_factory=dict)
     #: Hot-path profile (:meth:`repro.obs.profile.Profiler.to_dict`):
     #: per-stage seconds, per-callsite attribution, byte accounting.
@@ -437,7 +457,7 @@ class Chipmunk:
                 store_regions = store_region_counts(log, layout)
             except Exception:  # noqa: BLE001 — analytics never sink a run
                 store_regions = {}
-            recovery_overlap = self._recovery_overlap(base, log)
+            recovery_overlap = self._recovery_overlap(base, log, desc)
         stage_times["analyze"] = sp.duration
         if profiler is not None:
             profiler.stop()
@@ -480,8 +500,11 @@ class Chipmunk:
             self._emit_result(tel, result)
         return result
 
-    def _recovery_overlap(self, base: bytes, log: PMLog) -> Dict[str, int]:
-        """Recovery-read overlap with the workload's write set.
+    def _recovery_overlap(
+        self, base: bytes, log: PMLog, desc: str
+    ) -> Dict[str, int]:
+        """Recovery-read overlap with the workload's write set, on the
+        sampled workloads (:func:`recovery_sampled`); ``{}`` on the rest.
 
         Mounts the final persistent image under the device's read trace
         (:func:`repro.core.recovery_reads.recovery_read_set` with
@@ -491,6 +514,8 @@ class Chipmunk:
         coverage report surfaces: in-flight writes recovery does not even
         look at rarely change a verdict.
         """
+        if not recovery_sampled(desc):
+            return {}
         from repro.core.recovery_reads import recovery_read_set
 
         store_lines: set = set()
@@ -509,6 +534,7 @@ class Chipmunk:
             "read_lines": len(read_lines),
             "store_lines": len(store_lines),
             "overlap_lines": len(read_lines & store_lines),
+            "sampled": 1,
         }
 
     def _emit_result(self, tel, result: TestResult) -> None:

@@ -5,14 +5,18 @@ writes are *likely to be read during recovery*.  The paper notes Chipmunk
 "could incorporate this heuristic by recording PM read functions" — this
 module records them: it mounts an image under the device's access trace
 and returns the cache lines recovery reads.  The harness intersects them
-with a workload's stores (``TestResult.recovery_overlap``).
+with a workload's stores (``TestResult.recovery_overlap``) on one workload
+in sixteen (:func:`repro.core.harness.recovery_sampled`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Set, Tuple
 
+from repro.core.checker import RECOVERY_CRASHES
 from repro.pm.device import PMDevice
+from repro.vfs.errors import FsError
+from repro.vfs.interface import MountError
 
 
 def recovery_read_set(
@@ -27,9 +31,10 @@ def recovery_read_set(
     With ``writes``, ``image`` is a base (flat bytes or a sliceable fence
     base) and the mount runs on ``base + writes``.  Reads are recorded by
     the device's own access trace (:meth:`PMDevice.traced`), the recorder
-    the checker's recovery memo keys on.  A failed mount still yields the
-    reads made up to the failure — precisely the locations recovery
-    trusted.
+    the checker's recovery memo keys on.  A failed or crashed mount (the
+    checker's taxonomy) still yields the reads made up to the failure —
+    precisely the locations recovery trusted; anything else, a harness
+    bug, propagates.
     """
     device = PMDevice(len(image), image=bytearray(image[0 : len(image)]))
     for addr, data in writes or ():
@@ -38,7 +43,7 @@ def recovery_read_set(
     with device.traced() as trace:
         try:
             fs_class.mount(device, bugs=bugs)
-        except Exception:  # noqa: BLE001 - any recovery failure is fine
+        except (MountError, FsError) + RECOVERY_CRASHES:
             pass
     lines: Set[int] = set()
     for addr, length in trace:

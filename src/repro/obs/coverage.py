@@ -135,7 +135,8 @@ class CoverageReport(ResultFold):
 
     @property
     def recovery_unread_fraction(self) -> float:
-        """Fraction of stored cache lines recovery never reads."""
+        """Fraction of stored cache lines recovery never reads, estimated
+        on the sampled workloads (:func:`~repro.core.harness.recovery_sampled`)."""
         recovery = self.total("recovery_overlap", {})
         stored = recovery.get("store_lines", 0)
         if not stored:
@@ -346,10 +347,18 @@ class CoverageReport(ResultFold):
 
         lines.append("## Recovery-read redundancy")
         lines.append("")
+        from repro.core.harness import RECOVERY_SAMPLE
+
         recovery = t("recovery_overlap", {})
         if recovery.get("store_lines"):
+            # Journals older than the sample measured every workload and
+            # carry no ``sampled`` count.
+            over = (
+                f"over {recovery['sampled']} sampled workload(s), one in "
+                f"{RECOVERY_SAMPLE}" if "sampled" in recovery else "over workloads"
+            )
             lines.append(
-                f"Summed over workloads: recovery read "
+                f"Summed {over}: recovery read "
                 f"{recovery.get('read_lines', 0)} cache line(s) at "
                 f"mount, workloads stored {recovery['store_lines']}, "
                 f"overlap {recovery.get('overlap_lines', 0)} — "

@@ -25,6 +25,7 @@ from repro.core.checker import ConsistencyChecker
 from repro.core.oracle import run_oracle
 from repro.core.recovery_memo import Recovery, RecoveryMemo
 from repro.core.replayer import enumerate_crash_states
+from repro.core.report import Consequence
 from repro.fs.registry import FS_CLASSES
 from repro.obs import Telemetry
 from repro.obs.coverage import coverage_from_results
@@ -328,6 +329,40 @@ class TestHarness:
         for _ in range(2):
             (report,) = checker.check(state)
             assert report.detail == "mount crashed: PMDeviceError: boom"
+        assert (checker.recovery_hits, checker.recovery_misses) == (0, 2)
+        assert memo.nodes == 0
+
+    @pytest.mark.parametrize("arm", ["mount", "walk"])
+    @pytest.mark.parametrize("exc", [ValueError, IndexError, RecursionError])
+    def test_a_crash_outside_the_fs_errors_is_a_finding(self, arm, exc):
+        """What a damaged image makes a mount or walk raise beyond
+        ``MountError``/``FsError`` is a finding of the check, not an aborted
+        workload, and the trie never remembers it."""
+        chipmunk = harness.Chipmunk("nova")
+        nova = chipmunk.fs_class
+
+        class Crashing(nova):
+            @classmethod
+            def mount(cls, device, bugs=None):
+                if arm == "mount":
+                    device.read(0, 8)
+                    raise exc("boom")
+                return super().mount(device, bugs=bugs)
+
+            def walk(self):
+                raise exc("boom")
+
+        base, log, oracle = chipmunk.record(WORKLOADS[0])
+        memo = RecoveryMemo()
+        checker = ConsistencyChecker(Crashing, oracle, "w", bugs=chipmunk.bugs,
+                                     recovery_memo=memo)
+        state = next(iter(enumerate_crash_states(base, log)))
+        consequence = {"mount": Consequence.UNMOUNTABLE,
+                       "walk": Consequence.UNREADABLE}[arm]
+        for _ in range(2):
+            (report,) = checker.check(state)
+            assert report.consequence is consequence
+            assert report.detail == f"{arm} crashed: {exc.__name__}: boom"
         assert (checker.recovery_hits, checker.recovery_misses) == (0, 2)
         assert memo.nodes == 0
 

@@ -147,3 +147,24 @@ class TestRecoveryReadSet:
         lines = recovery_read_set(NovaFS, bytes(TEST_DEVICE_SIZE))
         assert lines  # at least the superblock read
 
+    @pytest.mark.parametrize("exc", [ValueError, IndexError, RecursionError])
+    def test_crashed_mount_still_yields_reads(self, exc):
+        lines = recovery_read_set(crashing_fs(exc), bytes(1024), granularity=64)
+        assert lines == {1}
+
+    def test_harness_bug_propagates(self):
+        """Only the checker's recovery taxonomy is a failed recovery; a
+        ``TypeError`` is a bug in the caller and must surface."""
+        with pytest.raises(TypeError):
+            recovery_read_set(crashing_fs(TypeError), bytes(1024))
+
+
+def crashing_fs(exc):
+    """A file system whose mount reads line 1 and then raises ``exc``."""
+    class Crashing:
+        @classmethod
+        def mount(cls, device, bugs=None):
+            device.read(64, 8)
+            raise exc("boom")
+    return Crashing
+

@@ -42,60 +42,60 @@ BUG_SETS = {"catalogue": None, "fixed": []}
 #: (fs, bug set) -> (io digest, results digest).
 GOLDEN = {
     ('ext4-dax', 'catalogue'): (
-        '0b91563529e530950348b67b67b76da35728eecb',
-        'e961ef08da97a895b91cf17e622d216844bc6b2a',
+        '203792840b09ac736668e11330ce706fef70e1d2',
+        '6edadbbf1162990de12ae60de0b45c10e42bbf9a',
     ),
     ('ext4-dax', 'fixed'): (
-        '0b91563529e530950348b67b67b76da35728eecb',
-        'e961ef08da97a895b91cf17e622d216844bc6b2a',
+        '203792840b09ac736668e11330ce706fef70e1d2',
+        '6edadbbf1162990de12ae60de0b45c10e42bbf9a',
     ),
     ('nova', 'catalogue'): (
-        '5c944025828175caf3c1125afad4830bb34975d3',
-        'e07aaa97072660f8c9be430958af0371f12245a7',
+        '8955619b183e8b116823197c6d9f42eb88a267b4',
+        '105609c0d0095038223a1c8f8f6058018ae8f868',
     ),
     ('nova', 'fixed'): (
-        '9c2f36f6184b60bc4653ce177e0d8a73cbd4678f',
-        '40a4b53c953ea2741d9c5f50f4e0afa8d2d7f7bc',
+        '395abde6f0c1f51178ab2b869c70a8c06267b640',
+        '7fa2269b62d8045fbdb57fb80ae5ae6ab3138507',
     ),
     ('nova-fortis', 'catalogue'): (
-        '15d20c298bcbf274bdf02a15df04e30439848046',
-        '6065415e8c0928c4994e04327bb33ad9b9da2f8b',
+        'd5fb1d92661bc5167705aa62702678a77091497a',
+        '9dc11d2ab17a501f08ae0fb68d48844826adb1ca',
     ),
     ('nova-fortis', 'fixed'): (
-        '04f79538a0fe753714a590446d4ac24a141cbf7b',
-        'a9240ea3bde9f4b30f087a6550db3953e12a9344',
+        '64cdba224648949cc5d8436053cc185e520d7034',
+        'b486459487db3e07645075cc7083d206f9a4dcb6',
     ),
     ('pmfs', 'catalogue'): (
-        '2119d6b0149b21be220df106e578ba79ea74d510',
-        '17467fd6a96d860cb602b2ff5a7dc4ef0da9c2ef',
+        '705b29439047121d6f90dda73c579f3f03045c6f',
+        '46faf1e314298e1f49adb164f90cb81e2040a2f2',
     ),
     ('pmfs', 'fixed'): (
-        'd6d60c58c582bca6504df27e0156c7400a7b3f27',
-        '9e858b74ca56b7529a43b6115c51d3b5ae6b3f00',
+        '0d6fb61754233969b2af273134dead7e4ba54aa9',
+        '6cfe91088a62159f9feb9942cd1e1b8969d0bfd6',
     ),
     ('splitfs', 'catalogue'): (
-        '491e560bf03e9319b7be797bf0472f03851b4789',
-        '8c6dbba5b6e83916174e14ac516626a1d122bd22',
+        '6677f515c3a2f07a711ecd0dc3bad183635a29ea',
+        '1b0d336e2d451156445075dd66230def0155e412',
     ),
     ('splitfs', 'fixed'): (
-        '3c95d0da15e9f8d48bdee58acef26f0552c64935',
-        '8464ab6fb3cd6f05dc25098c319faea41c720b2f',
+        'c6214a0e3b60de85255ca1a5345d246e7fe37d07',
+        '0b0ec92a04b87e962a3a056a7f46ba3f3bc057b7',
     ),
     ('winefs', 'catalogue'): (
-        'b736280652d6434eda540dea1cea30a02f96915c',
-        '206d0847bc14a162510ea0c58cf7655abe35790a',
+        'ac23a85606e1216e5122c3687ca2b2b46c23bc24',
+        '1a5be37db1699dde0a354315ab00481885d178cf',
     ),
     ('winefs', 'fixed'): (
-        '30f984a6559203b43b86473836f33e897863f30c',
-        'dad15626d759a76f1de481c69804fd84af133f19',
+        'a9a10d3df4a8bad3b2ac0bf6f04c1b15b8312349',
+        'e680b06c236e8a84a3049e53bbe6cd01add5d79a',
     ),
     ('xfs-dax', 'catalogue'): (
-        '95988cb84edd02566f8442340396755d53ae65d3',
-        'e961ef08da97a895b91cf17e622d216844bc6b2a',
+        '02b06ff107ba0aefcd0f2a18bd80b5bf1060d0df',
+        '6edadbbf1162990de12ae60de0b45c10e42bbf9a',
     ),
     ('xfs-dax', 'fixed'): (
-        '95988cb84edd02566f8442340396755d53ae65d3',
-        'e961ef08da97a895b91cf17e622d216844bc6b2a',
+        '02b06ff107ba0aefcd0f2a18bd80b5bf1060d0df',
+        '6edadbbf1162990de12ae60de0b45c10e42bbf9a',
     ),
 }
 

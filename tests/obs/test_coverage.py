@@ -79,6 +79,19 @@ class TestFromResults:
         ):
             assert heading in md
 
+    def test_recovery_line_names_the_sample(self, result_dicts):
+        """Overlap is measured on one workload in sixteen; the section says
+        over how many, and the fraction is taken over those alone."""
+        sampled = {"read_lines": 7, "store_lines": 4, "overlap_lines": 1,
+                   "sampled": 1}
+        dicts = [{**result_dicts[0], "recovery_overlap": sampled},
+                 {**result_dicts[1], "recovery_overlap": {}}]
+        report = coverage_from_results(dicts, fs="nova")
+        assert report.to_json_dict()["recovery"] == sampled
+        assert report.recovery_unread_fraction == 0.75
+        assert ("Summed over 1 sampled workload(s), one in 16: recovery "
+                "read 7 cache line(s)") in report.render_markdown()
+
     def test_json_round_trips(self, result_dicts):
         report = coverage_from_results(result_dicts, fs="nova")
         doc = json.loads(json.dumps(report.to_json_dict()))

@@ -196,6 +196,24 @@ class TestLegacyInputs:
         crash plans load and fold exactly like results without them."""
         self.assert_load_and_fold_alike(traced[1], REMOVED_CRASH_PLAN_FIELDS)
 
+    def test_journal_dicts_that_measured_every_workload(self, traced):
+        """Builds before the 1-in-16 sample measured recovery-read overlap
+        on every workload and journaled no ``sampled`` count; coverage
+        renders them as those builds did."""
+        old = [{**data, "recovery_overlap": {
+            "read_lines": 7, "store_lines": 4, "overlap_lines": 1}}
+            for data in traced[1]]
+        n = len(old)
+        report = coverage_from_results(old, fs="nova")
+        assert report.to_json_dict()["recovery"] == {
+            "read_lines": 7 * n, "store_lines": 4 * n, "overlap_lines": n}
+        assert (
+            f"Summed over workloads: recovery read {7 * n} cache line(s) at "
+            f"mount, workloads stored {4 * n}, overlap {n} — **75.0%** of "
+            f"stored lines are never read by recovery (Vinter-heuristic "
+            f"redundancy)."
+        ) in report.render_markdown()
+
     def test_diff_strict_against_legacy_campaign_dir(self, tmp_path, capsys):
         fresh = str(tmp_path / "fresh")
         assert main(["campaign", "nova", "--seq", "1", "--max-workloads", "6",
