@@ -31,7 +31,6 @@ import tracemalloc
 from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.harness import Chipmunk, ChipmunkConfig
 from repro.core.replayer import enumerate_crash_states
-from repro.obs import Telemetry
 from repro.workloads import ace
 from repro.workloads.ops import describe_workload
 
@@ -76,9 +75,9 @@ def run_eager(cm, base, log, checker):
     return n_states, reports
 
 
-def run_delta(cm, base, log, checker, telemetry=None):
+def run_delta(cm, base, log, checker):
     """Today's pipeline: CrashImage states through the memo entry point."""
-    memo = CheckMemo(checker, telemetry=telemetry)
+    memo = CheckMemo(checker)
     n_states = 0
     reports = []
     for state in enumerate_crash_states(base, log, cap=cm.config.cap):
@@ -115,14 +114,11 @@ def measure_size(device_size, rounds=5):
     # Correctness first: both paths must report the same bugs, and the
     # delta images must materialize to the eager flat bytes.
     n_eager, eager_reports = run_eager(cm, base, log, checker)
-    tel = Telemetry()
-    n_delta, delta_reports, memo = run_delta(cm, base, log, checker, tel)
+    n_delta, delta_reports, memo = run_delta(cm, base, log, checker)
     assert n_eager == n_delta, (n_eager, n_delta)
     assert eager_reports == delta_reports, "delta path changed the bug set"
-    metric_names = {r["name"] for r in tel.metrics.snapshot()}
-    assert {"checker.memo.hits", "checker.memo.misses"} <= metric_names, (
-        "memo hit-rate telemetry absent from metrics snapshot"
-    )
+    assert memo.hits + memo.misses == n_delta, "memo lost a state"
+    assert memo.checked == memo.misses, "memo checked a state it hit"
 
     # Time the delta path *before* the eager timing and tracemalloc
     # passes: those churn dozens of full-device flats through the

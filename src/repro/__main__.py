@@ -62,9 +62,10 @@ Commands
     Chrome trace.
 
 The testing commands accept ``--trace FILE`` (write a JSONL telemetry
-trace) and ``--metrics`` (print the metrics snapshot); the file system can
-be given positionally or with ``--fs``.  ``ace``/``fuzz``/``campaign``
-handle Ctrl-C gracefully: partial results are flushed and the exit status
+trace) and ``--metrics`` (print the run's ``TestResult`` totals — the
+numbers ``stats`` shows, folded from the run's ``workload_result``
+events); the file system can be given positionally or with ``--fs``.
+``ace``/``fuzz``/``campaign`` handle Ctrl-C gracefully: partial results are flushed and the exit status
 is 130 (a killed ``campaign`` additionally resumes from its journal).
 
 Examples
@@ -104,6 +105,7 @@ from repro.fs.bugs import BUG_REGISTRY
 from repro.fs.registry import FS_CLASSES
 from repro.memo.store import DEFAULT_MAX_ENTRIES
 from repro.obs import Telemetry
+from repro.obs.campaign import ResultFold
 from repro.obs.tracing import jsonl_to_chrome
 from repro.workloads.fuzzer import WorkloadFuzzer
 from repro.workloads.ops import Op
@@ -154,7 +156,7 @@ def _telemetry_for(args, generator: str) -> Optional[Telemetry]:
 
 
 def _finish_telemetry(args, tel: Optional[Telemetry]) -> None:
-    """Export the trace and/or print the metrics snapshot, as requested."""
+    """Export the trace and/or print the run's result totals, as requested."""
     if tel is None:
         return
     if args.trace_file:
@@ -170,16 +172,19 @@ def _finish_telemetry(args, tel: Optional[Telemetry]) -> None:
             print(f"[telemetry] wrote {n} trace record(s) to "
                   f"{args.trace_file}")
     if args.metrics:
+        # The run's workload_result events, folded as `repro stats` folds
+        # them: one line per TestResult total.
+        results = ResultFold()
+        for record in tel.tracer.export():
+            if record["type"] == "event":
+                results.add_event(record["name"], record["fields"])
         print("[telemetry] metrics snapshot:")
-        for record in tel.metrics.snapshot():
-            if record["kind"] == "histogram":
-                print(
-                    f"  {record['name']}: count={record['count']} "
-                    f"sum={record['sum']:.6g} min={record['min']} "
-                    f"max={record['max']}"
-                )
-            else:
-                print(f"  {record['name']}: {record['value']}")
+        print(f"  workloads: {results.workloads_tested}")
+        for name, value in sorted(results.totals.items()):
+            if isinstance(value, float):
+                print(f"  {name}: {value:.6g}")
+            elif not isinstance(value, dict):
+                print(f"  {name}: {value}")
 
 
 def _write_file(path: str, text: str) -> bool:
@@ -774,7 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--metrics",
             action="store_true",
-            help="print the telemetry metrics snapshot after the run",
+            help="print the run's result totals (the numbers `python -m "
+            "repro stats` shows) after the run",
         )
 
     def add_ops(p, text):

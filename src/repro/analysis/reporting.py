@@ -218,7 +218,7 @@ class CampaignSummary(ResultFold):
             if t("memo_shared_errors"):
                 text += (f"; {t('memo_shared_errors')} shared-service "
                          f"error(s) degraded to local misses")
-            out.append(("check memo (checker.memo.*)", text))
+            out.append(("check memo (memo_hits/memo_misses)", text))
         unique_outcomes = t("n_unique_outcomes")
         if unique_outcomes and self.memo_misses:
             out.append(("recovered outcomes", (
@@ -230,7 +230,7 @@ class CampaignSummary(ResultFold):
             out.append(("recovery memo", (
                 f"{hits} hit(s), {misses} miss(es) (mount, walk + usability "
                 f"skipped on {hits / (hits + misses) * 100:.1f}% of checked "
-                f"states; checker.recovery_memo.*)"
+                f"states; recovery_hits/recovery_misses)"
                 + (f"; {t('recovery_resets')} trie reset(s) at the node "
                    f"budget" if t("recovery_resets") else ""))))
         hits, misses = t("outcome_hits"), t("outcome_misses")
@@ -238,7 +238,7 @@ class CampaignSummary(ResultFold):
             out.append(("outcome cache", (
                 f"{hits} hit(s), {misses} miss(es) (walk + usability skipped "
                 f"on {hits / (hits + misses) * 100:.1f}% of mounted states; "
-                f"checker.outcome_cache.*)")))
+                f"outcome_hits/outcome_misses)")))
         return out
 
     def render(self) -> str:

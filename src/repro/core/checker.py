@@ -42,7 +42,6 @@ from repro.core.replayer import SYNC_SYSCALLS, CrashState
 from repro.core.report import BugReport, Consequence, diff_trees
 from repro.fs.common.alloc import AllocatorError
 from repro.memo.store import CLEAN
-from repro.obs.metrics import CacheCounters
 from repro.pm.device import PMDevice, PMDeviceError
 from repro.pm.image import CrashImage, patched_digest
 from repro.vfs.errors import FsError
@@ -77,7 +76,6 @@ class ConsistencyChecker:
         oracle: OracleResult,
         workload_desc: str,
         bugs=None,
-        telemetry=None,
         provenance=None,
         outcome_cache=None,
         recovery_memo=None,
@@ -86,7 +84,6 @@ class ConsistencyChecker:
         self.oracle = oracle
         self.workload_desc = workload_desc
         self.bugs = bugs
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
         #: Optional :class:`~repro.forensics.provenance.ProvenanceRecorder`;
         #: when attached, every report carries its crash state's lineage.
         self.provenance = provenance
@@ -188,24 +185,7 @@ class ConsistencyChecker:
 
     # ------------------------------------------------------------------
     def check(self, state: CrashState) -> List[BugReport]:
-        """Return every violation found in one crash state.
-
-        When telemetry is attached, the per-state outcome breakdown is
-        counted under ``checker.outcome.*`` (``clean`` for a state with no
-        findings).
-        """
-        reports = self._check(state)
-        tel = self.telemetry
-        if tel is not None:
-            tel.count("checker.states_checked")
-            if not reports:
-                tel.count("checker.outcome.clean")
-            else:
-                for report in reports:
-                    tel.count("checker.outcome." + report.consequence.name.lower())
-        return reports
-
-    def _check(self, state: CrashState) -> List[BugReport]:
+        """Return every violation found in one crash state."""
         image = state.image
         if isinstance(image, CrashImage):
             # Delta path: mount the fence region's shared device through a
@@ -224,9 +204,7 @@ class ConsistencyChecker:
             base = image.base
             if self._mount_store is not base.tracker:
                 self._mount_store = base.tracker
-                self._mount_device = PMDevice.adopt(
-                    base.tracker.buf, telemetry=self.telemetry
-                )
+                self._mount_device = PMDevice.adopt(base.tracker.buf)
                 if self.recovery_memo is not None:
                     self.recovery_memo.bind((
                         self.fs_class,
@@ -242,7 +220,7 @@ class ConsistencyChecker:
                 return self._judge(state, recovery)
         # Legacy eager path for flat images (hand-built states, the
         # delta-vs-eager benchmark baseline): fresh device copy per state.
-        device = PMDevice.from_snapshot(image, telemetry=self.telemetry)
+        device = PMDevice.from_snapshot(image)
         return self._judge(state, self._recover(device)[0])
 
     def _recover(
@@ -251,11 +229,11 @@ class ConsistencyChecker:
         """Mount, walk and probe ``device``: all a check learns from PM.
 
         Returns the recovery and whether it ran in full — False when the
-        outcome cache skipped walk + usability or the mount or walk
-        crashed, the cases the recovery memo must not remember.  ``keyed``
-        is the crash image ``device`` presents through a COW view, for the
-        recovered-outcome cache; ``None`` for a flat image, which the cache
-        cannot key.
+        outcome cache skipped walk + usability or the mount, walk or
+        usability pass crashed, the cases the recovery memo must not
+        remember.  ``keyed`` is the crash image ``device`` presents through
+        a COW view, for the recovered-outcome cache; ``None`` for a flat
+        image, which the cache cannot key.
         """
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
@@ -306,20 +284,15 @@ class ConsistencyChecker:
                 prof.add("checker.walk", perf_counter() - t0)
         tree_digest = self._tree_digest(crash_tree)
         t0 = perf_counter() if prof is not None else 0.0
-        findings = self._check_usability(fs, crash_tree)
+        findings, crashed = self._check_usability(fs, crash_tree)
         if prof is not None:
             prof.add("checker.usability", perf_counter() - t0)
         if key is not None and not findings:
             # Only a readable, usable recovery is worth remembering — and
             # safe to: there is no walk or usability report a later hit
             # could elide.
-            before = cache.evictions
             cache.store(key, crash_tree, tree_digest)
-            if self.telemetry is not None and cache.evictions > before:
-                self.telemetry.count(
-                    "checker.outcome_cache.evictions", cache.evictions - before
-                )
-        return Recovery(crash_tree, tree_digest, findings), True
+        return Recovery(crash_tree, tree_digest, findings), not crashed
 
     def _judge(self, state: CrashState, recovery: Recovery) -> List[BugReport]:
         """Reports for ``state`` given what recovery made of its image."""
@@ -358,12 +331,8 @@ class ConsistencyChecker:
             prof.add("checker.recovery_lookup", perf_counter() - t0)
         if recorded is not None:
             self.recovery_hits += 1
-            if self.telemetry is not None:
-                self.telemetry.count("checker.recovery_memo.hits")
             return self._reuse_recovery(state, device, recorded)
         self.recovery_misses += 1
-        if self.telemetry is not None:
-            self.telemetry.count("checker.recovery_memo.misses")
         with device.traced() as trace:
             recovery, complete = self._recover(device, image)
         if complete:
@@ -373,8 +342,6 @@ class ConsistencyChecker:
             memo.insert(trace, device.image, recovery)
             if memo.resets > resets:
                 self.recovery_resets += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("checker.recovery_memo.resets")
             if prof is not None:
                 prof.add("checker.recovery_insert", perf_counter() - t0)
         return recovery
@@ -420,15 +387,10 @@ class ConsistencyChecker:
     def _count_outcome_lookup(self, key, outcome) -> None:
         if key is None:
             self.outcome_bypassed += 1
-            name = "bypassed"
         elif outcome is not None:
             self.outcome_hits += 1
-            name = "hits"
         else:
             self.outcome_misses += 1
-            name = "misses"
-        if self.telemetry is not None:
-            self.telemetry.count("checker.outcome_cache." + name)
 
     def _reuse_outcome(self, fs: FileSystem, outcome) -> Recovery:
         """The recovery of an image the outcome cache already judged.
@@ -651,13 +613,16 @@ class ConsistencyChecker:
     # ------------------------------------------------------------------
     def _check_usability(
         self, fs: FileSystem, crash_tree: TreeState
-    ) -> List[Tuple[Consequence, str, Tuple[str, ...]]]:
+    ) -> Tuple[List[Tuple[Consequence, str, Tuple[str, ...]]], bool]:
         """Create a file in every directory, then delete every file.
 
         Returns ``(consequence, detail, paths)`` per failed operation —
-        facts about the image, which :meth:`_judge` turns into reports.
+        facts about the image, which :meth:`_judge` turns into reports —
+        and whether any operation crashed (raised one of
+        :data:`RECOVERY_CRASHES`, a "usability crashed" finding).
         """
         findings: List[Tuple[Consequence, str, Tuple[str, ...]]] = []
+        crashed = False
         dirs = [p for p, obs in crash_tree.items() if obs.ftype is FileType.DIRECTORY]
         files = [p for p, obs in crash_tree.items() if obs.ftype is FileType.REGULAR]
         for d in sorted(dirs):
@@ -671,6 +636,9 @@ class ConsistencyChecker:
                     f"cannot create a file in {d!r}: {exc}",
                     (d,),
                 ))
+            except RECOVERY_CRASHES as exc:
+                crashed = True
+                findings.append(_usability_crash(exc, d))
         for f in sorted(files):
             try:
                 fs.unlink(f)
@@ -678,7 +646,21 @@ class ConsistencyChecker:
                 findings.append((
                     Consequence.USABILITY, f"cannot delete {f!r}: {exc}", (f,)
                 ))
-        return findings
+            except RECOVERY_CRASHES as exc:
+                crashed = True
+                findings.append(_usability_crash(exc, f))
+        return findings, crashed
+
+
+def _usability_crash(
+    exc: Exception, path: str
+) -> Tuple[Consequence, str, Tuple[str, ...]]:
+    """The finding for a usability operation on ``path`` that crashed."""
+    return (
+        Consequence.USABILITY,
+        f"usability crashed: {type(exc).__name__}: {exc}",
+        (path,),
+    )
 
 
 class CheckMemo:
@@ -722,8 +704,8 @@ class CheckMemo:
     shared hit can therefore never mask a bug — it elides re-checks whose
     outcome is provably empty.  Shared failures degrade silently: every
     shared call is exception-guarded, errors count into
-    ``checker.memo.shared.errors``, and the memo runs on indistinguishably
-    with the local tier alone.
+    :attr:`shared_errors`, and the memo runs on indistinguishably with the
+    local tier alone.
     """
 
     def __init__(self, checker: ConsistencyChecker, telemetry=None,
@@ -738,13 +720,6 @@ class CheckMemo:
         self.shared_hits = 0
         #: Shared-service calls that failed (degraded to a local miss).
         self.shared_errors = 0
-        # Registry-backed counters accumulate campaign-wide under
-        # ``checker.memo.*`` when telemetry is attached.
-        self._counters = (
-            CacheCounters("checker.memo", self._tel.metrics)
-            if self._tel is not None
-            else None
-        )
         #: Local tier: keys of every state checked or shared-hit so far.
         self._seen: set = set()
 
@@ -795,38 +770,21 @@ class CheckMemo:
     # -- shared-tier wrappers: any failure is a degraded miss, never a raise
     def _shared_lookup(self, skey: bytes) -> Optional[str]:
         try:
-            t0 = perf_counter()
-            verdict = self.shared.lookup(skey)
-            if self._tel is not None:
-                self._tel.observe(
-                    "checker.memo.shared.rtt_ms", (perf_counter() - t0) * 1e3
-                )
-            return verdict
+            return self.shared.lookup(skey)
         except Exception:
             self.shared_errors += 1
-            if self._tel is not None:
-                self._tel.count("checker.memo.shared.errors")
             return None
 
     def _shared_publish(self, skey: bytes, verdict: str) -> None:
         try:
-            t0 = perf_counter()
             self.shared.publish(skey, verdict)
-            if self._tel is not None:
-                self._tel.observe(
-                    "checker.memo.shared.rtt_ms", (perf_counter() - t0) * 1e3
-                )
         except Exception:
             self.shared_errors += 1
-            if self._tel is not None:
-                self._tel.count("checker.memo.shared.errors")
 
     def check(self, state: CrashState) -> Optional[List[BugReport]]:
         key = self.key_of(state)
         if key in self._seen:
             self.hits += 1
-            if self._counters is not None:
-                self._counters.hit()
             return None
         skey = None
         if self.shared is not None and getattr(self.shared, "ok", True):
@@ -838,17 +796,9 @@ class CheckMemo:
                 # cannot change bugs.json.
                 self.hits += 1
                 self.shared_hits += 1
-                if self._counters is not None:
-                    self._counters.hit()
-                if self._tel is not None:
-                    self._tel.count("checker.memo.shared.hits")
                 self._seen.add(key)
                 return None
-            if self._tel is not None:
-                self._tel.count("checker.memo.shared.misses")
         self.misses += 1
-        if self._counters is not None:
-            self._counters.miss()
         if self._tel is not None:
             with self._tel.span(
                 "check_state",

@@ -10,7 +10,6 @@ triages the findings.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Type, Union
 
@@ -100,37 +99,37 @@ class TestResult:
     #: Total pipeline time; always the sum of :attr:`stage_times`.
     elapsed: float = 0.0
     errnos: List[Optional[str]] = field(default_factory=list)
-    #: Per-stage wall time (keys from :data:`STAGES`), sourced from the
-    #: telemetry span layer.
+    #: Per-stage wall time (keys from :data:`STAGES`): the pipeline's stage
+    #: clock (:class:`repro.obs.profile.StageClock`) minus its ``other``
+    #: bucket.  The trace's stage spans are written from the same clock.
     stage_times: Dict[str, float] = field(default_factory=dict)
     #: True when checking stopped early at :data:`MAX_REPORTS_PER_WORKLOAD` —
     #: a capped campaign is not a clean one.
     truncated: bool = False
-    #: Check-memoization counters (``checker.memo.*``): states skipped
-    #: because a byte-identical image was already checked / states checked.
+    #: Check-memo traffic: states skipped because a byte-identical image
+    #: was already checked / states checked.
     memo_hits: int = 0
     memo_misses: int = 0
-    #: Hits served by the campaign-wide shared memo service
-    #: (``checker.memo.shared.hits``); also counted in :attr:`memo_hits`.
+    #: Hits served by the campaign-wide shared memo service; also counted
+    #: in :attr:`memo_hits`.
     memo_shared_hits: int = 0
-    #: Shared-service calls that failed and degraded to local misses
-    #: (``checker.memo.shared.errors``).
+    #: Shared-service calls that failed and degraded to local misses.
     memo_shared_errors: int = 0
     #: Distinct recovered observable outcomes among the checked states —
     #: the numerator of the output-equivalence pruning headroom.
     n_unique_outcomes: int = 0
-    #: Recovered-outcome cache traffic (``checker.outcome_cache.*``):
-    #: mounted states whose post-mount image was already walked and found
-    #: usable (walk + usability skipped) / that ran both in full.
+    #: Recovered-outcome cache traffic: mounted states whose post-mount
+    #: image was already walked and found usable (walk + usability skipped)
+    #: / that ran both in full.
     outcome_hits: int = 0
     outcome_misses: int = 0
-    #: Read-trace recovery memo traffic (``checker.recovery_memo.*``):
-    #: checked states whose recovery reads matched a recorded one (mount,
-    #: walk and usability skipped) / that ran and were recorded.
+    #: Read-trace recovery memo traffic: checked states whose recovery
+    #: reads matched a recorded one (mount, walk and usability skipped) /
+    #: that missed and ran.
     recovery_hits: int = 0
     recovery_misses: int = 0
     #: Times the recovery memo's trie hit its node budget and was cleared
-    #: (``checker.recovery_memo.resets``) — each one discards a warm trie.
+    #: — each one discards a warm trie.
     recovery_resets: int = 0
     #: Persistence-function mix: func -> {stores, flushes, fences, bytes}.
     persistence: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -142,7 +141,8 @@ class TestResult:
     #: (:func:`recovery_sampled`); empty on the rest.
     recovery_overlap: Dict[str, int] = field(default_factory=dict)
     #: Hot-path profile (:meth:`repro.obs.profile.Profiler.to_dict`):
-    #: per-stage seconds, per-callsite attribution, byte accounting.
+    #: per-stage seconds (:attr:`stage_times` plus ``other``), per-callsite
+    #: attribution, byte accounting.
     #: Empty unless the workload ran with ``ChipmunkConfig.profile``.
     profile: Dict[str, object] = field(default_factory=dict)
     @property
@@ -266,15 +266,11 @@ class Chipmunk:
         run: the tree is walked before each syscall and after the last one,
         and ``oracle.errnos`` are the syscall results.  A walk only reads,
         so ``log`` is what an unobserved run records; a walk that appends
-        to the log raises ``RuntimeError``.  Walk time accumulates in
-        ``oracle.observe_s`` under ``oracle`` spans and the profiler's
-        ``oracle`` stage.
+        to the log raises ``RuntimeError``.  Inside a pipeline the walks are
+        charged to the stage clock's ``oracle`` stage.
         """
         tel = self.telemetry
-        device = PMDevice(
-            self.config.device_size,
-            telemetry=tel if tel.enabled else None,
-        )
+        device = PMDevice(self.config.device_size)
         fs = self.fs_class.mkfs(device, bugs=self.bugs)
         for op in setup:
             execute_op(fs, op)
@@ -288,7 +284,7 @@ class Chipmunk:
         states, errnos = oracle.states, oracle.errnos
         try:
             for index, op in enumerate(workload):
-                states.append(self._observe(fs, log, oracle))
+                states.append(self._observe(fs, log))
                 log.syscall_begin(index, op.name, ", ".join(map(repr, op.args)))
                 if tel.enabled:
                     with tel.span("syscall", index=index, op=op.name):
@@ -296,23 +292,21 @@ class Chipmunk:
                 else:
                     errnos.append(execute_op(fs, op))
                 log.syscall_end()
-            states.append(self._observe(fs, log, oracle))
+            states.append(self._observe(fs, log))
         finally:
             probes.detach()
         return base, log, oracle
 
-    def _observe(self, fs: FileSystem, log: PMLog, oracle: OracleResult) -> TreeState:
+    def _observe(self, fs: FileSystem, log: PMLog) -> TreeState:
         """Walk the recording instance for the oracle, off the record clock."""
-        prof = _profile.ACTIVE
-        if prof is not None:
-            outer = prof.stage
-            prof.set_stage("oracle")
+        clock = _profile.CLOCK
+        if clock is not None:
+            outer = clock.stage
+            clock.set_stage("oracle")
         logged = len(log)
-        with self.telemetry.span("oracle") as sp:
-            tree = fs.walk()
-        oracle.observe_s += sp.duration
-        if prof is not None:
-            prof.set_stage(outer)
+        tree = fs.walk()
+        if clock is not None:
+            clock.set_stage(outer)
         if len(log) != logged:
             raise RuntimeError(
                 f"{self.fs_class.name}: an oracle walk appended "
@@ -325,45 +319,36 @@ class Chipmunk:
     ) -> TestResult:
         """Full pipeline for one workload.
 
-        Every stage runs under a telemetry span (``record``, ``oracle``,
-        ``enumerate``, ``check``, ``triage``); :attr:`TestResult.stage_times`
-        is sourced from the span durations, and ``elapsed`` is their sum.
-        The ``oracle`` spans are the observation walks :meth:`record` makes
-        between syscalls, so ``record`` is its span minus theirs.
-        Enumeration and checking interleave (crash states are generated
-        lazily), so their stages are timed at crash-state boundaries — each
-        ``next()`` on the generator is enumeration, everything after it is
-        checking.
+        One stage clock (:class:`repro.obs.profile.StageClock`) times every
+        stage: ``record``, ``oracle`` (the observation walks :meth:`record`
+        makes between syscalls), ``enumerate``, ``check``, ``triage`` and
+        ``analyze``.  :attr:`TestResult.stage_times` is its stages and
+        ``elapsed`` their sum.  Enumeration and checking interleave (crash
+        states are generated lazily), so the clock switches at crash-state
+        boundaries — each ``next()`` on the generator is enumeration,
+        everything after it is checking.  With telemetry on, the clock also
+        writes the ``record``, ``oracle``, ``triage`` and ``analyze`` spans.
 
-        With ``config.profile`` a hot-path profiler
-        (:mod:`repro.obs.profile`) is installed for the pipeline's duration;
-        its stage clock transitions at the same boundaries as the spans, so
-        the profile's per-stage seconds reconcile with ``stage_times``.
+        With ``config.profile`` the clock is a hot-path profiler
+        (:mod:`repro.obs.profile`), so the profile's stages are the same
+        numbers plus the ``other`` bucket for setup between stages.
         """
-        if not self.config.profile:
-            return self._run_pipeline(workload, setup, coverage, None)
-        profiler = _profile.Profiler()
-        with _profile.install(profiler):
-            return self._run_pipeline(workload, setup, coverage, profiler)
+        tracer = self.telemetry.tracer
+        clock = (_profile.Profiler(tracer) if self.config.profile
+                 else _profile.StageClock(tracer))
+        with _profile.install(clock):
+            return self._run_pipeline(workload, setup, coverage, clock)
 
     def _run_pipeline(
-        self, workload: Workload, setup: Workload, coverage, profiler
+        self, workload: Workload, setup: Workload, coverage, clock
     ) -> TestResult:
         tel = self.telemetry
         workload = list(workload)
         desc = describe_workload(workload)
-        stage_times: Dict[str, float] = {}
-        if profiler is not None:
-            profiler.set_stage("record")
-        with tel.span("record", workload=desc) as sp:
-            base, log, oracle = self.record(workload, setup=setup, coverage=coverage)
-        stage_times["record"] = sp.duration - oracle.observe_s
-        stage_times["oracle"] = oracle.observe_s
-        if profiler is not None:
-            # Pipeline setup (checker, planner, forensics recorder) sits
-            # outside every stage span; keep it out of the stage clock too
-            # so profile stages reconcile with ``stage_times``.
-            profiler.set_stage("other")
+        clock.set_stage("record")
+        base, log, oracle = self.record(workload, setup=setup, coverage=coverage)
+        # Pipeline setup (checker, forensics recorder) belongs to no stage.
+        clock.set_stage("other")
         crash_points = self.config.crash_points or (
             "fence" if self.fs_class.strong_guarantees else "fsync"
         )
@@ -384,7 +369,6 @@ class Chipmunk:
             oracle,
             desc,
             bugs=self.bugs,
-            telemetry=tel,
             provenance=recorder,
             outcome_cache=self.outcome_cache,
             recovery_memo=self.recovery_memo,
@@ -397,8 +381,6 @@ class Chipmunk:
         reports: List[BugReport] = []
         n_states = 0
         truncated = False
-        enum_time = 0.0
-        check_time = 0.0
         states = enumerate_crash_states(
             base,
             log,
@@ -406,68 +388,35 @@ class Chipmunk:
             coalesce_threshold=self.config.coalesce_threshold,
             crash_points=crash_points,
             stats=stats,
-            telemetry=tel,
         )
-        if profiler is not None:
-            profiler.set_stage("enumerate")
-        t_prev = time.perf_counter()
+        clock.set_stage("enumerate")
         while True:
             state = next(states, None)
-            t_state = time.perf_counter()
-            enum_time += t_state - t_prev
             if state is None:
                 break
-            if profiler is not None:
-                profiler.set_stage("check")
+            clock.set_stage("check")
             n_states += 1
+            # None on a memo hit: a byte-identical state was already checked.
             found = memo.check(state)
-            if found is None:
-                # Memo hit: a byte-identical state was already checked.
-                if tel.enabled:
-                    tel.count("harness.dedup_hits")
-                t_prev = time.perf_counter()
-                check_time += t_prev - t_state
-                if profiler is not None:
-                    profiler.set_stage("enumerate")
-                continue
-            reports.extend(found)
-            t_prev = time.perf_counter()
-            check_time += t_prev - t_state
-            if profiler is not None:
-                profiler.set_stage("enumerate")
+            if found:
+                reports.extend(found)
+            clock.set_stage("enumerate")
             if len(reports) >= MAX_REPORTS_PER_WORKLOAD:
                 truncated = True
                 break
-        stage_times["enumerate"] = enum_time
-        stage_times["check"] = check_time
-        if profiler is not None:
-            profiler.set_stage("triage")
-        with tel.span("triage") as sp:
-            clusters = triage_reports(reports)
-        stage_times["triage"] = sp.duration
-        if profiler is not None:
-            profiler.set_stage("analyze")
-        with tel.span("analyze") as sp:
-            inflight = inflight_histogram(log, self.config.coalesce_threshold)
-            persistence = persistence_breakdown(log)
-            try:
-                layout = layout_map_for(
-                    self.fs_class.name, self.config.device_size
-                )
-                store_regions = store_region_counts(log, layout)
-            except Exception:  # noqa: BLE001 — analytics never sink a run
-                store_regions = {}
-            recovery_overlap = self._recovery_overlap(base, log, desc)
-        stage_times["analyze"] = sp.duration
-        if profiler is not None:
-            profiler.stop()
-            prof_dict = profiler.to_dict()
-            if tel.enabled:
-                for cat, n in profiler.bytes.items():
-                    if n:
-                        tel.count("profile.bytes." + cat, n)
-        else:
-            prof_dict = {}
+        clock.set_stage("triage")
+        clusters = triage_reports(reports)
+        clock.set_stage("analyze")
+        inflight = inflight_histogram(log, self.config.coalesce_threshold)
+        persistence = persistence_breakdown(log)
+        try:
+            layout = layout_map_for(self.fs_class.name, self.config.device_size)
+            store_regions = store_region_counts(log, layout)
+        except Exception:  # noqa: BLE001 — analytics never sink a run
+            store_regions = {}
+        recovery_overlap = self._recovery_overlap(base, log, desc)
+        clock.stop()
+        stage_times = clock.stage_times()
         result = TestResult(
             workload_desc=desc,
             reports=reports,
@@ -494,7 +443,7 @@ class Chipmunk:
             persistence=persistence,
             store_regions=store_regions,
             recovery_overlap=recovery_overlap,
-            profile=prof_dict,
+            profile=clock.to_dict() if self.config.profile else {},
         )
         if tel.enabled:
             self._emit_result(tel, result)
@@ -538,15 +487,9 @@ class Chipmunk:
         }
 
     def _emit_result(self, tel, result: TestResult) -> None:
-        """Counters plus the ``workload_result`` trace event that
+        """The ``workload_result`` trace event that
         :meth:`repro.analysis.reporting.CampaignSummary.from_traces` folds
         back: the wire dict minus ``reports``, plus the per-report tallies."""
-        tel.count("harness.workloads")
-        tel.count("harness.crash_states", result.n_crash_states)
-        tel.count("harness.unique_states", result.n_unique_states)
-        tel.count("harness.reports", len(result.reports))
-        if result.truncated:
-            tel.count("harness.truncated_workloads")
         outcomes: Dict[str, int] = {}
         for report in result.reports:
             name = report.consequence.name

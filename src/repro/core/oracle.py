@@ -36,9 +36,6 @@ class OracleResult:
     states: List[TreeState] = field(default_factory=list)
     #: errno name per syscall (None = success).
     errnos: List[Optional[str]] = field(default_factory=list)
-    #: Wall seconds spent walking the trees (the pipeline's ``oracle``
-    #: stage); zero from :func:`run_oracle`, which does not time itself.
-    observe_s: float = field(default=0.0, compare=False)
 
     def pre_state(self, syscall: int) -> TreeState:
         return self.states[syscall]

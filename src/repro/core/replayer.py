@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.metrics import INFLIGHT_EDGES
 from repro.pm.image import CrashImage, PersistTracker
 from repro.pm.log import Fence, Flush, NTStore, PMLog, SyscallBegin, SyscallEnd, WriteEntry
 
@@ -147,7 +146,6 @@ def enumerate_crash_states(
     coalesce_threshold: int = DATA_WRITE_THRESHOLD,
     crash_points: str = "fence",
     stats: Optional[ReplayStats] = None,
-    telemetry=None,
 ) -> Iterator[CrashState]:
     """Enumerate crash states for a recorded workload.
 
@@ -162,10 +160,6 @@ def enumerate_crash_states(
 
     ``cap`` limits how many in-flight write units are replayed per state
     (the paper finds a cap of two exposes every bug; section 5.1.2).
-
-    ``telemetry`` optionally receives replay counters and the in-flight
-    unit-count histogram; instrumentation happens only at fence boundaries,
-    never per write entry, so the enabled overhead stays negligible.
 
     Every log entry must lie inside ``base_image``; an entry outside
     ``[0, len(base_image))`` raises ``ValueError`` (real logs cannot hold
@@ -182,7 +176,6 @@ def enumerate_crash_states(
     fence_index = 0
     if stats is None:
         stats = ReplayStats()
-    tel = telemetry if telemetry is not None and telemetry.enabled else None
 
     def subset_states(log_pos: int) -> Iterator[CrashState]:
         units = coalesce_units(inflight, coalesce_threshold)
@@ -197,13 +190,9 @@ def enumerate_crash_states(
         positions = unit_positions(units)
         stats.max_inflight = max(stats.max_inflight, n)
         stats.inflight_per_fence.append(n)
-        if tel is not None:
-            tel.observe("replay.inflight_units", n, edges=INFLIGHT_EDGES)
         max_size = n - 1
         if cap is not None and cap < max_size:
             stats.capped_regions += 1
-            if tel is not None:
-                tel.count("replay.capped_regions")
             max_size = cap
         base = persistent.base()
         combos = itertools.chain.from_iterable(
@@ -267,8 +256,6 @@ def enumerate_crash_states(
             inflight.clear()
             fence_index += 1
             stats.n_fences += 1
-            if tel is not None:
-                tel.count("replay.fences")
         elif isinstance(entry, (NTStore, Flush)):
             if entry.addr < 0 or entry.addr + len(entry.data) > size:
                 raise ValueError(

@@ -138,8 +138,7 @@ def explain_all(
         lines.append("")
     lines.append("## Cache")
     lines.append("")
-    lines.append(f"- {cache.session_counters.describe()}")
-    lines.append(f"- {cache.verdict_counters.describe()}")
+    lines.extend(f"- {line}" for line in cache.describe_lines())
     lines.append("")
     return BatchExplanation(
         explanations=explanations,

@@ -20,9 +20,8 @@ This module caches both layers:
   set; ddmin passes over reports sharing a crash point re-use each other's
   replays.
 
-Both caches surface hit/miss counters through
-:class:`repro.obs.metrics.CacheCounters` (``forensics.cache.session.*`` and
-``forensics.cache.verdict.*``) when a telemetry object is attached.
+Both caches count their hits and misses (:meth:`ForensicsCache.stats`,
+and the ``forensics.md`` cache lines).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.forensics.replay import (
     rebuild_recording,
     session_from_recording,
 )
-from repro.obs.metrics import CacheCounters
 
 #: Hashable identity of one reproduction context.
 ContextKey = Tuple
@@ -82,18 +80,9 @@ class ForensicsCache:
     """Shared recording sessions and ddmin verdicts for a batch of reports."""
 
     def __init__(self, telemetry=None) -> None:
-        self._telemetry = telemetry if telemetry is not None else None
-        registry = (
-            telemetry.metrics
-            if telemetry is not None and getattr(telemetry, "enabled", False)
-            else None
-        )
-        self.session_counters = CacheCounters(
-            "forensics.cache.session", registry
-        )
-        self.verdict_counters = CacheCounters(
-            "forensics.cache.verdict", registry
-        )
+        self._telemetry = telemetry
+        self.session_hits = self.session_misses = 0
+        self.verdict_hits = self.verdict_misses = 0
         self._recordings: Dict[ContextKey, Recording] = {}
         self._verdicts: Dict[SubsetKey, FrozenSet[str]] = {}
 
@@ -114,11 +103,11 @@ class ForensicsCache:
         key = context_key(prov)
         recording = self._recordings.get(key)
         if recording is None:
-            self.session_counters.miss()
+            self.session_misses += 1
             recording = rebuild_recording(prov, telemetry=self._telemetry)
             self._recordings[key] = recording
         else:
-            self.session_counters.hit()
+            self.session_hits += 1
         return session_from_recording(prov, recording)
 
     # ------------------------------------------------------------------
@@ -138,30 +127,39 @@ class ForensicsCache:
         key = subset_key(session.prov, positions)
         outcome = self._verdicts.get(key)
         if outcome is None:
-            self.verdict_counters.miss()
+            self.verdict_misses += 1
             outcome = frozenset(
                 r.consequence.name
                 for r in session.check_units(list(persisted_units))
             )
             self._verdicts[key] = outcome
         else:
-            self.verdict_counters.hit()
+            self.verdict_hits += 1
         return outcome
 
     # ------------------------------------------------------------------
-    def describe(self) -> str:
+    def describe_lines(self) -> Tuple[str, str]:
+        """One ``name: hits, misses (rate)`` line per cache layer."""
         return (
-            f"{self.session_counters.describe()}; "
-            f"{self.verdict_counters.describe()}"
+            _describe("forensics.cache.session", self.session_hits,
+                      self.session_misses),
+            _describe("forensics.cache.verdict", self.verdict_hits,
+                      self.verdict_misses),
         )
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for reports and tests."""
         return {
-            "session_hits": self.session_counters.hits.value,
-            "session_misses": self.session_counters.misses.value,
-            "verdict_hits": self.verdict_counters.hits.value,
-            "verdict_misses": self.verdict_counters.misses.value,
+            "session_hits": self.session_hits,
+            "session_misses": self.session_misses,
+            "verdict_hits": self.verdict_hits,
+            "verdict_misses": self.verdict_misses,
             "recordings": len(self._recordings),
             "verdicts": len(self._verdicts),
         }
+
+
+def _describe(name: str, hits: int, misses: int) -> str:
+    total = hits + misses
+    rate = hits / total if total else 0.0
+    return f"{name}: {hits} hit(s), {misses} miss(es) ({rate * 100:.0f}%)"

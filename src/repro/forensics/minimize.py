@@ -19,10 +19,9 @@ default budget.
 Every candidate costs one mount + walk + compare (or, for the workload
 pass, a full record/oracle/enumerate/check run), so both passes are bounded
 by a budget; when it runs out the best set found so far is returned,
-flagged ``budget_exhausted``.  All replays run under a PR-1 telemetry span
-(``forensics.minimize`` / ``forensics.minimize_workload``) with
-``forensics.replays`` / ``forensics.workload_runs`` counters when a
-telemetry object is attached.
+flagged ``budget_exhausted``; the replays spent are the result's
+``n_replays`` / ``n_runs``.  With a telemetry object attached each pass runs
+under a span (``forensics.minimize`` / ``forensics.minimize_workload``).
 """
 
 from __future__ import annotations
@@ -171,8 +170,6 @@ def minimize_dropped_set(
     dropped = list(session.dropped_units)
 
     def test(candidate_dropped: List[int]) -> bool:
-        if tel is not None:
-            tel.count("forensics.replays")
         persisted = [i for i in all_units if i not in set(candidate_dropped)]
         if cache is not None:
             return target in cache.check_positions(session, persisted)
@@ -209,13 +206,11 @@ def minimize_dropped_set(
             budget_exhausted=exhausted,
         )
 
-    if tel is not None:
-        with tel.span("forensics.minimize", target=target,
-                      dropped=len(dropped), budget=budget):
-            result = run()
-        tel.count("forensics.minimizations")
-        return result
-    return run()
+    if tel is None:
+        return run()
+    with tel.span("forensics.minimize", target=target,
+                  dropped=len(dropped), budget=budget):
+        return run()
 
 
 @dataclass
@@ -291,8 +286,6 @@ def minimize_workload(
     config = replace(prov.config, forensics=False)
 
     def test(indices: List[int]) -> bool:
-        if tel is not None:
-            tel.count("forensics.workload_runs")
         candidate = [workload[i] for i in indices]
         chipmunk = Chipmunk(prov.fs_name, bugs=bugs, config=config)
         result = chipmunk.test_workload(candidate, setup=setup)
@@ -323,10 +316,8 @@ def minimize_workload(
             budget_exhausted=exhausted,
         )
 
-    if tel is not None:
-        with tel.span("forensics.minimize_workload", target=target,
-                      ops=len(workload), budget=budget):
-            result = run()
-        tel.count("forensics.workload_minimizations")
-        return result
-    return run()
+    if tel is None:
+        return run()
+    with tel.span("forensics.minimize_workload", target=target,
+                  ops=len(workload), budget=budget):
+        return run()

@@ -1,11 +1,18 @@
-"""Deterministic hot-path profiler: stage clocks, callsite attribution,
-byte accounting.
+"""The pipeline's one stage clock, and the hot-path profiler built on it.
 
-The telemetry facade (:mod:`repro.obs`) answers *what happened* — spans,
-counters, events.  This module answers *where the time and bytes go* inside
-the replay/check hot path: per-pipeline-stage wall time, per-callsite
-wall time and byte throughput, and four byte-accounting categories that
-mirror the delta-replay data plane:
+:class:`StageClock` is the only timer of a workload's stages.  It
+telescopes: :meth:`StageClock.set_stage` charges the time since the
+previous transition to the outgoing stage, so the per-stage seconds sum
+exactly to the clocked window.  ``Chipmunk._run_pipeline`` runs exactly one
+clock per workload; ``TestResult.stage_times`` is its stages minus
+``other`` (pipeline setup between stages) and ``TestResult.elapsed`` is
+their sum.  When a tracer is attached the clock also writes the ``record``,
+``oracle``, ``triage`` and ``analyze`` spans, from the same timestamps it
+charges, so a trace and the result can never disagree.
+
+:class:`Profiler` is that clock plus *where the time and bytes go* inside
+the replay/check hot path: per-callsite wall time and byte throughput, and
+four byte-accounting categories that mirror the delta-replay data plane:
 
 * ``materialized`` — flat bytes produced (``CrashImage.materialize`` plus
   ``RegionBase.data`` snapshots, both O(device) copies, both on demand);
@@ -16,20 +23,16 @@ mirror the delta-replay data plane:
 * ``cow_rollback`` — before-image bytes restored when a COW mount view
   exits (overlay undo plus checker-mutation undo).
 
-Instrumentation is pull-based and nullable, exactly like the telemetry
-counters: hot functions read the module-global :data:`ACTIVE` profiler and
-skip all bookkeeping when it is ``None`` (one attribute load and an ``is``
-check — ``benchmarks/bench_telemetry_overhead.py`` pins the disabled path
-inside the existing overhead gate).  The harness installs a profiler per
-workload when ``ChipmunkConfig.profile`` is set and serializes the result
-into ``TestResult.profile``, so profiles survive the campaign journal and
-aggregate across workloads with :func:`merge_profiles`.
-
-The stage clock telescopes: :meth:`Profiler.set_stage` charges the time
-since the previous transition to the outgoing stage, so the per-stage
-seconds sum exactly to the profiled window — the invariant
-``tests/obs/test_profile.py`` pins against ``TestResult.elapsed``.
-Callsite seconds are attribution *within* a stage and can never exceed it.
+Both are found through module globals, :data:`CLOCK` and :data:`ACTIVE`,
+so installation is visible everywhere without threading a handle through
+every constructor.  Hot functions read :data:`ACTIVE` and skip all
+bookkeeping when it is ``None`` (one attribute load and an ``is`` check —
+``benchmarks/bench_telemetry_overhead.py`` pins the disabled path inside
+the existing overhead gate).  The harness uses a profiler as its clock when
+``ChipmunkConfig.profile`` is set and serializes it into
+``TestResult.profile``, so profiles survive the campaign journal and
+aggregate across workloads with :func:`merge_profiles`.  Callsite seconds
+are attribution *within* a stage and can never exceed it.
 """
 
 from __future__ import annotations
@@ -43,18 +46,21 @@ from repro.obs.campaign import fold
 __all__ = [
     "ACTIVE",
     "BYTE_CATEGORIES",
+    "CLOCK",
     "ProfileFold",
     "Profiler",
+    "StageClock",
     "install",
     "human_bytes",
     "merge_profiles",
     "render_profile",
 ]
 
+#: The running pipeline's stage clock, or ``None`` outside a pipeline (then
+#: nothing is charged).
+CLOCK: Optional["StageClock"] = None
+
 #: The installed profiler, or ``None`` (the default — instrumentation off).
-#: Hot paths read this through the module (``profile.ACTIVE``) so
-#: installation is visible everywhere without threading a handle through
-#: every constructor.
 ACTIVE: Optional["Profiler"] = None
 
 #: Byte-accounting categories, in render order.
@@ -65,34 +71,31 @@ BYTE_CATEGORIES = (
     "cow_rollback",
 )
 
-#: Stage used for work outside any explicit :meth:`Profiler.set_stage`
+#: Stage used for work outside any explicit :meth:`StageClock.set_stage`
 #: window (pipeline setup, teardown).
 OTHER_STAGE = "other"
 
+#: Stages the clock writes as trace spans.  Enumeration and checking
+#: alternate per crash state, so they get none.
+SPAN_STAGES = frozenset(("record", "oracle", "triage", "analyze"))
 
-class Profiler:
-    """Accumulates stage wall time, callsite attribution, and byte counts."""
 
-    __slots__ = ("stages", "sites", "bytes", "_stage", "_t0", "_inner")
+class StageClock:
+    """Telescoping per-stage wall time of one clocked window."""
 
-    def __init__(self) -> None:
-        #: stage -> wall seconds (telescoping; sums to the profiled window).
+    __slots__ = ("stages", "tracer", "_stage", "_t0")
+
+    def __init__(self, tracer=None) -> None:
+        #: stage -> wall seconds (telescoping; sums to the clocked window).
         self.stages: Dict[str, float] = {}
-        #: (stage, site) -> [calls, seconds, bytes].
-        self.sites: Dict[Tuple[str, str], List[float]] = {}
-        #: byte-accounting category -> total bytes.
-        self.bytes: Dict[str, int] = {cat: 0 for cat in BYTE_CATEGORIES}
+        #: Optional :class:`~repro.obs.tracing.Tracer` receiving a span per
+        #: segment of a :data:`SPAN_STAGES` stage.
+        self.tracer = tracer
         self._stage = OTHER_STAGE
         self._t0: Optional[float] = None
-        # Running total of attributed seconds, consumed by mark() /
-        # add_exclusive() so nesting callsites subtract their children.
-        self._inner = 0.0
 
-    # ------------------------------------------------------------------
-    # Stage clock
-    # ------------------------------------------------------------------
     def start(self) -> None:
-        """Open the profiled window (idempotent)."""
+        """Open the clocked window (idempotent)."""
         if self._t0 is None:
             self._t0 = perf_counter()
 
@@ -104,18 +107,41 @@ class Profiler:
     def set_stage(self, name: str) -> None:
         """Charge time since the last transition to the outgoing stage."""
         now = perf_counter()
-        if self._t0 is not None:
+        t0 = self._t0
+        if t0 is not None:
             prev = self._stage
-            self.stages[prev] = self.stages.get(prev, 0.0) + (now - self._t0)
+            stages = self.stages
+            stages[prev] = stages.get(prev, 0.0) + (now - t0)
+            if self.tracer is not None and prev in SPAN_STAGES:
+                self.tracer.add_span(prev, t0, now - t0)
         self._stage = name
         self._t0 = now
 
     def stop(self) -> None:
-        """Close the profiled window, charging the tail to the live stage."""
+        """Close the clocked window, charging the tail to the live stage."""
         if self._t0 is not None:
             self.set_stage(OTHER_STAGE)
             self._t0 = None
-            self._stage = OTHER_STAGE
+
+    def stage_times(self) -> Dict[str, float]:
+        """The stages minus ``other``: ``TestResult.stage_times``."""
+        return {s: t for s, t in self.stages.items() if s != OTHER_STAGE}
+
+
+class Profiler(StageClock):
+    """A stage clock plus callsite attribution and byte counts."""
+
+    __slots__ = ("sites", "bytes", "_inner")
+
+    def __init__(self, tracer=None) -> None:
+        super().__init__(tracer)
+        #: (stage, site) -> [calls, seconds, bytes].
+        self.sites: Dict[Tuple[str, str], List[float]] = {}
+        #: byte-accounting category -> total bytes.
+        self.bytes: Dict[str, int] = {cat: 0 for cat in BYTE_CATEGORIES}
+        # Running total of attributed seconds, consumed by mark() /
+        # add_exclusive() so nesting callsites subtract their children.
+        self._inner = 0.0
 
     # ------------------------------------------------------------------
     # Callsite attribution (the hot-path entry point)
@@ -170,22 +196,24 @@ class Profiler:
 
 
 @contextmanager
-def install(profiler: Profiler):
-    """Install ``profiler`` as :data:`ACTIVE` for the enclosed block.
+def install(clock: StageClock):
+    """Run ``clock`` as :data:`CLOCK` (and, if it is a :class:`Profiler`,
+    as :data:`ACTIVE`) for the enclosed block.
 
-    Re-entrant: the previous profiler (usually ``None``) is restored on
-    exit, so nested pipelines — a forensics re-record or re-check — keep
-    attributing to the outermost profile.
+    Re-entrant: the previous clock and profiler (usually ``None``) are
+    restored on exit.
     """
-    global ACTIVE
-    prev = ACTIVE
-    ACTIVE = profiler
-    profiler.start()
+    global ACTIVE, CLOCK
+    prev = ACTIVE, CLOCK
+    CLOCK = clock
+    if isinstance(clock, Profiler):
+        ACTIVE = clock
+    clock.start()
     try:
-        yield profiler
+        yield clock
     finally:
-        profiler.stop()
-        ACTIVE = prev
+        clock.stop()
+        ACTIVE, CLOCK = prev
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The tracer records two record kinds:
 
-* **spans** — named, nestable intervals (``record``, ``oracle``,
-  ``enumerate``, ``check``, ``triage``, plus per-syscall and
-  per-crash-state children).  A span reads ``perf_counter`` exactly twice,
-  at enter and exit — never inside the work it wraps.
+* **spans** — named, nestable intervals: the pipeline's ``record``,
+  ``oracle``, ``triage`` and ``analyze`` stages (written by the stage
+  clock, :mod:`repro.obs.profile`, from the timestamps it charges), plus
+  per-syscall and per-checked-state spans.  A span reads ``perf_counter``
+  exactly twice, at enter and exit — never inside the work it wraps.
 * **events** — instant markers carrying arbitrary JSON-serialisable fields
   (``workload_result``, ``cluster_found``, ``campaign_start``); the
   campaign aggregator (:mod:`repro.obs.campaign`) is rebuilt from these.
@@ -90,6 +91,15 @@ class Tracer:
     def span(self, name: str, **attrs) -> Span:
         return Span(self, name, attrs)
 
+    def add_span(self, name: str, start: float, duration: float,
+                 **attrs) -> None:
+        """Record a finished span the caller timed (a stage-clock segment),
+        nested under whichever span is open."""
+        span = Span(self, name, attrs)
+        self._push(span)
+        span.start, span.duration = start, duration
+        self._pop(span)
+
     def event(self, name: str, **fields) -> None:
         """Record an instant event."""
         self._append({
@@ -173,7 +183,7 @@ def spans_to_chrome(records) -> Dict[str, object]:
                 "ts": round(float(rec["ts"]) * 1e6, 3),
                 "args": rec.get("fields", {}),
             })
-        # meta/metric records carry no timeline position.
+        # meta records carry no timeline position.
     events.sort(key=lambda e: e["ts"])
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 

@@ -37,7 +37,7 @@ class PMDevice:
         cache-line size so flush ranges always stay in bounds.
     """
 
-    def __init__(self, size: int, telemetry=None, *, image=None) -> None:
+    def __init__(self, size: int, *, image=None) -> None:
         if size <= 0 or size % CACHE_LINE != 0:
             raise PMDeviceError(
                 f"device size must be a positive multiple of {CACHE_LINE}, got {size}"
@@ -55,17 +55,6 @@ class PMDevice:
         #: Access recorder (:meth:`traced`): ``(addr, +length)`` per read,
         #: ``(addr, -length)`` per write, in program order.
         self._trace: List[Tuple[int, int]] | None = None
-        # Device access counters live on cached Counter objects so the
-        # instrumented path is one attribute check plus two integer adds per
-        # access; with no telemetry the check is all that remains.
-        self._c_reads = self._c_read_bytes = None
-        self._c_writes = self._c_write_bytes = None
-        if telemetry is not None and telemetry.enabled:
-            metrics = telemetry.metrics
-            self._c_reads = metrics.counter("pm.reads")
-            self._c_read_bytes = metrics.counter("pm.read_bytes")
-            self._c_writes = metrics.counter("pm.writes")
-            self._c_write_bytes = metrics.counter("pm.write_bytes")
 
     # ------------------------------------------------------------------
     # Raw access
@@ -80,9 +69,6 @@ class PMDevice:
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` bytes at ``addr`` from the volatile view."""
         self.check_range(addr, length)
-        if self._c_reads is not None:
-            self._c_reads.inc()
-            self._c_read_bytes.inc(length)
         if self._trace is not None:
             self._trace.append((addr, length))
         return bytes(self.image[addr : addr + length])
@@ -95,9 +81,6 @@ class PMDevice:
         operations make it so.
         """
         self.check_range(addr, len(data))
-        if self._c_writes is not None:
-            self._c_writes.inc()
-            self._c_write_bytes.inc(len(data))
         if self._trace is not None:
             self._trace.append((addr, -len(data)))
         if self._undo is not None:
@@ -142,7 +125,7 @@ class PMDevice:
         self.image = bytearray(snap)
 
     @classmethod
-    def from_snapshot(cls, snap: bytes, telemetry=None) -> "PMDevice":
+    def from_snapshot(cls, snap: bytes) -> "PMDevice":
         """Build a new device whose image is a copy of ``snap``.
 
         ``snap`` may be anything bytes-like, including a lazy
@@ -151,10 +134,10 @@ class PMDevice:
         """
         if not isinstance(snap, (bytes, bytearray)):
             snap = bytes(snap)
-        return cls(len(snap), telemetry=telemetry, image=bytearray(snap))
+        return cls(len(snap), image=bytearray(snap))
 
     @classmethod
-    def adopt(cls, buf: bytearray, telemetry=None) -> "PMDevice":
+    def adopt(cls, buf: bytearray) -> "PMDevice":
         """Present an existing mutable buffer as a device, by reference.
 
         Writes through the device mutate ``buf`` in place; callers pair
@@ -162,7 +145,7 @@ class PMDevice:
         changed, to mount crash states directly on the replayer's live
         buffer without any per-region copy.
         """
-        return cls(len(buf), telemetry=telemetry, image=buf)
+        return cls(len(buf), image=buf)
 
     # ------------------------------------------------------------------
     # Undo log (used by the consistency checker, section 3.3: "we reuse our
@@ -228,9 +211,9 @@ class PMDevice:
         the fence base byte-for-byte.  A clean check of a one-replay state
         therefore touches kilobytes, not the whole image.
 
-        Overlay application is deliberately silent: it bypasses the write
-        telemetry counters (it is state *construction*, not file-system
-        work) and the undo log, which only covers the caller's mutations.
+        Overlay application is deliberately silent: it bypasses the access
+        trace (it is state *construction*, not file-system work) and the
+        undo log, which only covers the caller's mutations.
 
         Before-images are captured as one slab per *merged span* of the
         overlay, not one per write: overlapping and adjacent writes (a stale

@@ -195,8 +195,6 @@ class WorkloadFuzzer:
         self.stats.crash_states += result.n_crash_states
         if self.coverage.add(coverage.points()):
             self.corpus.append(program)
-            if tel.enabled:
-                tel.count("fuzzer.corpus_adds")
         before = len(self.triage.clusters)
         self.triage.add_all(result.reports)
         self.stats.reports += len(result.reports)
@@ -214,9 +212,6 @@ class WorkloadFuzzer:
                         t=self.stats.elapsed,
                         consequence=exemplar.consequence.name,
                     )
-        if tel.enabled:
-            tel.set_gauge("fuzzer.coverage_points", len(self.coverage))
-            tel.set_gauge("fuzzer.corpus_size", len(self.corpus))
         return result
 
     def run(

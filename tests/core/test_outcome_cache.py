@@ -43,7 +43,7 @@ class AuditingChecker(ConsistencyChecker):
         tree = fs.walk()
         assert tree == outcome.tree
         assert self._tree_digest(tree) == outcome.digest
-        assert self._check_usability(fs, tree) == []
+        assert self._check_usability(fs, tree) == ([], False)
         type(self).audited += 1
         return super()._reuse_outcome(fs, outcome)
 

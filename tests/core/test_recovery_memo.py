@@ -218,8 +218,9 @@ class TestBudget:
         resets = sum(r.recovery_resets for r in results)
         assert resets > 0
         assert resets == chipmunk.recovery_memo.resets
-        assert tel.metrics.counter("checker.recovery_memo.resets").value == (
-            resets)
+        events = [r["fields"] for r in tel.tracer.export()
+                  if r["type"] == "event" and r["name"] == "workload_result"]
+        assert sum(e["recovery_resets"] for e in events) == resets
         summary = CampaignSummary(fs_name="nova")
         for result in results:
             summary.add_dict(json.loads(json.dumps(result.to_dict())))
@@ -282,10 +283,10 @@ class TestHarness:
             assert r.recovery_hits + r.recovery_misses == r.n_unique_states
             # Only states that missed the memo mount.
             assert r.outcome_hits + r.outcome_misses == r.recovery_misses
-        counter = tel.metrics.counter
-        assert counter("checker.recovery_memo.hits").value == hits
-        assert counter("checker.recovery_memo.misses").value == misses
-        assert counter("checker.recovery_memo.resets").value == 0
+        events = [r["fields"] for r in tel.tracer.export()
+                  if r["type"] == "event" and r["name"] == "workload_result"]
+        assert sum(e["recovery_hits"] for e in events) == hits
+        assert sum(e["recovery_misses"] for e in events) == misses
         assert not any(r.recovery_resets for r in results)
 
     def test_detached_memo_mounts_every_state(self):

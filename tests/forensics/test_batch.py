@@ -89,13 +89,13 @@ class TestMinimizationCache:
         cache = ForensicsCache()
         session = cache.session(report.provenance)
         first = minimize_dropped_set(session, target, cache=cache)
-        misses = cache.verdict_counters.misses.value
+        misses = cache.verdict_misses
         assert misses > 0
         # The same minimization again costs zero new checker replays.
         second = minimize_dropped_set(session, target, cache=cache)
         assert second.minimal_dropped == first.minimal_dropped
-        assert cache.verdict_counters.misses.value == misses
-        assert cache.verdict_counters.hits.value >= misses
+        assert cache.verdict_misses == misses
+        assert cache.verdict_hits >= misses
 
     def test_cached_minimization_matches_uncached(self, nova_seq2_reports):
         report = next(
@@ -112,17 +112,14 @@ class TestMinimizationCache:
         assert cached.minimal_dropped == plain.minimal_dropped
         assert cached.culprit_seqs == plain.culprit_seqs
 
-    def test_counters_thread_into_metrics_registry(self, nova_seq2_reports):
-        telemetry = Telemetry()
-        explain_all(nova_seq2_reports, minimize=False, telemetry=telemetry)
-        names = {
-            r["name"]: r["value"]
-            for r in telemetry.metrics.snapshot()
-            if r["kind"] == "counter"
-        }
+    def test_session_counters_count_one_rebuild(self, nova_seq2_reports):
+        batch = explain_all(nova_seq2_reports, minimize=False,
+                            telemetry=Telemetry())
         k = len(nova_seq2_reports)
-        assert names["forensics.cache.session.misses"] == 1
-        assert names["forensics.cache.session.hits"] == k - 1
+        assert (batch.cache.session_misses, batch.cache.session_hits) == (
+            1, k - 1)
+        assert (f"- forensics.cache.session: {k - 1} hit(s), 1 miss(es)"
+                in batch.text)
 
 
 # ----------------------------------------------------------------------

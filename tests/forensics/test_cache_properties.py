@@ -188,5 +188,4 @@ class TestSessionCacheIsolation:
         # ...but each session is derived from its own provenance.
         assert returned_a is prov_a
         assert returned_b is prov_b
-        assert cache.session_counters.hits.value == 1
-        assert cache.session_counters.misses.value == 1
+        assert (cache.session_hits, cache.session_misses) == (1, 1)

@@ -1,11 +1,11 @@
-"""Totality of mount-time recovery on corrupt superblock geometry.
+"""Totality of recovery on damaged images.
 
 A torn or corrupt superblock can describe any geometry.  Whatever it says,
-mounting the image and walking the tree must either succeed or fail inside
-the checker's taxonomy — the exceptions ``ConsistencyChecker`` turns into
-findings (``MountError`` / ``PMDeviceError`` / ``AllocatorError`` at mount,
-``FsError`` at walk).  Anything else escapes the checker and fails the whole
-workload.
+mounting the image, walking the tree and the checker's usability pass must
+either succeed or fail inside the checker's taxonomy: ``MountError`` and
+``FsError``, plus :data:`repro.core.checker.RECOVERY_CRASHES`, the
+exceptions ``ConsistencyChecker`` turns into "mount/walk/usability crashed"
+findings.  Anything else escapes the checker and fails the whole workload.
 """
 
 from functools import lru_cache
@@ -15,13 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_fixed_fs
-from repro.fs.common.alloc import AllocatorError
+from repro.core.checker import RECOVERY_CRASHES, ConsistencyChecker
+from repro.core.oracle import OracleResult
+from repro.core.report import Consequence
+from repro.fs.bugs import BugConfig
 from repro.fs.registry import FS_CLASSES
-from repro.pm.device import PMDevice, PMDeviceError
+from repro.pm.device import PMDevice
 from repro.vfs.errors import FsError
 from repro.vfs.interface import MountError
 
-TAXONOMY = (MountError, PMDeviceError, AllocatorError, FsError)
+TAXONOMY = (MountError, FsError) + RECOVERY_CRASHES
 
 #: Every superblock of the registry keeps its geometry in bytes 8..32:
 #: a u64 device size then u32 fields (block size and per-FS counts).
@@ -38,6 +41,11 @@ def populated_image(fs_name):
     fs.link("/A/f", "/g")
     fs.sync()
     return fs.device.snapshot()
+
+
+def checker_for(fs_name):
+    return ConsistencyChecker(FS_CLASSES()[fs_name], OracleResult(workload=[]),
+                              "totality", bugs=BugConfig.fixed())
 
 
 @st.composite
@@ -58,6 +66,36 @@ def test_mount_and_walk_stay_inside_the_taxonomy(fs_name, mutation):
     device = PMDevice.from_snapshot(populated_image(fs_name))
     device.write(offset, value)
     try:
-        FS_CLASSES()[fs_name].mount(device).walk()
+        fs = FS_CLASSES()[fs_name].mount(device)
+        tree = fs.walk()
     except TAXONOMY:
-        pass
+        return
+    # The usability pass turns everything in the taxonomy into findings.
+    checker_for(fs_name)._check_usability(fs, tree)
+
+
+#: One-byte damages, found by a seeded scan over the bytes mount, walk and
+#: usability read, on which the image mounts and walks but ``creat`` or
+#: ``unlink`` raises outside ``FsError``.
+USABILITY_CRASHES = [
+    ("ext4-dax", 28, 172, "AllocatorError"),
+    ("pmfs", 2727, 14, "PMDeviceError"),
+]
+
+
+@pytest.mark.parametrize("fs_name,addr,value,exc_name", USABILITY_CRASHES,
+                         ids=[case[0] for case in USABILITY_CRASHES])
+def test_usability_crash_is_a_finding(fs_name, addr, value, exc_name):
+    device = PMDevice.from_snapshot(populated_image(fs_name))
+    device.write(addr, bytes([value]))
+    recovery, complete = checker_for(fs_name)._recover(device)
+    assert recovery.failure is None and recovery.tree
+    crashes = [(consequence, detail) for consequence, detail, _ in
+               recovery.findings if detail.startswith("usability crashed: ")]
+    assert crashes
+    assert all(consequence is Consequence.USABILITY
+               for consequence, _ in crashes)
+    assert any(detail.startswith(f"usability crashed: {exc_name}: ")
+               for _, detail in crashes)
+    # A crashed recovery is never remembered by the recovery memo.
+    assert not complete

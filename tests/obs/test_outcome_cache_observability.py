@@ -37,15 +37,15 @@ def traced():
 
 
 class TestCounters:
-    def test_result_counts_match_registry_counters(self, traced):
+    def test_result_counts_match_trace_events(self, traced):
         tel, results = traced
         hits = sum(r.outcome_hits for r in results)
         misses = sum(r.outcome_misses for r in results)
         assert hits > 0 and misses > 0
-        counter = tel.metrics.counter
-        assert counter("checker.outcome_cache.hits").value == hits
-        assert counter("checker.outcome_cache.misses").value == misses
-        assert counter("checker.outcome_cache.bypassed").value == 0
+        events = [r["fields"] for r in tel.tracer.export()
+                  if r["type"] == "event" and r["name"] == "workload_result"]
+        assert [(e["outcome_hits"], e["outcome_misses"]) for e in events] == [
+            (r.outcome_hits, r.outcome_misses) for r in results]
 
     def test_hits_never_exceed_states_checked(self, traced):
         for result in traced[1]:
@@ -53,14 +53,11 @@ class TestCounters:
             assert mounted <= result.n_unique_states
 
     def test_evictions_are_counted(self):
-        tel = Telemetry()
-        chipmunk = Chipmunk("pmfs", telemetry=tel)
+        chipmunk = Chipmunk("pmfs")
         chipmunk.outcome_cache = OutcomeCache(max_entries=1)
         chipmunk.test_workload(WORKLOADS[0])
-        assert tel.metrics.counter("checker.outcome_cache.evictions").value == (
-            chipmunk.outcome_cache.evictions
-        )
         assert chipmunk.outcome_cache.evictions > 0
+        assert chipmunk.outcome_cache.stats()["entries"] == 1
 
     def test_round_trips_through_the_journal_dict(self, traced):
         result = traced[1][1]

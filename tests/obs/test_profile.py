@@ -1,10 +1,9 @@
 """Hot-path profiler: stage attribution invariant, serialization, nullability.
 
-The load-bearing property is the attribution invariant: the telescoping
-stage clock transitions at the same boundaries the harness uses for its
-telemetry spans, so the profiled stages (minus the explicit ``other``
-bucket for setup between spans) must sum to ``TestResult.elapsed`` within
-a small tolerance.  Everything downstream — `repro profile`, the campaign
+The load-bearing property is the attribution invariant: the profiler *is*
+the pipeline's telescoping stage clock, so the profiled stages minus the
+explicit ``other`` bucket (setup between stages) are exactly
+``TestResult.stage_times``, and sum to ``TestResult.elapsed``.  Everything downstream — `repro profile`, the campaign
 ``--profile`` flag, the watch dashboard's byte totals — trusts that sum.
 
 A clean pipeline materializes *nothing*: fence bases share the replayer's
@@ -54,9 +53,13 @@ def profiled_result():
 
 class TestAttributionInvariant:
     def test_stages_sum_to_elapsed(self, profiled_result):
+        """The profiler is the pipeline's stage clock: its stages minus
+        ``other`` are ``stage_times``, key for key and exactly."""
         stages = profiled_result.profile["stages"]
-        attributed = sum(t for s, t in stages.items() if s != "other")
-        assert attributed == pytest.approx(profiled_result.elapsed, rel=0.05)
+        assert {s: t for s, t in stages.items() if s != "other"} == (
+            profiled_result.stage_times)
+        assert profiled_result.elapsed == sum(
+            profiled_result.stage_times.values())
 
     def test_stage_names_match_pipeline(self, profiled_result):
         stages = set(profiled_result.profile["stages"])

@@ -11,8 +11,8 @@ import pytest
 
 from repro.core import Chipmunk, harness
 from repro.fs.bugs import BugConfig
-from repro.obs import NULL, NullTelemetry, Telemetry
-from repro.pm.device import PMDevice
+from repro.obs import NULL, NullTelemetry, Telemetry, read_jsonl
+from repro.obs.profile import SPAN_STAGES
 from repro.workloads.fuzzer import WorkloadFuzzer
 from repro.workloads.ops import Op
 
@@ -53,16 +53,9 @@ class TestTelemetryOffRegression:
     def test_null_telemetry_records_nothing(self, tmp_path):
         tel = NullTelemetry()
         with tel.span("record"):
-            tel.count("x")
             tel.event("y")
-            tel.observe("z", 1)
         assert tel.export_records() == []
         assert tel.export_jsonl(str(tmp_path / "t.jsonl")) == 0
-
-    def test_null_span_still_times(self):
-        with NULL.span("stage") as sp:
-            pass
-        assert sp.duration >= 0
 
 
 class TestStageTimes:
@@ -76,6 +69,37 @@ class TestStageTimes:
     def test_stage_times_present_without_telemetry(self):
         result = Chipmunk("nova", bugs=BugConfig.fixed()).test_workload(WORKLOAD)
         assert all(dt >= 0 for dt in result.stage_times.values())
+
+    def test_stage_spans_sum_to_stage_times(self):
+        """The clock writes the stage spans from the timestamps it charges,
+        so a trace and the result agree exactly, not approximately."""
+        tel = Telemetry()
+        cm = Chipmunk("nova", bugs=BugConfig.only(5), telemetry=tel)
+        results = [cm.test_workload(WORKLOAD),
+                   cm.test_workload([Op("creat", ("/foo",)),
+                                     Op("rename", ("/foo", "/bar"))])]
+        # A workload's spans precede its workload_result event.
+        spans = [{} for _ in results]
+        index = 0
+        for rec in tel.tracer.export():
+            if rec["type"] == "event" and rec["name"] == "workload_result":
+                index += 1
+            elif rec["type"] == "span" and rec["name"] in SPAN_STAGES:
+                sums = spans[index]
+                sums[rec["name"]] = sums.get(rec["name"], 0.0) + rec["dur"]
+        for result, sums in zip(results, spans):
+            assert set(sums) == set(SPAN_STAGES)
+            for name, total in sums.items():
+                assert total == result.stage_times[name], name
+
+    def test_trace_holds_no_metric_record(self, tmp_path):
+        tel = Telemetry()
+        Chipmunk("nova", bugs=BugConfig.only(5), telemetry=tel).test_workload(
+            WORKLOAD)
+        path = str(tmp_path / "t.jsonl")
+        tel.export_jsonl(path)
+        kinds = {rec["type"] for rec in read_jsonl(path)}
+        assert kinds == {"span", "event"}
 
 
 class TestTruncation:
@@ -103,55 +127,39 @@ class TestInstrumentationSignals:
         cm = Chipmunk("nova", bugs=BugConfig.fixed(), telemetry=tel)
         result = cm.test_workload(WORKLOAD)
         names = {r["name"] for r in tel.tracer.records if r["type"] == "span"}
-        assert {"record", "oracle", "triage", "syscall", "check_state"} <= names
-        counters = {r["name"]: r["value"] for r in tel.metrics.snapshot()
-                    if r["kind"] == "counter"}
-        assert counters["harness.workloads"] == 1
-        assert counters["harness.crash_states"] == result.n_crash_states
-        assert counters["checker.states_checked"] == result.n_unique_states
-        assert counters["pm.writes"] > 0
+        assert {"record", "oracle", "triage", "analyze", "syscall",
+                "check_state"} <= names
+        checked = [r for r in tel.tracer.records if r["name"] == "check_state"]
+        assert len(checked) == result.n_unique_states
         events = [r for r in tel.tracer.records
                   if r["type"] == "event" and r["name"] == "workload_result"]
         assert len(events) == 1
         fields = events[0]["fields"]
         assert fields["n_crash_states"] == result.n_crash_states
+        assert fields["n_unique_states"] == result.n_unique_states
         assert fields["stage_times"] == result.stage_times
         assert fields["fs"] == "nova"
 
     def test_replayer_histogram_observed(self):
+        """The in-flight unit counts per fence reach the result (the
+        ``inflight`` field) and its trace event."""
         tel = Telemetry()
         cm = Chipmunk("nova", bugs=BugConfig.fixed(), telemetry=tel)
-        cm.test_workload(WORKLOAD)
-        hists = {r["name"]: r for r in tel.metrics.snapshot()
-                 if r["kind"] == "histogram"}
-        assert "replay.inflight_units" in hists
-        assert hists["replay.inflight_units"]["count"] > 0
+        result = cm.test_workload(WORKLOAD)
+        counts = [n for per in result.inflight.values() for n in per]
+        assert counts and all(n > 0 for n in counts)
+        event = next(r for r in tel.tracer.records if r["type"] == "event")
+        assert event["fields"]["inflight"] == result.inflight
 
     def test_checker_outcome_counters(self):
         tel = Telemetry()
         cm = Chipmunk("nova", bugs=BugConfig.only(5), telemetry=tel)
-        cm.test_workload([Op("creat", ("/foo",)), Op("rename", ("/foo", "/bar"))])
-        counters = {r["name"]: r["value"] for r in tel.metrics.snapshot()
-                    if r["kind"] == "counter"}
-        outcome_total = sum(v for k, v in counters.items()
-                            if k.startswith("checker.outcome.")
-                            and k != "checker.outcome.clean")
-        assert outcome_total == counters["harness.reports"]
-
-    def test_device_counters_only_when_enabled(self):
-        silent = PMDevice(1024)
-        silent.write(0, b"x" * 64)
-        silent.read(0, 64)
-        assert silent._c_writes is None
-        tel = Telemetry()
-        loud = PMDevice(1024, telemetry=tel)
-        loud.write(0, b"x" * 64)
-        loud.read(0, 8)
-        counters = {r["name"]: r["value"] for r in tel.metrics.snapshot()}
-        assert counters["pm.writes"] == 1
-        assert counters["pm.write_bytes"] == 64
-        assert counters["pm.reads"] == 1
-        assert counters["pm.read_bytes"] == 8
+        result = cm.test_workload(
+            [Op("creat", ("/foo",)), Op("rename", ("/foo", "/bar"))])
+        event = next(r for r in tel.tracer.records if r["type"] == "event")
+        outcomes = event["fields"]["outcomes"]
+        assert sum(outcomes.values()) == event["fields"]["n_reports"] == len(
+            result.reports) > 0
 
 
 class TestFuzzerTelemetry:

@@ -79,8 +79,6 @@ class TestExportRoundTrip:
             with tel.span("syscall", index=0, op="creat"):
                 pass
         tel.event("workload_result", n_reports=0)
-        tel.count("harness.workloads")
-        tel.observe("replay.inflight_units", 3, edges=(1, 2, 4))
         return tel
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -93,7 +91,7 @@ class TestExportRoundTrip:
         assert kinds[0] == "meta"
         assert kinds.count("span") == 2
         assert kinds.count("event") == 1
-        assert kinds.count("metric") == 2
+        assert "metric" not in kinds
         # spans are exported in timestamp order with nesting intact
         spans = [r for r in records if r["type"] == "span"]
         assert spans[0]["name"] == "record"

@@ -117,7 +117,8 @@ class TestTelemetryCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "[telemetry] metrics snapshot:" in out
-        assert "harness.workloads: 1" in out
+        assert "  workloads: 1\n" in out
+        assert "  n_crash_states: " in out
 
     def test_fuzz_seed_recorded_in_trace(self, tmp_path):
         trace = str(tmp_path / "f.jsonl")
@@ -286,7 +287,7 @@ class TestObservabilityCLI:
         assert main(["stats", campaign_dir]) == 0
         out = capsys.readouterr().out
         assert "Campaign: nova (ace)" in out
-        assert "check memo (checker.memo.*)" in out
+        assert "check memo (memo_hits/memo_misses)" in out
 
     def test_stats_json_memo_accounting(self, campaign_dir, capsys):
         assert main(["stats", campaign_dir, "--json"]) == 0
