@@ -62,9 +62,10 @@ Commands
     Chrome trace.
 
 The testing commands accept ``--trace FILE`` (write a JSONL telemetry
-trace) and ``--metrics`` (print the run's ``TestResult`` totals — the
-numbers ``stats`` shows, folded from the run's ``workload_result``
-events); the file system can be given positionally or with ``--fs``.
+trace) and ``--metrics`` (print the run's campaign summary — what
+``stats`` prints for the trace, folded as each result is recorded, so
+exact however many records the trace's ring buffer drops); the file
+system can be given positionally or with ``--fs``.
 ``ace``/``fuzz``/``campaign`` handle Ctrl-C gracefully: partial results are flushed and the exit status
 is 130 (a killed ``campaign`` additionally resumes from its journal).
 
@@ -98,6 +99,7 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 from typing import List, Optional
 
 from repro.analysis.reporting import CampaignSummary
@@ -105,7 +107,6 @@ from repro.fs.bugs import BUG_REGISTRY
 from repro.fs.registry import FS_CLASSES
 from repro.memo.store import DEFAULT_MAX_ENTRIES
 from repro.obs import Telemetry
-from repro.obs.campaign import ResultFold
 from repro.obs.tracing import jsonl_to_chrome
 from repro.workloads.fuzzer import WorkloadFuzzer
 from repro.workloads.ops import Op
@@ -151,6 +152,8 @@ def _telemetry_for(args, generator: str) -> Optional[Telemetry]:
         return None
     tel = Telemetry()
     tel.meta.update(fs=args.fs, generator=generator)
+    tel.results = CampaignSummary(fs_name=args.fs, generator=generator,
+                                  meta=tel.meta)
     tel.event("campaign_start", fs=args.fs, generator=generator)
     return tel
 
@@ -169,22 +172,16 @@ def _finish_telemetry(args, tel: Optional[Telemetry]) -> None:
                 file=sys.stderr,
             )
         else:
+            dropped = tel.tracer.dropped
             print(f"[telemetry] wrote {n} trace record(s) to "
-                  f"{args.trace_file}")
+                  f"{args.trace_file}"
+                  + (f" ({dropped} oldest dropped: the ring buffer was "
+                     f"full)" if dropped else ""))
     if args.metrics:
-        # The run's workload_result events, folded as `repro stats` folds
-        # them: one line per TestResult total.
-        results = ResultFold()
-        for record in tel.tracer.export():
-            if record["type"] == "event":
-                results.add_event(record["name"], record["fields"])
+        # Folded as each event was recorded, so exact even when the ring
+        # dropped records; the same summary `repro stats` renders.
         print("[telemetry] metrics snapshot:")
-        print(f"  workloads: {results.workloads_tested}")
-        for name, value in sorted(results.totals.items()):
-            if isinstance(value, float):
-                print(f"  {name}: {value:.6g}")
-            elif not isinstance(value, dict):
-                print(f"  {name}: {value}")
+        print(textwrap.indent(tel.results.render(), "  "))
 
 
 def _write_file(path: str, text: str) -> bool:
@@ -779,8 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--metrics",
             action="store_true",
-            help="print the run's result totals (the numbers `python -m "
-            "repro stats` shows) after the run",
+            help="print the run's campaign summary (what `python -m "
+            "repro stats` prints for its trace) after the run",
         )
 
     def add_ops(p, text):

@@ -327,24 +327,26 @@ class Chipmunk:
         states are generated lazily), so the clock switches at crash-state
         boundaries — each ``next()`` on the generator is enumeration,
         everything after it is checking.  With telemetry on, the clock also
-        writes the ``record``, ``oracle``, ``triage`` and ``analyze`` spans.
+        writes one ``record``, ``oracle``, ``triage`` and ``analyze`` span
+        each, carrying the workload description; ``syscall`` and ``oracle``
+        spans nest in ``record``.
 
         With ``config.profile`` the clock is a hot-path profiler
         (:mod:`repro.obs.profile`), so the profile's stages are the same
         numbers plus the ``other`` bucket for setup between stages.
         """
-        tracer = self.telemetry.tracer
-        clock = (_profile.Profiler(tracer) if self.config.profile
-                 else _profile.StageClock(tracer))
-        with _profile.install(clock):
-            return self._run_pipeline(workload, setup, coverage, clock)
-
-    def _run_pipeline(
-        self, workload: Workload, setup: Workload, coverage, clock
-    ) -> TestResult:
-        tel = self.telemetry
         workload = list(workload)
         desc = describe_workload(workload)
+        tracer = self.telemetry.tracer
+        clock = (_profile.Profiler(tracer, desc) if self.config.profile
+                 else _profile.StageClock(tracer, desc))
+        with _profile.install(clock):
+            return self._run_pipeline(workload, desc, setup, coverage, clock)
+
+    def _run_pipeline(
+        self, workload: Workload, desc: str, setup: Workload, coverage, clock
+    ) -> TestResult:
+        tel = self.telemetry
         clock.set_stage("record")
         base, log, oracle = self.record(workload, setup=setup, coverage=coverage)
         # Pipeline setup (checker, forensics recorder) belongs to no stage.

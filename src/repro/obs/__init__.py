@@ -13,7 +13,10 @@ The subsystem is dependency-free and split by concern:
 A trace holds two primitives, spans and events, plus its leading ``meta``
 record.  Every per-workload time and count is a ``TestResult`` field: the
 stage clock measures the times, the pipeline counts the rest, and the
-``workload_result`` event carries both into the trace.
+``workload_result`` event carries both into the trace.  The tracer's ring
+buffer bounds memory by dropping its oldest records, so
+:attr:`Telemetry.results` folds each event as it is recorded: the run's
+totals stay exact however long it runs.
 
 :class:`Telemetry` is the facade the pipeline is instrumented against;
 :data:`NULL` is the no-op implementation installed by default.  It records
@@ -29,6 +32,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Dict
 
+from repro.obs.campaign import ResultFold
 from repro.obs.tracing import (
     Span,
     Tracer,
@@ -55,6 +59,10 @@ class Telemetry:
         #: Campaign-level metadata (fs, generator, seed, …) written as the
         #: trace's leading ``meta`` record.
         self.meta: Dict[str, object] = {}
+        #: Every event folded as it is recorded, outside the ring: any
+        #: :class:`~repro.obs.campaign.ResultFold` (the CLI installs a
+        #: ``CampaignSummary`` for ``--metrics``).
+        self.results = ResultFold()
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs) -> Span:
@@ -62,11 +70,16 @@ class Telemetry:
 
     def event(self, name: str, **fields) -> None:
         self.tracer.event(name, **fields)
+        self.results.add_event(name, fields)
 
     # ------------------------------------------------------------------
     def export_records(self):
-        """Meta + time-ordered trace records."""
-        records = [dict(self.meta, type="meta")] if self.meta else []
+        """Meta + time-ordered trace records.  The meta record counts the
+        records the ring dropped, if any."""
+        meta = dict(self.meta)
+        if self.tracer.dropped:
+            meta["dropped_records"] = self.tracer.dropped
+        records = [dict(meta, type="meta")] if meta else []
         records.extend(self.tracer.export())
         return records
 

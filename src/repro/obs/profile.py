@@ -6,9 +6,10 @@ previous transition to the outgoing stage, so the per-stage seconds sum
 exactly to the clocked window.  ``Chipmunk._run_pipeline`` runs exactly one
 clock per workload; ``TestResult.stage_times`` is its stages minus
 ``other`` (pipeline setup between stages) and ``TestResult.elapsed`` is
-their sum.  When a tracer is attached the clock also writes the ``record``,
-``oracle``, ``triage`` and ``analyze`` spans, from the same timestamps it
-charges, so a trace and the result can never disagree.
+their sum.  When a tracer is attached the clock also writes one ``record``,
+``oracle``, ``triage`` and ``analyze`` span per workload, each starting at
+the stage's first segment and lasting the seconds the clock charged it, so
+a trace and the result can never disagree.
 
 :class:`Profiler` is that clock plus *where the time and bytes go* inside
 the replay/check hot path: per-callsite wall time and byte throughput, and
@@ -79,20 +80,28 @@ OTHER_STAGE = "other"
 #: alternate per crash state, so they get none.
 SPAN_STAGES = frozenset(("record", "oracle", "triage", "analyze"))
 
+#: Span stage -> the span stage whose span encloses it: the oracle walks
+#: run between the recorded syscalls.
+ENCLOSING = {"oracle": "record"}
+
 
 class StageClock:
     """Telescoping per-stage wall time of one clocked window."""
 
-    __slots__ = ("stages", "tracer", "_stage", "_t0")
+    __slots__ = ("stages", "tracer", "workload", "_stage", "_t0", "_spans")
 
-    def __init__(self, tracer=None) -> None:
+    def __init__(self, tracer=None, workload: str = "") -> None:
         #: stage -> wall seconds (telescoping; sums to the clocked window).
         self.stages: Dict[str, float] = {}
-        #: Optional :class:`~repro.obs.tracing.Tracer` receiving a span per
-        #: segment of a :data:`SPAN_STAGES` stage.
+        #: Optional :class:`~repro.obs.tracing.Tracer` receiving one span per
+        #: :data:`SPAN_STAGES` stage of the window.
         self.tracer = tracer
+        #: The workload description the stage spans carry.
+        self.workload = workload
         self._stage = OTHER_STAGE
         self._t0: Optional[float] = None
+        # Span stage -> its open span (only while tracing).
+        self._spans: Dict[str, object] = {}
 
     def start(self) -> None:
         """Open the clocked window (idempotent)."""
@@ -112,16 +121,32 @@ class StageClock:
             prev = self._stage
             stages = self.stages
             stages[prev] = stages.get(prev, 0.0) + (now - t0)
-            if self.tracer is not None and prev in SPAN_STAGES:
-                self.tracer.add_span(prev, t0, now - t0)
+            if self.tracer is not None and (
+                    prev in SPAN_STAGES or name in SPAN_STAGES):
+                self._trace(prev, name, now)
         self._stage = name
         self._t0 = now
 
+    def _trace(self, prev: str, name: str, now: float) -> None:
+        """Open a stage's span at its first segment; keep it on the tracer's
+        stack only while the stage (or one it encloses) runs, so the spans
+        opened inside it (``syscall`` in ``record``) nest under it."""
+        spans = self._spans
+        if prev in spans and ENCLOSING.get(name) != prev:
+            self.tracer.release(spans[prev])
+        if name in SPAN_STAGES and name not in spans:
+            spans[name] = self.tracer.open_span(
+                name, now, workload=self.workload)
+
     def stop(self) -> None:
-        """Close the clocked window, charging the tail to the live stage."""
+        """Close the clocked window, charging the tail to the live stage;
+        write each stage span with the seconds its stage was charged."""
         if self._t0 is not None:
             self.set_stage(OTHER_STAGE)
             self._t0 = None
+            for name, span in self._spans.items():
+                self.tracer.close_span(span, self.stages[name])
+            self._spans.clear()
 
     def stage_times(self) -> Dict[str, float]:
         """The stages minus ``other``: ``TestResult.stage_times``."""
@@ -133,8 +158,8 @@ class Profiler(StageClock):
 
     __slots__ = ("sites", "bytes", "_inner")
 
-    def __init__(self, tracer=None) -> None:
-        super().__init__(tracer)
+    def __init__(self, tracer=None, workload: str = "") -> None:
+        super().__init__(tracer, workload)
         #: (stage, site) -> [calls, seconds, bytes].
         self.sites: Dict[Tuple[str, str], List[float]] = {}
         #: byte-accounting category -> total bytes.

@@ -3,8 +3,9 @@
 The tracer records two record kinds:
 
 * **spans** — named, nestable intervals: the pipeline's ``record``,
-  ``oracle``, ``triage`` and ``analyze`` stages (written by the stage
-  clock, :mod:`repro.obs.profile`, from the timestamps it charges), plus
+  ``oracle``, ``triage`` and ``analyze`` stages (one each per workload,
+  written by the stage clock, :mod:`repro.obs.profile`, with the seconds it
+  charged the stage), plus
   per-syscall and per-checked-state spans.  A span reads ``perf_counter``
   exactly twice, at enter and exit — never inside the work it wraps.
 * **events** — instant markers carrying arbitrary JSON-serialisable fields
@@ -91,14 +92,25 @@ class Tracer:
     def span(self, name: str, **attrs) -> Span:
         return Span(self, name, attrs)
 
-    def add_span(self, name: str, start: float, duration: float,
-                 **attrs) -> None:
-        """Record a finished span the caller timed (a stage-clock segment),
-        nested under whichever span is open."""
+    def open_span(self, name: str, start: float, **attrs) -> Span:
+        """Open a span the caller times (a stage-clock stage).  It takes its
+        id and parent now and sits on the nesting stack until
+        :meth:`release`; :meth:`close_span` writes it."""
         span = Span(self, name, attrs)
         self._push(span)
-        span.start, span.duration = start, duration
-        self._pop(span)
+        span.start = start
+        return span
+
+    def release(self, span: Span) -> None:
+        """Take an open span off the nesting stack without writing it."""
+        if span in self._stack:
+            self._stack.remove(span)
+
+    def close_span(self, span: Span, duration: float) -> None:
+        """Write a span opened by :meth:`open_span`."""
+        self.release(span)
+        span.duration = duration
+        self._append(span.to_dict())
 
     def event(self, name: str, **fields) -> None:
         """Record an instant event."""

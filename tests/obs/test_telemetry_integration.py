@@ -71,26 +71,37 @@ class TestStageTimes:
         assert all(dt >= 0 for dt in result.stage_times.values())
 
     def test_stage_spans_sum_to_stage_times(self):
-        """The clock writes the stage spans from the timestamps it charges,
-        so a trace and the result agree exactly, not approximately."""
+        """The clock writes one span per stage per workload with the seconds
+        it charged the stage, so a trace and the result agree exactly."""
         tel = Telemetry()
         cm = Chipmunk("nova", bugs=BugConfig.only(5), telemetry=tel)
         results = [cm.test_workload(WORKLOAD),
                    cm.test_workload([Op("creat", ("/foo",)),
                                      Op("rename", ("/foo", "/bar"))])]
         # A workload's spans precede its workload_result event.
-        spans = [{} for _ in results]
+        spans = [[] for _ in results]
         index = 0
         for rec in tel.tracer.export():
             if rec["type"] == "event" and rec["name"] == "workload_result":
                 index += 1
-            elif rec["type"] == "span" and rec["name"] in SPAN_STAGES:
-                sums = spans[index]
-                sums[rec["name"]] = sums.get(rec["name"], 0.0) + rec["dur"]
-        for result, sums in zip(results, spans):
-            assert set(sums) == set(SPAN_STAGES)
-            for name, total in sums.items():
-                assert total == result.stage_times[name], name
+            elif rec["type"] == "span":
+                spans[index].append(rec)
+        for result, recs in zip(results, spans):
+            stage = {rec["name"]: rec for rec in recs
+                     if rec["name"] in SPAN_STAGES}
+            assert len(stage) == len(SPAN_STAGES) == sum(
+                rec["name"] in SPAN_STAGES for rec in recs)
+            for name, rec in stage.items():
+                assert rec["dur"] == result.stage_times[name], name
+                assert rec["attrs"] == {"workload": result.workload_desc}
+            record_id = stage["record"]["id"]
+            nested = [rec for rec in recs
+                      if rec["name"] in ("syscall", "oracle")]
+            assert (sum(rec["name"] == "syscall" for rec in nested)
+                    == len(result.errnos))
+            assert all(rec.get("parent") == record_id for rec in nested)
+            for name in ("triage", "analyze"):
+                assert "parent" not in stage[name]
 
     def test_trace_holds_no_metric_record(self, tmp_path):
         tel = Telemetry()

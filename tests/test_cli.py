@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import _parse_op, build_parser, main
+from repro.obs.tracing import read_jsonl
 from repro.workloads.ops import Op
 
 
@@ -117,8 +119,38 @@ class TestTelemetryCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "[telemetry] metrics snapshot:" in out
-        assert "  workloads: 1\n" in out
-        assert "  n_crash_states: " in out
+        assert "  workloads: 1   crash states: " in out
+
+    def test_metrics_exact_past_the_ring_and_equal_to_stats(
+            self, tmp_path, capsys, monkeypatch):
+        """--metrics folds each result as it is recorded: a run that
+        overflows the trace's ring buffer still counts every workload, and
+        on a trace that kept everything it prints what `repro stats` does."""
+        import functools
+
+        import repro.__main__ as cli
+        from repro.obs import Telemetry
+
+        trace = str(tmp_path / "t.jsonl")
+        main(["ace", "nova", "--seq", "1", "--trace", trace, "--metrics"])
+        out = capsys.readouterr().out
+        assert " oldest dropped" not in out
+        metrics = out.split("[telemetry] metrics snapshot:\n", 1)[1]
+        main(["stats", trace])
+        assert metrics == textwrap.indent(capsys.readouterr().out, "  ")
+        n_workloads = int(out.split(" workloads,", 1)[0].rsplit("\n", 1)[-1])
+
+        monkeypatch.setattr(cli, "Telemetry",
+                            functools.partial(Telemetry, span_capacity=64))
+        main(["ace", "nova", "--seq", "1", "--trace", trace, "--metrics"])
+        out = capsys.readouterr().out
+        assert " oldest dropped: the ring buffer was full" in out
+        assert f"  workloads: {n_workloads}   crash states: " in out
+        kept = sum(1 for rec in read_jsonl(trace)
+                   if rec.get("name") == "workload_result")
+        assert kept < n_workloads
+        header = next(read_jsonl(trace))
+        assert header["type"] == "meta" and header["dropped_records"] > 0
 
     def test_fuzz_seed_recorded_in_trace(self, tmp_path):
         trace = str(tmp_path / "f.jsonl")
