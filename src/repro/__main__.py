@@ -15,12 +15,7 @@ Commands
     Run a campaign across a parallel worker pool (the paper's ten-VM
     split as a subsystem) with checkpoint/resume; see ``--workers``,
     ``--out``, ``--resume``.  ``--shared-memo`` dedups clean check
-    verdicts across all workers through an engine-hosted service;
-    ``--memo-server HOST:PORT`` attaches to an external ``memod`` so
-    campaigns on several hosts share one table.
-``memod``
-    Serve a standalone shared check-memo service (the multi-host side of
-    ``campaign --memo-server``); prints the bound address on startup.
+    verdicts across all workers through an engine-hosted service.
 ``stats``
     Render a campaign summary from one or more JSONL traces written with
     ``--trace`` (multiple files merge — e.g. a parallel campaign's
@@ -105,7 +100,6 @@ from typing import List, Optional
 from repro.analysis.reporting import CampaignSummary
 from repro.fs.bugs import BUG_REGISTRY
 from repro.fs.registry import FS_CLASSES
-from repro.memo.store import DEFAULT_MAX_ENTRIES
 from repro.obs import Telemetry
 from repro.obs.tracing import jsonl_to_chrome
 from repro.workloads.fuzzer import WorkloadFuzzer
@@ -386,12 +380,12 @@ def _expand_stats_targets(targets: List[str]) -> List[str]:
     return traces
 
 
-def cmd_memod(args) -> int:
-    from repro.memo.server import run_memod
-
-    return run_memod(
-        host=args.host, port=args.port, max_entries=args.max_entries
-    )
+def _warn_dropped(dropped: int, source: str) -> None:
+    """One stderr line when a trace reader folded an incomplete trace."""
+    if dropped:
+        print(f"warning: {source}: {dropped} trace record(s) were dropped "
+              f"by a full ring buffer; totals count only the records kept",
+              file=sys.stderr)
 
 
 def cmd_stats(args) -> int:
@@ -409,6 +403,7 @@ def cmd_stats(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: not a JSONL telemetry trace: {exc}", file=sys.stderr)
         return 2
+    _warn_dropped(summary.dropped_records, ", ".join(traces))
     if args.json:
         print(json.dumps(summary.to_json_dict(), sort_keys=True, indent=2))
         return 0
@@ -451,6 +446,7 @@ def cmd_coverage(args) -> int:
                     )
                     return 2
             report = CoverageReport.from_traces(targets)
+            _warn_dropped(report.dropped_records, ", ".join(targets))
     except OSError as exc:
         print(f"error: cannot read coverage input: {exc.strerror or exc}",
               file=sys.stderr)
@@ -504,6 +500,8 @@ def cmd_diff(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
         print(f"error: not a campaign/report input: {exc}", file=sys.stderr)
         return 2
+    for side in (side_a, side_b):
+        _warn_dropped(side.dropped_records, side.path)
     try:
         diff = diff_sides(side_a, side_b, strict=args.strict)
     except ValueError as exc:
@@ -854,17 +852,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--shared-memo",
         action="store_true",
-        help="share one check-memo table across all workers (engine-hosted "
-        "loopback service): clean verdicts dedup campaign-wide, bug "
-        "reports are unaffected",
-    )
-    p_camp.add_argument(
-        "--memo-server",
-        dest="memo_address",
-        metavar="HOST:PORT",
-        help="attach to an external `repro memod` shared check-memo "
-        "service (multi-host campaigns dedup against one table); "
-        "implies --shared-memo",
+        help="skip states another worker already checked clean, through "
+        "one table the engine serves on loopback; bug reports are "
+        "unaffected",
     )
     p_camp.add_argument("--batch", type=int, default=8,
                         help="work items per dispatch (default 8)")
@@ -880,25 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable hot-path time/byte attribution in "
                         "every worker (recorded per result; see "
                         "`python -m repro profile`)")
-
-    p_memod = sub.add_parser(
-        "memod",
-        help="serve a standalone shared check-memo service for "
-        "`campaign --memo-server` (multi-host dedup)",
-    )
-    p_memod.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1; 0.0.0.0 for multi-host)",
-    )
-    p_memod.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default 0 = pick an ephemeral port and print it)",
-    )
-    p_memod.add_argument(
-        "--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
-        help=f"LRU cap on clean verdict entries (default "
-        f"{DEFAULT_MAX_ENTRIES}; 0 = unbounded)",
-    )
 
     p_stats = sub.add_parser(
         "stats",
@@ -1116,7 +1087,6 @@ def main(argv=None) -> int:
         "ace": cmd_ace,
         "fuzz": cmd_fuzz,
         "campaign": cmd_campaign,
-        "memod": cmd_memod,
         "stats": cmd_stats,
         "coverage": cmd_coverage,
         "watch": cmd_watch,

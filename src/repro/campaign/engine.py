@@ -103,8 +103,7 @@ class EngineStats:
     wall_clock: float = 0.0
     interrupted: bool = False
     #: Final shared memo-service table stats (``MemoTable.stats()``) when
-    #: the campaign ran with a shared memo; empty otherwise.  For an
-    #: external ``memod`` this is a best-effort end-of-run snapshot.
+    #: the campaign ran with a shared memo; empty otherwise.
     shared_memo: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -136,10 +135,8 @@ class CampaignEngine:
         )
         self._workers: Dict[int, _WorkerHandle] = {}
         self._next_wid = 0
-        #: Engine-hosted shared memo server (``spec.shared_memo`` without
-        #: an external address) and the address workers connect to.
+        #: Engine-hosted shared memo server (``spec.shared_memo``).
         self._memo_server = None
-        self._memo_address: Optional[str] = None
         #: Distinguishes this engine invocation's trace files from any
         #: earlier run's in the same campaign directory (resume).
         self._run_tag = uuid.uuid4().hex[:8]
@@ -179,7 +176,8 @@ class CampaignEngine:
         process = self._ctx.Process(
             target=workermod.worker_main,
             args=(wid, self.spec.to_dict(), child_conn, self.campaign_dir,
-                  self.config.fault, self._run_tag, self._memo_address),
+                  self.config.fault, self._run_tag,
+                  self._memo_server.address_str if self._memo_server else None),
             daemon=True,
         )
         process.start()
@@ -391,43 +389,19 @@ class CampaignEngine:
     # Shared check memo
     # ------------------------------------------------------------------
     def _start_shared_memo(self) -> None:
-        """Resolve the shared memo address the workers will connect to.
-
-        ``--memo-server HOST:PORT`` attaches to an external ``repro memod``
-        (multi-host campaigns share one table); otherwise the engine hosts
-        the same server in-process on a loopback ephemeral port — the
-        workers cannot tell the difference.
-        """
-        if self.spec.memo_address is not None:
-            self._memo_address = self.spec.memo_address
-            return
+        """Serve the shared memo on a loopback ephemeral port."""
         from repro.memo.server import MemoServer
-        from repro.memo.store import DEFAULT_MAX_ENTRIES
 
-        self._memo_server = MemoServer(max_entries=DEFAULT_MAX_ENTRIES)
+        self._memo_server = MemoServer()
         self._memo_server.start()
-        self._memo_address = self._memo_server.address_str
 
     def _stop_shared_memo(self) -> None:
-        """Capture final service stats into :class:`EngineStats`, stop the
-        embedded server.  Best-effort throughout — the shared memo is an
-        optimization and must never turn a finished campaign into an error."""
+        """Capture final service stats into :class:`EngineStats` and stop
+        the server."""
         if self._memo_server is not None:
             self.stats.shared_memo = self._memo_server.table.stats()
             self._memo_server.stop()
             self._memo_server = None
-        elif self._memo_address is not None:
-            from repro.memo.client import MemoClient
-
-            try:
-                client = MemoClient(self._memo_address)
-                stats = client.stats()
-                client.close()
-            except Exception:  # noqa: BLE001 — stats are advisory
-                stats = None
-            if stats:
-                self.stats.shared_memo = stats
-        self._memo_address = None
 
     # ------------------------------------------------------------------
     def _shutdown_workers(self) -> None:

@@ -95,8 +95,7 @@ class MergedCampaign:
             )
             if memo:
                 line += (
-                    f"; service table: {memo.get('entries', 0)} entrie(s) "
-                    f"({memo.get('buggy', 0)} buggy pinned), "
+                    f"; service table: {memo.get('entries', 0)} entrie(s), "
                     f"{memo.get('hits', 0)}/{memo.get('hits', 0) + memo.get('misses', 0)} "
                     f"lookup(s) hit, {memo.get('evictions', 0)} eviction(s)"
                 )

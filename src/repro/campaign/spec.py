@@ -51,13 +51,9 @@ class CampaignSpec(ChipmunkConfig):
     #: Write per-worker telemetry traces into the campaign directory.
     trace: bool = False
     #: Campaign-wide shared check memo: workers dedup clean verdicts
-    #: against one table instead of each rediscovering the same states.
-    #: With :attr:`memo_address` unset the engine hosts the service itself
-    #: on a loopback ephemeral port.
+    #: against one table, which the engine serves on a loopback ephemeral
+    #: port, instead of each rediscovering the same states.
     shared_memo: bool = False
-    #: ``HOST:PORT`` of an external ``repro memod`` — lets campaigns on
-    #: several hosts share one table.  Implies :attr:`shared_memo`.
-    memo_address: Optional[str] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -71,13 +67,6 @@ class CampaignSpec(ChipmunkConfig):
             raise ValueError(
                 f"max_workloads must be >= 0 (got {self.max_workloads})"
             )
-        if self.memo_address is not None:
-            from repro.memo.client import parse_address
-
-            parse_address(self.memo_address)  # raises ValueError if malformed
-            # An external address only makes sense with sharing on; fold it
-            # in so `memo_address and not shared_memo` is unrepresentable.
-            object.__setattr__(self, "shared_memo", True)
 
     @property
     def mode(self) -> str:

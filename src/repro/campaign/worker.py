@@ -171,10 +171,10 @@ def worker_main(
 
     ``run_tag`` distinguishes engine invocations: a resumed campaign's
     workers must not overwrite the original run's trace files.
-    ``memo_address`` points at the campaign's shared check-memo service
-    (engine-hosted or external ``repro memod``); the client degrades to
-    local-only memoization on any failure, so a bad address costs a few
-    timeouts, never the campaign.
+    ``memo_address`` is the ``HOST:PORT`` of the engine's shared
+    check-memo server; the client degrades to local-only memoization on
+    any failure, so a dead server costs a few timeouts, never the
+    campaign.
     """
     spec = CampaignSpec.from_dict(spec_dict)
     telemetry = None
@@ -183,12 +183,7 @@ def worker_main(
         telemetry.meta.update(
             fs=spec.fs, generator=spec.generator, worker=wid, run=run_tag,
         )
-    shared = None
-    if memo_address:
-        try:
-            shared = MemoClient(memo_address)
-        except ValueError:
-            shared = None  # malformed address: run local-only
+    shared = MemoClient(memo_address) if memo_address else None
     chipmunk = spec.build_chipmunk(telemetry=telemetry, shared_memo=shared)
     hb_path = os.path.join(campaign_dir, f"worker-{run_tag}-{wid}.hb")
     key_of = campaign_triage().key_of

@@ -41,7 +41,6 @@ from repro.core.recovery_memo import Recovery
 from repro.core.replayer import SYNC_SYSCALLS, CrashState
 from repro.core.report import BugReport, Consequence, diff_trees
 from repro.fs.common.alloc import AllocatorError
-from repro.memo.store import CLEAN
 from repro.pm.device import PMDevice, PMDeviceError
 from repro.pm.image import CrashImage, patched_digest
 from repro.vfs.errors import FsError
@@ -139,9 +138,9 @@ class ConsistencyChecker:
         state's ``(syscall, mid_syscall, after_syscall)`` context is
         compared against.  Equal digest ⟹ equal expectations ⟹
         (with equal image bytes) equal verdict — the soundness argument for
-        sharing verdicts across workloads, workers, and hosts.  Tree
+        sharing clean verdicts across workloads and workers.  Tree
         digests go through :meth:`_tree_digest`, a pure function of the
-        observable tree, so the digest is host-portable.
+        observable tree, so the digest is process-independent.
 
         Cached per context: a workload has a handful of contexts but
         thousands of states.
@@ -690,22 +689,21 @@ class CheckMemo:
     memo serves one workload, whose distinct states fit in memory, so
     nothing is ever evicted and no state is checked twice.
 
-    **Shared tier.** With ``shared`` attached (a
-    :class:`~repro.memo.client.MemoClient` or anything with the same
-    ``ok``/``lookup``/``publish`` surface), locally-missed states consult
-    the campaign-wide service under a key that folds the checker's
+    **Shared tier.** With ``shared`` attached (the campaign worker's
+    ``MemoClient``, or anything with the same ``ok``/``lookup``/``publish``
+    surface), locally-missed states consult the campaign-wide table of
+    clean states under a key that folds the checker's
     :meth:`~ConsistencyChecker.context_digest` into the content address —
     equal shared key ⟹ equal image bytes *and* equal oracle expectations
-    ⟹ equal verdict, across workloads, workers, and hosts.  Only ``CLEAN``
-    verdicts are shared and only ``CLEAN`` shared hits skip the check: a
-    buggy state's reports carry workload-specific identity (workload and
-    crash descriptions, provenance), so it is always re-checked locally and
-    its reports land in ``bugs.json`` exactly as without the service.  A
-    shared hit can therefore never mask a bug — it elides re-checks whose
-    outcome is provably empty.  Shared failures degrade silently: every
-    shared call is exception-guarded, errors count into
-    :attr:`shared_errors`, and the memo runs on indistinguishably with the
-    local tier alone.
+    ⟹ equal verdict, across workloads and workers.  Only clean states are
+    published: a buggy state's reports carry workload-specific identity
+    (workload and crash descriptions, provenance), so it is always
+    re-checked locally and its reports land in ``bugs.json`` exactly as
+    without the service.  A shared hit can therefore never mask a bug — it
+    elides re-checks whose outcome is provably empty.  Shared failures
+    degrade silently: every shared call is exception-guarded, errors count
+    into :attr:`shared_errors`, and the memo runs on indistinguishably with
+    the local tier alone.
     """
 
     def __init__(self, checker: ConsistencyChecker, telemetry=None,
@@ -754,7 +752,7 @@ class CheckMemo:
         checker's :meth:`~ConsistencyChecker.context_digest` (the packed
         tuple rides along so distinct contexts that happen to hash-collide
         on expectations still separate), making key equality imply verdict
-        equality fleet-wide.
+        equality campaign-wide.
         """
         h = hashlib.sha1()
         h.update(self.checker.context_digest(state))
@@ -768,16 +766,16 @@ class CheckMemo:
         return h.digest()
 
     # -- shared-tier wrappers: any failure is a degraded miss, never a raise
-    def _shared_lookup(self, skey: bytes) -> Optional[str]:
+    def _shared_lookup(self, skey: bytes) -> bool:
         try:
-            return self.shared.lookup(skey)
+            return self.shared.lookup(skey) is True
         except Exception:
             self.shared_errors += 1
-            return None
+            return False
 
-    def _shared_publish(self, skey: bytes, verdict: str) -> None:
+    def _shared_publish(self, skey: bytes) -> None:
         try:
-            self.shared.publish(skey, verdict)
+            self.shared.publish(skey)
         except Exception:
             self.shared_errors += 1
 
@@ -789,11 +787,11 @@ class CheckMemo:
         skey = None
         if self.shared is not None and getattr(self.shared, "ok", True):
             skey = self.shared_key(state, key)
-            if self._shared_lookup(skey) == CLEAN:
-                # Another workload/worker/host already checked these exact
-                # bytes under these exact expectations and found nothing.
-                # Clean-only: there are no reports to suppress, so skipping
-                # cannot change bugs.json.
+            if self._shared_lookup(skey):
+                # Another workload or worker already checked these exact
+                # bytes under these exact expectations and found nothing:
+                # there are no reports to suppress, so skipping cannot
+                # change bugs.json.
                 self.hits += 1
                 self.shared_hits += 1
                 self._seen.add(key)
@@ -811,8 +809,8 @@ class CheckMemo:
             reports = self.checker.check(state)
         self._seen.add(key)
         if skey is not None and not reports:
-            # Only clean verdicts travel: a shared BUGGY entry could never
-            # be used to skip (buggy states always re-check locally), so
-            # publishing it would be pure table growth.
-            self._shared_publish(skey, CLEAN)
+            # Only clean states travel: a buggy one is re-checked by every
+            # workload that reaches it, so publishing it would be pure
+            # table growth.
+            self._shared_publish(skey)
         return reports

@@ -237,8 +237,8 @@ class Chipmunk:
         #: Telemetry sink (:class:`repro.obs.Telemetry`); defaults to the
         #: null object, which keeps the pipeline uninstrumented.
         self.telemetry = telemetry if telemetry is not None else NULL
-        #: Campaign-wide shared memo backend (a
-        #: :class:`repro.memo.client.MemoClient` or compatible); every
+        #: Campaign-wide shared memo backend (the campaign worker's
+        #: ``MemoClient`` or anything compatible); every
         #: workload's :class:`CheckMemo` consults it for cross-workload
         #: clean-verdict dedup.  None runs local-only.
         self.shared_memo = shared_memo

@@ -17,9 +17,8 @@ One cache belongs to one :class:`~repro.core.harness.Chipmunk` and spans its
 workloads — ACE seq-2 workloads share prefixes, which is where most hits
 come from.
 
-Memory is bounded twice over: keys live in a
-:class:`~repro.memo.store.MemoTable` LRU of :data:`MAX_ENTRIES` entries, and
-each distinct tree is interned once (many images recover to one tree) with
+Memory is bounded twice over: keys live in an LRU of :data:`MAX_ENTRIES`
+entries, and each distinct tree is interned once (many images recover to one tree) with
 interned paths and :class:`~repro.vfs.interface.FileObservation`\\ s, so a
 file content that appears in hundreds of trees is held once.  Interning is
 weak: a tree lives exactly as long as some LRU entry references it.
@@ -29,9 +28,9 @@ from __future__ import annotations
 
 import sys
 import weakref
+from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.memo.store import CLEAN, MemoTable
 from repro.vfs.interface import FileObservation
 
 #: LRU bound on cached post-mount images.  Consecutive ACE workloads share
@@ -58,7 +57,9 @@ class OutcomeCache:
 
     def __init__(self, max_entries: int = MAX_ENTRIES) -> None:
         self.max_entries = max_entries
-        self._keys = MemoTable(max_entries)
+        #: Image digest -> outcome, least recently used first.
+        self._keys: "OrderedDict[bytes, RecoveredOutcome]" = OrderedDict()
+        self.evictions = 0
         self._outcomes: "weakref.WeakValueDictionary[bytes, RecoveredOutcome]" = (
             weakref.WeakValueDictionary()
         )
@@ -75,10 +76,15 @@ class OutcomeCache:
         were judged by a different file system."""
         if scope != self._scope:
             self._scope = scope
-            self._keys = MemoTable(self.max_entries)
+            self._keys = OrderedDict()
+            self.evictions = 0
 
     def lookup(self, key: bytes) -> Optional[RecoveredOutcome]:
-        return self._keys.fetch(key)
+        """The outcome cached under ``key``, refreshing its recency."""
+        outcome = self._keys.get(key)
+        if outcome is not None:
+            self._keys.move_to_end(key)
+        return outcome
 
     def store(self, key: bytes, tree: Dict[str, FileObservation],
               digest: bytes) -> None:
@@ -92,7 +98,12 @@ class OutcomeCache:
                 digest,
             )
             self._outcomes[digest] = outcome
-        self._keys.publish(key, CLEAN, outcome)
+        keys = self._keys
+        keys[key] = outcome
+        keys.move_to_end(key)
+        while len(keys) > self.max_entries:
+            keys.popitem(last=False)
+            self.evictions += 1
 
     def _intern(self, obs: FileObservation) -> FileObservation:
         slot = hash(obs)
@@ -101,10 +112,6 @@ class OutcomeCache:
             return known
         self._observations[slot] = obs
         return obs
-
-    @property
-    def evictions(self) -> int:
-        return self._keys.evictions
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -32,6 +32,12 @@ def read_u64(buf: bytes, offset: int = 0) -> int:
     return struct.unpack_from("<Q", buf, offset)[0]
 
 
+#: What a superblock decoder raises on a torn crash image: ``ValueError`` for
+#: a bad magic or an impossible geometry, ``struct.error`` for a short
+#: buffer.  ``layout_map`` falls back to one flat region on exactly these.
+TORN_SUPERBLOCK = (ValueError, struct.error)
+
+
 def crc32(data: bytes) -> int:
     """CRC32 checksum used by the Fortis-style resilience code."""
     return zlib.crc32(data) & 0xFFFFFFFF

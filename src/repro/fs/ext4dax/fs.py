@@ -270,11 +270,15 @@ class Ext4DaxFS(FileSystem):
 
     @classmethod
     def layout_map(cls, image: bytes):
-        from repro.fs.common.layout import LayoutMap, single_region_map
+        from repro.fs.common.layout import (
+            TORN_SUPERBLOCK,
+            LayoutMap,
+            single_region_map,
+        )
 
         try:
             geom = unpack_superblock(bytes(image[:64]))
-        except Exception:  # torn superblock on a crash image
+        except TORN_SUPERBLOCK:
             return single_region_map(len(image))
         if type(geom) is not cls.geometry_class:
             geom = cls.geometry_class(

@@ -145,6 +145,7 @@ class NovaFS(FileSystem):
     @classmethod
     def layout_map(cls, image: bytes):
         from repro.fs.common.layout import (
+            TORN_SUPERBLOCK,
             LayoutMap,
             NamedRegion,
             Region,
@@ -153,7 +154,7 @@ class NovaFS(FileSystem):
 
         try:
             geom = cls._coerce_geometry(L.unpack_superblock(bytes(image[:64])))
-        except Exception:  # torn superblock on a crash image
+        except TORN_SUPERBLOCK:
             return single_region_map(len(image))
         data_start = geom.first_data_block * geom.block_size
         return LayoutMap((

@@ -156,6 +156,7 @@ class PmfsFS(FileSystem):
     @classmethod
     def layout_map(cls, image: bytes):
         from repro.fs.common.layout import (
+            TORN_SUPERBLOCK,
             LayoutMap,
             NamedRegion,
             Region,
@@ -164,7 +165,7 @@ class PmfsFS(FileSystem):
 
         try:
             geom = L.unpack_superblock(bytes(image[:64]))
-        except Exception:  # torn superblock on a crash image
+        except TORN_SUPERBLOCK:
             return single_region_map(len(image))
         journal = Region(
             geom.journal_area(0).offset,

@@ -214,6 +214,7 @@ class SplitFS(FileSystem):
     @classmethod
     def layout_map(cls, image: bytes):
         from repro.fs.common.layout import (
+            TORN_SUPERBLOCK,
             LayoutMap,
             NamedRegion,
             single_region_map,
@@ -225,7 +226,7 @@ class SplitFS(FileSystem):
 
         try:
             geom = unpack_superblock(bytes(image[:64]))
-        except Exception:  # torn superblock on a crash image
+        except TORN_SUPERBLOCK:
             return single_region_map(len(image))
         regions = [
             NamedRegion("superblock", Region(0, geom.block_size)),

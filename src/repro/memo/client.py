@@ -10,8 +10,8 @@ disrupt*:
   an idle-connection reset without losing the request);
 * after :attr:`max_failures` *consecutive* failed requests the client
   permanently disables itself — every later call returns a miss in
-  nanoseconds and the worker runs on its local memo alone.  A killed
-  ``memod`` therefore slows a campaign down; it never changes its output.
+  nanoseconds and the worker runs on its local memo alone.  A dead
+  server therefore slows a campaign down; it never changes its output.
 
 The client is used serially by one worker process over one persistent
 connection; it is not thread-safe and does not need to be.
@@ -23,7 +23,6 @@ import socket
 from time import perf_counter
 from typing import Optional, Tuple
 
-from repro.memo.store import VERDICTS
 from repro.memo.wire import FrameError, recv_frame, send_frame
 
 
@@ -69,10 +68,6 @@ class MemoClient:
     def ok(self) -> bool:
         """False once the client has permanently degraded to local-only."""
         return not self._dead
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
     def _connect(self) -> socket.socket:
@@ -129,29 +124,16 @@ class MemoClient:
         return None
 
     # ------------------------------------------------------------------
-    def lookup(self, key: bytes) -> Optional[str]:
-        """The stored verdict for ``key``, or None (miss *or* degraded)."""
+    def lookup(self, key: bytes) -> bool:
+        """Whether ``key`` is known clean (False on a miss *or* degraded)."""
         response = self._request({"op": "lookup", "key": key.hex()})
-        if not response or not response.get("ok"):
-            return None
-        verdict = response.get("verdict")
-        return verdict if verdict in VERDICTS else None
+        return bool(response and response.get("ok")
+                    and response.get("hit") is True)
 
-    def publish(self, key: bytes, verdict: str) -> bool:
-        response = self._request(
-            {"op": "publish", "key": key.hex(), "verdict": verdict}
-        )
+    def publish(self, key: bytes) -> bool:
+        """Record ``key`` as clean; False if the request failed."""
+        response = self._request({"op": "publish", "key": key.hex()})
         return bool(response and response.get("ok"))
-
-    def ping(self) -> bool:
-        response = self._request({"op": "ping"})
-        return bool(response and response.get("ok"))
-
-    def stats(self) -> Optional[dict]:
-        response = self._request({"op": "stats"})
-        if not response or not response.get("ok"):
-            return None
-        return dict(response.get("stats", {}))
 
     def close(self) -> None:
         self._close()

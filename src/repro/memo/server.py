@@ -1,32 +1,21 @@
-"""Threaded TCP memo server: the campaign's shared verdict authority.
+"""Threaded TCP memo server: the campaign's shared table of clean keys.
 
-One :class:`MemoServer` instance serves both deployment modes with the
-same code path:
+For ``--shared-memo`` the campaign engine starts one :class:`MemoServer` on
+a loopback ephemeral port and hands the address to its workers.  A
+``multiprocessing.Manager`` proxy would also be a socket round trip per
+call, but its calls have no timeout; the worker's
+:class:`~repro.memo.client.MemoClient` bounds every request, so a wedged
+server slows a campaign down and never hangs it.
 
-* **host-local** — the campaign engine starts an in-process server on a
-  loopback ephemeral port for ``--shared-memo`` and hands the address to
-  its workers.  (A ``multiprocessing.Manager`` proxy would also be a
-  socket round trip per call — a real server is no slower and additionally
-  serves mode two.)
-* **multi-host** — ``python -m repro memod`` runs the same server
-  standalone; campaigns on other machines attach via
-  ``--memo-server HOST:PORT``.  The memo key is a pure function of image
-  bytes and oracle expectations (PR 7 made the content address canonical),
-  so keys are host-portable by construction.
-
-The server is deliberately dumb: it stores verdict strings under opaque
-hex keys and never inspects them.  All soundness reasoning (what a key
-must fold in, which verdicts may be skipped) lives client-side in
-:class:`repro.core.checker.CheckMemo` — a stale or wrong *server* can at
-worst return a verdict for a key nobody asked about, which the client
-ignores.
+The server is deliberately dumb: it stores opaque hex keys and never
+inspects them.  All soundness reasoning (what a key must fold in, which
+states may be skipped) lives client-side in
+:class:`repro.core.checker.CheckMemo`.
 
 Protocol (one JSON frame per request/response, see :mod:`repro.memo.wire`):
 
-``{"op": "lookup", "key": HEX}``  → ``{"ok": true, "verdict": "clean" | "buggy" | null}``
-``{"op": "publish", "key": HEX, "verdict": V}`` → ``{"ok": true}``
-``{"op": "stats"}`` → ``{"ok": true, "stats": {...}}``
-``{"op": "ping"}`` → ``{"ok": true}``
+``{"op": "lookup", "key": HEX}``  → ``{"ok": true, "hit": true | false}``
+``{"op": "publish", "key": HEX}`` → ``{"ok": true}``
 
 Malformed requests get ``{"ok": false, "error": ...}``; frame-level
 violations (oversized, torn, non-JSON) close the connection.
@@ -35,12 +24,10 @@ violations (oversized, torn, non-JSON) close the connection.
 from __future__ import annotations
 
 import socket
-import sys
 import threading
-import time
 from typing import Optional, Tuple
 
-from repro.memo.store import DEFAULT_MAX_ENTRIES, MemoTable, VERDICTS
+from repro.memo.store import MemoTable
 from repro.memo.wire import FrameError, recv_frame, send_frame
 
 #: Hex sha1 is 40 chars; allow headroom for longer digests without
@@ -52,22 +39,17 @@ _ACCEPT_POLL_S = 0.2
 
 
 class MemoServer:
-    """Shared check-memo server: a :class:`MemoTable` behind a TCP socket."""
+    """Shared check-memo server: a :class:`MemoTable` behind a loopback
+    TCP socket (``port`` 0 picks an ephemeral one)."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        table: Optional[MemoTable] = None,
-    ) -> None:
-        self.host = host
+    host = "127.0.0.1"
+
+    def __init__(self, port: int = 0) -> None:
         self.port = port
-        self.table = table if table is not None else MemoTable(max_entries)
+        self.table = MemoTable()
         self._sock: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self.connections = 0
         self.frame_errors = 0
 
     # ------------------------------------------------------------------
@@ -82,7 +64,7 @@ class MemoServer:
         self._sock = sock
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._accept_loop, name="memod-accept", daemon=True
+            target=self._accept_loop, name="memo-accept", daemon=True
         )
         self._thread.start()
 
@@ -102,6 +84,13 @@ class MemoServer:
             self._thread = None
         sock = self._sock
         if sock is not None:
+            # Forked workers inherit the listening socket, so close() alone
+            # would leave it accepting; shutdown() stops it in every process
+            # and a later connect is refused at once.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:
@@ -117,10 +106,9 @@ class MemoServer:
                 continue
             except OSError:
                 return  # socket closed under us during shutdown
-            self.connections += 1
             threading.Thread(
                 target=self._serve_client, args=(conn,),
-                name="memod-conn", daemon=True,
+                name="memo-conn", daemon=True,
             ).start()
 
     def _serve_client(self, conn: socket.socket) -> None:
@@ -160,51 +148,12 @@ class MemoServer:
     # ------------------------------------------------------------------
     def _handle(self, request: dict) -> dict:
         op = request.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "stats":
-            return {"ok": True, "stats": self.table.stats()}
-        if op in ("lookup", "publish"):
-            key = request.get("key")
-            if not isinstance(key, str) or not key or len(key) > MAX_KEY_CHARS:
-                return {"ok": False, "error": "bad key"}
-            if op == "lookup":
-                return {"ok": True, "verdict": self.table.lookup(key)}
-            verdict = request.get("verdict")
-            if verdict not in VERDICTS:
-                return {"ok": False, "error": f"bad verdict {verdict!r}"}
-            self.table.publish(key, verdict)
-            return {"ok": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
-
-
-def run_memod(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    out=None,
-) -> int:
-    """CLI entry point (``python -m repro memod``): serve until interrupted."""
-    out = out if out is not None else sys.stdout
-    server = MemoServer(host=host, port=port, max_entries=max_entries)
-    server.start()
-    print(
-        f"[memod] serving shared check memo on {server.address_str} "
-        f"(max {server.table.max_entries} clean entries); Ctrl-C to stop",
-        file=out, flush=True,
-    )
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        stats = server.table.stats()
-        print(
-            f"\n[memod] {stats['entries']} entrie(s) "
-            f"({stats['buggy']} buggy pinned), {stats['hits']} hit(s), "
-            f"{stats['misses']} miss(es), {stats['evictions']} eviction(s) "
-            f"over {server.connections} connection(s)",
-            file=out, flush=True,
-        )
-        return 130
-    finally:
-        server.stop()
+        if op not in ("lookup", "publish"):
+            return {"ok": False, "error": f"unknown op {op!r}"}
+        key = request.get("key")
+        if not isinstance(key, str) or not key or len(key) > MAX_KEY_CHARS:
+            return {"ok": False, "error": "bad key"}
+        if op == "lookup":
+            return {"ok": True, "hit": self.table.lookup(key)}
+        self.table.publish(key)
+        return {"ok": True}

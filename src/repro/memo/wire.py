@@ -1,7 +1,7 @@
 """Memo wire protocol: 4-byte length-prefixed JSON frames.
 
-Requests and responses are small dicts (a lookup carries a hex key, a
-response a verdict string), so the frame cap is tight: anything larger
+Requests and responses are small dicts (a request carries an op and a hex
+key, a response a hit flag), so the frame cap is tight: anything larger
 than :data:`MAX_FRAME` is rejected *from the header alone* — the body is
 never read, so a hostile or corrupted peer cannot make the server buffer
 arbitrary data.  A connection that closes mid-frame raises
@@ -16,8 +16,8 @@ import struct
 from typing import Optional
 
 #: Maximum frame payload in bytes.  Every legitimate message is well under
-#: 200 bytes (op + hex sha1 key + verdict); 4 KiB leaves headroom for the
-#: stats response without admitting anything pathological.
+#: 200 bytes (op + hex sha1 key, or a hit flag); 4 KiB leaves headroom
+#: without admitting anything pathological.
 MAX_FRAME = 4096
 
 _HEADER = struct.Struct(">I")

@@ -120,9 +120,12 @@ class ResultFold:
         """Rebuild the aggregate from one or more ``--trace`` JSONL files.
 
         Multiple traces arise from parallel campaigns — one file per
-        worker — and fold as one campaign.
+        worker — and fold as one campaign.  Each writer's ring buffer drops
+        its own oldest records, so ``meta["dropped_records"]`` is the sum
+        over every meta record read (see :attr:`dropped_records`).
         """
         agg = cls()
+        dropped = 0
         for path in paths:
             for rec in read_jsonl(path):
                 kind = rec.get("type")
@@ -130,9 +133,18 @@ class ResultFold:
                     agg.meta.update({k: v for k, v in rec.items() if k != "type"})
                     agg.fs_name = str(agg.meta.get("fs", agg.fs_name))
                     agg.generator = str(agg.meta.get("generator", agg.generator))
+                    dropped += int(rec.get("dropped_records", 0))
                 elif kind == "event":
                     agg.add_event(str(rec.get("name")), rec.get("fields", {}))
+        if dropped:
+            agg.meta["dropped_records"] = dropped
         return agg
+
+    @property
+    def dropped_records(self) -> int:
+        """Trace records lost to full ring buffers: the folded totals miss
+        every ``workload_result`` event among them."""
+        return int(self.meta.get("dropped_records", 0))
 
     def add_event(self, name: str, fields: Dict[str, object]) -> None:
         if name != "workload_result":

@@ -67,6 +67,8 @@ class DiffSide:
     #: The raw serialized report list, for ``--strict`` object equality.
     report_dicts: Optional[List[dict]] = None
     metrics: Dict[str, float] = field(default_factory=dict)
+    #: Records the trace's ring buffers dropped (trace input only).
+    dropped_records: int = 0
 
 
 @dataclass
@@ -168,7 +170,8 @@ def load_side(path: str) -> DiffSide:
         raise FileNotFoundError(path)
     if path.endswith(".jsonl"):
         agg = ResultFold.from_traces([path])
-        return DiffSide(path=path, metrics=_metrics_of(agg))
+        return DiffSide(path=path, metrics=_metrics_of(agg),
+                        dropped_records=agg.dropped_records)
     with open(path, "r", encoding="utf-8") as fh:
         report_dicts = _parse_report_dicts(json.load(fh))
     return DiffSide(

@@ -1,24 +1,20 @@
 """Shared-memo equivalence: the campaign-wide check service must change
 *when* states get checked, never *what the campaign reports*.
 
-Three configurations are held to byte-equality on ``bugs.json`` against a
-serial reference under the eager whole-image memo: the engine-embedded
-service (``--shared-memo``), an external server (``--memo-server
-HOST:PORT``, the multi-host path), and a server that dies mid-campaign (the
-degradation path).  Sequence-2
-workloads are used deliberately: cross-workload redundancy lives in shared
-multi-op prefixes — seq-1 workloads are one distinct op each and share
-nothing — so these runs actually exercise shared hits, which the live-mode
-tests assert on.
+Three runs of the engine-hosted service (``--shared-memo``) are held to
+byte-equality on ``bugs.json`` against a serial reference under the eager
+whole-image memo: a healthy service, one stopped mid-campaign, and one
+that is dead before any worker connects (the degradation paths).
+Sequence-2 workloads are used deliberately: cross-workload redundancy
+lives in shared multi-op prefixes — seq-1 workloads are one distinct op
+each and share nothing — so these runs actually exercise shared hits,
+which the live-mode tests assert on.
 """
-
-import threading
 
 import pytest
 from conftest import eager_memo, serial_bugs_json
 
 from repro.campaign import CampaignEngine, CampaignSpec, EngineConfig
-from repro.memo import MemoServer
 
 N = 6  # per sequence length; the campaign runs seq 1 and seq 2
 
@@ -58,53 +54,47 @@ class TestSharedMemoEquivalence:
         assert service.get("hits", 0) > 0
         assert service.get("entries", 0) > 0
 
-    def test_external_server_bugs_byte_equal(self, tmp_path, reference):
-        """Multi-host mode: campaign attaches to a standalone server by
-        address (here in-process, but over real TCP like `repro memod`)."""
-        server = MemoServer()
-        server.start()
-        try:
-            merged, bugs = run_engine(
-                tmp_path, spec_for(memo_address=server.address_str)
-            )
-            assert bugs == reference
-            assert merged.summary.memo_shared_hits > 0
-            assert server.table.stats()["hits"] > 0
-        finally:
-            server.stop()
+    def _stop_service(self, monkeypatch, after_publishes):
+        """Make the engine's service stop itself once it has taken
+        ``after_publishes`` publishes (0: before any worker is spawned)."""
+        start = CampaignEngine._start_shared_memo
 
-    def test_memo_address_implies_shared_memo(self):
-        spec = spec_for(memo_address="127.0.0.1:9009")
-        assert spec.shared_memo
+        def start_then_stop(engine):
+            start(engine)
+            server = engine._memo_server
+            if not after_publishes:
+                server.stop()
+                return
+            publish = server.table.publish
 
-    def test_server_killed_mid_campaign_degrades(self, tmp_path, reference):
-        """The ISSUE's degradation gate: kill the service while workers
-        are mid-campaign; they fall back to their local memos, the
-        campaign completes, and bugs.json is still byte-equal."""
-        server = MemoServer()
-        server.start()
-        killer = threading.Timer(1.0, server.stop)
-        killer.start()
-        try:
-            merged, bugs = run_engine(
-                tmp_path, spec_for(memo_address=server.address_str)
-            )
-            assert bugs == reference
-        finally:
-            killer.cancel()
-            server.stop()
+            def publish_then_stop(key):
+                publish(key)
+                if server.table.publishes == after_publishes:
+                    server.stop()
 
-    def test_dead_address_from_the_start_degrades(self, tmp_path, reference):
-        """Nothing ever listened: every worker burns its connection
-        attempts, permanently degrades, and the campaign is oblivious."""
-        import socket
+            server.table.publish = publish_then_stop
 
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
+        monkeypatch.setattr(CampaignEngine, "_start_shared_memo",
+                            start_then_stop)
+
+    def test_server_killed_mid_campaign_degrades(self, tmp_path, reference,
+                                                 monkeypatch):
+        """Stop the service while workers are mid-campaign; they fall back
+        to their local memos, the campaign completes, and bugs.json is
+        still byte-equal."""
+        self._stop_service(monkeypatch, after_publishes=20)
+        merged, bugs = run_engine(tmp_path, spec_for(shared_memo=True))
+        assert bugs == reference
+        assert merged.engine["shared_memo"]["publishes"] == 20
+
+    def test_dead_address_from_the_start_degrades(self, tmp_path, reference,
+                                                  monkeypatch):
+        """Nothing listens by the time workers connect: every worker burns
+        its connection attempts, permanently degrades, and the campaign is
+        oblivious."""
+        self._stop_service(monkeypatch, after_publishes=0)
         merged, bugs = run_engine(
-            tmp_path, spec_for(memo_address=f"127.0.0.1:{port}"), workers=2
+            tmp_path, spec_for(shared_memo=True), workers=2
         )
         assert bugs == reference
         assert merged.summary.memo_shared_hits == 0

@@ -64,7 +64,7 @@ class TestBuildChipmunk:
         assert chipmunk.bugs == BugConfig.fixed()
 
 
-def half_done_campaign(tmp_path, **stored):
+def half_done_campaign(tmp_path, shared_memo=False, **stored):
     """A 4-workload campaign cut after 2 items, its journal's spec holding
     the extra ``stored`` keys: ``(spec, engine config, campaign dir)``."""
     import json
@@ -72,7 +72,8 @@ def half_done_campaign(tmp_path, **stored):
 
     from repro.campaign import CampaignEngine, EngineConfig
 
-    spec = CampaignSpec(fs="nova", seq=1, max_workloads=4)
+    spec = CampaignSpec(fs="nova", seq=1, max_workloads=4,
+                        shared_memo=shared_memo)
     config = EngineConfig(workers=1, batch_size=1)
     campaign_dir = str(tmp_path / "camp")
     CampaignEngine(spec, campaign_dir, config).run()
@@ -94,9 +95,10 @@ def half_done_campaign(tmp_path, **stored):
 
 class TestLegacySpecKeys:
     """Journals written while ``memo_entries`` was a spec field resume: the
-    local memo bound is now the module constant next to ``MemoTable``.
-    So do journals whose spec carries the deleted ``memoize`` and lacks
-    the keys the spec now inherits from ``ChipmunkConfig``."""
+    per-workload memo has no bound to configure.
+    So do journals whose spec carries the deleted ``memoize`` or
+    ``memo_address`` and lacks the keys the spec now inherits from
+    ``ChipmunkConfig``."""
 
     def test_memo_entries_key_is_dropped(self):
         data = {**CampaignSpec(fs="nova").to_dict(), "memo_entries": 1024}
@@ -107,6 +109,18 @@ class TestLegacySpecKeys:
 
         spec, config, campaign_dir = half_done_campaign(
             tmp_path, memo_entries=262144)
+        merged = CampaignEngine(spec, campaign_dir, config, resume=True).run()
+        assert merged.engine["items_resumed"] == 2
+        assert merged.summary.workloads_tested == 4
+
+    def test_journal_with_memo_address_resumes(self, tmp_path):
+        """A journal of a campaign that attached to an external memo server
+        resumes under ``--shared-memo``: the address is dropped like any
+        unknown key, and sharing only clean verdicts cannot move results."""
+        from repro.campaign import CampaignEngine
+
+        spec, config, campaign_dir = half_done_campaign(
+            tmp_path, shared_memo=True, memo_address="127.0.0.1:7391")
         merged = CampaignEngine(spec, campaign_dir, config, resume=True).run()
         assert merged.engine["items_resumed"] == 2
         assert merged.summary.workloads_tested == 4

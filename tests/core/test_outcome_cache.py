@@ -275,6 +275,16 @@ class TestMemoryDiscipline:
         assert a.tree["/f"] is b.tree["/f"]
         assert cache.lookup(b"key0") is None
 
+    def test_lookup_refreshes_recency(self):
+        cache = OutcomeCache(max_entries=2)
+        cache.store(b"key1", {"/f": file_obs(b"one")}, b"tree1")
+        cache.store(b"key2", {"/f": file_obs(b"two")}, b"tree2")
+        assert cache.lookup(b"key1") is not None  # key1 is now the freshest
+        cache.store(b"key3", {"/f": file_obs(b"three")}, b"tree3")
+        assert cache.lookup(b"key2") is None
+        assert cache.lookup(b"key1").digest == b"tree1"
+        assert cache.evictions == 1
+
     def test_many_images_one_tree(self):
         cache = OutcomeCache()
         for i in range(10):

@@ -15,7 +15,10 @@ from repro.core.harness import Chipmunk
 from repro.core.replayer import enumerate_crash_states
 from repro.forensics.provenance import capture_provenance
 from repro.forensics.timeline import render_timeline
+from repro.fs.common.layout import single_region_map
 from repro.fs.ext4dax.fs import Ext4DaxFS
+from repro.fs.nova.fs import NovaFS
+from repro.fs.pmfs.fs import PmfsFS
 from repro.fs.splitfs.fs import SplitFS
 from repro.pm.device import PMDevice
 from repro.workloads import ace
@@ -39,6 +42,44 @@ def fresh_layout(fs_class, device_size):
     device = PMDevice(device_size)
     fs_class.mkfs(device)
     return fs_class.layout_map(device.snapshot())
+
+
+#: Each family's ``layout_map`` and the module attribute it decodes its
+#: superblock through.
+SUPERBLOCK_DECODERS = [
+    (NovaFS, "repro.fs.nova.layout.unpack_superblock"),
+    (PmfsFS, "repro.fs.pmfs.layout.unpack_superblock"),
+    (Ext4DaxFS, "repro.fs.ext4dax.fs.unpack_superblock"),
+    (SplitFS, "repro.fs.splitfs.fs.unpack_superblock"),
+]
+
+
+@pytest.mark.parametrize(
+    "fs_class, decoder", SUPERBLOCK_DECODERS,
+    ids=[fs_class.name for fs_class, _ in SUPERBLOCK_DECODERS],
+)
+class TestTornSuperblock:
+    """A torn superblock (bad magic, short image) maps as one flat region;
+    anything else a decoder raises is a bug and propagates."""
+
+    def test_zeroed_superblock_is_one_region(self, fs_class, decoder):
+        device = PMDevice(256 * 1024)
+        fs_class.mkfs(device)
+        image = bytearray(device.snapshot())
+        image[:64] = bytes(64)
+        assert fs_class.layout_map(bytes(image)) == single_region_map(len(image))
+        assert fs_class.layout_map(b"\x00" * 32) == single_region_map(32)
+
+    def test_unexpected_decoder_error_propagates(self, fs_class, decoder,
+                                                 monkeypatch):
+        def broken(buf):
+            raise TypeError("decoder bug")
+
+        monkeypatch.setattr(decoder, broken)
+        device = PMDevice(256 * 1024)
+        fs_class.mkfs(device)
+        with pytest.raises(TypeError, match="decoder bug"):
+            fs_class.layout_map(device.snapshot())
 
 
 class TestSplitfsLayoutMap:

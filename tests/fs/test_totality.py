@@ -1,8 +1,9 @@
 """Totality of recovery on damaged images.
 
-A torn or corrupt superblock can describe any geometry.  Whatever it says,
-mounting the image, walking the tree and the checker's usability pass must
-either succeed or fail inside the checker's taxonomy: ``MountError`` and
+A torn or corrupt superblock can describe any geometry, and a damaged
+inode, log or bitmap byte any structure.  Whatever the image says,
+mounting it, walking the tree and the checker's usability pass must either
+succeed or fail inside the checker's taxonomy: ``MountError`` and
 ``FsError``, plus :data:`repro.core.checker.RECOVERY_CRASHES`, the
 exceptions ``ConsistencyChecker`` turns into "mount/walk/usability crashed"
 findings.  Anything else escapes the checker and fails the whole workload.
@@ -48,6 +49,28 @@ def checker_for(fs_name):
                               "totality", bugs=BugConfig.fixed())
 
 
+def recover(fs_name, device):
+    """Mount, walk and run the usability pass; a failure in the taxonomy
+    ends recovery early, anything else propagates."""
+    try:
+        fs = FS_CLASSES()[fs_name].mount(device)
+        tree = fs.walk()
+    except TAXONOMY:
+        return
+    # The usability pass turns everything in the taxonomy into findings.
+    checker_for(fs_name)._check_usability(fs, tree)
+
+
+@lru_cache(maxsize=None)
+def read_bytes(fs_name):
+    """Every byte address recovery of the populated image reads."""
+    device = PMDevice.from_snapshot(populated_image(fs_name))
+    with device.traced() as trace:
+        recover(fs_name, device)
+    return sorted({addr for start, length in trace if length > 0
+                   for addr in range(start, start + length)})
+
+
 @st.composite
 def field_mutations(draw):
     offset, width = draw(st.sampled_from(FIELDS))
@@ -65,13 +88,23 @@ def test_mount_and_walk_stay_inside_the_taxonomy(fs_name, mutation):
     offset, value = mutation
     device = PMDevice.from_snapshot(populated_image(fs_name))
     device.write(offset, value)
-    try:
-        fs = FS_CLASSES()[fs_name].mount(device)
-        tree = fs.walk()
-    except TAXONOMY:
-        return
-    # The usability pass turns everything in the taxonomy into findings.
-    checker_for(fs_name)._check_usability(fs, tree)
+    recover(fs_name, device)
+
+
+@pytest.mark.parametrize("fs_name", sorted(FS_CLASSES()))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_read_bytes_stay_inside_the_taxonomy(fs_name, data):
+    """1-8 random bytes among those recovery of the undamaged image reads."""
+    addrs = read_bytes(fs_name)
+    damage = data.draw(st.lists(
+        st.tuples(st.sampled_from(addrs), st.integers(0, 255)),
+        min_size=1, max_size=8,
+    ))
+    device = PMDevice.from_snapshot(populated_image(fs_name))
+    for addr, value in damage:
+        device.write(addr, bytes([value]))
+    recover(fs_name, device)
 
 
 #: One-byte damages, found by a seeded scan over the bytes mount, walk and

@@ -1,12 +1,12 @@
 """CheckMemo's shared tier, exercised against in-memory fake backends.
 
-The contract under test is the ISSUE's non-negotiable: *a shared hit can
-never mask a bug*.  Structurally that means (1) only a CLEAN shared
-verdict may skip a check — a BUGGY one, even a wrong one, must leave the
-local check path untouched; (2) any backend misbehavior (exceptions, a
-dead client) degrades to plain local memoization; (3) the shared key
-folds the oracle's expectations, so byte-identical images judged against
-different expectations never cross-hit.
+The contract under test: *a shared hit can never mask a bug*.
+Structurally that means (1) only clean states are published, and only an
+explicit hit skips a check — any other answer leaves the local check path
+untouched; (2) any backend misbehavior (exceptions, a dead client)
+degrades to plain local memoization; (3) the shared key folds the
+oracle's expectations, so byte-identical images judged against different
+expectations never cross-hit.
 """
 
 from dataclasses import dataclass
@@ -17,30 +17,30 @@ from repro.core.oracle import run_oracle
 from repro.core.replayer import CrashState, enumerate_crash_states
 from repro.core.report import Consequence
 from repro.fs.bugs import BugConfig
-from repro.memo.store import BUGGY, CLEAN
 from repro.pm.device import PMDevice
 from repro.workloads.ops import Op, run_workload
 
 
 class FakeShared:
-    """Dict-backed stand-in for MemoClient (same ok/lookup/publish surface)."""
+    """Set-backed stand-in for MemoClient (same ok/lookup/publish surface);
+    ``answer`` forces every lookup's reply."""
 
-    def __init__(self, verdict=None, ok=True):
-        self.table = {}
+    def __init__(self, answer=None, ok=True):
+        self.table = set()
         self.ok = ok
-        self.forced_verdict = verdict
+        self.answer = answer
         self.lookups = 0
         self.publishes = 0
 
     def lookup(self, key):
         self.lookups += 1
-        if self.forced_verdict is not None:
-            return self.forced_verdict
-        return self.table.get(key)
+        if self.answer is not None:
+            return self.answer
+        return key in self.table
 
-    def publish(self, key, verdict):
+    def publish(self, key):
         self.publishes += 1
-        self.table.setdefault(key, verdict)
+        self.table.add(key)
         return True
 
 
@@ -50,7 +50,7 @@ class RaisingShared(FakeShared):
     def lookup(self, key):
         raise ConnectionResetError("boom")
 
-    def publish(self, key, verdict):
+    def publish(self, key):
         raise ConnectionResetError("boom")
 
 
@@ -85,8 +85,7 @@ class TestCleanSharedHits:
         first = fresh_memo(cm, shared=shared)
         baseline = run_states(cm, first)
         assert first.shared_hits == 0  # cold service: nothing to hit
-        assert shared.publishes > 0
-        assert all(v == CLEAN for v in shared.table.values())
+        assert shared.publishes == first.misses  # fixed FS: all clean
 
         second = fresh_memo(cm, shared=shared)
         again = run_states(cm, second)
@@ -99,24 +98,35 @@ class TestCleanSharedHits:
         assert second.hits >= second.shared_hits
 
     def test_only_clean_verdicts_are_published(self):
-        """A buggy run publishes only its clean states to the service:
-        BUGGY entries can never be used to skip, so shipping them would be
-        pure table growth."""
+        """A buggy run publishes only its clean states to the service: a
+        buggy state is re-checked by every workload that reaches it, so
+        shipping it would be pure table growth."""
         cm = Chipmunk("nova")  # default bug config: states will be buggy
         shared = FakeShared()
         memo = fresh_memo(cm, shared=shared)
+        clean = []
+        check = memo.checker.check
+
+        def recording_check(state):
+            reports = check(state)
+            clean.append(not reports)
+            return reports
+
+        memo.checker.check = recording_check
         reports = run_states(cm, memo)
         assert reports  # the point of the default config
-        assert all(v == CLEAN for v in shared.table.values())
+        assert 0 < sum(clean) < len(clean)
+        assert shared.publishes == sum(clean)
 
 
 class TestBuggyNeverSkips:
-    def test_forced_buggy_verdict_changes_nothing(self):
-        """Even a shared table claiming *everything* is buggy must not
-        perturb the check path: reports match a shared-less run exactly."""
+    def test_a_non_hit_answer_changes_nothing(self):
+        """A backend answering anything but ``True`` (here a truthy string)
+        must not perturb the check path: reports match a shared-less run
+        exactly."""
         cm = Chipmunk("nova")
         reference = run_states(cm, fresh_memo(cm, shared=None))
-        shared = FakeShared(verdict=BUGGY)
+        shared = FakeShared(answer="buggy")
         memo = fresh_memo(cm, shared=shared)
         assert run_states(cm, memo) == reference
         assert memo.shared_hits == 0
@@ -124,11 +134,11 @@ class TestBuggyNeverSkips:
 
     def test_forced_clean_verdict_only_skips(self):
         """The dual: a table claiming everything is clean suppresses all
-        reports — which is exactly why CheckMemo only trusts a CLEAN
-        verdict when key equality *proves* it (covered by the campaign
-        equivalence tests); here it pins the skip semantics."""
+        reports — which is exactly why CheckMemo only trusts a hit when
+        key equality *proves* it (covered by the campaign equivalence
+        tests); here it pins the skip semantics."""
         cm = Chipmunk("nova")
-        memo = fresh_memo(cm, shared=FakeShared(verdict=CLEAN))
+        memo = fresh_memo(cm, shared=FakeShared(answer=True))
         assert run_states(cm, memo) == []
         assert memo.misses == 0
         # Every hit is shared or served by the local entry a shared hit
@@ -245,14 +255,14 @@ class TestDeepContentSeparation:
 
     def test_clean_entry_of_one_is_not_a_hit_for_the_other(self):
         """The image holding the first workload's file is clean for that
-        workload and a lost write for the second; the first's CLEAN entry
+        workload and a lost write for the second; the first's clean entry
         must not mask it."""
         cm = Chipmunk("nova", bugs=BugConfig.fixed())
         shared = FakeShared()
         state = self._final_state_of(cm, self.SAME_TAIL)
         first = CheckMemo(self._checker(cm, self.SAME_TAIL), shared=shared)
         assert first.check(state) == []
-        assert list(shared.table.values()) == [CLEAN]
+        assert len(shared.table) == 1
         second = CheckMemo(self._checker(cm, self.OTHER_TAIL), shared=shared)
         reports = second.check(state)
         assert second.shared_hits == 0

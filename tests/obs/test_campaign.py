@@ -138,3 +138,51 @@ class TestRender:
         text = stats.render()
         assert "1.25" in text
         assert "ATOMICITY" in text
+
+
+class TestDroppedRecords:
+    """Each trace writer's ring drops its own oldest records, so a fold
+    over several traces (per-worker files, or a merged trace holding each
+    worker's meta record) reports the sum, and every trace reader warns."""
+
+    def _trace(self, tmp_path, name, dropped):
+        tel = Telemetry()
+        tel.meta.update(fs="nova", generator="ace")
+        cm = Chipmunk("nova", bugs=BugConfig.fixed(), telemetry=tel)
+        CampaignSummary(fs_name="nova", telemetry=tel).add_result(
+            cm.test_workload(CLEAN))
+        tel.tracer.dropped = dropped
+        path = tmp_path / name
+        tel.export_jsonl(str(path))
+        return path
+
+    def test_two_traces_sum_their_dropped_records(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        a = self._trace(tmp_path, "a.jsonl", 3)
+        b = self._trace(tmp_path, "b.jsonl", 4)
+        merged = tmp_path / "merged.jsonl"
+        merged.write_text(a.read_text() + b.read_text())
+        summary = CampaignSummary.from_traces([str(a), str(b)])
+        assert summary.dropped_records == 7
+        assert summary.meta["dropped_records"] == 7
+        assert CampaignSummary.from_traces([str(merged)]).dropped_records == 7
+
+        # diff reads two inputs, and warns once per side.
+        for argv, lines in ((["stats", str(a), str(b)], 1),
+                            (["coverage", str(a), str(b)], 1),
+                            (["diff", str(merged), str(merged)], 2)):
+            assert main(argv) == 0
+            err = capsys.readouterr().err.splitlines()
+            warnings = [line for line in err if line.startswith("warning:")]
+            assert len(warnings) == lines, (argv, err)
+            assert all("7 trace record(s) were dropped" in w
+                       for w in warnings), warnings
+
+    def test_a_complete_trace_warns_nothing(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        a = self._trace(tmp_path, "a.jsonl", 0)
+        assert CampaignSummary.from_traces([str(a)]).dropped_records == 0
+        assert main(["stats", str(a)]) == 0
+        assert "warning" not in capsys.readouterr().err

@@ -305,6 +305,26 @@ class TestBadKnobs:
         assert "unrecognized arguments: --crash-plans mech" in proc.stderr
         assert not list(tmp_path.iterdir()), "no campaign directory"
 
+    def test_removed_memo_server_flag_is_a_usage_error(self, tmp_path):
+        """The external memo server is gone (``--shared-memo`` is the one
+        shared mode); its flag is an unrecognized argument, and ``memod``
+        is no command."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        for argv, expected in (
+            (["campaign", "nova", "--max-workloads", "2",
+              "--memo-server", "127.0.0.1:7391"],
+             "unrecognized arguments: --memo-server 127.0.0.1:7391"),
+            (["memod"], "invalid choice: 'memod'"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                capture_output=True, text=True, timeout=30,
+            )
+            assert proc.returncode == 2, proc.stdout + proc.stderr
+            assert expected in proc.stderr
+        assert not list(tmp_path.iterdir()), "no campaign directory"
+
 
 class TestObservabilityCLI:
     @pytest.fixture(scope="class")
