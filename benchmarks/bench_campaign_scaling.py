@@ -70,19 +70,18 @@ def test_bench_campaign_scaling(benchmark, tmp_path):
 
     serial_summary, serial_wall, parallel = run_once(benchmark, experiment)
 
-    rows = [("serial", f"{serial_wall:.2f}", "1.00x", "-", "-")]
+    rows = [("serial", f"{serial_wall:.2f}", "1.00x", "-")]
     for workers, wall, merged in parallel:
         rows.append((
             f"{workers} workers",
             f"{wall:.2f}",
             f"{serial_wall / wall:.2f}x",
-            str(merged.engine["steals"]),
             str(merged.engine["requeues"]),
         ))
     print_table(
         f"Campaign scaling: nova seq-2 slice, "
         f"{serial_summary.workloads_tested} workloads ({cpus} CPU(s))",
-        ("configuration", "wall (s)", "speedup", "steals", "requeues"),
+        ("configuration", "wall (s)", "speedup", "requeues"),
         rows,
     )
 

@@ -205,42 +205,6 @@ class CampaignSummary(ResultFold):
     # ------------------------------------------------------------------
     # Text rendering (``python -m repro stats``)
     # ------------------------------------------------------------------
-    def counter_lines(self) -> List[Tuple[str, str]]:
-        """``(label, text)`` for each skip/exploration counter with data —
-        the lines ``repro stats`` and report.md's Telemetry section share."""
-        t = self.total
-        out: List[Tuple[str, str]] = []
-        if self.memo_hits or self.memo_misses:
-            text = (f"{self.memo_hits} hit(s), {self.memo_misses} miss(es) "
-                    f"(hit-rate {self.memo_hit_rate * 100:.1f}%)")
-            if self.memo_shared_hits:
-                text += f"; {self.memo_shared_hits} served by the shared service"
-            if t("memo_shared_errors"):
-                text += (f"; {t('memo_shared_errors')} shared-service "
-                         f"error(s) degraded to local misses")
-            out.append(("check memo (memo_hits/memo_misses)", text))
-        unique_outcomes = t("n_unique_outcomes")
-        if unique_outcomes and self.memo_misses:
-            out.append(("recovered outcomes", (
-                f"{unique_outcomes} distinct of {self.memo_misses} checked "
-                f"(equivalence-pruning headroom "
-                f"{(1 - unique_outcomes / self.memo_misses) * 100:.1f}%)")))
-        hits, misses = t("recovery_hits"), t("recovery_misses")
-        if hits or misses:
-            out.append(("recovery memo", (
-                f"{hits} hit(s), {misses} miss(es) (mount, walk + usability "
-                f"skipped on {hits / (hits + misses) * 100:.1f}% of checked "
-                f"states; recovery_hits/recovery_misses)"
-                + (f"; {t('recovery_resets')} trie reset(s) at the node "
-                   f"budget" if t("recovery_resets") else ""))))
-        hits, misses = t("outcome_hits"), t("outcome_misses")
-        if hits or misses:
-            out.append(("outcome cache", (
-                f"{hits} hit(s), {misses} miss(es) (walk + usability skipped "
-                f"on {hits / (hits + misses) * 100:.1f}% of mounted states; "
-                f"outcome_hits/outcome_misses)")))
-        return out
-
     def render(self) -> str:
         """Multi-table text summary (the ``python -m repro stats`` output)."""
         t = self.total
@@ -348,8 +312,16 @@ def _telemetry_section(summary: CampaignSummary) -> List[str]:
     return lines
 
 
+def failure_text(record: Mapping[str, object]) -> str:
+    """A journaled failure's error, plus where it raised when known."""
+    frame = last_frame(str(record.get("traceback", "")))
+    return (f"{record.get('error', '?')}"
+            + (f" (raised at {frame})" if frame else ""))
+
+
 def _engine_section(engine_meta: Optional[Dict[str, object]],
-                    quarantined: Optional[List[dict]]) -> List[str]:
+                    quarantined: Optional[List[dict]],
+                    retried: Optional[List[dict]] = None) -> List[str]:
     """Markdown block for the parallel campaign engine's run metadata."""
     lines: List[str] = []
     if engine_meta:
@@ -361,9 +333,15 @@ def _engine_section(engine_meta: Optional[Dict[str, object]],
             )
         lines.append(
             f"- **scheduling:** {engine_meta.get('dispatched', 0)} dispatched, "
-            f"{engine_meta.get('steals', 0)} stolen, "
             f"{engine_meta.get('requeues', 0)} requeued"
         )
+        if retried:
+            lines.append(
+                f"- **retried:** {len(retried)} workload(s) charged a retry: "
+                + "; ".join(f"`{r.get('id', '?')}` attempt "
+                            f"{r.get('attempt', '?')}: {failure_text(r)}"
+                            for r in retried)
+            )
         if engine_meta.get("workers_killed"):
             lines.append(
                 f"- **workers killed:** {engine_meta['workers_killed']} "
@@ -456,12 +434,13 @@ def render_markdown(
     title: Optional[str] = None,
     engine_meta: Optional[Dict[str, object]] = None,
     quarantined: Optional[List[dict]] = None,
+    retried: Optional[List[dict]] = None,
 ) -> str:
     """Render a campaign summary as a markdown report.
 
-    ``engine_meta`` and ``quarantined`` come from the parallel campaign
-    engine (:mod:`repro.campaign`); serial callers omit them and get the
-    original report shape.
+    ``engine_meta``, ``quarantined`` and ``retried`` come from the parallel
+    campaign engine (:mod:`repro.campaign`); serial callers omit them and
+    get the original report shape.
     """
     lines: List[str] = []
     lines.append(f"# {title or f'Crash-consistency report: {summary.fs_name}'}")
@@ -481,7 +460,7 @@ def render_markdown(
         )
     lines.append(f"- **findings:** {len(summary.clusters)} triaged cluster(s)")
     lines.append("")
-    lines.extend(_engine_section(engine_meta, quarantined))
+    lines.extend(_engine_section(engine_meta, quarantined, retried))
     lines.extend(_telemetry_section(summary))
     if not summary.clusters:
         lines.append("No crash-consistency violations found.")

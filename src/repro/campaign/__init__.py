@@ -2,8 +2,8 @@
 
 The paper executed its largest campaign by hand-splitting 50k workloads
 across ten VMs (section 4.2).  This package is that scale-out as a
-subsystem: :class:`CampaignEngine` fans ACE shards (or fuzzer seed
-segments) out to a local worker pool with work-stealing rebalancing, a
+subsystem: :class:`CampaignEngine` deals ACE workloads (or fuzzer seed
+segments) to a local worker pool from one canonical-order queue, a
 per-workload-timeout / bounded-retry / quarantine fault model, an
 append-only checkpoint journal that makes any campaign killable and
 resumable, and a merge stage whose output matches a serial run's.
@@ -11,7 +11,7 @@ resumable, and a merge stage whose output matches a serial run's.
 Layout::
 
     spec.py     CampaignSpec — the JSON-round-trippable campaign closure
-    queue.py    WorkItem, ShardedWorkQueue — sharding + work-stealing
+    queue.py    WorkItem, WorkQueue — one FIFO dealt in shrinking batches
     journal.py  CheckpointJournal — append-only JSONL checkpoint/resume
     worker.py   worker_main — the per-process execution loop
     engine.py   CampaignEngine — dispatch, fault handling, lifecycle
@@ -28,7 +28,7 @@ from repro.campaign.engine import (
 )
 from repro.campaign.journal import CheckpointJournal, JournalState
 from repro.campaign.merge import MergedCampaign, merge_campaign, merge_results
-from repro.campaign.queue import ShardedWorkQueue, WorkItem, build_items
+from repro.campaign.queue import WorkItem, WorkQueue, build_items
 from repro.campaign.spec import CampaignSpec
 
 __all__ = [
@@ -41,8 +41,8 @@ __all__ = [
     "MergedCampaign",
     "merge_campaign",
     "merge_results",
-    "ShardedWorkQueue",
     "WorkItem",
+    "WorkQueue",
     "build_items",
     "CampaignSpec",
 ]

@@ -5,9 +5,10 @@ The paper ran its 50k-workload seq-3 campaign split across ten VMs
 worker-pool analogue of the VM fleet, with the scheduling and fault
 handling the paper's ad-hoc split lacked:
 
-* **Scheduling** — work items are striped into per-worker shards
-  (:class:`~repro.campaign.queue.ShardedWorkQueue`) and rebalanced by
-  work-stealing when per-workload runtimes skew.
+* **Scheduling** — a ready worker takes the next contiguous batch of
+  one canonical-order FIFO (:class:`~repro.campaign.queue.WorkQueue`);
+  batches shrink as the queue drains, so per-workload runtime skew costs
+  at most one item's tail.
 * **Fault tolerance** — a worker that dies or stops streaming results for
   longer than ``item_timeout`` is killed and its unfinished items are
   requeued; an item that exhausts ``max_retries`` is *quarantined* into
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.campaign.journal import CheckpointJournal, JournalState
 from repro.campaign.merge import MergedCampaign, merge_campaign
-from repro.campaign.queue import ShardedWorkQueue, WorkItem, build_items
+from repro.campaign.queue import WorkItem, WorkQueue, build_items
 from repro.campaign.spec import REMOVED_KNOBS, CampaignSpec
 from repro.campaign import worker as workermod
 
@@ -46,8 +47,8 @@ class EngineConfig:
     may legitimately differ between a run and its resume)."""
 
     workers: int = 2
-    #: Items handed to a worker per dispatch; small batches keep the
-    #: work-stealing granularity fine.
+    #: Upper bound on the items handed to a worker per dispatch; the
+    #: queue deals at most its fair share of what is pending.
     batch_size: int = 8
     #: Seconds without a progress message before a worker is presumed hung.
     item_timeout: float = 60.0
@@ -75,7 +76,6 @@ class EngineConfig:
 @dataclass
 class _WorkerHandle:
     wid: int
-    shard: int
     process: multiprocessing.Process
     #: The parent's end of the worker's duplex pipe: batches and ``stop``
     #: go out, progress messages come back.  ``send`` writes in the
@@ -95,7 +95,6 @@ class EngineStats:
 
     workers: int = 0
     dispatched: int = 0
-    steals: int = 0
     requeues: int = 0
     workers_killed: int = 0
     items_quarantined: int = 0
@@ -135,6 +134,8 @@ class CampaignEngine:
         )
         self._workers: Dict[int, _WorkerHandle] = {}
         self._next_wid = 0
+        #: item id -> latest ``item_retried`` journal record.
+        self._retried: Dict[str, dict] = {}
         #: Engine-hosted shared memo server (``spec.shared_memo``).
         self._memo_server = None
         #: Distinguishes this engine invocation's trace files from any
@@ -169,7 +170,7 @@ class CampaignEngine:
                 )
         return state
 
-    def _spawn_worker(self, shard: int) -> _WorkerHandle:
+    def _spawn_worker(self) -> _WorkerHandle:
         wid = self._next_wid
         self._next_wid += 1
         conn, child_conn = self._ctx.Pipe()
@@ -184,8 +185,7 @@ class CampaignEngine:
         # Only the worker may hold its end: once it dies, a read of a torn
         # last frame then hits end-of-file instead of blocking.
         child_conn.close()
-        handle = _WorkerHandle(wid=wid, shard=shard, process=process,
-                               conn=conn)
+        handle = _WorkerHandle(wid=wid, process=process, conn=conn)
         self._workers[wid] = handle
         return handle
 
@@ -207,26 +207,25 @@ class CampaignEngine:
         if prior.spec_dict is None:
             journal.write_meta(self.spec.to_dict(), n_items=len(items))
 
-        queue = ShardedWorkQueue(self.config.workers, pending)
+        queue = WorkQueue(self.config.workers, pending)
+        self._retried = dict(prior.retried)
         results: Dict[str, List[dict]] = dict(prior.results)
         quarantined: Dict[str, dict] = dict(prior.quarantined)
         retries: Dict[str, int] = {}
-        ordinals = {item.item_id: item.ordinal for item in items}
 
         try:
             if self.spec.shared_memo:
                 self._start_shared_memo()
-            for shard in range(self.config.workers):
-                self._spawn_worker(shard)
+            for _ in range(self.config.workers):
+                self._spawn_worker()
             self._event_loop(queue, journal, results, quarantined, retries)
         except KeyboardInterrupt:
             self.stats.interrupted = True
         finally:
             self._shutdown_workers()
             self._stop_shared_memo()
-            self.stats.dispatched = queue.stats.dispatched
-            self.stats.steals = queue.stats.steals
-            self.stats.requeues = queue.stats.requeues
+            self.stats.dispatched = queue.dispatched
+            self.stats.requeues = queue.requeues
             self.stats.items_quarantined = len(quarantined)
             self.stats.wall_clock = time.monotonic() - started
             if not self.stats.interrupted:
@@ -237,14 +236,14 @@ class CampaignEngine:
 
         merged = merge_campaign(
             self.spec, items, results, quarantined, self.stats,
-            campaign_dir=self.campaign_dir,
+            campaign_dir=self.campaign_dir, retried=self._retried,
         )
         return merged
 
     def _event_loop(self, queue, journal, results, quarantined, retries) -> None:
         while True:
             in_flight = sum(len(w.in_flight) for w in self._workers.values())
-            if not queue.pending() and not in_flight:
+            if not queue and not in_flight:
                 break
             progressed = False
             for handle in list(self._workers.values()):
@@ -289,8 +288,6 @@ class CampaignEngine:
                         item, error, queue, journal, quarantined, retries,
                         traceback=tb,
                     )
-            elif tag == workermod.MSG_BATCH_DONE:
-                handle.awaiting_dispatch = True
             elif tag == workermod.MSG_STOPPED:
                 handle.stopped = True
         return progressed
@@ -299,7 +296,7 @@ class CampaignEngine:
         for handle in self._workers.values():
             if handle.stopped or not handle.awaiting_dispatch:
                 continue
-            batch = queue.next_batch(handle.shard, self.config.batch_size)
+            batch = queue.next_batch(self.config.batch_size)
             if not batch:
                 # Stay idle but alive: in-flight items on other workers may
                 # yet fail and requeue.
@@ -348,16 +345,17 @@ class CampaignEngine:
                 # Workers run and stream a batch in dispatch order, so the
                 # first unfinished item is the one that was executing when
                 # the worker died — only it is charged a retry.  Its
-                # batchmates never started; they requeue uncharged.
+                # batchmates never started; they requeue uncharged, right
+                # behind it.
+                queue.requeue(orphans[1:])
                 self._retry_or_quarantine(
                     orphans[0], reason, queue, journal, quarantined, retries
                 )
-                queue.requeue(orphans[1:])
             # Replace the worker if there could still be work for it.
-            if queue.pending() or any(
+            if queue or any(
                 w.in_flight for w in self._workers.values()
             ) or orphans:
-                self._spawn_worker(handle.shard)
+                self._spawn_worker()
 
     def _retry_or_quarantine(self, item, error, queue, journal,
                              quarantined, retries,
@@ -369,6 +367,9 @@ class CampaignEngine:
                 item.item_id, item.ordinal, attempts, error, traceback
             )
         else:
+            self._retried[item.item_id] = journal.write_item_retried(
+                item.item_id, item.ordinal, attempts, error, traceback
+            )
             queue.requeue([item])
 
     def _remove_heartbeats(self) -> None:

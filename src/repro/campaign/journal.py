@@ -5,6 +5,8 @@ Record types (one JSON object per line)::
     {"type": "campaign_meta", "spec": {...}, "n_items": N}
     {"type": "item_done", "id": "ace:1:000007", "ordinal": 7, "worker": 0,
      "retries": 0, "results": [<TestResult.to_dict()>, ...]}
+    {"type": "item_retried", "id": ..., "ordinal": ..., "attempt": A,
+     "error": "...", "traceback": "..."}
     {"type": "item_quarantined", "id": ..., "ordinal": ..., "retries": R,
      "error": "...", "traceback": "..."}
     {"type": "campaign_done", "elapsed": ...}
@@ -12,8 +14,10 @@ Record types (one JSON object per line)::
 Every record additionally carries ``"t"``, a wall-clock timestamp stamped
 centrally on append; ``python -m repro watch`` derives throughput and ETA
 from the ``item_done`` stamps.  Replay tolerates records without it.
-``traceback`` (bounded, innermost frames kept) is present when the item's
-last failure raised in the worker; a worker that died leaves none.
+``item_retried`` marks a failed attempt that was charged a retry and
+requeued, so a retry that later succeeds still leaves its error behind.
+``traceback`` (bounded, innermost frames kept) is present when the
+failure raised in the worker; a worker that died leaves none.
 
 Every record is flushed and fsync'd on append, so a SIGKILL at any point
 loses at most the in-flight (unjournaled) workloads — exactly the ones
@@ -55,6 +59,8 @@ class JournalState:
     ordinals: Dict[str, int] = field(default_factory=dict)
     #: item id -> quarantine record.
     quarantined: Dict[str, dict] = field(default_factory=dict)
+    #: item id -> its latest ``item_retried`` record.
+    retried: Dict[str, dict] = field(default_factory=dict)
     completed_marker: bool = False
     torn_lines: int = 0
     #: item id -> wall-clock journal-append time (``repro watch`` derives
@@ -121,15 +127,27 @@ class CheckpointJournal:
             "worker": worker, "retries": retries, "results": results,
         })
 
+    def write_item_retried(
+        self, item_id: str, ordinal: int, attempt: int, error: str,
+        traceback: Optional[str] = None,
+    ) -> Dict[str, object]:
+        """Journal a charged, requeued attempt; returns the record."""
+        return self._append_failure("item_retried", item_id, ordinal,
+                                    "attempt", attempt, error, traceback)
+
     def write_item_quarantined(
         self, item_id: str, ordinal: int, retries: int, error: str,
         traceback: Optional[str] = None,
     ) -> Dict[str, object]:
         """Journal a quarantine; returns the record as written."""
-        record = {
-            "type": "item_quarantined", "id": item_id, "ordinal": ordinal,
-            "retries": retries, "error": error,
-        }
+        return self._append_failure("item_quarantined", item_id, ordinal,
+                                    "retries", retries, error, traceback)
+
+    def _append_failure(self, kind: str, item_id: str, ordinal: int,
+                        count_key: str, count: int, error: str,
+                        traceback: Optional[str]) -> Dict[str, object]:
+        record = {"type": kind, "id": item_id, "ordinal": ordinal,
+                  count_key: count, "error": error}
         if traceback:
             record["traceback"] = traceback
         return self._append(record)
@@ -175,6 +193,8 @@ class CheckpointJournal:
                     # A resume may legitimately re-complete an item that was
                     # in flight at kill time; last write wins.
                     state.quarantined.pop(item_id, None)
+                elif kind == "item_retried":
+                    state.retried[str(record.get("id"))] = record
                 elif kind == "item_quarantined":
                     item_id = str(record.get("id"))
                     if item_id not in state.results:

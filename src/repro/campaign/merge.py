@@ -53,6 +53,9 @@ class MergedCampaign:
     #: on after bounded retries; the report carries them so a campaign with
     #: failures is visibly incomplete rather than silently short.
     quarantined: List[dict] = field(default_factory=list)
+    #: The latest ``item_retried`` record of each item charged a retry
+    #: (sorted by ordinal), whether it later succeeded or not.
+    retried: List[dict] = field(default_factory=list)
     engine: Dict[str, object] = field(default_factory=dict)
     trace_path: Optional[str] = None
 
@@ -69,6 +72,7 @@ class MergedCampaign:
             self.summary,
             engine_meta=self.engine,
             quarantined=self.quarantined,
+            retried=self.retried,
         )
 
     def console_summary(self) -> str:
@@ -83,7 +87,6 @@ class MergedCampaign:
             line += f", {float(wall):.1f}s wall"
         line += (
             f" [{self.engine.get('workers', '?')} workers, "
-            f"{self.engine.get('steals', 0)} steals, "
             f"{self.engine.get('requeues', 0)} requeues, "
             f"{len(self.quarantined)} quarantined]"
         )
@@ -137,15 +140,19 @@ def merge_campaign(
     quarantined: Dict[str, dict],
     engine_stats,
     campaign_dir: Optional[str] = None,
+    retried: Optional[Dict[str, dict]] = None,
 ) -> MergedCampaign:
     """Full merge: summary + quarantine + traces + report file."""
     summary = merge_results(spec, items, results)
+
+    def by_ordinal(records):
+        return sorted(records, key=lambda r: int(r.get("ordinal", 0)))
+
     merged = MergedCampaign(
         spec=spec,
         summary=summary,
-        quarantined=sorted(
-            quarantined.values(), key=lambda r: int(r.get("ordinal", 0))
-        ),
+        quarantined=by_ordinal(quarantined.values()),
+        retried=by_ordinal((retried or {}).values()),
         engine=engine_stats.to_dict(),
     )
     if campaign_dir is not None:

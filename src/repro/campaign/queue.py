@@ -1,30 +1,22 @@
-"""Work queue and scheduler: sharded dispatch with work-stealing.
+"""Work queue: one FIFO of work items in canonical order.
 
 The scheduler lives in the campaign parent.  Work items (one ACE workload
-index, or one fuzzer seed segment) are striped into per-worker shards by
-:func:`repro.workloads.sharding.assign_shard` — the same round-robin rule
-the paper's ten-VM split used — and each worker drains its own shard first.
-
-Static splits are unbalanced in practice: per-workload crash-state counts
-vary ~3× across file systems and syscalls, so a worker whose shard happened
-to draw rename-heavy workloads finishes long after the others.  When a
-worker's shard runs dry the scheduler *steals* from the tail of the fullest
-remaining shard (the classic work-stealing discipline: owners take from the
-head, thieves from the tail), so the campaign ends when the slowest *item*
-finishes, not the slowest *shard*.
-
-Retries requeue at the head of the item's home shard so a flaky item is
-retried promptly while its context is fresh; items that exhaust their retry
-budget are quarantined by the engine, not the queue.
+index, or one fuzzer seed segment) wait in a single deque in ordinal
+order; a ready worker takes the next contiguous run from its head, so
+neighbouring workloads, which share their set-up and first op, run in
+one process.  A batch is at most ``ceil(pending / workers)`` items: early
+batches are full, the tail shrinks to single items (guided
+self-scheduling), and the campaign ends when the slowest *item* finishes.
+Requeued items go back to the head in their original order, so a retried
+item runs next; items that exhaust their retry budget are quarantined by
+the engine, not the queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List
-
-from repro.workloads.sharding import assign_shard
+from typing import Dict, Iterable, List
 
 
 @dataclass(frozen=True)
@@ -78,62 +70,33 @@ class WorkItem:
         )
 
 
-@dataclass
-class QueueStats:
-    """Scheduler counters surfaced in the campaign report."""
+class WorkQueue:
+    """One deque of work items, dealt from the head in batches."""
 
-    dispatched: int = 0
-    steals: int = 0
-    requeues: int = 0
-
-
-class ShardedWorkQueue:
-    """Per-shard deques with work-stealing between them."""
-
-    def __init__(self, n_shards: int, items: Iterable[WorkItem]) -> None:
-        if n_shards < 1:
-            raise ValueError("need at least one shard")
-        self.n_shards = n_shards
-        self.shards: List[Deque[WorkItem]] = [deque() for _ in range(n_shards)]
-        self.stats = QueueStats()
-        for item in items:
-            self.shards[assign_shard(item.ordinal, n_shards)].append(item)
+    def __init__(self, workers: int, items: Iterable[WorkItem]) -> None:
+        if workers < 1:
+            raise ValueError("need at least one worker")
+        self.workers = workers
+        self.items = deque(items)
+        #: Scheduler counters surfaced in the campaign report.
+        self.dispatched = 0
+        self.requeues = 0
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self.shards)
+        return len(self.items)
 
-    def pending(self) -> int:
-        return len(self)
-
-    def next_batch(self, shard_index: int, batch_size: int) -> List[WorkItem]:
-        """Up to ``batch_size`` items for the worker owning ``shard_index``.
-
-        Drains the home shard from the head; once it is dry, steals from
-        the *tail* of the fullest other shard.  An empty list means the
-        whole queue is drained.
-        """
-        if not (0 <= shard_index < self.n_shards):
-            raise ValueError(f"shard_index {shard_index} out of range")
-        batch: List[WorkItem] = []
-        home = self.shards[shard_index]
-        while home and len(batch) < batch_size:
-            batch.append(home.popleft())
-        while len(batch) < batch_size:
-            victim = max(
-                (s for s in self.shards if s), key=len, default=None
-            )
-            if victim is None:
-                break
-            batch.append(victim.pop())
-            self.stats.steals += 1
-        self.stats.dispatched += len(batch)
+    def next_batch(self, batch_size: int) -> List[WorkItem]:
+        """The next ``min(batch_size, ceil(pending / workers))`` items from
+        the head.  An empty list means the queue is drained."""
+        size = min(batch_size, -(-len(self.items) // self.workers))
+        batch = [self.items.popleft() for _ in range(size)]
+        self.dispatched += size
         return batch
 
-    def requeue(self, items: Iterable[WorkItem]) -> None:
-        """Return failed/orphaned items to the head of their home shard."""
-        for item in items:
-            self.shards[assign_shard(item.ordinal, self.n_shards)].appendleft(item)
-            self.stats.requeues += 1
+    def requeue(self, items: List[WorkItem]) -> None:
+        """Return failed/orphaned items to the head, in their given order."""
+        self.items.extendleft(reversed(items))
+        self.requeues += len(items)
 
 
 def build_items(spec) -> List[WorkItem]:

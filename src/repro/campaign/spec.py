@@ -76,7 +76,7 @@ class CampaignSpec(ChipmunkConfig):
     def ace_workloads(self) -> Iterator:
         """The ACE slice in canonical order: sequence lengths 1..``seq``, at
         most ``max_workloads`` of each (what ``repro ace`` runs, and what
-        :func:`repro.campaign.queue.build_items` shards by index)."""
+        :func:`repro.campaign.queue.build_items` lists by index)."""
         from repro.workloads import ace
 
         for seq in range(1, self.seq + 1):

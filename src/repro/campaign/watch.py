@@ -8,12 +8,13 @@ pure *reader* — it attaches to a campaign directory from any terminal,
 re-replays the journal each tick, and renders a refreshing dashboard:
 
 * progress bar, throughput (recent items/min) and ETA,
-* memo hit-rate and bugs-so-far, the journaled results folded by the
-  shared result fold (:class:`~repro.obs.campaign.ResultFold`),
+* bugs-so-far and the skip counters, the journaled results folded by
+  the shared result fold (:class:`~repro.obs.campaign.ResultFold`) and
+  rendered by its :meth:`~repro.obs.campaign.ResultFold.counter_lines`,
 * per-worker liveness from heartbeat mtimes (a worker grinding through a
   slow workload shows its current item; a wedged one shows as stale),
-* quarantine count, and each quarantined item's error and the innermost
-  frame of its traceback.
+* quarantine count, and each retried or quarantined item's error and the
+  innermost frame of its traceback.
 
 It exits 0 when the journal's ``campaign_done`` marker appears, so shell
 scripts can ``repro ace ... &; repro watch DIR && notify``.  Re-replaying
@@ -32,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.reporting import last_frame
+from repro.analysis.reporting import failure_text
 from repro.campaign.journal import CheckpointJournal, JournalState
 from repro.obs.campaign import ResultFold
 
@@ -192,35 +193,12 @@ class CampaignMonitor:
 
         agg = snap.aggregate()
         t = agg.total
-        lookups = agg.memo_hits + agg.memo_misses
-        memo = f"{agg.memo_hit_rate * 100:.0f}%" if lookups else "--"
-        shared, errors = "", t("memo_shared_errors")
-        if agg.memo_shared_hits or errors:
-            shared = (f"shared hits {agg.memo_shared_hits}"
-                      + (f" ({errors} err)" if errors else "") + "   ")
         lines.append(
             f"crash states {agg.crash_states}   "
             f"checked {agg.unique_states}   "
-            f"memo hit-rate {memo}   "
-            f"{shared}"
             f"bug reports {t('n_reports')}"
         )
-        hits, misses = t("recovery_hits"), t("recovery_misses")
-        if hits or misses:
-            lines.append(
-                f"recovery memo hits {hits}/{hits + misses} "
-                f"({hits / (hits + misses) * 100:.0f}% of checked states "
-                f"skip mount, walk + usability)"
-                + (f", {t('recovery_resets')} trie reset(s)"
-                   if t("recovery_resets") else "")
-            )
-        hits, misses = t("outcome_hits"), t("outcome_misses")
-        if hits or misses:
-            lines.append(
-                f"outcome cache hits {hits}/{hits + misses} "
-                f"({hits / (hits + misses) * 100:.0f}% of mounted "
-                f"states skip walk + usability)"
-            )
+        lines.extend(f"{label}: {text}" for label, text in agg.counter_lines())
         profile_bytes = t("profile", {}).get("bytes", {})
         if any(profile_bytes.values()):
             from repro.obs.profile import human_bytes
@@ -240,12 +218,12 @@ class CampaignMonitor:
                 else:
                     liveness = f"idle ({beat.age:.0f}s ago)"
                 lines.append(f"  w{beat.worker}: {liveness}")
+        for item_id, record in sorted(snap.state.retried.items()):
+            lines.append(f"retried {item_id} (attempt "
+                         f"{record.get('attempt', '?')}): "
+                         f"{failure_text(record)}")
         for item_id, record in sorted(snap.state.quarantined.items()):
-            frame = last_frame(record.get("traceback", ""))
-            lines.append(
-                f"quarantined {item_id}: {record.get('error', '?')}"
-                + (f" (raised at {frame})" if frame else "")
-            )
+            lines.append(f"quarantined {item_id}: {failure_text(record)}")
         if snap.state.torn_lines:
             lines.append(f"(journal has {snap.state.torn_lines} torn line(s))")
         return "\n".join(lines)

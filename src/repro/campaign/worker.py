@@ -55,7 +55,6 @@ from repro.workloads.fuzzer import WorkloadFuzzer
 MSG_READY = "ready"
 MSG_RESULT = "result"
 MSG_ITEM_ERROR = "item_error"
-MSG_BATCH_DONE = "batch_done"
 MSG_STOPPED = "stopped"
 
 #: Messages the parent sends the worker.
@@ -224,7 +223,7 @@ def worker_main(
                 conn.send((MSG_RESULT, wid, item.item_id, results))
                 shipped.update(updates)
         _write_heartbeat(hb_path, wid, None)
-        conn.send((MSG_BATCH_DONE, wid))
+        conn.send((MSG_READY, wid))
     if telemetry is not None:
         telemetry.event("worker_stop", worker=wid)
         trace_path = os.path.join(

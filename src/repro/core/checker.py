@@ -700,10 +700,10 @@ class CheckMemo:
     (workload and crash descriptions, provenance), so it is always
     re-checked locally and its reports land in ``bugs.json`` exactly as
     without the service.  A shared hit can therefore never mask a bug — it
-    elides re-checks whose outcome is provably empty.  Shared failures
-    degrade silently: every shared call is exception-guarded, errors count
-    into :attr:`shared_errors`, and the memo runs on indistinguishably with
-    the local tier alone.
+    elides re-checks whose outcome is provably empty.  A shared failure is
+    a local miss: every shared call is exception-guarded, errors count
+    into :attr:`shared_errors`, and once the client reports ``ok`` False
+    the memo runs on with the local tier alone.
     """
 
     def __init__(self, checker: ConsistencyChecker, telemetry=None,
@@ -785,7 +785,7 @@ class CheckMemo:
             self.hits += 1
             return None
         skey = None
-        if self.shared is not None and getattr(self.shared, "ok", True):
+        if self.shared is not None and self.shared.ok:
             skey = self.shared_key(state, key)
             if self._shared_lookup(skey):
                 # Another workload or worker already checked these exact
@@ -808,7 +808,7 @@ class CheckMemo:
         else:
             reports = self.checker.check(state)
         self._seen.add(key)
-        if skey is not None and not reports:
+        if skey is not None and not reports and self.shared.ok:
             # Only clean states travel: a buggy one is re-checked by every
             # workload that reaches it, so publishing it would be pure
             # table growth.

@@ -95,6 +95,10 @@ class Ext4DaxGeometry:
     xattr_blocks: int = 2
     origin: int = 0
 
+    def __post_init__(self) -> None:
+        if self.block_size <= 0:
+            raise ValueError(f"block_size must be positive, got {self.block_size}")
+
     @cached_property
     def n_blocks(self) -> int:
         """One past the last block of this file system (absolute)."""
@@ -309,8 +313,7 @@ class Ext4DaxFS(FileSystem):
         # indexes the one-block bitmap by block number, so a geometry the
         # bitmap cannot cover must fail the mount, not the checker.
         if (
-            geom.block_size <= 0
-            or geom.origin + geom.device_size > device.size
+            geom.origin + geom.device_size > device.size
             or geom.n_blocks > geom.bitmap.size * 8
         ):
             raise MountError(

@@ -250,7 +250,7 @@ class SplitFS(FileSystem):
                 origin=geom.kernel_origin,
             )
             regions.extend(layout_regions(kgeom, prefix="kernel."))
-        except Exception:
+        except TORN_SUPERBLOCK:
             regions.append(
                 NamedRegion("kernel", Region(geom.kernel_origin, geom.kernel_size))
             )

@@ -12,8 +12,9 @@ states that every worker consults before checking:
 * :mod:`repro.memo.server` — :class:`~repro.memo.server.MemoServer`, the
   threaded TCP server the engine runs on a loopback ephemeral port;
 * :mod:`repro.memo.client` — :class:`~repro.memo.client.MemoClient`, a
-  worker-side client with connect/request timeouts, one retry, and
-  silent permanent degradation to the local memo on any failure.
+  worker-side client with connect/request timeouts, one retry, a raised
+  (and counted) error per failed request, and permanent degradation to
+  the local memo after repeated failures.
 
 Soundness contract (see DESIGN.md "Shared check-memo service"): entries
 are keyed by ``sha1(oracle-context digest ‖ content address ‖ syscall

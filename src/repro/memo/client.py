@@ -1,4 +1,4 @@
-"""Worker-side memo client: fast when the service is up, silent when not.
+"""Worker-side memo client: fast when the service is up, counted when not.
 
 The shared memo is a pure optimization — every verdict it serves could be
 recomputed locally — so the client's failure policy is *degrade, never
@@ -8,9 +8,12 @@ disrupt*:
   ``request_timeout`` per attempt, not a campaign);
 * one in-call retry over a fresh connection (survives a server restart or
   an idle-connection reset without losing the request);
+* a request whose two attempts both fail raises, so the caller
+  (:class:`~repro.core.checker.CheckMemo`) counts it in
+  ``memo_shared_errors`` and treats it as a miss;
 * after :attr:`max_failures` *consecutive* failed requests the client
-  permanently disables itself — every later call returns a miss in
-  nanoseconds and the worker runs on its local memo alone.  A dead
+  permanently disables itself: :attr:`ok` turns False, the caller stops
+  consulting it, and the worker runs on its local memo alone.  A dead
   server therefore slows a campaign down; it never changes its output.
 
 The client is used serially by one worker process over one persistent
@@ -20,7 +23,6 @@ connection; it is not thread-safe and does not need to be.
 from __future__ import annotations
 
 import socket
-from time import perf_counter
 from typing import Optional, Tuple
 
 from repro.memo.wire import FrameError, recv_frame, send_frame
@@ -57,11 +59,6 @@ class MemoClient:
         self._sock: Optional[socket.socket] = None
         self._consecutive_failures = 0
         self._dead = False
-        #: Completed request round trips and their summed latency.
-        self.requests = 0
-        self.rtt_total = 0.0
-        #: Failed request attempts (timeouts, resets, frame errors).
-        self.errors = 0
 
     # ------------------------------------------------------------------
     @property
@@ -89,17 +86,17 @@ class MemoClient:
             self._sock = None
 
     def _request(self, obj: dict) -> Optional[dict]:
-        """One request/response round trip; None on any failure.
+        """One request/response round trip; None once degraded.
 
         Two attempts: a stale persistent connection (server restarted
-        between calls) fails once and retries on a fresh one.  Failures of
-        *both* attempts count one consecutive failure toward permanent
-        degradation; any success resets the count.
+        between calls) fails once and retries on a fresh one.  When *both*
+        attempts fail the second error propagates, and it counts one
+        consecutive failure toward permanent degradation; any success
+        resets the count.
         """
         if self._dead:
             return None
         for attempt in (0, 1):
-            t0 = perf_counter()
             try:
                 if self._sock is None:
                     self._sock = self._connect()
@@ -108,30 +105,27 @@ class MemoClient:
                 if response is None:
                     raise FrameError("connection closed before the response")
             except (OSError, FrameError, ValueError):
-                self.errors += 1
                 self._close()
                 if attempt == 0:
                     continue
                 self._consecutive_failures += 1
                 if self._consecutive_failures >= self.max_failures:
                     self._dead = True
-                    self._close()
-                return None
-            self.requests += 1
-            self.rtt_total += perf_counter() - t0
+                raise
             self._consecutive_failures = 0
             return response
-        return None
 
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> bool:
-        """Whether ``key`` is known clean (False on a miss *or* degraded)."""
+        """Whether ``key`` is known clean (False on a miss *or* degraded);
+        raises when the request failed."""
         response = self._request({"op": "lookup", "key": key.hex()})
         return bool(response and response.get("ok")
                     and response.get("hit") is True)
 
     def publish(self, key: bytes) -> bool:
-        """Record ``key`` as clean; False if the request failed."""
+        """Record ``key`` as clean; False if the server refused it or the
+        client has degraded, and raises when the request failed."""
         response = self._request({"op": "publish", "key": key.hex()})
         return bool(response and response.get("ok"))
 

@@ -19,7 +19,7 @@ totals, per-FS in-flight histograms, and the trace reader.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.obs.tracing import read_jsonl
 
@@ -111,6 +111,43 @@ class ResultFold:
         """Fraction of crash states the check memo skipped."""
         lookups = self.memo_hits + self.memo_misses
         return self.memo_hits / lookups if lookups else 0.0
+
+    def counter_lines(self) -> List[Tuple[str, str]]:
+        """``(label, text)`` for each skip/exploration counter with data —
+        the lines ``repro stats``, ``repro watch`` and report.md's
+        Telemetry section share."""
+        t = self.total
+        out: List[Tuple[str, str]] = []
+        if self.memo_hits or self.memo_misses:
+            text = (f"{self.memo_hits} hit(s), {self.memo_misses} miss(es) "
+                    f"(hit-rate {self.memo_hit_rate * 100:.1f}%)")
+            if self.memo_shared_hits:
+                text += f"; {self.memo_shared_hits} served by the shared service"
+            if t("memo_shared_errors"):
+                text += (f"; {t('memo_shared_errors')} shared-service "
+                         f"error(s) degraded to local misses")
+            out.append(("check memo (memo_hits/memo_misses)", text))
+        unique_outcomes = t("n_unique_outcomes")
+        if unique_outcomes and self.memo_misses:
+            out.append(("recovered outcomes", (
+                f"{unique_outcomes} distinct of {self.memo_misses} checked "
+                f"(equivalence-pruning headroom "
+                f"{(1 - unique_outcomes / self.memo_misses) * 100:.1f}%)")))
+        hits, misses = t("recovery_hits"), t("recovery_misses")
+        if hits or misses:
+            out.append(("recovery memo", (
+                f"{hits} hit(s), {misses} miss(es) (mount, walk + usability "
+                f"skipped on {hits / (hits + misses) * 100:.1f}% of checked "
+                f"states; recovery_hits/recovery_misses)"
+                + (f"; {t('recovery_resets')} trie reset(s) at the node "
+                   f"budget" if t("recovery_resets") else ""))))
+        hits, misses = t("outcome_hits"), t("outcome_misses")
+        if hits or misses:
+            out.append(("outcome cache", (
+                f"{hits} hit(s), {misses} miss(es) (walk + usability skipped "
+                f"on {hits / (hits + misses) * 100:.1f}% of mounted states; "
+                f"outcome_hits/outcome_misses)")))
+        return out
 
     # ------------------------------------------------------------------
     # Offline ingestion

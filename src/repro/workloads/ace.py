@@ -222,8 +222,8 @@ def workload_at(seq: int, index: int, mode: str = "pm") -> AceWorkload:
     ``itertools.product`` enumerates with the *last* position varying
     fastest, so ``index`` decodes as a base-``len(space)`` numeral whose
     most significant digit selects the first op.  Campaign workers use this
-    to regenerate exactly the workloads their shard names, so a work item
-    travels across process (or machine) boundaries as a bare integer.
+    to regenerate exactly the workloads their batches name, so a work item
+    travels across the process boundary as a bare integer.
     """
     if mode not in ("pm", "fsync"):
         raise ValueError(f"unknown ACE mode {mode!r}")

@@ -41,6 +41,14 @@ class TestMarkdown:
         assert "No crash-consistency violations" in text
         assert "`nova`" in text
 
+    def test_engine_dict_with_steals_still_renders(self):
+        """An engine dict saved before the engine stopped stealing."""
+        summary = CampaignSummary(fs_name="nova", generator="ace")
+        engine = {"workers": 2, "dispatched": 10, "steals": 3, "requeues": 1}
+        text = render_markdown(summary, engine_meta=engine)
+        assert "- **scheduling:** 10 dispatched, 1 requeued" in text
+        assert "stolen" not in text
+
     def test_findings_sections(self):
         cm = Chipmunk("nova", bugs=BugConfig.only(5))
         summary = run_campaign(

@@ -87,6 +87,35 @@ class TestFaults:
         assert not merged.quarantined
         assert (tmp_path / "bugs.json").read_bytes() == nova_reference
 
+    def test_a_retry_that_succeeds_leaves_a_trace(self, tmp_path,
+                                                  nova_reference):
+        merged = run_engine(
+            tmp_path, NOVA,
+            fault={"item_id": "ace:2:000003", "kind": "raise", "times": 1},
+        )
+        assert (tmp_path / "bugs.json").read_bytes() == nova_reference
+        records = [json.loads(line) for line in
+                   (tmp_path / "journal.jsonl").read_text().splitlines()]
+        mine = [r for r in records if r.get("id") == "ace:2:000003"]
+        assert [r["type"] for r in mine] == ["item_retried", "item_done"]
+        retried, done = mine
+        assert retried["attempt"] == 1
+        assert retried["error"] == "RuntimeError: injected fault"
+        assert retried["traceback"].startswith("Traceback")
+        assert done["retries"] == 1
+        # Replay, report.md and watch all show it, with where it raised.
+        frame = last_frame(retried["traceback"])
+        state = CheckpointJournal.replay(str(tmp_path))
+        assert state.retried["ace:2:000003"] == retried
+        assert [r["id"] for r in merged.retried] == ["ace:2:000003"]
+        assert (f"- **retried:** 1 workload(s) charged a retry: "
+                f"`ace:2:000003` attempt 1: RuntimeError: injected fault "
+                f"(raised at {frame})") in (tmp_path / "report.md").read_text()
+        monitor = CampaignMonitor(str(tmp_path))
+        assert (f"retried ace:2:000003 (attempt 1): RuntimeError: injected "
+                f"fault (raised at {frame})") in monitor.render(
+                    monitor.snapshot())
+
     def test_quarantine_carries_the_traceback(self, tmp_path):
         spec = CampaignSpec(fs="nova", seq=1, max_workloads=6)
         merged = run_engine(
@@ -150,14 +179,18 @@ class TestJournalBodies:
         workers = {w for w, *_ in entries}
         assert len(entries) == merged.summary.total("n_reports")
         # A worker ships a key again only on a workload earlier than one
-        # it already ran — a retried item back at its shard's head, or a
-        # steal from a shard's tail — and then at most that item's keys.
+        # it already ran — a retried item back at the queue's head — and
+        # then at most that item's keys.
         latest, late_keys = {}, {}
         for worker, ordinal, _, entry in entries:
             if ordinal < latest.setdefault(worker, ordinal):
                 late_keys.setdefault(ordinal, set()).add(
                     json.dumps(entry["key"]))
             latest[worker] = max(latest[worker], ordinal)
+        if fault is None:
+            # The queue deals head runs in ordinal order: without a retry
+            # no worker ever runs a workload earlier than one it ran.
+            assert not late_keys
         bodies = sum(has_body(e) for *_, e in entries)
         assert bodies <= (len(workers) * len(keys)
                           + sum(map(len, late_keys.values())))

@@ -5,6 +5,7 @@ takes ~15 ms), injecting faults through the engine's test-only hook.
 """
 
 import itertools
+from collections import Counter
 import json
 import multiprocessing
 import os
@@ -23,7 +24,7 @@ from repro.campaign import (
 )
 from repro.campaign import worker as workermod
 from repro.campaign.engine import _WorkerHandle
-from repro.campaign.queue import ShardedWorkQueue, WorkItem
+from repro.campaign.queue import WorkItem, WorkQueue
 from repro.core import Chipmunk
 from repro.workloads import ace
 
@@ -153,7 +154,7 @@ class TestDelivery:
         os.write(child.fileno(), struct.pack("!i", 100) + b"x" * 10)
         child.close()
         engine = CampaignEngine(spec_for(), str(tmp_path))
-        handle = _WorkerHandle(wid=0, shard=0, process=None, conn=conn)
+        handle = _WorkerHandle(wid=0, process=None, conn=conn)
 
         def blocked(signum, frame):
             raise TimeoutError("draining a torn frame blocked")
@@ -176,7 +177,7 @@ class TestDelivery:
         """A worker's result sent just before it died is journaled on
         reaping; only the item it died on is charged a retry."""
         engine = CampaignEngine(spec_for(), str(tmp_path))
-        monkeypatch.setattr(engine, "_spawn_worker", lambda shard: None)
+        monkeypatch.setattr(engine, "_spawn_worker", lambda: None)
         process = multiprocessing.get_context("fork").Process(target=int)
         process.start()
         process.join(timeout=10)
@@ -186,13 +187,13 @@ class TestDelivery:
         child.send((workermod.MSG_RESULT, 0, done.item_id, []))
         child.close()
         handle = _WorkerHandle(
-            wid=0, shard=0, process=process, conn=conn,
+            wid=0, process=process, conn=conn,
             in_flight={i.item_id: i for i in (done, died, unstarted)},
         )
         engine._workers[0] = handle
         journal = CheckpointJournal(str(tmp_path))
         journal.open()
-        queue = ShardedWorkQueue(1, [])
+        queue = WorkQueue(1, [])
         results, retries = {}, {}
         try:
             engine._reap_failures(queue, journal, results, {}, retries)
@@ -202,8 +203,9 @@ class TestDelivery:
         assert [r["id"] for r in journal_records(tmp_path, "item_done")] == [
             done.item_id]
         assert retries == {died.item_id: 1}
-        assert {i.item_id for i in queue.next_batch(0, 8)} == {
-            died.item_id, unstarted.item_id}
+        # The charged item runs next, its uncharged batchmate right after.
+        assert [i.item_id for i in queue.next_batch(8)] == [
+            died.item_id, unstarted.item_id]
 
 
 class TestResume:
@@ -259,6 +261,18 @@ class TestFuzzCampaign:
         assert merged.summary.workloads_tested == 12
         state = CheckpointJournal.replay(str(tmp_path))
         assert set(state.results) == {"fuzz:3", "fuzz:4", "fuzz:5"}
+
+    def test_default_segments_split_evenly_across_workers(self, tmp_path):
+        # --segments 4 with the default --batch 8: the first ready worker
+        # gets its fair share (2), the second 1, and the second, done
+        # first, the last.  Segments long enough (~0.1 s) that worker
+        # start-up jitter cannot reorder that.
+        spec = CampaignSpec(fs="pmfs", generator="fuzz", seed=3, segments=4,
+                            executions=30)
+        run_engine(tmp_path, spec=spec, batch_size=8)
+        done = journal_records(tmp_path, "item_done")
+        per_worker = Counter(r["worker"] for r in done)
+        assert sorted(per_worker.values()) == [2, 2]
 
     def test_fuzz_campaign_is_deterministic_per_seed(self, tmp_path):
         spec = CampaignSpec(fs="nova", generator="fuzz", seed=11, segments=2,

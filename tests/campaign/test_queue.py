@@ -1,8 +1,12 @@
-"""Work items, shard assignment, and the work-stealing queue."""
+"""Work items and the canonical-order work queue."""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.campaign.queue import ShardedWorkQueue, WorkItem, build_items
+from repro.campaign.queue import WorkItem, WorkQueue, build_items
 from repro.campaign.spec import CampaignSpec
 from repro.workloads.ace import count
 
@@ -52,60 +56,66 @@ class TestBuildItems:
         assert all(i.executions == 7 for i in items)
 
 
-class TestShardedWorkQueue:
-    def test_items_stripe_round_robin_by_ordinal(self):
-        q = ShardedWorkQueue(3, ace_items(9))
-        assert [i.ordinal for i in q.shards[0]] == [0, 3, 6]
-        assert [i.ordinal for i in q.shards[1]] == [1, 4, 7]
-        assert [i.ordinal for i in q.shards[2]] == [2, 5, 8]
+class TestWorkQueue:
+    def test_batches_are_head_runs_in_ordinal_order(self):
+        q = WorkQueue(2, ace_items(6))
+        assert [i.ordinal for i in q.next_batch(2)] == [0, 1]
+        assert [i.ordinal for i in q.next_batch(2)] == [2, 3]
+        assert q.dispatched == 4
 
-    def test_owner_drains_home_shard_first(self):
-        q = ShardedWorkQueue(2, ace_items(6))
-        batch = q.next_batch(0, 2)
-        assert [i.ordinal for i in batch] == [0, 2]
-        assert q.stats.steals == 0
+    def test_batch_is_capped_at_a_fair_share_of_pending(self):
+        # Four fuzz segments, two workers, --batch 8: a naive FIFO would
+        # hand the first ready worker all four.
+        q = WorkQueue(2, ace_items(4))
+        assert len(q.next_batch(8)) == 2
+        assert len(q.next_batch(8)) == 1
+        assert len(q.next_batch(8)) == 1
 
-    def test_steals_from_fullest_shard_tail_when_home_is_dry(self):
-        q = ShardedWorkQueue(2, ace_items(6))
-        q.next_batch(0, 3)  # drains shard 0 (ordinals 0, 2, 4)
-        batch = q.next_batch(0, 2)
-        # Shard 0 is dry: steal from shard 1's tail (newest first).
-        assert [i.ordinal for i in batch] == [5, 3]
-        assert q.stats.steals == 2
-
-    def test_batch_spans_home_then_steal(self):
-        q = ShardedWorkQueue(2, ace_items(4))
-        batch = q.next_batch(1, 4)
-        assert [i.ordinal for i in batch] == [1, 3, 2, 0]
-        assert q.stats.steals == 2
+    def test_tail_shrinks_to_single_items(self):
+        q = WorkQueue(3, ace_items(20))
+        sizes = []
+        while len(q):
+            sizes.append(len(q.next_batch(4)))
+        assert sizes[:3] == [4, 4, 4]
+        assert sizes[-1] == 1
+        assert sizes == sorted(sizes, reverse=True)
 
     def test_empty_queue_yields_empty_batch(self):
-        q = ShardedWorkQueue(2, [])
-        assert q.next_batch(0, 8) == []
+        q = WorkQueue(2, [])
+        assert q.next_batch(8) == []
         assert len(q) == 0
 
-    def test_requeue_goes_to_home_shard_head(self):
-        items = ace_items(6)
-        q = ShardedWorkQueue(2, items)
-        taken = q.next_batch(0, 1)
-        q.requeue(taken)
-        assert [i.ordinal for i in q.shards[0]] == [0, 2, 4]
-        assert q.stats.requeues == 1
+    def test_requeue_goes_to_the_head_in_order(self):
+        q = WorkQueue(1, ace_items(6))
+        taken = q.next_batch(3)
+        q.requeue(taken[1:])
+        q.requeue(taken[:1])
+        assert [i.ordinal for i in q.next_batch(8)] == [0, 1, 2, 3, 4, 5]
+        assert q.requeues == 3
 
-    def test_union_of_batches_is_exhaustive_and_disjoint(self):
-        q = ShardedWorkQueue(3, ace_items(20))
-        seen = []
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(ValueError):
+            WorkQueue(0, [])
+
+
+class TestWorkQueueProperties:
+    @given(n_items=st.integers(0, 60), workers=st.integers(1, 6),
+           batch_size=st.integers(1, 10), data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_every_item_dealt_once_per_requeue_in_head_runs(
+            self, n_items, workers, batch_size, data):
+        q = WorkQueue(workers, ace_items(n_items))
+        dealt, requeued = Counter(), Counter()
         while len(q):
-            for shard in range(3):
-                seen.extend(i.ordinal for i in q.next_batch(shard, 2))
-        assert sorted(seen) == list(range(20))
-        assert len(seen) == len(set(seen))
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedWorkQueue(0, [])
-
-    def test_rejects_bad_shard_index(self):
-        q = ShardedWorkQueue(2, ace_items(2))
-        with pytest.raises(ValueError):
-            q.next_batch(2, 1)
+            pending = len(q)
+            head = list(q.items)
+            batch = q.next_batch(batch_size)
+            assert 1 <= len(batch) <= min(batch_size, -(-pending // workers))
+            assert batch == head[:len(batch)]
+            dealt.update(i.ordinal for i in batch)
+            if sum(requeued.values()) < 20 and data.draw(st.booleans()):
+                back = batch[:data.draw(st.integers(0, len(batch)))]
+                q.requeue(back)
+                requeued.update(i.ordinal for i in back)
+        assert dealt == Counter(range(n_items)) + requeued
+        assert q.requeues == sum(requeued.values())

@@ -14,7 +14,12 @@ which the live-mode tests assert on.
 import pytest
 from conftest import eager_memo, serial_bugs_json
 
-from repro.campaign import CampaignEngine, CampaignSpec, EngineConfig
+from repro.campaign import (
+    CampaignEngine,
+    CampaignSpec,
+    CheckpointJournal,
+    EngineConfig,
+)
 
 N = 6  # per sequence length; the campaign runs seq 1 and seq 2
 
@@ -86,6 +91,14 @@ class TestSharedMemoEquivalence:
         merged, bugs = run_engine(tmp_path, spec_for(shared_memo=True))
         assert bugs == reference
         assert merged.engine["shared_memo"]["publishes"] == 20
+        # The failed requests are counted, journaled and reported.
+        state = CheckpointJournal.replay(str(tmp_path))
+        errors = sum(r.get("memo_shared_errors", 0)
+                     for r in state.ordered_results())
+        assert errors > 0
+        assert merged.summary.total("memo_shared_errors") == errors
+        assert (f"{errors} shared-service error(s) degraded to local misses"
+                in (tmp_path / "report.md").read_text())
 
     def test_dead_address_from_the_start_degrades(self, tmp_path, reference,
                                                   monkeypatch):

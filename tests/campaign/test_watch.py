@@ -129,12 +129,17 @@ class TestRender:
     def test_dashboard_lines(self, tmp_path):
         campaign_dir, _ = _run_campaign(tmp_path)
         monitor = CampaignMonitor(campaign_dir)
-        frame = monitor.render(monitor.snapshot())
+        snap = monitor.snapshot()
+        frame = monitor.render(snap)
         assert "nova/ace" in frame
         assert "COMPLETE" in frame
         assert "4/4 (100%)" in frame
-        assert "memo hit-rate" in frame
         assert "bug reports" in frame
+        # The skip counters read as in `repro stats` and report.md.
+        lines = snap.aggregate().counter_lines()
+        assert "check memo (memo_hits/memo_misses)" in dict(lines)
+        for label, text in lines:
+            assert f"{label}: {text}" in frame.splitlines()
 
     def test_worker_liveness_lines(self, tmp_path):
         campaign_dir, _ = _run_campaign(tmp_path)

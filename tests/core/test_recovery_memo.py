@@ -240,8 +240,8 @@ class TestBudget:
                                     [result.to_dict()])
         journal.close()
         monitor = CampaignMonitor(str(tmp_path))
-        assert f", {resets} trie reset(s)" in monitor.render(
-            monitor.snapshot())
+        assert f"; {resets} trie reset(s) at the node budget" in (
+            monitor.render(monitor.snapshot()))
 
     def test_a_path_longer_than_the_budget_is_not_stored(self, monkeypatch):
         monkeypatch.setattr(recovery_memo, "MAX_NODES", 2)

@@ -16,7 +16,7 @@ from repro.core.replayer import enumerate_crash_states
 from repro.forensics.provenance import capture_provenance
 from repro.forensics.timeline import render_timeline
 from repro.fs.common.layout import single_region_map
-from repro.fs.ext4dax.fs import Ext4DaxFS
+from repro.fs.ext4dax.fs import Ext4DaxFS, XfsDaxFS
 from repro.fs.nova.fs import NovaFS
 from repro.fs.pmfs.fs import PmfsFS
 from repro.fs.splitfs.fs import SplitFS
@@ -113,6 +113,26 @@ class TestSplitfsLayoutMap:
         names = [r.name for r in layout.regions]
         assert names == ["superblock", "oplog", "staging", "kernel"]
 
+    def test_zero_kernel_block_size_is_a_torn_kernel_superblock(self):
+        device = PMDevice(256 * 1024)
+        fs = SplitFS.mkfs(device)
+        image = bytearray(device.snapshot())
+        korigin = fs.geom.kernel_origin
+        image[korigin + 16 : korigin + 20] = bytes(4)  # block size 0
+        layout = SplitFS.layout_map(bytes(image))
+        names = [r.name for r in layout.regions]
+        assert names == ["superblock", "oplog", "staging", "kernel"]
+
+    def test_unexpected_kernel_decoder_error_propagates(self, monkeypatch):
+        def broken(buf):
+            raise TypeError("decoder bug")
+
+        monkeypatch.setattr("repro.fs.ext4dax.fs.unpack_superblock", broken)
+        device = PMDevice(256 * 1024)
+        SplitFS.mkfs(device)
+        with pytest.raises(TypeError, match="decoder bug"):
+            SplitFS.layout_map(device.snapshot())
+
     def test_timeline_matches_golden(self):
         w = ace.workload_at(2, 1)  # creat('/foo'); creat('/bar')
         result = Chipmunk("splitfs").test_workload(w.core, setup=w.setup)
@@ -150,6 +170,16 @@ class TestExt4DaxLayoutMap:
     def test_corrupt_superblock_falls_back(self):
         layout = Ext4DaxFS.layout_map(b"\xff" * 4096)
         assert [r.name for r in layout.regions] == ["device"]
+
+    @pytest.mark.parametrize("fs_class", [Ext4DaxFS, XfsDaxFS],
+                             ids=["ext4-dax", "xfs-dax"])
+    def test_zero_block_size_is_a_torn_superblock(self, fs_class):
+        device = PMDevice(256 * 1024)
+        fs_class.mkfs(device)
+        image = bytearray(device.snapshot())
+        image[16:20] = bytes(4)  # the superblock's block-size field
+        assert fs_class.layout_map(bytes(image)) == single_region_map(
+            len(image))
 
     def test_timeline_matches_golden(self):
         # ext4-DAX has no crash-consistency bugs (the paper found none), so

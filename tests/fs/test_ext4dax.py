@@ -198,7 +198,10 @@ class TestCorruptGeometry:
     def test_mount_fails_inside_the_taxonomy(self, cls, mutation):
         from repro.vfs.interface import MountError
 
-        with pytest.raises(MountError, match="corrupt superblock geometry"):
+        # The geometry itself rejects a zero block size.
+        message = ("block_size must be positive" if mutation == "block-size-0"
+                   else "corrupt superblock geometry")
+        with pytest.raises(MountError, match=message):
             cls.mount(self._mutated(cls, mutation))
 
     @pytest.mark.parametrize("cls", [Ext4DaxFS, XfsDaxFS])

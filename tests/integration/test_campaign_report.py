@@ -1,33 +1,31 @@
-"""End-to-end: sharded ACE campaign into a rendered markdown report."""
+"""End-to-end: a slice of the ACE space into a rendered markdown report."""
 
 from repro.analysis.reporting import render_markdown, run_campaign
 from repro.core import Chipmunk
 from repro.fs.bugs import BugConfig
-from repro.workloads.sharding import shard
+from repro.workloads import ace
+
+
+def seq1_slice(start=0, step=1):
+    """Every ``step``-th seq-1 workload from ``start``, by index."""
+    return (ace.workload_at(1, index)
+            for index in range(start, ace.count(1), step))
 
 
 class TestShardedCampaignReport:
     def test_fixed_fs_shard_is_clean(self):
         cm = Chipmunk("nova", bugs=BugConfig.fixed())
-        summary = run_campaign(cm, shard(1, 4, 0), generator="ace seq-1 shard 0/4")
+        summary = run_campaign(cm, seq1_slice(step=4),
+                               generator="ace seq-1, every 4th workload")
         assert summary.clusters == []
         report = render_markdown(summary)
         assert "No crash-consistency violations" in report
 
     def test_buggy_fs_report_has_findings(self):
         cm = Chipmunk("nova", bugs=BugConfig.only(5))
-        # Shard 1 of 2 of seq-1 happens to include the rename ops either
-        # way; run both shards to be deterministic about coverage.
-        summary = run_campaign(cm, shard(1, 1, 0), generator="ace seq-1")
+        summary = run_campaign(cm, seq1_slice(), generator="ace seq-1")
         assert summary.workloads_tested > 0
         assert summary.clusters
         report = render_markdown(summary, title="NOVA bug-5 campaign")
         assert "## Finding 1" in report
         assert "rename" in report
-
-    def test_shards_union_equals_full_campaign(self):
-        cm = Chipmunk("pmfs", bugs=BugConfig.fixed())
-        full = run_campaign(cm, shard(1, 1, 0))
-        parts = [run_campaign(cm, shard(1, 3, i)) for i in range(3)]
-        assert sum(p.workloads_tested for p in parts) == full.workloads_tested
-        assert sum(p.crash_states for p in parts) == full.crash_states

@@ -140,9 +140,12 @@ class TestDegradation:
         probe.close()
         client = MemoClient(f"127.0.0.1:{port}", max_failures=3)
         for _ in range(3):
-            assert client.lookup(K1) is False
+            assert client.ok
+            # A request whose both attempts fail raises for its caller
+            # to count.
+            with pytest.raises(OSError):
+                client.lookup(K1)
         assert not client.ok
-        assert client.errors >= 3
         # Degraded calls are pure misses, instantly, forever.
         assert client.lookup(K1) is False
         assert not client.publish(K1)
@@ -200,8 +203,10 @@ class TestDegradation:
             assert client.publish(K1)
             srv.stop()
             for _ in range(3):
-                assert client.lookup(K1) is False
+                with pytest.raises(OSError):
+                    client.lookup(K1)
             assert not client.ok
+            assert client.lookup(K1) is False
         finally:
             client.close()
             srv.stop()

@@ -117,7 +117,7 @@ class TestSurfaces:
         # mount, so the cache line may read 0 hits — but it is there.
         hits, misses = total("outcome_hits"), total("outcome_misses")
         assert misses > 0
-        assert f"outcome cache hits {hits}/{hits + misses} " in frame
+        assert f"outcome cache: {hits} hit(s), {misses} miss(es) " in frame
         hits = total("recovery_hits")
         assert hits > 0
-        assert f"recovery memo hits {hits}/" in frame
+        assert f"recovery memo: {hits} hit(s)" in frame

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_fixed_fs
 from repro.workloads import ace
@@ -105,3 +107,24 @@ class TestWorkloadsExecute:
             fs = make_fixed_fs("nova")
             assert run_workload(fs, w.setup) == [None] * len(w.setup), w.name()
             run_workload(fs, w.core)
+
+
+class TestWorkloadAt:
+    """Random access agrees with enumeration: campaign workers regenerate
+    their workloads by index."""
+
+    @given(index=st.integers(0, ace.count(2) - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_workload_at_matches_generate_seq2(self, index):
+        regenerated = ace.workload_at(2, index)
+        streamed = next(itertools.islice(ace.generate(2), index, None))
+        assert regenerated.index == streamed.index == index
+        assert regenerated.core == streamed.core
+        assert regenerated.setup == streamed.setup
+
+    def test_workload_at_matches_generate_full_seq1_both_modes(self):
+        for mode in ("pm", "fsync"):
+            for i, streamed in enumerate(ace.generate(1, mode=mode)):
+                regenerated = ace.workload_at(1, i, mode=mode)
+                assert regenerated.core == streamed.core
+                assert regenerated.setup == streamed.setup
