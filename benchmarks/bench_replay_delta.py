@@ -1,10 +1,11 @@
 """Delta crash states vs the eager baseline: states/sec, memo hit-rate,
 peak allocation.
 
-The eager baseline reproduces the pre-delta pipeline exactly: every crash
+The eager baseline reproduces the pre-delta pipeline's costs: every crash
 state is materialized to flat ``bytes`` (an O(device) copy), deduped by a
-whole-image sha1, and checked on a per-state ``PMDevice.from_snapshot``
-copy.  The delta path is what the harness runs today: shared fence bases +
+whole-image sha1, and checked as a per-state copy through the one check
+path, ``CrashImage(fence_base(flat))`` — a fresh buffer and mount device
+per state.  The delta path is what the harness runs today: shared fence bases +
 sparse overlays, content-addressed memoization, and a copy-on-write mount
 view — a clean check of a one-replay state touches kilobytes regardless of
 device size.
@@ -31,6 +32,7 @@ import tracemalloc
 from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.harness import Chipmunk, ChipmunkConfig
 from repro.core.replayer import enumerate_crash_states
+from repro.pm.image import CrashImage, fence_base
 from repro.workloads import ace
 from repro.workloads.ops import describe_workload
 
@@ -65,13 +67,14 @@ def run_eager(cm, base, log, checker):
     n_states = 0
     for state in enumerate_crash_states(base, log, cap=cm.config.cap):
         n_states += 1
-        flat = bytes(state.image)
+        flat = state.image.materialize()
         key = (hashlib.sha1(flat).digest(), state.syscall, state.mid_syscall,
                state.after_syscall)
         if key in seen:
             continue
         seen.add(key)
-        reports.extend(checker.check(dataclasses.replace(state, image=flat)))
+        copy = dataclasses.replace(state, image=CrashImage(fence_base(flat)))
+        reports.extend(checker.check(copy))
     return n_states, reports
 
 

@@ -16,8 +16,7 @@ Crash states of one fence region are mounted on one shared device through
 a copy-on-write view (:meth:`repro.pm.device.PMDevice.cow_view`): the view
 applies the state's overlay, records every checker mutation in an undo log,
 and rolls both back on exit — the paper's own undo-log strategy — so
-mutations never leak between states and nothing is copied per state.  Only
-hand-built flat-``bytes`` states still get a private device copy.
+mutations never leak between states and nothing is copied per state.
 
 Steps 1, 2 and 4 are skipped for a state on which they would read only
 bytes an earlier check already read with the same values (the read-trace
@@ -109,11 +108,9 @@ class ConsistencyChecker:
                 (fs_class, bugs.enabled if bugs is not None else None)
             )
         #: This workload's share of the cache traffic: mounted states whose
-        #: walk + usability were reused / ran in full and were eligible /
-        #: could not be keyed (a flat, hand-built image).
+        #: walk + usability were reused / ran in full.
         self.outcome_hits = 0
         self.outcome_misses = 0
-        self.outcome_bypassed = 0
         #: Optional :class:`~repro.core.recovery_memo.RecoveryMemo` shared
         #: like the outcome cache; None mounts every state it checks.
         self.recovery_memo = recovery_memo
@@ -133,7 +130,8 @@ class ConsistencyChecker:
 
         Two checkers judging byte-identical images reach the same verdict
         iff their expectations agree, so the cross-workload memo key folds
-        in a digest of exactly the inputs :meth:`_check_device` consults:
+        in a digest of exactly the inputs :meth:`_recover` and
+        :meth:`_judge` consult:
         the file system, the enabled bug set, and the oracle trees the
         state's ``(syscall, mid_syscall, after_syscall)`` context is
         compared against.  Equal digest ⟹ equal expectations ⟹
@@ -185,54 +183,48 @@ class ConsistencyChecker:
     # ------------------------------------------------------------------
     def check(self, state: CrashState) -> List[BugReport]:
         """Return every violation found in one crash state."""
+        # Mount the fence region's shared device through a copy-on-write
+        # view of the state's overlay.  The view's undo log rolls back both
+        # the overlay and any checker mutation (mount-time recovery writes,
+        # the usability pass), so states never leak into each other — the
+        # paper's own undo-log strategy, instead of a full image copy per
+        # state.
+        #
+        # The base shares the replayer's live buffer: adopt that buffer as
+        # the mount device (no copy, ever) and prefix the COW view with the
+        # base's restore patch, which rolls the live content back to this
+        # region.  While states stream (region checked as it is
+        # enumerated) the patch is empty; it only grows for stale bases
+        # re-checked after enumeration moved on.
         image = state.image
-        if isinstance(image, CrashImage):
-            # Delta path: mount the fence region's shared device through a
-            # copy-on-write view of the state's overlay.  The view's undo
-            # log rolls back both the overlay and any checker mutation
-            # (mount-time recovery writes, the usability pass), so states
-            # never leak into each other — the paper's own undo-log
-            # strategy, instead of a full image copy per state.
-            #
-            # The base shares the replayer's live buffer: adopt that buffer
-            # as the mount device (no copy, ever) and prefix the COW view
-            # with the base's restore patch, which rolls the live content
-            # back to this region.  While states stream (region checked as
-            # it is enumerated) the patch is empty; it only grows for stale
-            # bases re-checked after enumeration moved on.
-            base = image.base
-            if self._mount_store is not base.tracker:
-                self._mount_store = base.tracker
-                self._mount_device = PMDevice.adopt(base.tracker.buf)
-                if self.recovery_memo is not None:
-                    self.recovery_memo.bind((
-                        self.fs_class,
-                        self.bugs.enabled if self.bugs is not None else None,
-                        self._mount_device.size,
-                    ))
-            writes = tuple(base.restore_writes()) + image.writes
-            with self._mount_device.cow_view(writes) as device:
-                if self.recovery_memo is None:
-                    recovery = self._recover(device, image)[0]
-                else:
-                    recovery = self._recover_memoized(state, device, image)
-                return self._judge(state, recovery)
-        # Legacy eager path for flat images (hand-built states, the
-        # delta-vs-eager benchmark baseline): fresh device copy per state.
-        device = PMDevice.from_snapshot(image)
-        return self._judge(state, self._recover(device)[0])
+        base = image.base
+        if self._mount_store is not base.tracker:
+            self._mount_store = base.tracker
+            self._mount_device = PMDevice.adopt(base.tracker.buf)
+            if self.recovery_memo is not None:
+                self.recovery_memo.bind((
+                    self.fs_class,
+                    self.bugs.enabled if self.bugs is not None else None,
+                    self._mount_device.size,
+                ))
+        writes = tuple(base.restore_writes()) + image.writes
+        with self._mount_device.cow_view(writes) as device:
+            if self.recovery_memo is None:
+                recovery = self._recover(device, image)[0]
+            else:
+                recovery = self._recover_memoized(state, device, image)
+            return self._judge(state, recovery)
 
     def _recover(
-        self, device: PMDevice, keyed: Optional[CrashImage] = None
+        self, device: PMDevice, image: CrashImage
     ) -> Tuple[Recovery, bool]:
         """Mount, walk and probe ``device``: all a check learns from PM.
 
         Returns the recovery and whether it ran in full — False when the
         outcome cache skipped walk + usability or the mount, walk or
         usability pass crashed, the cases the recovery memo must not
-        remember.  ``keyed`` is the crash image ``device`` presents through
-        a COW view, for the recovered-outcome cache; ``None`` for a flat
-        image, which the cache cannot key.
+        remember.  ``image`` is the crash image ``device`` presents through
+        a COW view, which keys the recovered-outcome cache.
         """
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
@@ -257,11 +249,12 @@ class ConsistencyChecker:
         cache = self.outcome_cache
         key = None
         if cache is not None:
-            key = self._outcome_key(device, keyed)
-            outcome = cache.lookup(key) if key is not None else None
-            self._count_outcome_lookup(key, outcome)
+            key = self._outcome_key(device, image)
+            outcome = cache.lookup(key)
             if outcome is not None:
+                self.outcome_hits += 1
                 return self._reuse_outcome(fs, outcome), False
+            self.outcome_misses += 1
         t0 = perf_counter() if prof is not None else 0.0
         try:
             crash_tree = fs.walk()
@@ -358,9 +351,7 @@ class ConsistencyChecker:
     # ------------------------------------------------------------------
     # Recovered-outcome cache (skip walk + usability on a known image)
     # ------------------------------------------------------------------
-    def _outcome_key(
-        self, device: PMDevice, image: Optional[CrashImage]
-    ) -> Optional[bytes]:
+    def _outcome_key(self, device: PMDevice, image: CrashImage) -> bytes:
         """Content digest of the mounted image as recovery left it.
 
         Exactly ``ChunkedDigest(device.image).digest()`` — the fence-base
@@ -369,8 +360,6 @@ class ConsistencyChecker:
         from the base's chunk digests by rehashing only the chunks the
         overlay and recovery's own writes touched.
         """
-        if image is None:
-            return None
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         ranges = [(addr, len(data)) for addr, data in image.writes]
@@ -382,14 +371,6 @@ class ConsistencyChecker:
             prof.add("checker.outcome_key", perf_counter() - t0, rehashed,
                      "digest_hashed")
         return key
-
-    def _count_outcome_lookup(self, key, outcome) -> None:
-        if key is None:
-            self.outcome_bypassed += 1
-        elif outcome is not None:
-            self.outcome_hits += 1
-        else:
-            self.outcome_misses += 1
 
     def _reuse_outcome(self, fs: FileSystem, outcome) -> Recovery:
         """The recovery of an image the outcome cache already judged.
@@ -678,8 +659,7 @@ class CheckMemo:
     materialization, and identical for every overlay shape that
     materializes the same bytes on the same base.  Key equality implies
     byte-identical images, so a hit can never skip a state that would have
-    checked differently.  A flat-``bytes`` image (a hand-built state) is
-    keyed by ``sha1(image)``.
+    checked differently.
 
     :meth:`check` returns ``None`` on a memo hit (the state was already
     checked; any findings are already in the caller's hands) and the
@@ -725,13 +705,7 @@ class CheckMemo:
         prof = _profile.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         m0 = prof.mark() if prof is not None else 0.0
-        image = state.image
-        if isinstance(image, CrashImage):
-            digest = image.content_key()
-        else:
-            digest = hashlib.sha1(
-                image if isinstance(image, (bytes, bytearray)) else bytes(image)
-            ).digest()
+        digest = state.image.content_key()
         if prof is not None:
             # Exclusive of the flatten the content key runs internally
             # (profiled at its own site in the same stage).

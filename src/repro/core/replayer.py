@@ -9,16 +9,22 @@ replayed writes) and can be capped.  Logically related data writes — large
 non-temporal stores to adjacent addresses within one syscall — are coalesced
 into single replay units, the heuristic that collapses the 2^128 states of a
 1 KiB file write into a handful.
+
+One walk (:class:`FenceWalk`) visits the crash points and one constructor
+(:meth:`CrashRegion.state`) builds every state; forensics rebuilds a saved
+state through the same two.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.pm.image import CrashImage, PersistTracker
-from repro.pm.log import Fence, Flush, NTStore, PMLog, SyscallBegin, SyscallEnd, WriteEntry
+from repro.pm.image import CrashImage, PersistTracker, RegionBase
+from repro.pm.log import (
+    Fence, Flush, LogEntry, NTStore, PMLog, SyscallBegin, SyscallEnd, WriteEntry,
+)
 
 #: NT stores at least this large are treated as file-data writes for
 #: coalescing (the paper's "non-temporal memcpy on a large buffer usually
@@ -32,13 +38,14 @@ SYNC_SYSCALLS = ("fsync", "fdatasync", "sync")
 class CrashState:
     """One possible post-crash device image plus its provenance.
 
-    ``image`` is normally a lazy :class:`~repro.pm.image.CrashImage`
-    (fence base + sparse overlay, O(delta) to build); flat ``bytes`` are
-    still accepted for hand-built states, and ``CrashImage`` compares,
-    hashes, and subscripts like ``bytes``, so consumers see no difference.
+    ``image`` is a lazy :class:`~repro.pm.image.CrashImage` (fence base +
+    sparse overlay, O(delta) to build), whose
+    :meth:`~repro.pm.image.CrashImage.materialize` gives the flat bytes.
+    :meth:`CrashRegion.state` builds every enumerated and rebuilt state; a
+    hand-built one wraps its flat image as ``CrashImage(fence_base(flat))``.
     """
 
-    image: Union[CrashImage, bytes]
+    image: CrashImage
     #: Index of the fence region the state was built in.
     fence_index: int
     #: Syscall during which the crash happened (None between syscalls).
@@ -121,6 +128,161 @@ def unit_positions(units: Sequence[Sequence[WriteEntry]]) -> List[Tuple[int, ...
 
 
 @dataclass
+class CrashRegion:
+    """One crash point of a recorded log and the states it can crash into.
+
+    The persistent base every state of the point shares, the in-flight
+    writes a state may replay onto it, and where in the workload the crash
+    happens.  :meth:`state` is the one constructor of a
+    :class:`CrashState`: enumeration builds every subset, post-syscall and
+    final state through it, and forensics rebuilds saved states the same
+    way, so each description lives in one place.
+    """
+
+    base: RegionBase
+    #: In-flight write entries of the crash region, in program order.
+    inflight: Tuple[WriteEntry, ...]
+    #: Coalesced replay units; ``units[i]`` covers ``unit_positions[i]``.
+    units: List[List[WriteEntry]]
+    #: In-flight vector positions covered by each unit.
+    unit_positions: List[Tuple[int, ...]]
+    log_pos: int
+    fence_index: int
+    #: Syscall the crash interrupts (None between syscalls).
+    syscall: Optional[int]
+    syscall_name: Optional[str]
+    after_syscall: int
+
+    def state(self, unit_indices: Sequence[int], kind: str = "subset") -> CrashState:
+        """The crash state persisting the units ``unit_indices`` (ascending).
+
+        ``kind`` picks the description: ``"subset"`` names the replayed
+        writes, ``"post"`` and ``"final"`` name the crash point.  A final
+        state persists every unit yet counts none as replayed.
+        """
+        chosen: List[WriteEntry] = []
+        replayed: List[int] = []
+        for i in unit_indices:
+            chosen.extend(self.units[i])
+            replayed.extend(self.unit_positions[i])
+        if kind == "subset":
+            desc = tuple(e.describe() for e in chosen) or ("<none persisted>",)
+        elif kind == "post":
+            desc = (
+                ("<post-syscall; in-flight writes lost>",)
+                if self.inflight
+                else ("<post-syscall>",)
+            )
+        else:
+            desc = ("<final state>",)
+        return CrashState(
+            image=CrashImage(self.base, tuple((e.addr, e.data) for e in chosen)),
+            fence_index=self.fence_index,
+            syscall=self.syscall,
+            syscall_name=self.syscall_name,
+            mid_syscall=self.syscall is not None,
+            after_syscall=self.after_syscall,
+            subset_desc=desc,
+            n_replayed=0 if kind == "final" else len(unit_indices),
+            log_pos=self.log_pos,
+            replayed_entries=tuple(replayed),
+            kind=kind,
+        )
+
+    def positions_of(self, unit_indices: Sequence[int]) -> Tuple[int, ...]:
+        """In-flight positions covered by ``unit_indices``, ascending."""
+        out: List[int] = []
+        for i in unit_indices:
+            out.extend(self.unit_positions[i])
+        return tuple(sorted(out))
+
+    def units_of(self, positions: Sequence[int]) -> Tuple[int, ...]:
+        """Map in-flight positions back to the units covering them.
+
+        Raises ``ValueError`` when the positions split a unit — replay
+        always persists whole units.
+        """
+        wanted = set(positions)
+        chosen: List[int] = []
+        for i, covered in enumerate(self.unit_positions):
+            hit = wanted & set(covered)
+            if not hit:
+                continue
+            if hit != set(covered):
+                raise ValueError(
+                    f"positions {sorted(wanted)} split replay unit {i} "
+                    f"(covers {covered})"
+                )
+            chosen.append(i)
+        return tuple(chosen)
+
+
+class FenceWalk:
+    """The replayer's walk of a write log, one crash point at a time.
+
+    Iterating yields ``(log_pos, entry)`` at every crash point: each
+    ``SyscallEnd``, each ``Fence`` before it persists the in-flight vector,
+    and the end of the log (``entry`` None).  While the caller holds a
+    point, :meth:`region` snapshots it; the walk then moves on.  Every log
+    entry must lie inside ``base_image``; an entry outside
+    ``[0, len(base_image))`` raises ``ValueError`` (real logs cannot hold
+    one: probes log only after the device bounds-checks the access).
+    """
+
+    def __init__(self, base_image: bytes, log: PMLog,
+                 coalesce_threshold: int = DATA_WRITE_THRESHOLD) -> None:
+        self.log = log
+        self.coalesce_threshold = coalesce_threshold
+        self.persistent = PersistTracker(base_image)
+        self.inflight: List[WriteEntry] = []
+        #: The syscall in progress at the current point (None between).
+        self.syscall: Optional[int] = None
+        self.syscall_name: Optional[str] = None
+        self.completed = -1
+        self.fence_index = 0
+
+    def __iter__(self) -> Iterator[Tuple[int, Optional[LogEntry]]]:
+        size = self.persistent.size
+        for log_pos, entry in enumerate(self.log):
+            if isinstance(entry, SyscallBegin):
+                self.syscall, self.syscall_name = entry.index, entry.name
+            elif isinstance(entry, SyscallEnd):
+                self.completed = entry.index
+                yield log_pos, entry
+                self.syscall, self.syscall_name = None, None
+            elif isinstance(entry, Fence):
+                yield log_pos, entry
+                self.persistent.apply(self.inflight)
+                self.inflight.clear()
+                self.fence_index += 1
+            elif isinstance(entry, (NTStore, Flush)):
+                if entry.addr < 0 or entry.addr + len(entry.data) > size:
+                    raise ValueError(
+                        f"log entry {log_pos} writes [{entry.addr}, "
+                        f"{entry.addr + len(entry.data)}) outside the "
+                        f"{size}-byte image"
+                    )
+                self.inflight.append(entry)
+        yield len(self.log), None
+
+    def region(self, log_pos: int, syscall: Optional[int],
+               syscall_name: Optional[str]) -> CrashRegion:
+        """The current crash point, crashing inside ``syscall`` (or None)."""
+        units = coalesce_units(self.inflight, self.coalesce_threshold)
+        return CrashRegion(
+            base=self.persistent.base(),
+            inflight=tuple(self.inflight),
+            units=units,
+            unit_positions=unit_positions(units),
+            log_pos=log_pos,
+            fence_index=self.fence_index,
+            syscall=syscall,
+            syscall_name=syscall_name,
+            after_syscall=self.completed,
+        )
+
+
+@dataclass
 class ReplayStats:
     """Aggregate statistics gathered while enumerating crash states."""
 
@@ -161,132 +323,48 @@ def enumerate_crash_states(
     ``cap`` limits how many in-flight write units are replayed per state
     (the paper finds a cap of two exposes every bug; section 5.1.2).
 
-    Every log entry must lie inside ``base_image``; an entry outside
-    ``[0, len(base_image))`` raises ``ValueError`` (real logs cannot hold
-    one: probes log only after the device bounds-checks the access).
+    Every log entry must lie inside ``base_image`` (see :class:`FenceWalk`).
     """
     if crash_points not in ("fence", "post", "fsync"):
         raise ValueError(f"unknown crash_points mode {crash_points!r}")
-    size = len(base_image)
-    persistent = PersistTracker(base_image)
-    inflight: List[WriteEntry] = []
-    in_syscall: Optional[int] = None
-    in_name: Optional[str] = None
-    completed = -1
-    fence_index = 0
     if stats is None:
         stats = ReplayStats()
-
-    def subset_states(log_pos: int) -> Iterator[CrashState]:
-        units = coalesce_units(inflight, coalesce_threshold)
-        n = len(units)
-        if not n:
-            # Nothing in flight: the boundary state is already covered by
-            # the adjacent regions' subsets and the post-syscall states.
-            return
-        # coalesce_units emits units in program order and combinations()
-        # enumerates indices ascending, so every combo is already
-        # program-ordered: replay needs no sort.
-        positions = unit_positions(units)
-        stats.max_inflight = max(stats.max_inflight, n)
-        stats.inflight_per_fence.append(n)
-        max_size = n - 1
-        if cap is not None and cap < max_size:
-            stats.capped_regions += 1
-            max_size = cap
-        base = persistent.base()
-        combos = itertools.chain.from_iterable(
-            itertools.combinations(range(n), size)
-            for size in range(max_size + 1)
-        )
-        for combo in combos:
-            chosen: List[WriteEntry] = []
-            replayed: List[int] = []
-            for unit_index in combo:
-                chosen.extend(units[unit_index])
-                replayed.extend(positions[unit_index])
-            desc = tuple(e.describe() for e in chosen) or ("<none persisted>",)
-            stats.n_states += 1
-            yield CrashState(
-                image=CrashImage(
-                    base, tuple((e.addr, e.data) for e in chosen)
-                ),
-                fence_index=fence_index,
-                syscall=in_syscall,
-                syscall_name=in_name,
-                mid_syscall=in_syscall is not None,
-                after_syscall=completed,
-                subset_desc=desc,
-                n_replayed=len(combo),
-                log_pos=log_pos,
-                replayed_entries=tuple(replayed),
-                kind="subset",
-            )
-
-    for log_pos, entry in enumerate(log):
-        if isinstance(entry, SyscallBegin):
-            in_syscall, in_name = entry.index, entry.name
-        elif isinstance(entry, SyscallEnd):
-            completed = entry.index
-            emit = crash_points in ("fence", "post") or entry.name in SYNC_SYSCALLS
-            if emit:
+    walk = FenceWalk(base_image, log, coalesce_threshold)
+    for log_pos, entry in walk:
+        if isinstance(entry, SyscallEnd):
+            if crash_points != "fsync" or entry.name in SYNC_SYSCALLS:
                 # Synchrony crash point: the syscall has returned; anything
                 # still in flight is lost in the worst case.
                 stats.n_states += 1
-                yield CrashState(
-                    image=CrashImage(persistent.base()),
-                    fence_index=fence_index,
-                    syscall=None,
-                    syscall_name=entry.name,
-                    mid_syscall=False,
-                    after_syscall=completed,
-                    subset_desc=("<post-syscall; in-flight writes lost>",)
-                    if inflight
-                    else ("<post-syscall>",),
-                    n_replayed=0,
-                    log_pos=log_pos,
-                    replayed_entries=(),
-                    kind="post",
-                )
-            in_syscall, in_name = None, None
-        elif isinstance(entry, Fence):
-            if crash_points == "fence":
-                yield from subset_states(log_pos)
-            persistent.apply(inflight)
-            inflight.clear()
-            fence_index += 1
+                yield walk.region(log_pos, None, entry.name).state((), "post")
+            continue
+        # With nothing in flight the boundary state is already covered by
+        # the adjacent regions' subsets and the post-syscall states.
+        if crash_points == "fence" and walk.inflight:
+            region = walk.region(log_pos, walk.syscall, walk.syscall_name)
+            n = len(region.units)
+            stats.max_inflight = max(stats.max_inflight, n)
+            stats.inflight_per_fence.append(n)
+            max_size = n - 1
+            if cap is not None and cap < max_size:
+                stats.capped_regions += 1
+                max_size = cap
+            # Units are in program order and combinations() enumerates
+            # indices ascending, so every combo is already program-ordered.
+            for size in range(max_size + 1):
+                for combo in itertools.combinations(range(n), size):
+                    stats.n_states += 1
+                    yield region.state(combo)
+        if entry is not None:
             stats.n_fences += 1
-        elif isinstance(entry, (NTStore, Flush)):
-            if entry.addr < 0 or entry.addr + len(entry.data) > size:
-                raise ValueError(
-                    f"log entry {log_pos} writes [{entry.addr}, "
-                    f"{entry.addr + len(entry.data)}) outside the "
-                    f"{size}-byte image"
-                )
-            inflight.append(entry)
-
-    if crash_points == "fence":
-        yield from subset_states(len(log))
-    persistent.apply(inflight)
-    if crash_points in ("fence", "post"):
-        # The final, fully persistent state: a crash after the workload
-        # ends.  The fsync-only policy has no crash point here — its last
-        # checkpoint is the workload's final sync call (CrashMonkey
-        # semantics).
+    if crash_points != "fsync":
+        # The final state: a crash after the workload ends, with every
+        # write persisted.  The fsync-only policy has no crash point here
+        # — its last checkpoint is the workload's final sync call
+        # (CrashMonkey semantics).
+        region = walk.region(len(log), None, None)
         stats.n_states += 1
-        yield CrashState(
-            image=CrashImage(persistent.base()),
-            fence_index=fence_index,
-            syscall=None,
-            syscall_name=None,
-            mid_syscall=False,
-            after_syscall=completed,
-            subset_desc=("<final state>",),
-            n_replayed=0,
-            log_pos=len(log),
-            replayed_entries=tuple(range(len(inflight))),
-            kind="final",
-        )
+        yield region.state(range(len(region.units)), "final")
 
 
 def persistence_breakdown(log: PMLog) -> Dict[str, Dict[str, int]]:

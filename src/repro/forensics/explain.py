@@ -130,17 +130,13 @@ def explain_report(
     layout = session.chipmunk.fs_class.layout_map(session.base)
     lines.append("")
     lines.append(render_timeline(prov, layout, culprits, workload_min))
-    # Flatten both lazy images once up front: the per-byte diff scan would
-    # otherwise pay a Python-level indirection on every subscript.
-    reference = bytes(
-        materialize_state(
-            prov, session.region, range(len(session.region.units)), kind="subset"
-        ).image
-    )
+    reference = materialize_state(
+        prov, session.region, range(len(session.region.units)), kind="subset"
+    ).image.materialize()
     lines.append("")
     lines.append(
         render_image_diff(
-            bytes(session.original_state().image),
+            session.original_state().image.materialize(),
             reference,
             layout,
             label="image with all in-flight stores persisted",

@@ -15,16 +15,11 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.checker import ConsistencyChecker
 from repro.core.harness import Chipmunk
-from repro.core.replayer import (
-    CrashState,
-    coalesce_units,
-    unit_positions,
-)
+from repro.core.replayer import CrashRegion, CrashState, FenceWalk
 from repro.core.report import BugReport
 from repro.forensics.provenance import CrashProvenance, ops_from_tuples
 from repro.fs.bugs import BugConfig
-from repro.pm.image import CrashImage, PersistTracker, RegionBase
-from repro.pm.log import Fence, Flush, NTStore, PMLog, WriteEntry
+from repro.pm.log import PMLog
 from repro.workloads.ops import describe_workload
 
 
@@ -33,71 +28,20 @@ def outcome_of(reports: Sequence[BugReport]) -> FrozenSet[str]:
     return frozenset(r.consequence.name for r in reports)
 
 
-@dataclass
-class CrashRegion:
-    """The crash fence region of a rebuilt log: base image + in-flight units."""
-
-    #: Persistent image with every pre-crash fence applied, as the shared
-    #: fence base every rematerialized state of this region builds on —
-    #: the minimizer re-checks dozens of subsets per region, and each one
-    #: costs O(overlay) instead of an image copy.
-    base: RegionBase
-    #: In-flight write entries of the crash region, in program order.
-    inflight: List[WriteEntry]
-    #: Coalesced replay units; ``units[i]`` covers ``unit_positions[i]``.
-    units: List[List[WriteEntry]]
-    #: In-flight vector positions covered by each unit.
-    unit_positions: List[Tuple[int, ...]]
-
-    @property
-    def persistent(self) -> bytes:
-        """The flat persistent image (the fence base's snapshot)."""
-        return self.base.data
-
-    def positions_of(self, unit_indices: Sequence[int]) -> Tuple[int, ...]:
-        out: List[int] = []
-        for i in unit_indices:
-            out.extend(self.unit_positions[i])
-        return tuple(sorted(out))
-
-    def units_of(self, positions: Sequence[int]) -> Tuple[int, ...]:
-        """Map in-flight positions back to the units covering them.
-
-        Raises ``ValueError`` when the positions split a unit — replay
-        always persists whole units.
-        """
-        wanted = set(positions)
-        chosen: List[int] = []
-        for i, covered in enumerate(self.unit_positions):
-            hit = wanted & set(covered)
-            if not hit:
-                continue
-            if hit != set(covered):
-                raise ValueError(
-                    f"positions {sorted(wanted)} split replay unit {i} "
-                    f"(covers {covered})"
-                )
-            chosen.append(i)
-        return tuple(chosen)
-
-
 def crash_region(prov: CrashProvenance, base: bytes, log: PMLog) -> CrashRegion:
-    """Walk the rebuilt log up to the crash point and split it into the
-    persistent base and the crash region's coalesced in-flight units."""
-    persistent = PersistTracker(base)
-    inflight: List[WriteEntry] = []
-    for entry in log.entries[: prov.log_pos]:
-        if isinstance(entry, Fence):
-            persistent.apply(inflight)
-            inflight.clear()
-        elif isinstance(entry, (NTStore, Flush)):
-            inflight.append(entry)
-    units = coalesce_units(inflight, prov.config.coalesce_threshold)
-    return CrashRegion(
-        base=persistent.base(),
-        inflight=inflight,
-        units=units,
-        unit_positions=unit_positions(units),
+    """The crash point of ``prov`` in the rebuilt log, by the replayer's walk.
+
+    Raises ``ValueError`` when the rebuilt log has no crash point at the
+    provenance's ``log_pos`` (the recording is not reproducing).
+    """
+    walk = FenceWalk(base, log, prov.config.coalesce_threshold)
+    for log_pos, _entry in walk:
+        if log_pos == prov.log_pos:
+            return walk.region(log_pos, prov.syscall, prov.syscall_name)
+    raise ValueError(
+        f"provenance crash point {prov.log_pos} is not a crash point of the "
+        f"rebuilt log of {len(log.entries)} entries — recording is not "
+        "reproducing"
     )
 
 
@@ -112,36 +56,11 @@ def materialize_state(
     With ``kind=None`` the state reproduces the provenance's original
     crash-point flavor (so descriptions — and therefore report text —
     match byte-for-byte); the minimizer passes explicit unit subsets and
-    keeps the original flavor's checker semantics via the copied
-    ``mid_syscall``/``after_syscall`` fields.
+    keeps the original flavor's checker semantics, because the region
+    carries the provenance's crash-point context.
     """
-    kind = kind if kind is not None else prov.state_kind
-    chosen: List[WriteEntry] = []
-    for i in sorted(unit_indices):
-        chosen.extend(region.units[i])
-    image = CrashImage(region.base, tuple((e.addr, e.data) for e in chosen))
-    if kind == "post":
-        desc: Tuple[str, ...] = (
-            ("<post-syscall; in-flight writes lost>",)
-            if region.inflight
-            else ("<post-syscall>",)
-        )
-    elif kind == "final":
-        desc = ("<final state>",)
-    else:
-        desc = tuple(e.describe() for e in chosen) or ("<none persisted>",)
-    return CrashState(
-        image=image,
-        fence_index=prov.fence_index,
-        syscall=prov.syscall,
-        syscall_name=prov.syscall_name,
-        mid_syscall=prov.mid_syscall,
-        after_syscall=prov.after_syscall,
-        subset_desc=desc,
-        n_replayed=len(unit_indices),
-        log_pos=prov.log_pos,
-        replayed_entries=region.positions_of(unit_indices),
-        kind=kind,
+    return region.state(
+        sorted(unit_indices), kind if kind is not None else prov.state_kind
     )
 
 
@@ -230,12 +149,6 @@ def session_from_recording(
     provenance with a recording rebuilt from the same reproduction context.
     """
     region = crash_region(prov, recording.base, recording.log)
-    if prov.log_pos > len(recording.log.entries):
-        raise ValueError(
-            f"provenance crash point {prov.log_pos} beyond rebuilt log of "
-            f"{len(recording.log.entries)} entries — recording is not "
-            "reproducing"
-        )
     original_units = region.units_of(prov.replayed_entries)
     return ReplaySession(
         prov=prov,

@@ -114,26 +114,14 @@ class PMDevice:
         """Return an immutable copy of the full volatile image."""
         return bytes(self.image)
 
-    def restore(self, snap: bytes) -> None:
-        """Replace the volatile image with a previously taken snapshot."""
-        if not isinstance(snap, (bytes, bytearray)):
-            snap = bytes(snap)
-        if len(snap) != self.size:
-            raise PMDeviceError(
-                f"snapshot size {len(snap)} does not match device size {self.size}"
-            )
-        self.image = bytearray(snap)
-
     @classmethod
     def from_snapshot(cls, snap: bytes) -> "PMDevice":
-        """Build a new device whose image is a copy of ``snap``.
+        """Build a new device whose image is a copy of the flat ``snap``.
 
-        ``snap`` may be anything bytes-like, including a lazy
-        :class:`~repro.pm.image.CrashImage` (materialized here) — the
-        legacy eager path for callers that hold flat images.
+        The checker never calls this (it mounts crash images through
+        :meth:`cow_view`); it builds stand-alone devices for tests and
+        micro-benchmarks.
         """
-        if not isinstance(snap, (bytes, bytearray)):
-            snap = bytes(snap)
         return cls(len(snap), image=bytearray(snap))
 
     @classmethod
@@ -151,18 +139,8 @@ class PMDevice:
     # Undo log (used by the consistency checker, section 3.3: "we reuse our
     # logging infrastructure to record an undo log for these mutations and
     # roll back the changes when advancing to the next crash state").
+    # :meth:`cow_view` arms the log; these two read and rewind it.
     # ------------------------------------------------------------------
-    def begin_undo(self) -> None:
-        """Start recording before-images for every subsequent write."""
-        if self._undo is not None:
-            raise PMDeviceError("undo log already active")
-        self._undo = []
-
-    def rollback_undo(self) -> None:
-        """Undo every write made since :meth:`begin_undo` and stop recording."""
-        self.rewind_undo()
-        self._undo = None
-
     def rewind_undo(self) -> None:
         """Undo every write the active log recorded; keep recording.
 
@@ -174,16 +152,6 @@ class PMDevice:
         records, self._undo = self._undo, []
         for addr, before in reversed(records):
             self.image[addr : addr + len(before)] = before
-
-    def discard_undo(self) -> None:
-        """Stop recording without rolling anything back."""
-        if self._undo is None:
-            raise PMDeviceError("no undo log active")
-        self._undo = None
-
-    @property
-    def undo_active(self) -> bool:
-        return self._undo is not None
 
     def undo_ranges(self) -> List[Tuple[int, int]]:
         """``(addr, length)`` of every write the active undo log recorded.

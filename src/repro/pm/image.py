@@ -13,8 +13,9 @@ replayed byte ranges.  This module holds the lazy representation:
   content digest and backed by the live buffer.  Every crash state of the
   region shares the same object; nothing is copied per region or subset.
 * :class:`CrashImage` — a fence base plus a sparse overlay of replayed
-  ``(addr, payload)`` ranges.  Materialization to flat ``bytes`` happens
-  only on demand (forensics image diffs, legacy consumers) and is cached.
+  ``(addr, payload)`` ranges: the one image type of a crash state.
+  Materialization to flat ``bytes`` happens only on demand (forensics
+  image diffs, tests) and is cached.
 * :class:`ChunkedDigest` — an incrementally maintained content digest over
   the tracker's buffer, so taking a fence base at every region costs
   O(bytes written since the last fence), not O(device).
@@ -412,13 +413,11 @@ def fence_base(image: bytes) -> RegionBase:
 class CrashImage:
     """A lazy crash-state image: shared fence base + sparse overlay.
 
-    Behaves like ``bytes`` for every consumer the pipeline has — length,
-    indexing/slicing, equality and ordering against other images or raw
-    ``bytes``, hashing — but costs O(overlay) to construct and to key.
-    Flat ``bytes`` are produced only by :meth:`materialize` (cached), which
-    comparisons and subscripts fall back on; the hot check path (COW mount
-    via :meth:`repro.pm.device.PMDevice.cow_view` + content-key memoization)
-    never materializes at all.
+    Costs O(overlay) to construct and to key (:meth:`content_key`).  Flat
+    ``bytes`` are produced only by :meth:`materialize` (cached); the check
+    path (COW mount via :meth:`repro.pm.device.PMDevice.cow_view` +
+    content-key memoization) never materializes at all.  A hand-built
+    state wraps its flat image as ``CrashImage(fence_base(flat))``.
     """
 
     __slots__ = ("base", "writes", "_key", "_mat")
@@ -468,62 +467,8 @@ class CrashImage:
                                    m0, copied, "materialized")
         return self._mat
 
-    # ------------------------------------------------------------------
-    # bytes-compatible surface
-    # ------------------------------------------------------------------
-    def __bytes__(self) -> bytes:
-        return self.materialize()
-
     def __len__(self) -> int:
         return len(self.base)
-
-    def __getitem__(self, key):
-        return self.materialize()[key]
-
-    def _content_of(self, other) -> Optional[bytes]:
-        if isinstance(other, CrashImage):
-            return other.materialize()
-        if isinstance(other, (bytes, bytearray)):
-            return bytes(other)
-        return None
-
-    def __eq__(self, other) -> bool:
-        content = self._content_of(other)
-        if content is None:
-            return NotImplemented
-        return self.materialize() == content
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __lt__(self, other) -> bool:
-        content = self._content_of(other)
-        if content is None:
-            return NotImplemented
-        return self.materialize() < content
-
-    def __le__(self, other) -> bool:
-        content = self._content_of(other)
-        if content is None:
-            return NotImplemented
-        return self.materialize() <= content
-
-    def __gt__(self, other) -> bool:
-        content = self._content_of(other)
-        if content is None:
-            return NotImplemented
-        return self.materialize() > content
-
-    def __ge__(self, other) -> bool:
-        content = self._content_of(other)
-        if content is None:
-            return NotImplemented
-        return self.materialize() >= content
-
-    def __hash__(self) -> int:
-        # Content hash, consistent with content equality (incl. vs bytes).
-        return hash(self.materialize())
 
     def __repr__(self) -> str:
         return (

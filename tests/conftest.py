@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 
@@ -10,9 +11,11 @@ import pytest
 
 from repro.analysis.reporting import CampaignSummary
 from repro.core.checker import CheckMemo
+from repro.core.replayer import CrashState
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import FS_CLASSES
 from repro.pm.device import PMDevice
+from repro.pm.image import CrashImage, fence_base
 
 #: Device size used throughout the tests: small enough to be fast, large
 #: enough for every geometry.
@@ -59,13 +62,31 @@ def remount(fs):
     return type(fs).mount(fs.device, bugs=fs.bugcfg)
 
 
+def hand_built_state(flat: bytes, like=None, **fields) -> CrashState:
+    """A crash state holding the flat image ``flat``.
+
+    The image is ``CrashImage(fence_base(flat))``: a fresh buffer, and so
+    a fresh mount device, per state.  The other fields are copied from
+    ``like`` (an enumerated state) or default to a crash before the first
+    syscall; ``fields`` override either.
+    """
+    image = CrashImage(fence_base(flat))
+    if like is not None:
+        return dataclasses.replace(like, image=image, **fields)
+    defaults = dict(
+        fence_index=0, syscall=None, syscall_name=None, mid_syscall=False,
+        after_syscall=-1, subset_desc=("<test>",), n_replayed=0,
+    )
+    return CrashState(image=image, **{**defaults, **fields})
+
+
 class EagerCheckMemo(CheckMemo):
     """The memo-equivalence reference: every state materialized and keyed
-    by ``sha1(bytes(state.image))`` — eager whole-image dedup, against
-    which the canonical delta key of :class:`CheckMemo` is held."""
+    by ``sha1(state.image.materialize())`` — eager whole-image dedup,
+    against which the canonical delta key of :class:`CheckMemo` is held."""
 
     def key_of(self, state):
-        digest = hashlib.sha1(bytes(state.image)).digest()
+        digest = hashlib.sha1(state.image.materialize()).digest()
         return (digest, state.syscall, state.mid_syscall, state.after_syscall)
 
 

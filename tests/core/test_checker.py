@@ -2,10 +2,9 @@
 
 import pytest
 
-from conftest import TEST_DEVICE_SIZE
+from conftest import TEST_DEVICE_SIZE, hand_built_state
 from repro.core.checker import ConsistencyChecker
 from repro.core.oracle import run_oracle
-from repro.core.replayer import CrashState
 from repro.core.report import Consequence
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import fs_class
@@ -32,15 +31,9 @@ def checker_for(fs_cls, workload):
 
 
 def state(image, syscall=None, name=None, mid=False, after=-1, n=0):
-    return CrashState(
-        image=image,
-        fence_index=0,
-        syscall=syscall,
-        syscall_name=name,
-        mid_syscall=mid,
-        after_syscall=after,
-        subset_desc=("<test>",),
-        n_replayed=n,
+    return hand_built_state(
+        image, syscall=syscall, syscall_name=name, mid_syscall=mid,
+        after_syscall=after, n_replayed=n,
     )
 
 

@@ -207,7 +207,7 @@ class TestRecoveryReadSet:
         assert states
         for state in states:
             image = state.image
-            flat = recovery_read_set(cm.fs_class, bytes(image), bugs=cm.bugs)
+            flat = recovery_read_set(cm.fs_class, image.materialize(), bugs=cm.bugs)
             overlay = recovery_read_set(cm.fs_class, image.base, bugs=cm.bugs,
                                         writes=image.writes)
             assert flat == overlay

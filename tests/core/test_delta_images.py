@@ -7,12 +7,11 @@ delta enumerator and an in-test reimplementation of the eager algorithm and
 demand byte-identical state sequences across every ``crash_points`` mode.
 """
 
-import dataclasses
 import hashlib
 import itertools
 
 import pytest
-from conftest import EagerCheckMemo, eager_memo
+from conftest import EagerCheckMemo, eager_memo, hand_built_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,7 @@ from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.harness import Chipmunk
 from repro.core.replayer import coalesce_units, enumerate_crash_states
 from repro.fs.bugs import BugConfig
-from repro.pm.device import PMDevice
+from repro.pm.device import PMDevice, PMDeviceError
 from repro.pm.image import (
     CHUNK,
     ChunkedDigest,
@@ -142,7 +141,7 @@ class TestDeltaMatchesEagerProperty:
         eager = list(eager_states(BASE, log, cap=cap, crash_points=crash_points))
         assert len(delta) == len(eager)
         for state, (image, replayed, kind) in zip(delta, eager):
-            assert bytes(state.image) == image
+            assert state.image.materialize() == image
             assert state.kind == kind
             if kind == "subset":
                 assert state.replayed_entries == replayed
@@ -155,8 +154,8 @@ class TestDeltaMatchesEagerProperty:
         by_key = {}
         for state in enumerate_crash_states(BASE, log, cap=cap):
             image = state.image
-            prior = by_key.setdefault(image.content_key(), bytes(image))
-            assert prior == bytes(image)
+            prior = by_key.setdefault(image.content_key(), image.materialize())
+            assert prior == image.materialize()
 
 
 class TestChunkedDigest:
@@ -194,27 +193,11 @@ class TestCrashImage:
 
     def test_materializes_overlay(self):
         img = self._image()
-        flat = bytes(img)
+        flat = img.materialize()
         assert flat[8:12] == b"\x00" * 4
         assert flat[1000:1002] == b"\xff\xfe"
         assert flat[:8] == bytes(range(8))
         assert len(img) == 1024
-
-    def test_bytes_like_surface(self):
-        img = self._image()
-        flat = bytes(img)
-        assert img == flat
-        assert img[5] == flat[5]
-        assert img[8:12] == flat[8:12]
-        assert hash(img) == hash(flat)
-        assert not (img < flat) and img <= flat and img >= flat
-
-    def test_ordering_vs_other_images(self):
-        base = fence_base(bytes(16))
-        small = CrashImage(base, ((0, b"\x01"),))
-        smaller = CrashImage(base, ())
-        assert smaller < small and small > smaller
-        assert sorted([small, smaller]) == [smaller, small]
 
     def test_empty_overlay_shares_base_bytes(self):
         base = fence_base(bytes(64))
@@ -224,14 +207,14 @@ class TestCrashImage:
         base = fence_base(bytes(64))
         a = CrashImage(base, ((0, b"ab"),))
         b = CrashImage(base, ((0, b"a"), (1, b"b")))
-        assert bytes(a) == bytes(b)
+        assert a.materialize() == b.materialize()
         assert a.content_key() == b.content_key()
         assert a.content_key() != CrashImage(base, ((0, b"ac"),)).content_key()
 
     def test_replay_order_wins_on_overlap(self):
         base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x01\x01"), (1, b"\x02")))
-        assert bytes(img)[:3] == b"\x01\x02\x00"
+        assert img.materialize()[:3] == b"\x01\x02\x00"
 
 
 class TestNoopOverlayWrites:
@@ -241,7 +224,7 @@ class TestNoopOverlayWrites:
         base = fence_base(bytes(range(256)))
         clean = CrashImage(base, ((10, b"XY"),))
         noisy = CrashImage(base, ((10, b"XY"), (50, bytes(range(50, 54)))))
-        assert bytes(clean) == bytes(noisy)
+        assert clean.materialize() == noisy.materialize()
         assert noisy.content_key() == clean.content_key()
 
     def test_noop_overlapping_kept_write_is_not_dropped(self):
@@ -250,7 +233,7 @@ class TestNoopOverlayWrites:
         # materialized image and the key.
         base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x01\x01"), (1, b"\x00")))
-        assert bytes(img)[:3] == b"\x01\x00\x00"
+        assert img.materialize()[:3] == b"\x01\x00\x00"
         shape_only = CrashImage(base, ((0, b"\x01\x01"),))
         assert img.content_key() != shape_only.content_key()
         assert img.content_key() == CrashImage(base, ((0, b"\x01"),)).content_key()
@@ -260,7 +243,7 @@ class TestNoopOverlayWrites:
         # nothing, measured against the overlap-resolved content.
         base = fence_base(bytes(8))
         img = CrashImage(base, ((0, b"\x05"), (0, b"\x05\x00")))
-        assert bytes(img)[:3] == b"\x05\x00\x00"
+        assert img.materialize()[:3] == b"\x05\x00\x00"
         assert img.content_key() == CrashImage(base, ((0, b"\x05"),)).content_key()
 
     def test_noop_overlapping_dropped_write_still_drops(self):
@@ -270,7 +253,7 @@ class TestNoopOverlayWrites:
         img = CrashImage(
             base, ((0, bytes(range(4))), (2, bytes(range(2, 6))))
         )
-        assert bytes(img) == base.data
+        assert img.materialize() == base.data
         assert img.content_key() == CrashImage(base, ()).content_key()
 
     def test_flattened_writes_preserve_materialization(self):
@@ -285,9 +268,9 @@ class TestNoopOverlayWrites:
         replayed = bytearray(base.data)
         for addr, data in writes:
             replayed[addr:addr + len(data)] = data
-        assert bytes(img) == bytes(replayed)
+        assert img.materialize() == bytes(replayed)
         flat = CrashImage(base, flatten_overlay(base, writes))
-        assert bytes(flat) == bytes(replayed)
+        assert flat.materialize() == bytes(replayed)
         assert flat.content_key() == img.content_key()
 
     @settings(max_examples=60, deadline=None)
@@ -308,9 +291,9 @@ class TestNoopOverlayWrites:
         replayed = bytearray(base.data)
         for addr, data in writes:
             replayed[addr:addr + len(data)] = data
-        assert bytes(img) == bytes(replayed)
+        assert img.materialize() == bytes(replayed)
         canonical = CrashImage(base, flatten_overlay(base.data, writes))
-        assert bytes(canonical) == bytes(img)
+        assert canonical.materialize() == img.materialize()
         assert canonical.content_key() == img.content_key()
 
 
@@ -361,8 +344,8 @@ class TestContentKeyPurity:
         other = data.draw(_reshaped(raw, writes))
         base = fence_base(raw)
         a, b = CrashImage(base, writes), CrashImage(base, other)
-        assert bytes(a) == bytes(_replay(raw, writes))
-        assert (a.content_key() == b.content_key()) == (bytes(a) == bytes(b))
+        assert a.materialize() == bytes(_replay(raw, writes))
+        assert (a.content_key() == b.content_key()) == (a.materialize() == b.materialize())
 
     @settings(max_examples=100, deadline=None)
     @given(raws=st.lists(
@@ -377,10 +360,10 @@ class TestContentKeyPurity:
         x = CrashImage(fence_base(raw_a), a)
         y = CrashImage(fence_base(raw_b), b)
         if x.content_key() == y.content_key():
-            assert bytes(x) == bytes(y)
+            assert x.materialize() == y.materialize()
         if raw_a == raw_b:
             # Distinct base objects with equal content share a digest.
-            assert (x.content_key() == y.content_key()) == (bytes(x) == bytes(y))
+            assert (x.content_key() == y.content_key()) == (x.materialize() == y.materialize())
 
 
 class TestFlattenOverlay:
@@ -463,16 +446,22 @@ class TestCheckMemo:
         cm = Chipmunk("nova", bugs=BugConfig.fixed())
         base, log, _ = cm.record([Op("creat", ("/f",))])
         for state in enumerate_crash_states(base, log):
+            flat = state.image.materialize()
             eager_key = (
-                hashlib.sha1(bytes(state.image)).digest(),
+                hashlib.sha1(flat).digest(),
                 state.syscall,
                 state.mid_syscall,
                 state.after_syscall,
             )
-            # A hand-built flat-bytes state keys by the same sha1.
-            flat = dataclasses.replace(state, image=bytes(state.image))
-            assert CheckMemo(checker=None).key_of(flat) == eager_key
+            # A hand-built copy of the state keys alike in the reference.
+            copy = hand_built_state(flat, like=state)
             assert EagerCheckMemo(checker=None).key_of(state) == eager_key
+            assert EagerCheckMemo(checker=None).key_of(copy) == eager_key
+            # Two hand-built copies (distinct bases, equal content) share
+            # the canonical key.
+            again = hand_built_state(flat, like=state)
+            assert (CheckMemo(checker=None).key_of(copy)
+                    == CheckMemo(checker=None).key_of(again))
 
     def test_canonical_key_ignores_overlay_shape(self):
         """Two overlays that materialize the same bytes share a memo key
@@ -495,7 +484,7 @@ class TestCheckMemo:
         noisy = CrashImage(base, ((0, b"\xff\xfe" + bytes(range(2, 4))),))
         assert memo.key_of(S(one)) == memo.key_of(S(split))
         assert memo.key_of(S(one)) == memo.key_of(S(noisy))
-        assert bytes(one) == bytes(split) == bytes(noisy)
+        assert one.materialize() == split.materialize() == noisy.materialize()
         different = CrashImage(base, ((0, b"\xff\xfd"),))
         assert memo.key_of(S(one)) != memo.key_of(S(different))
 
@@ -518,4 +507,6 @@ class TestCowCheckIsolation:
             assert view.read(100, 3) == b"lay"
             view.write(50, b"checker-mutation")
         assert dev.snapshot() == snapshot
-        assert not dev.undo_active
+        # The view disarms the undo log on exit.
+        with pytest.raises(PMDeviceError, match="no undo log active"):
+            dev.undo_ranges()

@@ -45,7 +45,7 @@ class AuditingChecker(ConsistencyChecker):
     def _reuse_recovery(self, state, device, recorded):
         cache, self.outcome_cache = self.outcome_cache, None
         try:
-            fresh, complete = self._recover(device)
+            fresh, complete = self._recover(device, state.image)
         finally:
             self.outcome_cache = cache
         assert complete, state.describe()

@@ -47,7 +47,7 @@ class TestSubsetEnumeration:
         states = list(enumerate_crash_states(BASE, log, cap=None))
         # The full set is the final persistent state: later store wins on
         # the overlap, i.e. program order was respected.
-        assert states[-1].image[:6] == b"AABBBB"
+        assert states[-1].image.materialize()[:6] == b"AABBBB"
 
     def test_cap_limits_subset_size(self):
         states = list(enumerate_crash_states(BASE, simple_log(5), cap=2))
@@ -60,13 +60,13 @@ class TestSubsetEnumeration:
     def test_empty_subset_is_fence_state(self):
         states = list(enumerate_crash_states(BASE, simple_log(2)))
         empty = [s for s in states if s.mid_syscall and s.n_replayed == 0]
-        assert empty and empty[0].image == BASE
+        assert empty and empty[0].image.materialize() == BASE
 
     def test_final_state_has_everything(self):
         states = list(enumerate_crash_states(BASE, simple_log(3)))
         final = states[-1]
-        assert final.image[0:8] == bytes([1]) * 8
-        assert final.image[128:136] == bytes([3]) * 8
+        assert final.image.materialize()[0:8] == bytes([1]) * 8
+        assert final.image.materialize()[128:136] == bytes([3]) * 8
 
     def test_flush_entries_replayed(self):
         log = PMLog()
@@ -75,7 +75,7 @@ class TestSubsetEnumeration:
         log.fence()
         log.syscall_end()
         states = list(enumerate_crash_states(BASE, log, cap=None))
-        assert any(s.image[:64] == b"\xaa" * 64 for s in states)
+        assert any(s.image.materialize()[:64] == b"\xaa" * 64 for s in states)
 
 
 class TestContext:
@@ -92,7 +92,7 @@ class TestContext:
         log.syscall_end()  # no fence!
         states = list(enumerate_crash_states(BASE, log))
         post = [s for s in states if not s.mid_syscall and s.after_syscall == 0]
-        assert post[0].image == BASE
+        assert post[0].image.materialize() == BASE
 
     def test_two_syscall_attribution(self):
         log = PMLog()
@@ -223,8 +223,8 @@ class TestHypothesisInvariants:
         """Every crash-state byte comes from the base image or some write."""
         log = simple_log(n)
         states = list(enumerate_crash_states(BASE, log, cap=None))
-        final = states[-1].image
+        final = states[-1].image.materialize()
         for state in states:
             for addr in range(0, n * 64, 64):
-                chunk = state.image[addr : addr + 8]
+                chunk = state.image.materialize()[addr : addr + 8]
                 assert chunk in (BASE[addr : addr + 8], final[addr : addr + 8])

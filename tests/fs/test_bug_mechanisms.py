@@ -22,7 +22,7 @@ def crash_states(fs_name, bugs, workload, cap=2):
     base, log, oracle = cm.record(workload)
     assert all(e is None for e in oracle.errnos), oracle.errnos
     return [
-        (s, PMDevice.from_snapshot(s.image))
+        (s, PMDevice.from_snapshot(s.image.materialize()))
         for s in enumerate_crash_states(base, log, cap=cap)
     ]
 
@@ -94,7 +94,7 @@ class TestBug14UnsynchronousWrite:
         # The post-workload state: size published but data never fenced.
         post = [s for s, _ in states if not s.mid_syscall and s.after_syscall == 1]
         assert post
-        fs = cls.mount(PMDevice.from_snapshot(post[0].image), bugs=BugConfig.only(14))
+        fs = cls.mount(PMDevice.from_snapshot(post[0].image.materialize()), bugs=BugConfig.only(14))
         assert fs.stat("/f").size == 512
         assert fs.read("/f", 0, 4) == b"\x00" * 4  # data lost
 

@@ -220,18 +220,15 @@ class TestCorruptGeometry:
     def test_checker_reports_unmountable_not_an_exception(self, cls):
         from repro.core.checker import ConsistencyChecker
         from repro.core.oracle import run_oracle
-        from repro.core.replayer import CrashState
+        from conftest import hand_built_state
         from repro.core.report import Consequence
         from repro.workloads.ops import Op
 
         workload = [Op("creat", ("/f",))]
         oracle = run_oracle(cls, workload, 256 * 1024, bugs=BugConfig.fixed())
         checker = ConsistencyChecker(cls, oracle, "w", bugs=BugConfig.fixed())
-        state = CrashState(
-            image=self._mutated(cls, "block-size-1").snapshot(),
-            fence_index=0, syscall=None, syscall_name=None,
-            mid_syscall=False, after_syscall=1, subset_desc=("<test>",),
-            n_replayed=0,
+        state = hand_built_state(
+            self._mutated(cls, "block-size-1").snapshot(), after_syscall=1
         )
         reports = checker.check(state)
         assert [r.consequence for r in reports] == [Consequence.UNMOUNTABLE]

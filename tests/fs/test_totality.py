@@ -22,6 +22,7 @@ from repro.core.report import Consequence
 from repro.fs.bugs import BugConfig
 from repro.fs.registry import FS_CLASSES
 from repro.pm.device import PMDevice
+from repro.pm.image import CrashImage, fence_base
 from repro.vfs.errors import FsError
 from repro.vfs.interface import MountError
 
@@ -121,7 +122,9 @@ USABILITY_CRASHES = [
 def test_usability_crash_is_a_finding(fs_name, addr, value, exc_name):
     device = PMDevice.from_snapshot(populated_image(fs_name))
     device.write(addr, bytes([value]))
-    recovery, complete = checker_for(fs_name)._recover(device)
+    recovery, complete = checker_for(fs_name)._recover(
+        device, CrashImage(fence_base(device.snapshot()))
+    )
     assert recovery.failure is None and recovery.tree
     crashes = [(consequence, detail) for consequence, detail, _ in
                recovery.findings if detail.startswith("usability crashed: ")]

@@ -65,7 +65,7 @@ def crash_images(fs_name):
     for workload in itertools.islice(ace.generate(2, mode=spec.mode), N_SEQ2):
         base, log, _ = chipmunk.record(workload.core, setup=workload.setup)
         for state in enumerate_crash_states(base, log, crash_points="fence"):
-            yield state.image
+            yield state.image.materialize()
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +243,7 @@ def test_a_walk_that_crashes_is_a_finding(fs_name, crash):
                 Op("sync", ())]
     base, log, oracle = chipmunk.record(workload)
     state = list(enumerate_crash_states(base, log, crash_points="fsync"))[-1]
-    fs = chipmunk.fs_class.mount(PMDevice.from_snapshot(bytes(state.image)))
+    fs = chipmunk.fs_class.mount(PMDevice.from_snapshot(state.image.materialize()))
     kfs = getattr(fs, "kfs", None) or fs
     if isinstance(kfs, PmfsFS):
         ino = kfs._lookup("/f")[0]

@@ -11,10 +11,11 @@ expectations never cross-hit.
 
 from dataclasses import dataclass
 
+from conftest import hand_built_state
 from repro.core.checker import CheckMemo, ConsistencyChecker
 from repro.core.harness import Chipmunk
 from repro.core.oracle import run_oracle
-from repro.core.replayer import CrashState, enumerate_crash_states
+from repro.core.replayer import enumerate_crash_states
 from repro.core.report import Consequence
 from repro.fs.bugs import BugConfig
 from repro.pm.device import PMDevice
@@ -236,11 +237,7 @@ class TestDeepContentSeparation:
     def _final_state_of(self, cm, workload):
         device = PMDevice(cm.config.device_size)
         run_workload(cm.fs_class.mkfs(device, bugs=cm.bugs), workload)
-        return CrashState(
-            image=device.snapshot(), fence_index=0, syscall=None,
-            syscall_name=None, mid_syscall=False, after_syscall=2,
-            subset_desc=("<test>",), n_replayed=0,
-        )
+        return hand_built_state(device.snapshot(), after_syscall=2)
 
     def test_oracles_differing_at_byte_40_have_different_digests(self):
         cm = Chipmunk("nova", bugs=BugConfig.fixed())

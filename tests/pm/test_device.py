@@ -62,14 +62,6 @@ class TestReadWrite:
 
 
 class TestSnapshots:
-    def test_snapshot_roundtrip(self):
-        dev = PMDevice(1024)
-        dev.write(0, b"abc")
-        snap = dev.snapshot()
-        dev.write(0, b"xyz")
-        dev.restore(snap)
-        assert dev.read(0, 3) == b"abc"
-
     def test_snapshot_is_a_copy(self):
         dev = PMDevice(1024)
         snap = dev.snapshot()
@@ -84,56 +76,40 @@ class TestSnapshots:
         clone.write(10, b"diff")
         assert dev.read(10, 4) == b"data"
 
-    def test_restore_size_mismatch_rejected(self):
-        dev = PMDevice(1024)
-        with pytest.raises(PMDeviceError):
-            dev.restore(b"\x00" * 512)
-
 
 class TestUndoLog:
+    """The undo log a :meth:`PMDevice.cow_view` arms (paper section 3.3)."""
+
     def test_rollback_restores_before_images(self):
         dev = PMDevice(1024)
         dev.write(0, b"original")
-        dev.begin_undo()
-        dev.write(0, b"mutated!")
-        dev.write(100, b"more")
-        dev.rollback_undo()
+        with dev.cow_view(()) as view:
+            view.write(0, b"mutated!")
+            view.write(100, b"more")
         assert dev.read(0, 8) == b"original"
         assert dev.read(100, 4) == b"\x00" * 4
 
     def test_rollback_applies_in_reverse_order(self):
         dev = PMDevice(1024)
-        dev.begin_undo()
-        dev.write(0, b"first")
-        dev.write(0, b"secnd")
-        dev.rollback_undo()
+        with dev.cow_view(()) as view:
+            view.write(0, b"first")
+            view.write(0, b"secnd")
+            assert view.undo_ranges() == [(0, 5), (0, 5)]
         assert dev.read(0, 5) == b"\x00" * 5
-
-    def test_discard_keeps_mutations(self):
-        dev = PMDevice(1024)
-        dev.begin_undo()
-        dev.write(0, b"keep")
-        dev.discard_undo()
-        assert dev.read(0, 4) == b"keep"
 
     def test_double_begin_rejected(self):
         dev = PMDevice(1024)
-        dev.begin_undo()
-        with pytest.raises(PMDeviceError):
-            dev.begin_undo()
+        with dev.cow_view(()):
+            with pytest.raises(PMDeviceError, match="already active"):
+                with dev.cow_view(()):
+                    pass
 
     def test_rollback_without_begin_rejected(self):
         dev = PMDevice(1024)
-        with pytest.raises(PMDeviceError):
-            dev.rollback_undo()
-
-    def test_undo_active_flag(self):
-        dev = PMDevice(1024)
-        assert not dev.undo_active
-        dev.begin_undo()
-        assert dev.undo_active
-        dev.discard_undo()
-        assert not dev.undo_active
+        with pytest.raises(PMDeviceError, match="no undo log active"):
+            dev.rewind_undo()
+        with pytest.raises(PMDeviceError, match="no undo log active"):
+            dev.undo_ranges()
 
 
 class TestCachelineSpan:
@@ -185,8 +161,11 @@ class TestHypothesisRoundTrips:
         dev = PMDevice(1024)
         dev.write(3, b"seed-data")
         before = dev.snapshot()
-        dev.begin_undo()
-        for addr, data in writes:
-            dev.write(addr, data)
-        dev.rollback_undo()
+        with dev.cow_view(()) as view:
+            for addr, data in writes:
+                view.write(addr, data)
+            view.rewind_undo()
+            assert view.snapshot() == before
+            for addr, data in writes:
+                view.write(addr, data)
         assert dev.snapshot() == before
