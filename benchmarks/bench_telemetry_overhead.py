@@ -79,11 +79,15 @@ def test_bench_telemetry_overhead(benchmark):
 def test_bench_profile_overhead(benchmark):
     """Hot-path profiling must be pay-for-what-you-use.
 
-    Disabled (the default) the instrumented sites cost one module-global
-    read and an ``is None`` check each — that must stay inside the same
-    <10% ceiling as null telemetry.  Enabled profiling adds two
-    ``perf_counter`` reads and a dict update per hot call; the byte-copy
-    work it measures dwarfs that, so a 1.25x ceiling has ample headroom.
+    Disabled (the default) the profiled sites cost nothing: they are
+    wrapped by name only while a profiler is installed, so the code that
+    runs is the unprofiled code, inside the same <10% ceiling as null
+    telemetry.  Enabled profiling adds a wrapper call, two ``perf_counter``
+    reads and a dict update per profiled call, plus wrapping and restoring
+    the site table once per workload.  Each of those two swaps also makes
+    the interpreter re-specialize its cached attribute lookups on the
+    wrapped classes, which on this 5-op workload costs about as much as
+    the wrapper calls; together they stay under the 1.25x ceiling.
     """
 
     def experiment():

@@ -192,21 +192,12 @@ class CampaignMonitor:
         )
 
         agg = snap.aggregate()
-        t = agg.total
         lines.append(
             f"crash states {agg.crash_states}   "
             f"checked {agg.unique_states}   "
-            f"bug reports {t('n_reports')}"
+            f"bug reports {agg.total('n_reports')}"
         )
         lines.extend(f"{label}: {text}" for label, text in agg.counter_lines())
-        profile_bytes = t("profile", {}).get("bytes", {})
-        if any(profile_bytes.values()):
-            from repro.obs.profile import human_bytes
-
-            lines.append("profile bytes: " + "   ".join(
-                f"{cat} {human_bytes(n)}"
-                for cat, n in sorted(profile_bytes.items()) if n
-            ))
 
         if snap.beats and not snap.complete:
             lines.append("workers:")

@@ -30,10 +30,10 @@ class ChipmunkConfig:
     #: workloads is a no-op.
     forensics: bool = True
     #: Install the hot-path profiler (:mod:`repro.obs.profile`) for the
-    #: duration of each workload: per-stage wall time, per-callsite
-    #: attribution, and byte accounting land in ``TestResult.profile``.
-    #: Off by default — the disabled path costs one global read per
-    #: instrumented site (the telemetry-overhead bench pins it).
+    #: duration of each workload: per-stage wall time and per-callsite
+    #: calls and self time land in ``TestResult.profile``.  Off by default;
+    #: the callsites are wrapped only while a profiler is installed, so the
+    #: disabled path runs no profiling code at all.
     profile: bool = False
 
     def __post_init__(self) -> None:

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.oracle import OracleResult, TreeState
-from repro.obs import profile as _profile
 from repro.core.recovery_memo import Recovery
 from repro.core.replayer import SYNC_SYSCALLS, CrashState
 from repro.core.report import BugReport, Consequence, diff_trees
@@ -226,8 +224,6 @@ class ConsistencyChecker:
         remember.  ``image`` is the crash image ``device`` presents through
         a COW view, which keys the recovered-outcome cache.
         """
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
         try:
             fs = self.fs_class.mount(device, bugs=self.bugs)
         except MountError as exc:
@@ -243,9 +239,6 @@ class ConsistencyChecker:
                     f"mount crashed: {type(exc).__name__}: {exc}",
                 ),
             ), False
-        finally:
-            if prof is not None:
-                prof.add("checker.mount", perf_counter() - t0)
         cache = self.outcome_cache
         key = None
         if cache is not None:
@@ -255,7 +248,6 @@ class ConsistencyChecker:
                 self.outcome_hits += 1
                 return self._reuse_outcome(fs, outcome), False
             self.outcome_misses += 1
-        t0 = perf_counter() if prof is not None else 0.0
         try:
             crash_tree = fs.walk()
         except FsError as exc:
@@ -271,14 +263,8 @@ class ConsistencyChecker:
                     f"walk crashed: {type(exc).__name__}: {exc}",
                 ),
             ), False
-        finally:
-            if prof is not None:
-                prof.add("checker.walk", perf_counter() - t0)
         tree_digest = self._tree_digest(crash_tree)
-        t0 = perf_counter() if prof is not None else 0.0
         findings, crashed = self._check_usability(fs, crash_tree)
-        if prof is not None:
-            prof.add("checker.usability", perf_counter() - t0)
         if key is not None and not findings:
             # Only a readable, usable recovery is worth remembering — and
             # safe to: there is no walk or usability report a later hit
@@ -291,11 +277,7 @@ class ConsistencyChecker:
         self._note_outcome(recovery.digest)
         if recovery.failure is not None:
             return [self._report(state, *recovery.failure)]
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
         reports = self._check_semantics(state, recovery.tree)
-        if prof is not None:
-            prof.add("checker.semantics", perf_counter() - t0)
         reports.extend(
             self._report(state, consequence, detail, paths)
             for consequence, detail, paths in recovery.findings
@@ -316,11 +298,7 @@ class ConsistencyChecker:
         image the trace's reads are keyed against.
         """
         memo = self.recovery_memo
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
         recorded = memo.lookup(device.image)
-        if prof is not None:
-            prof.add("checker.recovery_lookup", perf_counter() - t0)
         if recorded is not None:
             self.recovery_hits += 1
             return self._reuse_recovery(state, device, recorded)
@@ -328,14 +306,11 @@ class ConsistencyChecker:
         with device.traced() as trace:
             recovery, complete = self._recover(device, image)
         if complete:
-            t0 = perf_counter() if prof is not None else 0.0
             device.rewind_undo()
             resets = memo.resets
             memo.insert(trace, device.image, recovery)
             if memo.resets > resets:
                 self.recovery_resets += 1
-            if prof is not None:
-                prof.add("checker.recovery_insert", perf_counter() - t0)
         return recovery
 
     def _reuse_recovery(
@@ -360,17 +335,9 @@ class ConsistencyChecker:
         from the base's chunk digests by rehashing only the chunks the
         overlay and recovery's own writes touched.
         """
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
         ranges = [(addr, len(data)) for addr, data in image.writes]
         ranges.extend(device.undo_ranges())
-        key, rehashed = patched_digest(
-            image.base.chunk_digests, device.image, ranges
-        )
-        if prof is not None:
-            prof.add("checker.outcome_key", perf_counter() - t0, rehashed,
-                     "digest_hashed")
-        return key
+        return patched_digest(image.base.chunk_digests, device.image, ranges)
 
     def _reuse_outcome(self, fs: FileSystem, outcome) -> Recovery:
         """The recovery of an image the outcome cache already judged.
@@ -702,15 +669,8 @@ class CheckMemo:
         self._seen: set = set()
 
     def key_of(self, state: CrashState):
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
-        m0 = prof.mark() if prof is not None else 0.0
-        digest = state.image.content_key()
-        if prof is not None:
-            # Exclusive of the flatten the content key runs internally
-            # (profiled at its own site in the same stage).
-            prof.add_exclusive("memo.key", perf_counter() - t0, m0)
-        return (digest, state.syscall, state.mid_syscall, state.after_syscall)
+        return (state.image.content_key(), state.syscall, state.mid_syscall,
+                state.after_syscall)
 
     @property
     def checked(self) -> int:

@@ -141,8 +141,8 @@ class TestResult:
     #: (:func:`recovery_sampled`); empty on the rest.
     recovery_overlap: Dict[str, int] = field(default_factory=dict)
     #: Hot-path profile (:meth:`repro.obs.profile.Profiler.to_dict`):
-    #: per-stage seconds (:attr:`stage_times` plus ``other``), per-callsite
-    #: attribution, byte accounting.
+    #: ``stages``, per-stage seconds (:attr:`stage_times` plus ``other``),
+    #: and ``sites``, ``[stage, site, calls, self seconds]`` rows.
     #: Empty unless the workload ran with ``ChipmunkConfig.profile``.
     profile: Dict[str, object] = field(default_factory=dict)
     @property

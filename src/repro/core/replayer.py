@@ -234,6 +234,8 @@ class FenceWalk:
         self.log = log
         self.coalesce_threshold = coalesce_threshold
         self.persistent = PersistTracker(base_image)
+        #: The current region's base, taken once per region.
+        self._base: Optional[RegionBase] = None
         self.inflight: List[WriteEntry] = []
         #: The syscall in progress at the current point (None between).
         self.syscall: Optional[int] = None
@@ -252,8 +254,10 @@ class FenceWalk:
                 self.syscall, self.syscall_name = None, None
             elif isinstance(entry, Fence):
                 yield log_pos, entry
-                self.persistent.apply(self.inflight)
-                self.inflight.clear()
+                if self.inflight:
+                    self.persistent.apply(self.inflight)
+                    self.inflight.clear()
+                    self._base = None
                 self.fence_index += 1
             elif isinstance(entry, (NTStore, Flush)):
                 if entry.addr < 0 or entry.addr + len(entry.data) > size:
@@ -269,8 +273,10 @@ class FenceWalk:
                syscall_name: Optional[str]) -> CrashRegion:
         """The current crash point, crashing inside ``syscall`` (or None)."""
         units = coalesce_units(self.inflight, self.coalesce_threshold)
+        if self._base is None:
+            self._base = self.persistent.base()
         return CrashRegion(
-            base=self.persistent.base(),
+            base=self._base,
             inflight=tuple(self.inflight),
             units=units,
             unit_positions=unit_positions(units),

@@ -93,9 +93,9 @@ def _journal_recover(fs) -> None:
 def _walk_log(fs, ino: int, slot: L.InodeSlot) -> DramInode:
     """Walk one inode's log, applying its committed entries in order.
 
-    Raises :class:`MountError` on a broken page chain (bug 1 manifestation)
-    or an invalid entry (bug 3 manifestation: the commit pointer ran ahead
-    of the entries it covers).
+    Raises :class:`MountError` on a broken page chain (bug 1 manifestation),
+    a cyclic one, or an invalid entry (bug 3 manifestation: the commit
+    pointer ran ahead of the entries it covers).
     """
     geom = fs.geom
     di = DramInode(
@@ -117,6 +117,13 @@ def _walk_log(fs, ino: int, slot: L.InodeSlot) -> DramInode:
                 raise MountError(
                     f"inode {ino}: log chain broken at entry {index} "
                     f"(count={slot.log_count})"
+                )
+            if next_addr in di.pages:
+                # A cycle would let a damaged log_count (a u32) run the
+                # walk for hours; a real chain never revisits a page.
+                raise MountError(
+                    f"inode {ino}: log chain cycles back to page "
+                    f"{next_addr:#x} at entry {index}"
                 )
             _check_page_addr(fs, next_addr, ino)
             di.pages.append(next_addr)

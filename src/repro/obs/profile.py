@@ -11,34 +11,28 @@ their sum.  When a tracer is attached the clock also writes one ``record``,
 the stage's first segment and lasting the seconds the clock charged it, so
 a trace and the result can never disagree.
 
-:class:`Profiler` is that clock plus *where the time and bytes go* inside
-the replay/check hot path: per-callsite wall time and byte throughput, and
-four byte-accounting categories that mirror the delta-replay data plane:
-
-* ``materialized`` — flat bytes produced (``CrashImage.materialize`` plus
-  ``RegionBase.data`` snapshots, both O(device) copies, both on demand);
-* ``overlay_applied`` — sparse overlay bytes written into the shared mount
-  device by ``PMDevice.cow_view``;
-* ``digest_hashed`` — bytes fed to sha1 by the content-address layer
-  (``CrashImage.digest`` and ``ChunkedDigest`` chunk rehashes);
-* ``cow_rollback`` — before-image bytes restored when a COW mount view
-  exits (overlay undo plus checker-mutation undo).
+:class:`Profiler` is that clock plus *where the time goes* inside the
+replay/check hot path: per-callsite calls and self time.  The callsites are
+the functions named in :data:`SITES`, instrumented from outside like the
+paper's Kprobes: while a profiler is installed each target is wrapped by
+name, and the original object is put back when it is uninstalled.  The
+replay, COW and checker code carries no profiling hook, so an unprofiled
+run pays nothing.  A call's self time excludes the sites nested in it, so
+per-stage callsite seconds partition the stage clock and never exceed it.
 
 Both are found through module globals, :data:`CLOCK` and :data:`ACTIVE`,
 so installation is visible everywhere without threading a handle through
-every constructor.  Hot functions read :data:`ACTIVE` and skip all
-bookkeeping when it is ``None`` (one attribute load and an ``is`` check —
-``benchmarks/bench_telemetry_overhead.py`` pins the disabled path inside
-the existing overhead gate).  The harness uses a profiler as its clock when
+every constructor.  The harness uses a profiler as its clock when
 ``ChipmunkConfig.profile`` is set and serializes it into
 ``TestResult.profile``, so profiles survive the campaign journal and
-aggregate across workloads with :func:`merge_profiles`.  Callsite seconds
-are attribution *within* a stage and can never exceed it.
+aggregate across workloads with :func:`merge_profiles`.
 """
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
+from functools import lru_cache
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -46,13 +40,12 @@ from repro.obs.campaign import fold
 
 __all__ = [
     "ACTIVE",
-    "BYTE_CATEGORIES",
     "CLOCK",
+    "SITES",
     "ProfileFold",
     "Profiler",
     "StageClock",
     "install",
-    "human_bytes",
     "merge_profiles",
     "render_profile",
 ]
@@ -64,12 +57,37 @@ CLOCK: Optional["StageClock"] = None
 #: The installed profiler, or ``None`` (the default — instrumentation off).
 ACTIVE: Optional["Profiler"] = None
 
-#: Byte-accounting categories, in render order.
-BYTE_CATEGORIES = (
-    "materialized",
-    "overlay_applied",
-    "digest_hashed",
-    "cow_rollback",
+#: ``(site, "module:qualname", kind)``: the profiled callsites.  ``function``
+#: also covers methods and classmethods; ``property`` times the getter;
+#: ``contextmanager`` charges entering and leaving to the two sites it
+#: names, never the ``with`` body.  A name the code no longer has raises at
+#: install, so a rename cannot silently drop a site.
+SITES: Tuple[Tuple[object, str, str], ...] = (
+    ("checker.usability",
+     "repro.core.checker:ConsistencyChecker._check_usability", "function"),
+    ("checker.semantics",
+     "repro.core.checker:ConsistencyChecker._check_semantics", "function"),
+    ("checker.outcome_key",
+     "repro.core.checker:ConsistencyChecker._outcome_key", "function"),
+    ("checker.recovery_lookup",
+     "repro.core.recovery_memo:RecoveryMemo.lookup", "function"),
+    ("checker.recovery_insert",
+     "repro.core.recovery_memo:RecoveryMemo.insert", "function"),
+    ("memo.key", "repro.core.checker:CheckMemo.key_of", "function"),
+    ("image.flatten_overlay", "repro.pm.image:flatten_overlay", "function"),
+    ("image.chunk_rehash", "repro.pm.image:ChunkedDigest.digest", "function"),
+    ("image.materialize", "repro.pm.image:CrashImage.materialize", "function"),
+    ("replay.fence_base", "repro.pm.image:PersistTracker.base", "function"),
+    ("replay.fence_base", "repro.pm.image:RegionBase.data", "property"),
+    ("replay.persist_apply", "repro.pm.image:PersistTracker.apply",
+     "function"),
+    (("device.cow_apply", "device.cow_rollback"),
+     "repro.pm.device:PMDevice.cow_view", "contextmanager"),
+    ("checker.walk", "repro.vfs.interface:FileSystem.walk", "function"),
+    ("checker.mount", "repro.fs.nova.fs:NovaFS.mount", "function"),
+    ("checker.mount", "repro.fs.pmfs.fs:PmfsFS.mount", "function"),
+    ("checker.mount", "repro.fs.ext4dax.fs:Ext4DaxFS.mount", "function"),
+    ("checker.mount", "repro.fs.splitfs.fs:SplitFS.mount", "function"),
 )
 
 #: Stage used for work outside any explicit :meth:`StageClock.set_stage`
@@ -154,70 +172,116 @@ class StageClock:
 
 
 class Profiler(StageClock):
-    """A stage clock plus callsite attribution and byte counts."""
+    """A stage clock plus per-callsite self time of the :data:`SITES`."""
 
-    __slots__ = ("sites", "bytes", "_inner")
+    __slots__ = ("sites", "_site", "_charged")
 
     def __init__(self, tracer=None, workload: str = "") -> None:
         super().__init__(tracer, workload)
-        #: (stage, site) -> [calls, seconds, bytes].
+        #: (stage, site) -> [calls, self seconds].
         self.sites: Dict[Tuple[str, str], List[float]] = {}
-        #: byte-accounting category -> total bytes.
-        self.bytes: Dict[str, int] = {cat: 0 for cat in BYTE_CATEGORIES}
-        # Running total of attributed seconds, consumed by mark() /
-        # add_exclusive() so nesting callsites subtract their children.
-        self._inner = 0.0
+        # The innermost site whose call is in progress, or None.
+        self._site: Optional[str] = None
+        # Self seconds charged so far: what a call's nested sites were
+        # charged is how much this grew while it ran.
+        self._charged = 0.0
 
-    # ------------------------------------------------------------------
-    # Callsite attribution (the hot-path entry point)
-    # ------------------------------------------------------------------
-    def add(self, site: str, seconds: float, nbytes: int = 0,
-            category: Optional[str] = None) -> None:
-        """Attribute one call at ``site`` to the current stage."""
-        key = (self._stage, site)
-        cell = self.sites.get(key)
-        if cell is None:
-            cell = [0, 0.0, 0]
-            self.sites[key] = cell
-        cell[0] += 1
-        cell[1] += seconds
-        cell[2] += nbytes
-        self._inner += seconds
-        if category is not None:
-            self.bytes[category] = self.bytes.get(category, 0) + nbytes
-
-    def mark(self) -> float:
-        """Snapshot of total attributed seconds, for :meth:`add_exclusive`."""
-        return self._inner
-
-    def add_exclusive(self, site: str, seconds: float, mark: float,
-                      nbytes: int = 0, category: Optional[str] = None) -> None:
-        """Attribute a call minus the profiled work nested inside it.
-
-        ``mark`` is the :meth:`mark` value taken when the call started;
-        anything attributed since then ran *inside* this call (the memo
-        key wrapping a flatten, a fence base wrapping chunk rehashes) and
-        is subtracted, so per-stage callsite seconds stay a partition of
-        the stage clock rather than double-counting.  Chains compose: an
-        exclusive parent adds only its own time to the running total, so
-        a grandparent subtracts each level exactly once.
-        """
-        self.add(site, seconds - (self._inner - mark), nbytes, category)
-
-    # ------------------------------------------------------------------
-    # Serialization (JSON-safe; rides TestResult through the journal)
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        sites = [
-            [stage, site, int(calls), seconds, int(nbytes)]
-            for (stage, site), (calls, seconds, nbytes) in self.sites.items()
-        ]
+        """JSON-safe form; rides ``TestResult`` through the journal."""
+        sites = [[stage, site, int(calls), seconds]
+                 for (stage, site), (calls, seconds) in self.sites.items()]
         sites.sort(key=lambda row: -row[3])
-        return {
-            "stages": dict(self.stages),
-            "sites": sites,
-            "bytes": {k: int(v) for k, v in self.bytes.items()},
-        }
+        return {"stages": dict(self.stages), "sites": sites}
+
+
+@lru_cache(maxsize=None)
+def _owner(target: str) -> Tuple[object, str]:
+    """The object holding a ``"module:qualname"`` target and the name it
+    has there, resolved once per process."""
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+def _resolve(target: str):
+    """``(owner, attr, raw attribute)`` of a ``"module:qualname"`` target.
+
+    The raw attribute comes from the owner's own ``__dict__``, so it is the
+    object to restore and a target naming an inherited attribute fails.
+    """
+    owner, attr = _owner(target)
+    try:
+        return owner, attr, vars(owner)[attr]
+    except KeyError:
+        raise AttributeError(f"profile site target {target} does not resolve")
+
+
+def _timed(site: str, fn):
+    """``fn``, charging each call to ``site`` of :data:`ACTIVE`: one call
+    and its self time, the seconds not charged to the sites nested in it."""
+    def timed(*args, **kwargs):
+        prof = ACTIVE
+        outer = prof._site
+        if outer == site:
+            # Re-entered directly from itself (SplitFS mounting its kernel
+            # ext4): part of the outer call.
+            return fn(*args, **kwargs)
+        prof._site = site
+        charged = prof._charged
+        t0 = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds = perf_counter() - t0 - (prof._charged - charged)
+            prof._charged += seconds
+            prof._site = outer
+            key = (prof._stage, site)
+            cell = prof.sites.get(key)
+            if cell is None:
+                prof.sites[key] = [1, seconds]
+            else:
+                cell[0] += 1
+                cell[1] += seconds
+    return timed
+
+
+class _TimedContext:
+    """A context manager whose entering and leaving are two sites."""
+
+    __slots__ = ("enter", "leave")
+
+    def __init__(self, inner, sites: Tuple[str, str]) -> None:
+        self.enter = _timed(sites[0], inner.__enter__)
+        self.leave = _timed(sites[1], inner.__exit__)
+
+    def __enter__(self):
+        return self.enter()
+
+    def __exit__(self, *exc):
+        return self.leave(*exc)
+
+
+def _wrap(site, kind: str, raw):
+    if kind == "property":
+        return property(_timed(site, raw.fget))
+    if kind == "contextmanager":
+        return lambda *args, **kwargs: _TimedContext(raw(*args, **kwargs), site)
+    if isinstance(raw, classmethod):
+        return classmethod(_timed(site, raw.__func__))
+    return _timed(site, raw)
+
+
+def _patch_sites() -> List[Tuple[object, str, object]]:
+    """Wrap every :data:`SITES` target; the ``(owner, attr, original)``
+    list to restore.  Resolves every target before patching any."""
+    resolved = [(site, kind, *_resolve(target))
+                for site, target, kind in SITES]
+    for site, kind, owner, attr, raw in resolved:
+        setattr(owner, attr, _wrap(site, kind, raw))
+    return [(owner, attr, raw) for _, _, owner, attr, raw in resolved]
 
 
 @contextmanager
@@ -226,19 +290,26 @@ def install(clock: StageClock):
     as :data:`ACTIVE`) for the enclosed block.
 
     Re-entrant: the previous clock and profiler (usually ``None``) are
-    restored on exit.
+    restored on exit.  The outermost profiler install wraps the
+    :data:`SITES` and puts every original back on exit; a nested one
+    reuses those wrappers, so each call is charged once, to :data:`ACTIVE`.
     """
     global ACTIVE, CLOCK
     prev = ACTIVE, CLOCK
-    CLOCK = clock
+    patched = ()
     if isinstance(clock, Profiler):
+        if ACTIVE is None:
+            patched = _patch_sites()
         ACTIVE = clock
+    CLOCK = clock
     clock.start()
     try:
         yield clock
     finally:
         clock.stop()
         ACTIVE, CLOCK = prev
+        for owner, attr, raw in patched:
+            setattr(owner, attr, raw)
 
 
 # ----------------------------------------------------------------------
@@ -246,28 +317,26 @@ def install(clock: StageClock):
 # ----------------------------------------------------------------------
 class ProfileFold:
     """Per-workload profile dicts summed one at a time into a campaign-level
-    profile: stages and bytes through the shared result fold, site rows by
-    key."""
+    profile: stages through the shared result fold, site rows by key."""
 
     def __init__(self) -> None:
-        self.merged: Dict[str, object] = {
-            "stages": {}, "bytes": {cat: 0 for cat in BYTE_CATEGORIES},
-        }
+        self.stages: Dict[str, float] = {}
         self.sites: Dict[Tuple[str, str], List[float]] = {}
 
     def add(self, prof: Dict[str, object]) -> None:
-        fold(self.merged, prof)
-        for stage, site, calls, seconds, sbytes in prof.get("sites", []):
-            cell = self.sites.setdefault((stage, site), [0, 0.0, 0])
+        fold(self.stages, prof.get("stages", {}))
+        # Rows journaled before byte accounting was retired carry a fifth,
+        # bytes column; it is dropped.
+        for stage, site, calls, seconds, *_ in prof.get("sites", []):
+            cell = self.sites.setdefault((stage, site), [0, 0.0])
             cell[0] += int(calls)
             cell[1] += float(seconds)
-            cell[2] += int(sbytes)
 
     def result(self) -> Dict[str, object]:
         """The merged profile, site rows hottest first."""
-        return {**self.merged, "sites": sorted(
-            ([stage, site, calls, seconds, b]
-             for (stage, site), (calls, seconds, b) in self.sites.items()),
+        return {"stages": self.stages, "sites": sorted(
+            ([stage, site, calls, seconds]
+             for (stage, site), (calls, seconds) in self.sites.items()),
             key=lambda row: -row[3],
         )}
 
@@ -280,16 +349,8 @@ def merge_profiles(profiles: Iterable[Dict[str, object]]) -> Dict[str, object]:
     return acc.result()
 
 
-def human_bytes(n: int) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024 or unit == "GiB":
-            return f"{n:.0f} {unit}" if unit == "B" else f"{n:.1f} {unit}"
-        n /= 1024
-    return f"{n:.1f} GiB"
-
-
 def render_profile(profile: Dict[str, object], top: int = 15) -> str:
-    """Markdown tables: stage breakdown, hot callsites, byte accounting."""
+    """Markdown tables: stage breakdown, hot callsites."""
     out: List[str] = []
     stages = dict(profile.get("stages", {}))
     total = sum(stages.values())
@@ -302,24 +363,14 @@ def render_profile(profile: Dict[str, object], top: int = 15) -> str:
         out.append(f"| {stage} | {seconds:.4f} | {share:.1f}% |")
     out.append(f"| **total** | **{total:.4f}** | 100.0% |")
     out.append("")
-    out.append(f"## Hot callsites (top {top} by wall time)")
+    out.append(f"## Hot callsites (top {top} by self time)")
     out.append("")
-    out.append("| stage | site | calls | seconds | bytes |")
-    out.append("| --- | --- | ---: | ---: | ---: |")
+    out.append("| stage | site | calls | seconds |")
+    out.append("| --- | --- | ---: | ---: |")
     sites = list(profile.get("sites", []))
-    for stage, site, calls, seconds, nbytes in sites[:top]:
-        out.append(
-            f"| {stage} | {site} | {calls} | {seconds:.4f} | "
-            f"{human_bytes(nbytes)} |"
-        )
+    for stage, site, calls, seconds, *_ in sites[:top]:
+        out.append(f"| {stage} | {site} | {calls} | {seconds:.4f} |")
     if not sites:
-        out.append("| - | (no attributed callsites) | 0 | 0.0000 | 0 B |")
-    out.append("")
-    out.append("## Byte accounting")
-    out.append("")
-    out.append("| category | bytes |")
-    out.append("| --- | ---: |")
-    for cat in BYTE_CATEGORIES:
-        out.append(f"| {cat} | {human_bytes(int(dict(profile.get('bytes', {})).get(cat, 0)))} |")
+        out.append("| - | (no attributed callsites) | 0 | 0.0000 |")
     out.append("")
     return "\n".join(out)

@@ -10,10 +10,7 @@ write log rather than from the live image.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Iterator, List, Sequence, Tuple
-
-from repro.obs import profile as _profile
 
 #: Cache-line size on the modelled platform (bytes).
 CACHE_LINE = 64
@@ -191,10 +188,7 @@ class PMDevice:
         """
         if self._undo is not None:
             raise PMDeviceError("undo log already active")
-        prof = _profile.ACTIVE
         image = self.image
-        t0 = perf_counter() if prof is not None else 0.0
-        applied = 0
         spans: List[Tuple[int, int]] = []
         for lo, hi in sorted((a, a + len(d)) for a, d in writes):
             if spans and lo <= spans[-1][1]:
@@ -209,27 +203,15 @@ class PMDevice:
         ]
         for addr, data in writes:
             image[addr : addr + len(data)] = data
-            applied += len(data)
-        if prof is not None:
-            prof.add("device.cow_apply", perf_counter() - t0, applied,
-                     "overlay_applied")
         self._undo = []
         try:
             yield self
         finally:
-            prof = _profile.ACTIVE
-            t0 = perf_counter() if prof is not None else 0.0
             records, self._undo = self._undo or [], None
-            rolled = 0
             for addr, prior in reversed(records):
                 image[addr : addr + len(prior)] = prior
-                rolled += len(prior)
             for addr, prior in reversed(before):
                 image[addr : addr + len(prior)] = prior
-                rolled += len(prior)
-            if prof is not None:
-                prof.add("device.cow_rollback", perf_counter() - t0, rolled,
-                         "cow_rollback")
 
 
 def cacheline_span(addr: int, length: int) -> range:

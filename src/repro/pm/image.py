@@ -35,10 +35,7 @@ import hashlib
 import re
 import struct
 import weakref
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.obs import profile as _profile
 
 #: Granularity of the incremental digest over the persistent buffer.  Small
 #: enough that a fence region dirtying a few metadata lines rehashes a few
@@ -76,8 +73,6 @@ def flatten_overlay(
     the surviving bytes.  Adjacent spans merge, so runs of different spans
     are always separated by at least one unwritten (base-equal) byte.
     """
-    prof = _profile.ACTIVE
-    t0 = perf_counter() if prof is not None else 0.0
     spans: List[List] = []  # [lo, hi, writes in program order]
     for order, (addr, data) in sorted(
         enumerate(writes), key=lambda item: item[1][0]
@@ -103,9 +98,6 @@ def flatten_overlay(
         ).to_bytes(hi - lo, "big")
         for run in _NONZERO_RUN.finditer(diff):
             flat.append((lo + run.start(), bytes(window[run.start() : run.end()])))
-    if prof is not None:
-        prof.add("image.flatten_overlay", perf_counter() - t0,
-                 sum(len(d) for _, d in writes))
     return tuple(flat)
 
 
@@ -143,11 +135,8 @@ class ChunkedDigest:
         digests to sha1 one update at a time — same byte stream, same
         value, without an O(chunks) python loop of hashlib calls per call.
         """
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
         chunks = self._chunks
         buf = self.buf
-        rehashed = 0
         for i, cached in enumerate(chunks):
             if cached is None:
                 piece = buf[i * CHUNK : (i + 1) * CHUNK]
@@ -155,12 +144,7 @@ class ChunkedDigest:
                     chunks[i] = _ZERO_CHUNK_DIGEST
                 else:
                     chunks[i] = hashlib.sha1(piece).digest()
-                    rehashed += len(piece)
-        combined = hashlib.sha1(b"".join(chunks))
-        if prof is not None:
-            prof.add("image.chunk_rehash", perf_counter() - t0, rehashed,
-                     "digest_hashed")
-        return combined.digest()
+        return hashlib.sha1(b"".join(chunks)).digest()
 
     def chunk_digests(self) -> Tuple[bytes, ...]:
         """The per-chunk sha1s :meth:`digest` just combined (a snapshot)."""
@@ -169,13 +153,12 @@ class ChunkedDigest:
 
 def patched_digest(
     chunk_digests: Sequence[bytes], buf, ranges: Iterable[Tuple[int, int]]
-) -> Tuple[bytes, int]:
+) -> bytes:
     """``ChunkedDigest(buf).digest()``, computed from a neighbour's chunks.
 
     ``chunk_digests`` describes a buffer of the same length that differs
     from ``buf`` at most inside ``ranges`` (``(addr, length)`` pairs); only
-    the chunks those ranges touch are rehashed.  Returns ``(digest, bytes
-    rehashed)``.
+    the chunks those ranges touch are rehashed.
     """
     dirty = set()
     for addr, length in ranges:
@@ -183,12 +166,9 @@ def patched_digest(
             dirty.update(range(addr // CHUNK, (addr + length - 1) // CHUNK + 1))
     chunks = list(chunk_digests)
     view = memoryview(buf)
-    rehashed = 0
     for i in dirty:
-        piece = view[i * CHUNK : (i + 1) * CHUNK]
-        chunks[i] = hashlib.sha1(piece).digest()
-        rehashed += len(piece)
-    return hashlib.sha1(b"".join(chunks)).digest(), rehashed
+        chunks[i] = hashlib.sha1(view[i * CHUNK : (i + 1) * CHUNK]).digest()
+    return hashlib.sha1(b"".join(chunks)).digest()
 
 
 #: Recycled tracker buffers by size.  A fresh ``bytearray`` of device size
@@ -245,8 +225,7 @@ class RegionBase:
     tracker's live buffer with the before-images recorded since the region
     ended (O(suffix delta), not O(device)).  Flat ``bytes`` are built only
     if a consumer genuinely needs them (:attr:`data`: forensics, image
-    diffs), and the copy is charged to the ``materialized`` profile
-    category then.  The checker mounts the live buffer directly through a
+    diffs).  The checker mounts the live buffer directly through a
     COW view prefixed with :meth:`restore_writes` — empty while states
     stream, because a region's states are checked while it is current.
 
@@ -259,8 +238,7 @@ class RegionBase:
     (:func:`patched_digest`).
     """
 
-    __slots__ = ("tracker", "_undo_pos", "digest", "chunk_digests", "_data",
-                 "__weakref__")
+    __slots__ = ("tracker", "_undo_pos", "digest", "chunk_digests", "_data")
 
     def __init__(self, tracker: "PersistTracker", undo_pos: int,
                  digest: bytes, chunk_digests: Tuple[bytes, ...]) -> None:
@@ -277,15 +255,10 @@ class RegionBase:
     def data(self) -> bytes:
         """Flat snapshot bytes — the O(device) copy, paid only on demand."""
         if self._data is None:
-            prof = _profile.ACTIVE
-            t0 = perf_counter() if prof is not None else 0.0
             out = bytearray(self.tracker.buf)
             for addr, before in self.restore_writes():
                 out[addr : addr + len(before)] = before
             self._data = bytes(out)
-            if prof is not None:
-                prof.add("replay.fence_base", perf_counter() - t0,
-                         len(self._data), "materialized")
         return self._data
 
     def __getitem__(self, key):
@@ -324,7 +297,7 @@ class PersistTracker:
     log that says otherwise), so the buffer never changes length.
     """
 
-    __slots__ = ("buf", "size", "_undo", "_digest", "_base", "__weakref__")
+    __slots__ = ("buf", "size", "_undo", "_digest", "__weakref__")
 
     def __init__(self, base_image: bytes) -> None:
         self.buf, chunks = _acquire_buffer(base_image)
@@ -340,20 +313,12 @@ class PersistTracker:
             self, _recycle_buffer, _BUF_POOL.setdefault(self.size, []),
             self.buf, base_image, self._undo, self._digest,
         )
-        # Weak so a dead tracker/base pair frees by refcount (no gc cycle),
-        # which is what lets the finalizer above recycle buffers promptly.
-        self._base: Optional["weakref.ref[RegionBase]"] = None
 
     def apply(self, entries) -> None:
         """Persist a fence epoch, recording before-images for live bases."""
-        if not entries:
-            return
-        prof = _profile.ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
         buf = self.buf
         undo = self._undo
         invalidate = self._digest.invalidate
-        applied = 0
         for entry in entries:
             addr = entry.addr
             data = entry.data
@@ -361,33 +326,15 @@ class PersistTracker:
             undo.append((addr, bytes(buf[addr:end])))
             buf[addr:end] = data
             invalidate(addr, len(data))
-            applied += len(data)
-        self._base = None
-        if prof is not None:
-            prof.add("replay.persist_apply", perf_counter() - t0, applied)
 
     def base(self) -> RegionBase:
-        """The current region's shared base (cached until the next apply).
-
-        Zero-copy: the returned base references the live buffer; the
-        ``replay.fence_base`` callsite is still recorded (for call counts)
-        but charges no materialized bytes unless ``.data`` is later pulled.
-        """
-        base = self._base() if self._base is not None else None
-        if base is None:
-            prof = _profile.ACTIVE
-            t0 = perf_counter() if prof is not None else 0.0
-            m0 = prof.mark() if prof is not None else 0.0
-            base = RegionBase(
-                self, len(self._undo), self._digest.digest(),
-                self._digest.chunk_digests(),
-            )
-            self._base = weakref.ref(base)
-            if prof is not None:
-                # Exclusive of the chunk rehashes the digest runs inside.
-                prof.add_exclusive("replay.fence_base", perf_counter() - t0,
-                                   m0, 0)
-        return base
+        """The current region's base: zero-copy, it references the live
+        buffer, and costs one digest of the chunks written since the last
+        fence.  Take it once per region (the replayer caches it)."""
+        return RegionBase(
+            self, len(self._undo), self._digest.digest(),
+            self._digest.chunk_digests(),
+        )
 
     def read_range(self, undo_pos: int, start: int, stop: int) -> bytes:
         """``[start, stop)`` content as of ``undo_pos`` — O(suffix + range)."""
@@ -448,23 +395,14 @@ class CrashImage:
     def materialize(self) -> bytes:
         """The flat ``bytes`` image (cached after the first call)."""
         if self._mat is None:
-            prof = _profile.ACTIVE
-            t0 = perf_counter() if prof is not None else 0.0
-            m0 = prof.mark() if prof is not None else 0.0
             if not self.writes:
-                # Zero-copy: shares the base snapshot, nothing materialized.
+                # Shares the base snapshot: nothing further is copied.
                 self._mat = self.base.data
-                copied = 0
             else:
                 buf = bytearray(self.base.data)
                 for addr, data in self.writes:
                     buf[addr : addr + len(data)] = data
                 self._mat = bytes(buf)
-                copied = len(self._mat)
-            if prof is not None:
-                # Exclusive of a lazy fence base materializing itself.
-                prof.add_exclusive("image.materialize", perf_counter() - t0,
-                                   m0, copied, "materialized")
         return self._mat
 
     def __len__(self) -> int:

@@ -110,13 +110,14 @@ class TestSnapshot:
                        EngineConfig(workers=2, batch_size=2)).run()
         snap = CampaignMonitor(campaign_dir).snapshot()
         totals = snap.aggregate().totals
-        # A clean pipeline copies no image: zero categories stay unlisted.
-        assert totals["profile"]["bytes"]["materialized"] == 0
-        assert totals["profile"]["bytes"]["digest_hashed"] > 0
+        # Profiles fold their stages like every other TestResult field;
+        # the stages with callsites are always there.
+        stages = totals["profile"]["stages"]
+        assert stages["check"] > 0 and stages["enumerate"] > 0
+        assert sum(stages.values()) == pytest.approx(
+            snap.aggregate().wall_time + stages.get("other", 0.0))
         frame = CampaignMonitor(campaign_dir).render(snap)
-        assert "profile bytes:" in frame
-        assert "digest_hashed" in frame
-        assert "materialized" not in frame
+        assert "crash states" in frame
 
     def test_unprofiled_campaign_shows_no_profile_lines(self, tmp_path):
         campaign_dir, _ = _run_campaign(tmp_path)

@@ -12,7 +12,8 @@ simplest definition that could be right, kept in this file:
   its region is current and after enumeration has moved on (the
   ``restore_writes`` and ``read_range`` paths);
 * ``recovery_read_set`` — the same reads mounting base + overlay as on the
-  flat image.
+  flat image;
+* zero copy — a whole pipeline never builds a flat image.
 """
 
 import hashlib
@@ -27,7 +28,14 @@ from repro.core.recovery_reads import recovery_read_set
 from repro.core.replayer import enumerate_crash_states
 from repro.fs.bugs import BugConfig
 from repro.pm.device import PMDevice
-from repro.pm.image import CHUNK, PersistTracker, fence_base, flatten_overlay
+from repro.pm.image import (
+    CHUNK,
+    CrashImage,
+    PersistTracker,
+    RegionBase,
+    fence_base,
+    flatten_overlay,
+)
 from repro.workloads.ops import Op
 
 #: A log write as the tracker sees it.
@@ -219,3 +227,31 @@ def test_zero_chunks_digest_like_any_other(size):
     base = fence_base(bytes(size))
     assert base.digest == reference_digest(bytes(size))
     assert base.chunk_digests == reference_chunks(bytes(size))
+
+
+def test_a_clean_pipeline_copies_no_image(monkeypatch):
+    """Fence bases share the replayer's live buffer and the checker mounts
+    it through a COW view, so a pipeline never enters either O(device)
+    copy: ``CrashImage.materialize`` or ``RegionBase.data``."""
+    entered = []
+    materialize, data = CrashImage.materialize, RegionBase.data
+
+    def counted_materialize(image):
+        entered.append("materialize")
+        return materialize(image)
+
+    def counted_data(base):
+        entered.append("data")
+        return data.fget(base)
+
+    monkeypatch.setattr(CrashImage, "materialize", counted_materialize)
+    monkeypatch.setattr(RegionBase, "data", property(counted_data))
+    result = Chipmunk("nova").test_workload([
+        Op("mkdir", ("/d",)),
+        Op("creat", ("/d/f",)),
+        Op("write", ("/d/f", 0, 65, 2048)),
+        Op("fsync", ("/d/f",)),
+        Op("rename", ("/d/f", "/d/g")),
+    ])
+    assert result.n_crash_states > 0
+    assert entered == []

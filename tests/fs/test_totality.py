@@ -20,6 +20,8 @@ from repro.core.checker import RECOVERY_CRASHES, ConsistencyChecker
 from repro.core.oracle import OracleResult
 from repro.core.report import Consequence
 from repro.fs.bugs import BugConfig
+from repro.fs.common.layout import read_u64, u32, u64
+from repro.fs.nova import layout as L
 from repro.fs.registry import FS_CLASSES
 from repro.pm.device import PMDevice
 from repro.pm.image import CrashImage, fence_base
@@ -135,3 +137,28 @@ def test_usability_crash_is_a_finding(fs_name, addr, value, exc_name):
                for _, detail in crashes)
     # A crashed recovery is never remembered by the recovery memo.
     assert not complete
+
+
+#: The log-structured entries: recovery follows each inode's chain of log
+#: pages for as many entries as the inode's u32 ``log_count`` claims.
+LOG_STRUCTURED = ("nova", "nova-fortis")
+
+
+@pytest.mark.parametrize("fs_name", LOG_STRUCTURED)
+def test_cyclic_log_chain_is_unmountable(fs_name):
+    """A first log page whose ``next`` points at itself, under a damaged
+    ``log_count``: without a cycle check the walk re-applies the same
+    valid entries ``log_count`` times (hours for a count near 2**32)."""
+    fs = make_fixed_fs(fs_name)
+    fs.mkdir("/A")
+    for i in range(6):  # attr + 6 dentries: /A's first log page is full
+        fs.creat(f"/A/f{i}")
+    fs.sync()
+    device = PMDevice.from_snapshot(fs.device.snapshot())
+    slot = fs.geom.inode_addr(1)
+    head = read_u64(device.read(slot + L.INO_LOG_HEAD, 8))
+    assert read_u64(device.read(head + 8, 8)) not in (0, head)
+    device.write(head + 8, u64(head))
+    device.write(slot + L.INO_COUNT, u32(1000))
+    with pytest.raises(MountError, match="cycles"):
+        FS_CLASSES()[fs_name].mount(device)

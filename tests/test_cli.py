@@ -408,7 +408,7 @@ class TestProfileCLI:
         out = capsys.readouterr().out
         assert "# Profile: nova" in out
         assert "## Stage breakdown" in out
-        assert "## Byte accounting" in out
+        assert "## Hot callsites" in out
         assert "attributed to pipeline stages" in out
 
     def test_profile_out_and_chrome(self, tmp_path, capsys):
@@ -430,7 +430,7 @@ class TestProfileCLI:
 
         assert main(["profile", "nova", "--op", "creat /f", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"stages", "sites", "bytes"}
+        assert set(doc) == {"stages", "sites"}
 
     def test_campaign_profile_flag_reaches_results(self, tmp_path):
         from repro.campaign.journal import CheckpointJournal
